@@ -125,32 +125,37 @@ microbench:
 
 # Serving-layer gate: start a real bin/incll_server.exe process on a
 # unix socket, drive it with the remote open-loop bench, SIGTERM it and
-# require a clean drain. --oracle makes the bench (a) replay the same
-# seeded streams through an in-process store and demand the server's
-# complete final state match key for key, (b) fail on any BUSY bounce
-# (the queue capacity below is sized so admission is lossless), and
-# (c) fail unless >= 99% of over-threshold ops are attributed to a
-# cause (net_queue included). The numbers are wall clock — host noise
-# included — so the JSON report is self-diffed through bench_compare
-# (schema + gate plumbing), never compared against a committed baseline.
+# require a clean drain — once per shard count: 1 shard
+# runs every single-key op inline on the connection's own domain, 2
+# shards also cross the bounded queue between domains. --oracle makes
+# the bench (a) replay the same seeded streams through an in-process
+# store and demand the server's complete final state match key for key,
+# (b) fail on any BUSY bounce (the queue capacity below is sized so
+# admission is lossless), and (c) fail unless >= 99% of over-threshold
+# ops are attributed to a cause (net_queue included). The numbers are
+# wall clock — host noise included — so each JSON report is self-diffed
+# through bench_compare (schema + gate plumbing), never compared
+# against a committed baseline.
 SERVE_SOCK ?= /tmp/incll_serve_gate.sock
 
 serve: build
-	rm -f $(SERVE_SOCK) _build/serve.pid
-	./_build/default/bin/incll_server.exe --listen unix:$(SERVE_SOCK) \
-	  --shards 2 --queue-capacity 65536 & echo $$! > _build/serve.pid
-	for i in $$(seq 1 100); do [ -S $(SERVE_SOCK) ] && break; sleep 0.1; done; \
-	  [ -S $(SERVE_SOCK) ]
-	./_build/default/bench/main.exe --only remote \
-	  --connect unix:$(SERVE_SOCK) --oracle --scale 0.001 --threads 2 \
-	  --ops 2000 --latency-threshold-us 200 --seed 1 \
-	  --json _build/bench_serve.json --date check; \
+	for n in 1 2; do \
+	  rm -f $(SERVE_SOCK) _build/serve.pid; \
+	  ./_build/default/bin/incll_server.exe --listen unix:$(SERVE_SOCK) \
+	    --shards $$n --queue-capacity 65536 & echo $$! > _build/serve.pid; \
+	  for i in $$(seq 1 100); do [ -S $(SERVE_SOCK) ] && break; sleep 0.1; done; \
+	  [ -S $(SERVE_SOCK) ] || exit 1; \
+	  ./_build/default/bench/main.exe --only remote \
+	    --connect unix:$(SERVE_SOCK) --oracle --scale 0.001 --threads 2 \
+	    --ops 2000 --latency-threshold-us 200 --seed 1 \
+	    --json _build/bench_serve_$$n.json --date check; \
 	  rc=$$?; kill -TERM $$(cat _build/serve.pid) 2>/dev/null; \
 	  for i in $$(seq 1 100); do kill -0 $$(cat _build/serve.pid) 2>/dev/null || break; sleep 0.1; done; \
-	  if kill -0 $$(cat _build/serve.pid) 2>/dev/null; then echo "server did not drain"; kill -9 $$(cat _build/serve.pid); exit 1; fi; \
-	  exit $$rc
-	dune exec bin/bench_compare.exe -- --threshold $(BENCH_THRESHOLD) \
-	  _build/bench_serve.json _build/bench_serve.json
+	  if kill -0 $$(cat _build/serve.pid) 2>/dev/null; then echo "server ($$n shards) did not drain"; kill -9 $$(cat _build/serve.pid); exit 1; fi; \
+	  [ $$rc -eq 0 ] || exit $$rc; \
+	  ./_build/default/bin/bench_compare.exe --threshold $(BENCH_THRESHOLD) \
+	    _build/bench_serve_$$n.json _build/bench_serve_$$n.json || exit 1; \
+	done
 
 # End-to-end fault-tolerance torture: per seed, real incll_server.exe
 # processes are SIGKILLed mid-load and restarted over the same NVM

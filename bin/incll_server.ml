@@ -14,7 +14,8 @@ let usage =
   {|usage: incll_server --listen ADDR [options]
   --listen ADDR         unix:/path/to.sock or tcp:host:port (required)
   --variant V           MT | MT+ | LOGGING | INCLL       (default INCLL)
-  --shards N            shard/domain count                (default 2)
+  --shards N            shard count (default 2); the server runs 1 + N
+                        domains, each shard domain serving its connections
   --policy P            throughput | latency | rto        (default throughput)
   --epoch-ms MS         checkpoint cadence                (default 16)
   --queue-capacity N    per-shard request queue bound     (default 1024)

@@ -163,6 +163,12 @@ let overlapping t ~t0 ~t1 =
     (fun e -> e.start_ns < t1 && e.start_ns +. e.dur_ns > t0)
     (entries t)
 
+let since t ~admitted =
+  let cap = Array.length t.buf in
+  let fresh = if t.admitted >= admitted then t.admitted - admitted else t.admitted in
+  let n = min t.len fresh in
+  List.init n (fun i -> t.buf.((t.next - n + i + cap) mod cap))
+
 let counts t = List.map (fun c -> (c, t.counts.(cause_index c))) all_causes
 
 let totals_ns t =

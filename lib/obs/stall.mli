@@ -111,7 +111,20 @@ val entries : t -> entry list
 
 val overlapping : t -> t0:float -> t1:float -> entry list
 (** Ring entries whose [start_ns, start_ns + dur_ns) interval intersects
-    [t0, t1), oldest first. *)
+    [t0, t1), oldest first. Copies the whole ring: prefer {!since} on a
+    per-op path. *)
+
+val since : t -> admitted:int -> entry list
+(** Ring entries admitted after the lifetime count was [admitted] (a
+    prior {!admitted} reading), oldest first; only those still in the
+    ring. Costs the entries returned, not the ring. When entries are
+    recorded in clock order (every region ledger is: a stall is
+    admitted when it ends), every entry admitted before a reading
+    taken at clock [t0] ends at or before [t0], so
+    [dominant_cause (since t ~admitted) ~t0 ~t1] equals
+    [dominant_cause (overlapping t ~t0 ~t1) ~t0 ~t1]. A {!clear} in
+    between restarts the count: everything admitted since it is
+    returned. *)
 
 val counts : t -> (cause * int) list
 (** Lifetime per-cause entry counts (unfiltered by [min_dur_ns]), in

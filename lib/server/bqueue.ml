@@ -2,50 +2,58 @@ type 'a t = {
   q : 'a Queue.t;
   capacity : int;
   mu : Mutex.t;
-  nonempty : Condition.t;
+  wake_r : Unix.file_descr;
+  wake_w : Unix.file_descr;
+  mutable armed : bool;  (* exactly one byte sits in the pipe *)
   mutable closed : bool;
 }
 
 let create ~capacity =
-  {
-    q = Queue.create ();
-    capacity;
-    mu = Mutex.create ();
-    nonempty = Condition.create ();
-    closed = false;
-  }
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock wake_r;
+  Unix.set_nonblock wake_w;
+  { q = Queue.create (); capacity; mu = Mutex.create (); wake_r; wake_w;
+    armed = false; closed = false }
+
+(* Under [mu]: keeps "armed <=> one byte in the pipe", so the consumer's
+   select sees the fd readable exactly while there is work (or close). *)
+let arm t =
+  if not t.armed then begin
+    t.armed <- true;
+    ignore (Unix.write_substring t.wake_w "!" 0 1)
+  end
 
 let push_aux t x ~bounded =
-  Mutex.lock t.mu;
-  let ok = (not t.closed) && ((not bounded) || Queue.length t.q < t.capacity) in
-  if ok then begin
-    Queue.push x t.q;
-    Condition.signal t.nonempty
-  end;
-  Mutex.unlock t.mu;
-  ok
+  Mutex.protect t.mu (fun () ->
+      let ok = (not t.closed) && ((not bounded) || Queue.length t.q < t.capacity) in
+      if ok then begin
+        Queue.push x t.q;
+        arm t
+      end;
+      ok)
 
 let try_push t x = push_aux t x ~bounded:true
 let push_unbounded t x = push_aux t x ~bounded:false
 
 let pop_batch t ~max =
-  Mutex.lock t.mu;
-  while Queue.is_empty t.q && not t.closed do
-    Condition.wait t.nonempty t.mu
-  done;
-  let n = min max (Queue.length t.q) in
-  let out = List.init n (fun _ -> Queue.pop t.q) in
-  Mutex.unlock t.mu;
-  out
+  Mutex.protect t.mu (fun () ->
+      let out = List.init (min max (Queue.length t.q)) (fun _ -> Queue.pop t.q) in
+      if Queue.is_empty t.q && t.armed && not t.closed then begin
+        t.armed <- false;
+        ignore (Unix.read t.wake_r (Bytes.create 1) 0 1)
+      end;
+      out)
+
+let wake_fd t = t.wake_r
+let kick t = Mutex.protect t.mu (fun () -> arm t)
 
 let close t =
-  Mutex.lock t.mu;
-  t.closed <- true;
-  Condition.broadcast t.nonempty;
-  Mutex.unlock t.mu
+  Mutex.protect t.mu (fun () ->
+      t.closed <- true;
+      arm t)
 
-let length t =
-  Mutex.lock t.mu;
-  let n = Queue.length t.q in
-  Mutex.unlock t.mu;
-  n
+let is_closed t = Mutex.protect t.mu (fun () -> t.closed)
+
+let release t =
+  Unix.close t.wake_r;
+  Unix.close t.wake_w

@@ -1,17 +1,15 @@
-(** Bounded multi-producer single-consumer queue (Mutex + Condition).
+(** Bounded multi-producer single-consumer queue with a wake fd.
 
-    The serving layer's backpressure primitive: connection readers
-    [try_push] requests at shard domains and answer BUSY themselves on
-    [false] — the queue never grows past its capacity, so a slow shard
-    surfaces as an explicit reply instead of unbounded buffering.
-    Barrier jobs and replies use {!push_unbounded}, which ignores the
-    capacity: both are bounded by construction (one barrier per shard
-    queue at a time per connection, replies by requests in flight). *)
+    Each shard domain owns one and selects on {!wake_fd} next to its
+    connections. Routed requests use [try_push], and their sender
+    answers BUSY itself on [false] — a slow shard surfaces as an
+    explicit reply, never as unbounded buffering. Barriers, replies and
+    connection handovers use {!push_unbounded}: the first two are
+    bounded by the requests read, handovers by accepts. *)
 
 type 'a t
 
 val create : capacity:int -> 'a t
-
 val try_push : 'a t -> 'a -> bool
 (** [false] when the queue is full or closed. Never blocks. *)
 
@@ -19,12 +17,19 @@ val push_unbounded : 'a t -> 'a -> bool
 (** Enqueue past the capacity limit; [false] only when closed. *)
 
 val pop_batch : 'a t -> max:int -> 'a list
-(** Block until at least one element is available, then return up to
-    [max] in FIFO order. Returns [[]] only when the queue is closed and
-    drained. *)
+(** Up to [max] elements in FIFO order, [[]] when empty. Never blocks. *)
+
+val wake_fd : 'a t -> Unix.file_descr
+(** Readable while the queue is non-empty, after {!kick} until the next
+    {!pop_batch}, and for good after {!close}. Only select on it. *)
+
+val kick : 'a t -> unit
+(** Make {!wake_fd} readable without enqueueing. *)
 
 val close : 'a t -> unit
-(** Wake the consumer; subsequent pushes fail. Elements already queued
-    can still be popped. *)
+(** Wake the consumer; later pushes fail, queued elements still pop. *)
 
-val length : 'a t -> int
+val is_closed : 'a t -> bool
+
+val release : 'a t -> unit
+(** Close the wake pipe once the consumer is gone. *)

@@ -1,21 +1,30 @@
 module P = Wire.Proto
 
+(* A connection belongs to one shard domain, its owner, for its whole
+   life: only the owner reads or writes its fd or touches its fields. *)
 type conn = {
-  fd : Unix.file_descr;
-  replies : string Bqueue.t;  (* encoded reply frames *)
-  outstanding : int Atomic.t;  (* requests handed to shard domains *)
-  mutable txn : P.txn_write list option;  (* newest first; reader-only *)
+  fd : Unix.file_descr;  (* non-blocking *)
+  owner : int;
+  dec : P.Decoder.t;
+  out : Buffer.t;  (* encoded reply frames not yet written *)
+  mutable outstanding : int;  (* requests answered by other domains *)
+  mutable txn : P.txn_write list option;  (* newest first *)
+  mutable reading : bool;  (* false after EOF, an error or the drain sweep *)
 }
 
 type barrier = {
   mutable remaining : int;
   bmu : Mutex.t;
   bcv : Condition.t;
-  brun : unit -> unit;  (* run exclusively by the last shard to arrive *)
+  brun : int -> unit;  (* run exclusively by the last shard to arrive *)
   mutable bdone : bool;
 }
 
-type job = Op of conn * float * P.request  (* enqueue wall ns *) | Barrier of barrier
+type job =
+  | Op of conn * float * P.request  (* routed from the owner; decode wall ns *)
+  | Barrier of barrier
+  | Reply of conn * string  (* an encoded frame back to the owner *)
+  | Adopt of conn  (* a freshly accepted connection *)
 
 (* Per-session dedup state (DESIGN.md Â§17): the highest seqno this shard
    has applied for the session and the status it was answered with. The
@@ -42,14 +51,16 @@ type t = {
   sess_clocks : int ref array;
   c_dedup : int ref array;  (* per-shard "server.dedup_hits" counters *)
   sid_counter : int Atomic.t;  (* next fresh session id *)
+  conns : conn list array;  (* entry i owned by shard domain i *)
   listen_fd : Unix.file_descr;
   bound : Wire.Client.addr;
+  mutable accepted : int;  (* round-robin cursor, domain 0 only *)
+  c_refused : int ref;  (* "server.conn_refused", domain 0 only *)
   stop_flag : bool Atomic.t;
+  accepting : bool Atomic.t;  (* false once domain 0 closed the listener *)
+  drained : int Atomic.t;  (* domains whose connections are all done *)
   barrier_mu : Mutex.t;  (* serialises multi-queue barrier enqueues *)
-  conns_mu : Mutex.t;
-  mutable conn_domains : unit Domain.t list;
-  mutable shard_domains : unit Domain.t list;
-  mutable accept_domain : unit Domain.t option;
+  mutable domains : unit Domain.t list;
   batch : int;
   on_dequeue : (shard:int -> unit) option;
   t0 : float;  (* server start, Unix seconds *)
@@ -74,11 +85,18 @@ let encode_reply r =
     P.frame_of_reply
       { r with P.status = P.Bad_request; payload = P.Text m }
 
-let push_reply conn r = ignore (Bqueue.push_unbounded conn.replies (encode_reply r))
+let simple ?(payload = P.Unit) conn id status =
+  Buffer.add_string conn.out
+    (encode_reply { P.id; status; queue_ns = 0.0; cause = P.no_cause; payload })
 
-let simple conn id status =
-  push_reply conn
-    { P.id; status; queue_ns = 0.0; cause = P.no_cause; payload = P.Unit }
+(* Hand the reply to a request counted in [outstanding] to its owner,
+   from domain [on]: the owner buffers it, anyone else sends it home. *)
+let deliver t ~on conn frame =
+  if on = conn.owner then begin
+    Buffer.add_string conn.out frame;
+    conn.outstanding <- conn.outstanding - 1
+  end
+  else ignore (Bqueue.push_unbounded t.queues.(conn.owner) (Reply (conn, frame)))
 
 (* --------------------------------------------------------- shard domain *)
 
@@ -143,55 +161,52 @@ let session_op_of = function
   | P.Delete k -> Some (Incll.Session.Remove { key = k })
   | _ -> None
 
-let exec_op t shard (conn, enq_ns, { P.id; op; sess }) =
+(* Execute a single-key request on its shard's domain; the encoded
+   reply. The wait since [dec_ns] (its read) is its [net_queue] stall,
+   inline or queued. *)
+let exec_op t shard ~dec_ns { P.id; op; sess } =
   let sys = Store.Sharded.shard t.store shard in
   let region = Incll.System.region sys in
-  let queue_ns = Float.max 0.0 (wall_ns t -. enq_ns) in
-  Obs.Stall.record t.ledgers.(shard) Obs.Stall.Net_queue ~start_ns:enq_ns
+  let queue_ns = Float.max 0.0 (wall_ns t -. dec_ns) in
+  Obs.Stall.record t.ledgers.(shard) Obs.Stall.Net_queue ~start_ns:dec_ns
     ~dur_ns:queue_ns;
-  let dedup =
-    match sess with
-    | Some (sid, seq) -> dedup_check t shard ~sid ~seq
-    | None -> None
-  in
-  (match dedup with
-  | Some status ->
-      push_reply conn
+  encode_reply
+    (match Option.bind sess (fun (sid, seq) -> dedup_check t shard ~sid ~seq) with
+    | Some status ->
         { P.id; status; queue_ns; cause = P.no_cause; payload = P.Unit }
-  | None ->
-      let s0 = Nvm.Stats.sim_ns (Nvm.Region.stats region) in
-      let status, payload =
-        try exec_single sys op
-        with e -> (P.Bad_request, P.Text (Printexc.to_string e))
-      in
-      (* Durable exactly-once: the dedup record is fenced into the log
-         *before* the reply is enqueued, so an acked mutation is always
-         redoable and its stamp always survives a crash. *)
-      (match (sess, session_op_of op) with
-      | Some (sid, seq), Some sop when Incll.System.ctx sys <> None ->
-          Incll.System.record_session sys ~sid ~seq
-            ~status:(P.status_code status) sop;
-          touch_session t shard ~sid ~seq ~status_code:(P.status_code status)
-      | _ -> ());
-      let s1 =
-        Float.max (Nvm.Stats.sim_ns (Nvm.Region.stats region)) (s0 +. 1.0)
-      in
-      let cause =
-        let over =
-          Obs.Stall.overlapping (Nvm.Region.stalls region) ~t0:s0 ~t1:s1
+    | None ->
+        let stalls = Nvm.Region.stalls region in
+        let s0 = Nvm.Stats.sim_ns (Nvm.Region.stats region) in
+        let a0 = Obs.Stall.admitted stalls in
+        let status, payload =
+          try exec_single sys op
+          with e -> (P.Bad_request, P.Text (Printexc.to_string e))
         in
-        match Obs.Stall.dominant_cause over ~t0:s0 ~t1:s1 with
-        | Some c -> Obs.Stall.cause_index c
-        | None -> P.no_cause
-      in
-      push_reply conn { P.id; status; queue_ns; cause; payload });
-  ignore (Atomic.fetch_and_add conn.outstanding (-1))
+        (* Durable exactly-once: the dedup record is fenced into the log
+           *before* the reply exists, so an acked mutation is always
+           redoable and its stamp always survives a crash. *)
+        (match (sess, session_op_of op) with
+        | Some (sid, seq), Some sop when Incll.System.ctx sys <> None ->
+            Incll.System.record_session sys ~sid ~seq
+              ~status:(P.status_code status) sop;
+            touch_session t shard ~sid ~seq ~status_code:(P.status_code status)
+        | _ -> ());
+        let s1 =
+          Float.max (Nvm.Stats.sim_ns (Nvm.Region.stats region)) (s0 +. 1.0)
+        in
+        (* Stalls admitted before [a0] ended by [s0]: only the ones
+           admitted since can overlap this op. *)
+        let cause =
+          Obs.Stall.dominant_cause (Obs.Stall.since stalls ~admitted:a0) ~t0:s0 ~t1:s1
+          |> Option.fold ~none:P.no_cause ~some:Obs.Stall.cause_index
+        in
+        { P.id; status; queue_ns; cause; payload })
 
-let run_barrier_job b =
+let run_barrier_job ~on b =
   Mutex.lock b.bmu;
   b.remaining <- b.remaining - 1;
   if b.remaining = 0 then begin
-    b.brun ();
+    b.brun on;
     b.bdone <- true;
     Condition.broadcast b.bcv
   end
@@ -201,36 +216,37 @@ let run_barrier_job b =
     done;
   Mutex.unlock b.bmu
 
-let shard_loop t shard =
-  let rec loop () =
-    match Bqueue.pop_batch t.queues.(shard) ~max:t.batch with
-    | [] -> ()  (* closed and drained *)
-    | jobs ->
-        Option.iter (fun f -> f ~shard) t.on_dequeue;
-        List.iter
-          (function
-            | Op (conn, enq, req) -> exec_op t shard (conn, enq, req)
-            | Barrier b -> run_barrier_job b)
-          jobs;
-        loop ()
-  in
-  loop ()
+(* Run everything queued for shard domain [i], batch by batch. *)
+let rec run_jobs t i =
+  match Bqueue.pop_batch t.queues.(i) ~max:t.batch with
+  | [] -> ()
+  | jobs ->
+      Option.iter (fun f -> f ~shard:i) t.on_dequeue;
+      List.iter
+        (function
+          | Op (conn, dec_ns, req) ->
+              deliver t ~on:i conn (exec_op t i ~dec_ns req)
+          | Barrier b -> run_barrier_job ~on:i b
+          | Reply (conn, frame) -> deliver t ~on:i conn frame
+          | Adopt conn -> t.conns.(i) <- conn :: t.conns.(i))
+        jobs;
+      run_jobs t i
 
-(* --------------------------------------------------------- reader side *)
+(* --------------------------------------------------------- request side *)
 
 (* Enqueue a barrier on every shard queue under the global barrier mutex:
    two concurrent barriers land in the same order on every queue, so the
    shard domains can never arrive at two barriers in opposite orders. *)
 let submit_barrier t conn id f =
-  ignore (Atomic.fetch_and_add conn.outstanding 1);
+  conn.outstanding <- conn.outstanding + 1;
   let enq_ns = wall_ns t in
-  let brun () =
+  let brun on =
     let queue_ns = Float.max 0.0 (wall_ns t -. enq_ns) in
     let status, payload =
       try f () with e -> (P.Bad_request, P.Text (Printexc.to_string e))
     in
-    push_reply conn { P.id; status; queue_ns; cause = P.no_cause; payload };
-    ignore (Atomic.fetch_and_add conn.outstanding (-1))
+    deliver t ~on conn
+      (encode_reply { P.id; status; queue_ns; cause = P.no_cause; payload })
   in
   let b =
     {
@@ -245,31 +261,18 @@ let submit_barrier t conn id f =
   Array.iter (fun q -> ignore (Bqueue.push_unbounded q (Barrier b))) t.queues;
   Mutex.unlock t.barrier_mu
 
-let commit_txn store writes () =
-  Store.Sharded.txn_begin store;
-  (try
-     List.iter
-       (function
-         | P.Tw_put (k, v) -> Store.Sharded.txn_put store ~key:k ~value:v
-         | P.Tw_remove k -> Store.Sharded.txn_remove store ~key:k)
-       writes;
-     Store.Sharded.txn_commit store
-   with e ->
-     if Store.Sharded.txn_active store then Store.Sharded.txn_abort store;
-     raise e);
-  (P.Ok, P.Unit)
-
-(* Session-stamped commit: dedup against the session's *home* shard
+(* Replay a connection's buffered writes through the store's 2PC. A
+   session-stamped commit dedups against the session's *home* shard
    (sid mod nshards — stamp-deterministic, key-independent). Runs inside
    the cross-shard barrier, so every shard is parked and touching the
    home shard's table and log is exclusive. A failed commit is not
    recorded: the client's replay re-runs it from scratch. *)
-let commit_txn_sess t ~sid ~seq writes () =
-  let home = sid mod Store.Sharded.nshards t.store in
-  match dedup_check t home ~sid ~seq with
+let commit_txn t sess writes () =
+  let store = t.store in
+  let home sid = sid mod Store.Sharded.nshards store in
+  match Option.bind sess (fun (sid, seq) -> dedup_check t (home sid) ~sid ~seq) with
   | Some status -> (status, P.Unit)
   | None ->
-      let store = t.store in
       Store.Sharded.txn_begin store;
       let txn_id = Option.value (Store.Sharded.txn_id store) ~default:0 in
       (try
@@ -282,13 +285,15 @@ let commit_txn_sess t ~sid ~seq writes () =
        with e ->
          if Store.Sharded.txn_active store then Store.Sharded.txn_abort store;
          raise e);
-      let sys = Store.Sharded.shard store home in
-      if Incll.System.ctx sys <> None then begin
-        Incll.System.record_session sys ~sid ~seq
-          ~status:(P.status_code P.Ok)
-          (Incll.Session.Commit { txn_id });
-        touch_session t home ~sid ~seq ~status_code:(P.status_code P.Ok)
-      end;
+      (match sess with
+      | Some (sid, seq)
+        when Incll.System.ctx (Store.Sharded.shard store (home sid)) <> None ->
+          Incll.System.record_session
+            (Store.Sharded.shard store (home sid))
+            ~sid ~seq ~status:(P.status_code P.Ok)
+            (Incll.Session.Commit { txn_id });
+          touch_session t (home sid) ~sid ~seq ~status_code:(P.status_code P.Ok)
+      | _ -> ());
       (P.Ok, P.Unit)
 
 let stats_text store fmt () =
@@ -310,14 +315,26 @@ let txn_shadow buffered k =
       | _ -> None)
     buffered
 
-let handle_request t conn ~draining ({ P.id; op; sess } as req) =
+(* Serve one request on its connection's owner [i]. [dec_ns] is when
+   its read began: reading, decoding and the wait behind the read's
+   earlier requests count as queueing. *)
+let handle_request t i conn ~draining ~dec_ns ({ P.id; op; sess } as req) =
     let route_to_shard key =
       let shard = Store.Sharded.shard_of_key t.store key in
-      ignore (Atomic.fetch_and_add conn.outstanding 1);
-      if not (Bqueue.try_push t.queues.(shard) (Op (conn, wall_ns t, req)))
-      then begin
-        ignore (Atomic.fetch_and_add conn.outstanding (-1));
-        simple conn id P.Busy
+      if shard = i then begin
+        (* Jobs queued before this op run first: a barrier this
+           connection submitted (its TXN_COMMIT, say) completes before
+           its later inline ops. *)
+        run_jobs t i;
+        Buffer.add_string conn.out (exec_op t i ~dec_ns req)
+      end
+      else begin
+        conn.outstanding <- conn.outstanding + 1;
+        if not (Bqueue.try_push t.queues.(shard) (Op (conn, dec_ns, req)))
+        then begin
+          conn.outstanding <- conn.outstanding - 1;
+          simple conn id P.Busy
+        end
       end
     in
     match op with
@@ -347,24 +364,10 @@ let handle_request t conn ~draining ({ P.id; op; sess } as req) =
         | None -> simple conn id P.Txn_state
         | Some l ->
             conn.txn <- None;
-            let writes = List.rev l in
-            let run =
-              match sess with
-              | Some (sid, seq) -> commit_txn_sess t ~sid ~seq writes
-              | None -> commit_txn t.store writes
-            in
-            submit_barrier t conn id run)
+            submit_barrier t conn id (commit_txn t sess (List.rev l)))
     | P.Get k -> (
         match Option.bind conn.txn (fun l -> txn_shadow l k) with
-        | Some (Some v) ->
-            push_reply conn
-              {
-                P.id;
-                status = P.Ok;
-                queue_ns = 0.0;
-                cause = P.no_cause;
-                payload = P.Value v;
-              }
+        | Some (Some v) -> simple ~payload:(P.Value v) conn id P.Ok
         | Some None -> simple conn id P.Not_found
         | None -> route_to_shard k)
     | P.Put (k, _) | P.Delete k -> route_to_shard k
@@ -393,145 +396,167 @@ let handle_request t conn ~draining ({ P.id; op; sess } as req) =
               proposed
             end
           in
-          push_reply conn
-            {
-              P.id;
-              status = P.Ok;
-              queue_ns = 0.0;
-              cause = P.no_cause;
-              payload = P.Value (string_of_int sid);
-            }
+          simple ~payload:(P.Value (string_of_int sid)) conn id P.Ok
         end
 
-let write_all fd s =
-  let b = Bytes.unsafe_of_string s in
-  let n = Bytes.length b in
-  let off = ref 0 in
-  while !off < n do
-    let k = restart_eintr (fun () -> Unix.write fd b !off (n - !off)) in
-    off := !off + k
-  done
+(* ------------------------------------------------------ connection I/O *)
 
-let writer_loop conn =
+(* A connection is not read while more than this many reply bytes wait
+   for its peer: a slow reader cannot grow the server or block a shard. *)
+let out_cap = 1 lsl 20
+
+(* One non-blocking write of the buffered replies; the unwritten tail
+   stays buffered. A dead peer's replies are dropped. *)
+let flush conn =
+  let n = Buffer.length conn.out in
+  if n > 0 then
+    match
+      restart_eintr (fun () ->
+          Unix.single_write_substring conn.fd (Buffer.contents conn.out) 0 n)
+    with
+    | k ->
+        let rest = Buffer.sub conn.out k (n - k) in
+        Buffer.clear conn.out;
+        Buffer.add_string conn.out rest
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+    | exception Unix.Unix_error _ ->
+        Buffer.clear conn.out;
+        conn.reading <- false
+
+let stop_reading conn =
+  conn.reading <- false;
+  conn.txn <- None
+
+(* One non-blocking read, serving every complete frame in it; [false]
+   when nothing was there or the peer is gone. Unframeable garbage
+   cannot be resynced mid-stream: stop reading (requests in flight
+   still finish). *)
+let read_conn t i buf conn ~draining =
+  let dec_ns = wall_ns t in
+  match restart_eintr (fun () -> Unix.read conn.fd buf 0 (Bytes.length buf)) with
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> false
+  | 0 | (exception Unix.Unix_error _) ->
+      stop_reading conn;
+      false
+  | n ->
+      (* A read is the inline batch. *)
+      Option.iter (fun f -> f ~shard:i) t.on_dequeue;
+      P.Decoder.feed conn.dec buf 0 n;
+      (try
+         let rec go () =
+           match P.Decoder.next conn.dec with
+           | None -> ()
+           | Some payload ->
+               handle_request t i conn ~draining ~dec_ns
+                 (P.request_of_payload payload);
+               go ()
+         in
+         go ()
+       with P.Malformed _ -> stop_reading conn);
+      true
+
+(* The drain's last pass over a connection: requests the peer had
+   already delivered are served, not dropped — that is what makes the
+   drain graceful. The first read serves them normally (they beat the
+   stop; the connection may even have come off the backlog during the
+   stop), later ones refuse new conversations with Shutting_down. *)
+let sweep t i buf conn =
+  let draining = ref false in
+  while
+    conn.reading
+    && Buffer.length conn.out <= out_cap
+    && read_conn t i buf conn ~draining:!draining
+  do
+    draining := true;
+    flush conn
+  done;
+  stop_reading conn
+
+(* Accept one pending connection on domain 0 and hand it to the next
+   domain round-robin; [false] when none is pending. A descriptor that
+   select cannot watch (>= FD_SETSIZE) is closed at once: its peer sees
+   EOF, and everything else keeps being served. *)
+let accept_one t =
+  match restart_eintr (fun () -> Unix.accept ~cloexec:true t.listen_fd) with
+  | exception Unix.Unix_error _ -> false
+  | fd, _ ->
+      (match Unix.select [] [ fd ] [] 0.0 with
+      | _ ->
+          (try Unix.setsockopt fd Unix.TCP_NODELAY true
+           with Unix.Unix_error _ -> ());
+          Unix.set_nonblock fd;
+          let owner = t.accepted mod Array.length t.queues in
+          t.accepted <- t.accepted + 1;
+          let conn =
+            { fd; owner; dec = P.Decoder.create (); out = Buffer.create 256;
+              outstanding = 0; txn = None; reading = true }
+          in
+          if owner = 0 then t.conns.(0) <- conn :: t.conns.(0)
+          else ignore (Bqueue.push_unbounded t.queues.(owner) (Adopt conn))
+      | exception Unix.Unix_error _ ->
+          incr t.c_refused;
+          Unix.close fd);
+      true
+
+(* Shard domain [i]: one select over its job queue's wake fd and the
+   connections it owns (on domain 0, also the listener). *)
+let shard_loop t i =
+  let q = t.queues.(i) in
+  let buf = Bytes.create 65536 in
+  let stopping = ref false and reported = ref false in
   let rec loop () =
-    match Bqueue.pop_batch conn.replies ~max:64 with
-    | [] -> ()
-    | frames ->
-        (* A dead peer must not wedge the drain: keep popping so the
-           reader's outstanding-wait can finish. *)
-        (try List.iter (write_all conn.fd) frames
-         with Unix.Unix_error _ -> ());
-        loop ()
+    (* Queues close only once every domain is drained; a close seen
+       before this pass's jobs means they were the last. *)
+    let closed = Bqueue.is_closed q in
+    run_jobs t i;
+    if not closed then begin
+      if (not !stopping) && Atomic.get t.stop_flag then begin
+        stopping := true;
+        if i = 0 then begin
+          (* Connections on the backlog were, from the peer's side,
+             accepted before the drain began (connect completes on
+             enqueue): drain them like established ones. *)
+          while accept_one t do () done;
+          (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
+          Atomic.set t.accepting false;
+          Array.iter Bqueue.kick t.queues
+        end
+      end;
+      (* Flags are read after the pop that consumed their kick, so none
+         is missed; every handover precedes the listener's close, so a
+         second pass after seeing it collects the last ones. *)
+      let settled = !stopping && not (Atomic.get t.accepting) in
+      if settled then run_jobs t i;
+      if !stopping then
+        List.iter (fun c -> if c.reading then sweep t i buf c) t.conns.(i);
+      List.iter flush t.conns.(i);
+      let live, finished =
+        List.partition
+          (fun c -> c.reading || c.outstanding > 0 || Buffer.length c.out > 0)
+          t.conns.(i)
+      in
+      List.iter (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ()) finished;
+      t.conns.(i) <- live;
+      if settled && live = [] && not !reported then begin
+        reported := true;
+        if Atomic.fetch_and_add t.drained 1 + 1 = Array.length t.queues then
+          Array.iter Bqueue.close t.queues
+      end;
+      let fds keep = List.filter_map (fun c -> if keep c then Some c.fd else None) live in
+      let listening = i = 0 && not !stopping in
+      let rd = fds (fun c -> c.reading && Buffer.length c.out <= out_cap) in
+      let rd = Bqueue.wake_fd q :: (if listening then t.listen_fd :: rd else rd) in
+      let wr = fds (fun c -> Buffer.length c.out > 0) in
+      let r, _, _ = restart_eintr (fun () -> Unix.select rd wr [] (-1.0)) in
+      if listening && List.mem t.listen_fd r then while accept_one t do () done;
+      List.iter
+        (fun c ->
+          if List.mem c.fd r then ignore (read_conn t i buf c ~draining:false))
+        live;
+      loop ()
+    end
   in
   loop ()
-
-let reader_loop t conn =
-  let dec = P.Decoder.create () in
-  let buf = Bytes.create 65536 in
-  let draining = ref false in
-  let drain_frames () =
-    let continue = ref true in
-    while !continue do
-      match P.Decoder.next dec with
-      | None -> continue := false
-      | Some payload ->
-          handle_request t conn ~draining:!draining
-            (P.request_of_payload payload)
-    done
-  in
-  (* [false] on peer EOF. *)
-  let read_once () =
-    let n =
-      restart_eintr (fun () -> Unix.read conn.fd buf 0 (Bytes.length buf))
-    in
-    n > 0
-    && begin
-         P.Decoder.feed dec buf 0 n;
-         drain_frames ();
-         true
-       end
-  in
-  (try
-     let eof = ref false in
-     while (not !eof) && not (Atomic.get t.stop_flag) do
-       match restart_eintr (fun () -> Unix.select [ conn.fd ] [] [] 0.2) with
-       | [], _, _ -> ()
-       | _ -> eof := not (read_once ())
-     done;
-     (* Final sweep on stop: requests the peer had already delivered are
-        processed and answered, not dropped — that is what makes the
-        drain graceful. The first pass serves them normally (they beat
-        the stop; this connection may even have been accepted from the
-        backlog by the stop sweep, its requests never yet read); anything
-        arriving after that is bounced Shutting_down so a still-streaming
-        peer cannot wedge the drain. *)
-     if not !eof then begin
-       let more = ref true in
-       while !more do
-         match restart_eintr (fun () -> Unix.select [ conn.fd ] [] [] 0.0) with
-         | [], _, _ -> more := false
-         | _ ->
-             more := read_once ();
-             draining := true
-       done
-     end
-   with
-  | P.Malformed _ ->
-      (* Unframeable garbage: we cannot resync mid-stream, drop the
-         connection (in-flight requests still drain below). *)
-      ()
-  | Unix.Unix_error _ -> ());
-  conn.txn <- None;
-  while Atomic.get conn.outstanding > 0 do
-    try Unix.sleepf 0.0005 with Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  done;
-  Bqueue.close conn.replies
-
-let handle_conn t conn =
-  let writer = Domain.spawn (fun () -> writer_loop conn) in
-  reader_loop t conn;
-  Domain.join writer;
-  (try Unix.close conn.fd with Unix.Unix_error _ -> ())
-
-(* ---------------------------------------------------------- accept side *)
-
-let accept_one t =
-  match Unix.accept t.listen_fd with
-  | fd, _ ->
-      (try Unix.setsockopt fd Unix.TCP_NODELAY true
-       with Unix.Unix_error _ -> ());
-      let conn =
-        {
-          fd;
-          replies = Bqueue.create ~capacity:1024;
-          outstanding = Atomic.make 0;
-          txn = None;
-        }
-      in
-      let d = Domain.spawn (fun () -> handle_conn t conn) in
-      Mutex.lock t.conns_mu;
-      t.conn_domains <- d :: t.conn_domains;
-      Mutex.unlock t.conns_mu
-  | exception Unix.Unix_error _ -> ()
-
-let accept_loop t =
-  while not (Atomic.get t.stop_flag) do
-    match restart_eintr (fun () -> Unix.select [ t.listen_fd ] [] [] 0.2) with
-    | [], _, _ -> ()
-    | _ -> accept_one t
-  done;
-  (* Connections already queued on the backlog when stop arrived were,
-     from the peer's side, accepted before the drain began (connect
-     completes on enqueue): accept and drain them like established ones
-     instead of letting the listen close reset them with their delivered
-     requests unread. *)
-  let more = ref true in
-  while !more do
-    match restart_eintr (fun () -> Unix.select [ t.listen_fd ] [] [] 0.0) with
-    | [], _, _ -> more := false
-    | _ -> accept_one t
-  done;
-  (try Unix.close t.listen_fd with Unix.Unix_error _ -> ())
 
 let bind_listen addr =
   match addr with
@@ -584,14 +609,19 @@ let start ?config ?(queue_capacity = 1024) ?(batch = 64) ?on_dequeue ?store
               (Incll.System.metrics (Store.Sharded.shard store i))
               "server.dedup_hits");
       sid_counter = Atomic.make 1;
+      conns = Array.make shards [];
       listen_fd;
       bound;
+      accepted = 0;
+      c_refused =
+        Obs.Registry.counter
+          (Incll.System.metrics (Store.Sharded.shard store 0))
+          "server.conn_refused";
       stop_flag = Atomic.make false;
+      accepting = Atomic.make true;
+      drained = Atomic.make 0;
       barrier_mu = Mutex.create ();
-      conns_mu = Mutex.create ();
-      conn_domains = [];
-      shard_domains = [];
-      accept_domain = None;
+      domains = [];
       batch;
       on_dequeue;
       t0 = Unix.gettimeofday ();
@@ -610,9 +640,8 @@ let start ?config ?(queue_capacity = 1024) ?(batch = 64) ?on_dequeue ?store
           Atomic.set t.sid_counter (sid + 1))
       (Incll.System.recovered_sessions (Store.Sharded.shard store i))
   done;
-  t.shard_domains <-
-    List.init shards (fun i -> Domain.spawn (fun () -> shard_loop t i));
-  t.accept_domain <- Some (Domain.spawn (fun () -> accept_loop t));
+  Unix.set_nonblock listen_fd;
+  t.domains <- List.init shards (fun i -> Domain.spawn (fun () -> shard_loop t i));
   t
 
 let addr t = t.bound
@@ -623,13 +652,12 @@ let stop t =
   if not t.stopped then begin
     t.stopped <- true;
     Atomic.set t.stop_flag true;
-    Option.iter Domain.join t.accept_domain;
-    (* Accept has exited: the connection list is stable now. Readers see
-       the stop flag within their select timeout, finish their in-flight
-       requests, and close once their writers have flushed. *)
-    List.iter Domain.join t.conn_domains;
-    Array.iter Bqueue.close t.queues;
-    List.iter Domain.join t.shard_domains;
+    (* Each domain wakes, sweeps and drains its connections; the last
+       one drained closes every queue, and the domains exit once their
+       queues are empty. *)
+    Array.iter Bqueue.kick t.queues;
+    List.iter Domain.join t.domains;
+    Array.iter Bqueue.release t.queues;
     match t.bound with
     | Wire.Client.Unix_sock path ->
         (try Unix.unlink path with Unix.Unix_error _ -> ())

@@ -1,50 +1,53 @@
-(** The serving engine: accept/IO domains feeding per-shard bounded
-    queues drained by shard domains (DESIGN.md §16).
+(** The serving engine: run-to-completion shard domains, each owning its
+    connections (DESIGN.md §16).
 
-    One domain accepts connections; each connection gets a reader domain
-    (decode frames, route requests) and a writer domain (flush reply
-    frames, in completion order — replies carry request ids, so they may
-    leave out of order). Single-key operations are routed by
-    {!Store.Sharded.shard_of_key} into that shard's bounded queue; a
-    full queue answers BUSY immediately from the reader — the server
-    never buffers without bound. Cross-shard operations (SCAN,
-    TXN_COMMIT, STATS) are barrier jobs enqueued on {e every} shard
-    queue; the last shard domain to arrive runs them exclusively while
-    the rest are parked, which gives them the same isolation the
-    sequential {!Store.Sharded} facade assumes.
+    The server runs exactly [1 + nshards] domains whatever the
+    connection count: the caller's, plus one domain per shard. Shard
+    domain [i] runs one [select] loop over its job queue's wake fd and
+    the connections it owns; domain 0 also accepts, handing connections
+    out round-robin in accept order. A connection's owner alone reads,
+    writes and closes it. A descriptor [select] cannot watch
+    (>= FD_SETSIZE) is closed at accept and counted in
+    [server.conn_refused].
 
-    Each dequeued request records its queueing delay as an
-    {!Obs.Stall.Net_queue} stall (wall clock, ns since server start)
-    into a server-owned per-shard ledger that shares the shard's metric
-    registry, so [stall.net_queue_ns] surfaces through STATS next to the
-    simulated-clock persistence stalls. Replies carry that delay plus
-    the dominant persistence-stall cause overlapping the request's
-    execution window, so a remote client can attribute its own tail
-    latency without a second round trip.
+    A single-key request for the owner's own shard runs inline: decoded,
+    applied and answered on that domain, after every job already queued
+    for it (so a barrier the connection submitted — its TXN_COMMIT —
+    completes before its later ops). A request for another shard goes
+    into that shard's bounded queue ({!Server.Bqueue}); its reply comes
+    back to the owner as a job. BUSY means exactly that the other
+    shard's queue was full: the request was not applied. Cross-shard
+    operations (SCAN, TXN_COMMIT, STATS) are barrier jobs enqueued on
+    {e every} queue; the last domain to arrive runs them exclusively
+    while the rest are parked. Replies from one read leave in one
+    non-blocking write (possibly out of order: they carry request ids);
+    an unwritten tail stays buffered, and a connection with more than
+    1 MiB buffered is not read until its peer catches up.
 
-    Transaction writes are buffered per connection in the reader;
-    TXN_COMMIT replays them through the store's 2PC under a barrier.
+    Every single-key request records its wait from read to execution as
+    an {!Obs.Stall.Net_queue} stall (wall ns since server start) into a
+    server-owned per-shard ledger sharing the shard's registry, so
+    [stall.net_queue_ns] surfaces through STATS. Replies carry that wait
+    plus the dominant persistence-stall cause of the execution window.
+    Transaction writes buffer per connection; TXN_COMMIT replays them
+    through the store's 2PC under a barrier.
 
-    {b Exactly-once dedup (DESIGN.md §17)}: a HELLO frame grants the
-    connection a session id; every mutation stamped with a
-    [(session_id, seqno)] pair is recorded durably (a fenced
-    {!Incll.Session} extlog record) after it applies and before its
-    reply is enqueued, and remembered in a bounded per-shard table.
-    A replayed stamp — a client retry after a lost reply, possibly
-    straddling a server crash-restart — is answered with the recorded
-    status instead of re-applied; each hit bumps the shard's
-    [server.dedup_hits] counter. Single-key stamps dedup on the key's
-    shard (routing is key-deterministic, so the retry lands on the same
-    table); commit stamps dedup on the session's home shard
+    {b Exactly-once dedup (DESIGN.md §17)}: HELLO grants a session id;
+    a mutation stamped [(session_id, seqno)] is recorded durably (a
+    fenced {!Incll.Session} extlog record) after it applies and before
+    its reply exists, and remembered in a bounded per-shard table. A
+    replayed stamp is answered with the recorded status instead of
+    re-applied ([server.dedup_hits]). Single-key stamps dedup on the
+    key's shard; commit stamps on the session's home shard
     ([sid mod nshards]) inside the commit barrier. Tables are rebuilt
-    from {!Incll.System.recovered_sessions} when starting over a
-    recovered store.
+    from {!Incll.System.recovered_sessions} over a recovered store.
 
-    {!stop} drains gracefully: stop accepting, let readers finish their
-    in-flight requests and writers flush every outstanding reply, then
-    shut the shard domains down. Signal delivery (a SIGTERM handler
-    firing mid-drain, say) cannot abort the drain: every blocking
-    syscall in the reader, writer and accept loops resumes on EINTR. *)
+    {!stop} drains gracefully: domain 0 accepts the backlog and closes
+    the listener; every domain sweeps its connections once, serves its
+    queue until they have nothing outstanding and nothing buffered, and
+    only when every domain is drained do the queues close. Every
+    blocking syscall resumes on EINTR, so signal delivery cannot abort
+    the drain. *)
 
 type t
 
@@ -55,8 +58,8 @@ val start :
   ?batch:int ->
   (* max requests a shard domain dequeues at once; default 64 *)
   ?on_dequeue:(shard:int -> unit) ->
-  (* test hook: runs on the shard domain after each batch dequeue,
-     before execution — block here to force BUSY deterministically *)
+  (* test hook: runs on shard domain [shard] before each dequeued batch
+     and each read's requests — block here to wedge that domain *)
   ?store:Store.Sharded.t ->
   (* serve this store instead of creating one — e.g. systems reattached
      from NVM mirrors after a crash-restart; [variant]/[shards]/[config]
@@ -66,7 +69,7 @@ val start :
   shards:int ->
   Wire.Client.addr ->
   t
-(** Bind, listen and spawn the accept + shard domains. [Tcp (host, 0)]
+(** Bind, listen and spawn the shard domains. [Tcp (host, 0)]
     binds an ephemeral port; read the real one back from {!addr}. *)
 
 val addr : t -> Wire.Client.addr
@@ -74,7 +77,8 @@ val addr : t -> Wire.Client.addr
 
 val store : t -> Store.Sharded.t
 (** The underlying store. Only safe to touch after {!stop} — while the
-    server runs, the shard domains own it. *)
+    server runs, the shard domains own it ({!Store.Sharded.shard_of_key}
+    excepted: routing is pure). *)
 
 val nshards : t -> int
 
@@ -85,5 +89,5 @@ val stop : t -> unit
     the listen backlog when stop arrives — their [connect] already
     succeeded, possibly with requests already sent — are accepted and
     drained like established ones; requests delivered before the drain
-    reached a connection are served normally, later arrivals are bounced
-    [Shutting_down]. *)
+    reached a connection are served normally, later HELLOs and
+    TXN_BEGINs are bounced [Shutting_down]. *)

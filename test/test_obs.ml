@@ -423,6 +423,49 @@ let series_small_keeps_everything () =
       check "json has stride" true (List.mem_assoc "stride" fields)
   | _ -> Alcotest.fail "unexpected series JSON shape"
 
+(* --- stall ledger ------------------------------------------------------- *)
+
+(* [since ~admitted] must attribute a window exactly like [overlapping]
+   whenever the window opens at an admission point and entries arrive in
+   clock order, as they do from a region: random stalls (some below the
+   admission filter), random gaps, a ring small enough to wrap often,
+   and windows longer than the ring. *)
+let stall_since_matches_overlapping () =
+  let rng = Random.State.make [| 13 |] in
+  let causes = Array.of_list Obs.Stall.all_causes in
+  let l = Obs.Stall.create ~capacity:16 () in
+  Obs.Stall.set_min_dur_ns l 5.0;
+  let clock = ref 0.0 and attributed = ref 0 in
+  let stall () =
+    clock := !clock +. Random.State.float rng 50.0;
+    let dur = Random.State.float rng 100.0 in
+    Obs.Stall.record l
+      causes.(Random.State.int rng (Array.length causes))
+      ~start_ns:!clock ~dur_ns:dur;
+    clock := !clock +. dur
+  in
+  for _ = 1 to 500 do
+    for _ = 1 to Random.State.int rng 40 do
+      stall ()
+    done;
+    let a0 = Obs.Stall.admitted l and t0 = !clock in
+    for _ = 1 to Random.State.int rng 24 do
+      stall ()
+    done;
+    let t1 = !clock +. Random.State.float rng 10.0 +. 1.0 in
+    let via_since = Obs.Stall.since l ~admitted:a0 in
+    check "since is bounded by the ring" true
+      (List.length via_since <= Obs.Stall.capacity l);
+    let cause = Obs.Stall.dominant_cause via_since ~t0 ~t1 in
+    if cause <> None then incr attributed;
+    check "same dominant cause" true
+      (cause
+      = Obs.Stall.dominant_cause (Obs.Stall.overlapping l ~t0 ~t1) ~t0 ~t1)
+  done;
+  check "most windows attribute a cause" true (!attributed > 250);
+  check "the ring wrapped" true
+    (Obs.Stall.admitted l > 10 * Obs.Stall.capacity l)
+
 (* --- Perfetto export ---------------------------------------------------- *)
 
 let perfetto_export_well_formed () =
@@ -520,5 +563,7 @@ let tests =
       Alcotest.test_case "span with_ on exception" `Quick span_with_closes_on_exception;
       Alcotest.test_case "series downsampling" `Quick series_bounded_downsampling;
       Alcotest.test_case "series below capacity" `Quick series_small_keeps_everything;
+      Alcotest.test_case "stall since = overlapping attribution" `Quick
+        stall_since_matches_overlapping;
       Alcotest.test_case "perfetto export" `Quick perfetto_export_well_formed;
     ] )

@@ -1,8 +1,11 @@
 (* The serving layer: wire codec round trips and hostile-input rejection,
-   the bounded queue's backpressure contract, and the running server —
-   pipelined out-of-order replies, BUSY under a wedged shard, graceful
-   drain, STATS plumbing, and the differential oracle proving a seeded
-   YCSB stream lands the same state over the wire as in process. *)
+   the bounded queue's backpressure and wake contract, and the running
+   server — pipelined out-of-order replies, BUSY under a wedged shard,
+   graceful drain, STATS plumbing, hundreds of connections on a fixed
+   set of domains, refusal of descriptors select cannot watch,
+   read-your-commit on a pipelined connection, and the differential
+   oracle proving a seeded YCSB stream lands the same state over the
+   wire as in process. *)
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -212,22 +215,45 @@ let addr_parsing () =
 (* --- bounded queue ------------------------------------------------------- *)
 
 let bqueue_contract () =
-  let q = Server.Bqueue.create ~capacity:2 in
-  check "push 1" true (Server.Bqueue.try_push q 1);
-  check "push 2" true (Server.Bqueue.try_push q 2);
-  check "push 3 bounces" false (Server.Bqueue.try_push q 3);
-  check "unbounded push passes the cap" true (Server.Bqueue.push_unbounded q 4);
-  check "fifo batch" true (Server.Bqueue.pop_batch q ~max:2 = [ 1; 2 ]);
-  check "remainder" true (Server.Bqueue.pop_batch q ~max:8 = [ 4 ]);
-  Server.Bqueue.close q;
-  check "push after close" false (Server.Bqueue.try_push q 5);
-  check "pop after close" true (Server.Bqueue.pop_batch q ~max:8 = []);
-  (* A blocked consumer is woken by close. *)
-  let q2 = Server.Bqueue.create ~capacity:1 in
-  let d = Domain.spawn (fun () -> Server.Bqueue.pop_batch q2 ~max:1) in
+  let module Q = Server.Bqueue in
+  let q = Q.create ~capacity:2 in
+  let awake () =
+    match Unix.select [ Q.wake_fd q ] [] [] 0.0 with
+    | [], _, _ -> false
+    | _ -> true
+  in
+  check "idle queue sleeps" false (awake ());
+  check "push 1" true (Q.try_push q 1);
+  check "push wakes the consumer" true (awake ());
+  check "push 2" true (Q.try_push q 2);
+  check "push 3 bounces" false (Q.try_push q 3);
+  check "unbounded push passes the cap" true (Q.push_unbounded q 4);
+  check "fifo batch" true (Q.pop_batch q ~max:2 = [ 1; 2 ]);
+  check "awake while non-empty" true (awake ());
+  check "remainder" true (Q.pop_batch q ~max:8 = [ 4 ]);
+  check "drained queue sleeps" false (awake ());
+  check "empty pop" true (Q.pop_batch q ~max:8 = []);
+  Q.kick q;
+  check "kick wakes" true (awake ());
+  check "kick enqueues nothing" true (Q.pop_batch q ~max:8 = []);
+  check "pop after kick sleeps" false (awake ());
+  Q.close q;
+  check "push after close" false (Q.try_push q 5);
+  check "pop after close" true (Q.pop_batch q ~max:8 = []);
+  check "closed queue stays awake" true (awake () && Q.is_closed q);
+  Q.release q;
+  (* A consumer blocked on the wake fd is released by close. *)
+  let q2 = Q.create ~capacity:1 in
+  let d =
+    Domain.spawn (fun () ->
+        let r, _, _ = Unix.select [ Q.wake_fd q2 ] [] [] 10.0 in
+        (r <> [], Q.is_closed q2, Q.pop_batch q2 ~max:1))
+  in
   Unix.sleepf 0.02;
-  Server.Bqueue.close q2;
-  check "blocked pop released empty" true (Domain.join d = [])
+  Q.close q2;
+  check "blocked consumer released by close" true
+    (Domain.join d = (true, true, []));
+  Q.release q2
 
 (* --- the running server -------------------------------------------------- *)
 
@@ -348,31 +374,40 @@ let pipelined_out_of_order () =
               check "pipelined get ok" true (r.P.status = P.Ok))
             pending_ids))
 
+(* [n] distinct keys that route to [shard] of [srv]'s store (routing
+   splits on the leading bytes, so those vary). *)
+let keys_on srv ~shard n =
+  let rec go i acc k =
+    if k = n then List.rev acc
+    else
+      let key = Printf.sprintf "%c%03d" (Char.chr (i * 37 land 0xff)) i in
+      if S.shard_of_key (E.store srv) key = shard then go (i + 1) (key :: acc) (k + 1)
+      else go (i + 1) acc k
+  in
+  go 0 [] 0
+
 let busy_backpressure () =
   let gate = Atomic.make false in
-  let on_dequeue ~shard:_ =
-    while not (Atomic.get gate) do
+  let on_dequeue ~shard =
+    while shard = 1 && not (Atomic.get gate) do
       Unix.sleepf 0.001
     done
   in
-  with_server ~shards:1 ~queue_capacity:2 ~batch:1 ~on_dequeue (fun srv ->
+  with_server ~shards:2 ~queue_capacity:2 ~batch:1 ~on_dequeue (fun srv ->
+      (* The first connection is owned by shard 0, and every key routes
+         to shard 1: each request crosses shard 1's bounded queue. *)
       let c = C.connect (E.addr srv) in
       Fun.protect ~finally:(fun () -> C.close c) (fun () ->
           let n = 10 in
-          let sent =
-            List.init n (fun i ->
-                C.send c (P.Put (Printf.sprintf "k%d" i, "v")))
-          in
-          (* The shard is wedged on the gate with one request in hand and
+          List.iter
+            (fun k -> ignore (C.send c (P.Put (k, "v"))))
+            (keys_on srv ~shard:1 n);
+          (* Shard 1 is wedged on the gate with one request in hand and
              at most two queued: at least n-3 must bounce immediately. *)
           let busy = ref 0 and ok = ref 0 in
-          let busy_ids = ref [] in
           while !busy + !ok < n do
-            let r = C.recv c in
-            (match r.P.status with
-            | P.Busy ->
-                incr busy;
-                busy_ids := r.P.id :: !busy_ids
+            (match (C.recv c).P.status with
+            | P.Busy -> incr busy
             | P.Ok -> incr ok
             | s -> Alcotest.fail (P.status_name s));
             (* Once every bounce is in, release the shard. *)
@@ -382,7 +417,6 @@ let busy_backpressure () =
           Atomic.set gate true;
           check "backpressure engaged" true (!busy >= n - 3);
           check_int "every request answered" n (!busy + !ok);
-          ignore sent;
           (* BUSY means not applied: accepted puts are visible, bounced
              ones are not. *)
           let applied = C.scan c ~start:"" ~n:100 in
@@ -487,6 +521,161 @@ let stats_over_the_wire () =
                && (String.sub prom i (String.length sub) = sub || find (i + 1))
              in
              find 0)))
+
+(* --- connection scaling ------------------------------------------------- *)
+
+(* The server runs a fixed set of domains whatever the connection count:
+   200 sessions open at once (well past OCaml's 128-domain cap had each
+   connection its own domains) each do HELLO, a stamped PUT and a GET,
+   and the server still accepts afterwards. *)
+let many_sessions () =
+  with_server (fun srv ->
+      let module Ss = Wire.Session in
+      let n = 200 in
+      let sessions = Array.init n (fun _ -> Ss.connect (E.addr srv)) in
+      Fun.protect
+        ~finally:(fun () -> Array.iter Ss.close sessions)
+        (fun () ->
+          Array.iteri
+            (fun i s -> Ss.put s (Printf.sprintf "m%03d" i) (string_of_int i))
+            sessions;
+          Array.iteri
+            (fun i s ->
+              check "own put visible" true
+                (Ss.get s (Printf.sprintf "m%03d" i) = Some (string_of_int i)))
+            sessions;
+          let fresh = Ss.connect (E.addr srv) in
+          Fun.protect ~finally:(fun () -> Ss.close fresh) (fun () ->
+              check "fresh session served" true
+                (Ss.get fresh "m007" = Some "7"))))
+
+(* Read-your-commit on one pipelined connection: the GET right behind a
+   TXN_COMMIT sees the commit, whether it runs inline on the
+   connection's own shard or queued on the other one. *)
+let pipelined_commit_then_get () =
+  with_server ~shards:2 (fun srv ->
+      let c = C.connect (E.addr srv) in
+      Fun.protect ~finally:(fun () -> C.close c) (fun () ->
+          List.iter
+            (fun shard ->
+              let k = List.hd (keys_on srv ~shard 1) in
+              C.put c k "old";
+              let ids =
+                List.map (C.send c)
+                  [ P.Txn_begin; P.Txn_write (P.Tw_put (k, "new")); P.Txn_commit;
+                    P.Get k ]
+              in
+              let replies = List.init (List.length ids) (fun _ -> C.recv c) in
+              List.iter
+                (fun r -> check "pipelined ok" true (r.P.status = P.Ok))
+                replies;
+              let get = List.find (fun r -> r.P.id = List.nth ids 3) replies in
+              check
+                (Printf.sprintf "GET on shard %d sees the commit" shard)
+                true
+                (get.P.payload = P.Value "new"))
+            [ 0; 1 ]))
+
+let raw_connect srv =
+  match E.addr srv with
+  | C.Unix_sock path ->
+      let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_UNIX path);
+      fd
+  | C.Tcp _ -> Alcotest.fail "expected a unix socket"
+
+(* One blocking GET on a raw descriptor (no select: these descriptors
+   run past FD_SETSIZE); [None] on EOF. *)
+let raw_get fd key =
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+  let frame = P.frame_of_request { P.id = 1; op = P.Get key; sess = None } in
+  ignore (Unix.write_substring fd frame 0 (String.length frame));
+  let dec = P.Decoder.create () and b = Bytes.create 4096 in
+  let rec go () =
+    match P.Decoder.next dec with
+    | Some payload -> Some (P.reply_of_payload payload)
+    | None ->
+        let n = Unix.read fd b 0 (Bytes.length b) in
+        if n = 0 then None
+        else begin
+          P.Decoder.feed dec b 0 n;
+          go ()
+        end
+  in
+  go ()
+
+(* A connection whose server-side descriptor select cannot watch
+   (>= FD_SETSIZE, 1024) is closed at accept and counted; the server
+   keeps serving and accepting. Client and server share this process,
+   so ~1050 connections take the server's descriptors well past 1024. *)
+let refuses_unselectable_fds () =
+  with_server (fun srv ->
+      let ctl = C.connect (E.addr srv) in
+      Fun.protect ~finally:(fun () -> C.close ctl) (fun () ->
+          C.put ctl "probe" "v";
+          let fds = Array.init 1050 (fun _ -> raw_connect srv) in
+          let last = fds.(Array.length fds - 1) in
+          (* Descriptors closed early are forgotten here: their numbers
+             get reused. *)
+          let still_open = Hashtbl.create 1050 in
+          Array.iter (fun fd -> Hashtbl.replace still_open fd ()) fds;
+          let close_once fd =
+            Hashtbl.remove still_open fd;
+            Unix.close fd
+          in
+          Fun.protect
+            ~finally:(fun () -> Hashtbl.iter (fun fd () -> Unix.close fd) still_open)
+            (fun () ->
+              (* Accepts run in connect order: once the last connection
+                 is refused, every earlier one has been decided. *)
+              Unix.setsockopt_float last Unix.SO_RCVTIMEO 10.0;
+              check "last connection refused with EOF" true
+                (Unix.read last (Bytes.create 1) 0 1 = 0);
+              let refused fd =
+                Unix.set_nonblock fd;
+                let eof =
+                  match Unix.read fd (Bytes.create 1) 0 1 with
+                  | n -> n = 0
+                  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> false
+                in
+                Unix.clear_nonblock fd;
+                eof
+              in
+              let live = List.filter (fun fd -> not (refused fd)) (Array.to_list fds) in
+              let nrefused = Array.length fds - List.length live in
+              let counted =
+                match
+                  Obs.Json.find_path
+                    (Obs.Json.of_string (C.stats ctl P.Stats_json))
+                    [ "counters"; "server.conn_refused" ]
+                with
+                | Some (Obs.Json.Int n) -> n
+                | _ -> -1
+              in
+              check "some connections refused" true (nrefused > 0);
+              check "some connections live" true (List.length live > 100);
+              check_int "every refusal counted" nrefused counted;
+              List.iter
+                (fun fd ->
+                  check "earlier connection still answers" true
+                    (match raw_get fd "probe" with
+                    | Some { P.status = P.Ok; payload = P.Value "v"; _ } -> true
+                    | _ -> false))
+                live;
+              (* Freeing descriptors lets a new connection in again. *)
+              List.iteri (fun i fd -> if i < 100 then close_once fd) live;
+              let rec retry k =
+                let fd = raw_connect srv in
+                let r = raw_get fd "probe" in
+                Unix.close fd;
+                match r with
+                | Some { P.status = P.Ok; _ } -> true
+                | _ when k > 0 ->
+                    Unix.sleepf 0.02;
+                    retry (k - 1)
+                | _ -> false
+              in
+              check "new connection served after closes" true (retry 100))))
 
 (* --- differential oracle ------------------------------------------------- *)
 
@@ -605,6 +794,12 @@ let tests =
       Alcotest.test_case "drain survives signal delivery" `Quick
         drain_survives_signals;
       Alcotest.test_case "STATS carries net_queue" `Quick stats_over_the_wire;
+      Alcotest.test_case "200 concurrent sessions, fixed domains" `Quick
+        many_sessions;
+      Alcotest.test_case "pipelined commit then GET" `Quick
+        pipelined_commit_then_get;
+      Alcotest.test_case "refuses fds select cannot watch" `Quick
+        refuses_unselectable_fds;
       Alcotest.test_case "differential oracle: wire = in-process" `Slow
         differential_oracle;
     ] )
