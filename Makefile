@@ -1,8 +1,6 @@
 # Convenience targets; `make check` is the gate a PR must pass.
 
-# Relative simulated-throughput drop that fails the bench_compare gate
-# (also overridable at run time via BENCH_COMPARE_THRESHOLD in the
-# environment; the flag passed here wins).
+# Relative simulated-throughput drop that fails the bench_compare gate.
 BENCH_THRESHOLD ?= 0.10
 
 .PHONY: all build test check chaos chaos-txn chaos-net bench bench-gate \

@@ -116,13 +116,16 @@ let config ?(sfence_extra_ns = 0.0) ?(val_incll = true) ?policy ~keys
     }
   else cfg
 
-let run ?threads ?keys ?sfence_extra_ns ?val_incll variant mix dist =
+let run ?(seed = opts.seed) ?threads ?keys ?sfence_extra_ns ?val_incll ?policy
+    ?arrival_rate variant mix dist =
   let threads = Option.value ~default:opts.threads threads in
   let keys = Option.value ~default:(nkeys ()) keys in
-  let cfg = config ?sfence_extra_ns ?val_incll ~keys ~threads () in
+  let cfg = config ?sfence_extra_ns ?val_incll ?policy ~keys ~threads () in
   note_metrics
-    (R.run ~seed:opts.seed ~threads ~ops_per_thread:opts.ops ~chunk:opts.chunk ~config:cfg
-       ~trace:(tracing ()) ~variant ~mix ~dist ~nkeys:keys ())
+    (R.run ~seed ~threads ~ops_per_thread:opts.ops ~chunk:opts.chunk ~config:cfg
+       ~trace:(tracing ()) ?arrival_rate
+       ~latency_threshold_ns:opts.latency_threshold_ns ~variant ~mix ~dist
+       ~nkeys:keys ())
 
 (* Repeated runs with distinct workload seeds; returns (mean Mops,
    relative stdev). The paper averages 10 runs and reports 0.03-0.08%
@@ -130,14 +133,7 @@ let run ?threads ?keys ?sfence_extra_ns ?val_incll variant mix dist =
 let run_repeated ?threads ?keys variant mix dist =
   let samples =
     List.init (max 1 opts.repeats) (fun i ->
-        let threads = Option.value ~default:opts.threads threads in
-        let keys = Option.value ~default:(nkeys ()) keys in
-        let cfg = config ~keys ~threads () in
-        (note_metrics
-           (R.run ~seed:(opts.seed + (1000 * i)) ~threads
-              ~ops_per_thread:opts.ops ~chunk:opts.chunk ~config:cfg
-              ~trace:(tracing ())
-              ~variant ~mix ~dist ~nkeys:keys ()))
+        (run ~seed:(opts.seed + (1000 * i)) ?threads ?keys variant mix dist)
           .R.mops_sim)
   in
   let n = float_of_int (List.length samples) in
@@ -226,6 +222,17 @@ let fig2 () =
 
 let latencies = [ 0.0; 100.0; 250.0; 500.0; 1000.0 ]
 
+(* Figures 3 and 8: one variant over the emulated NVM latencies. *)
+let latency_sweep ~keys variant dist =
+  let pts =
+    R.run_latency_sweep ~seed:opts.seed ~threads:opts.threads
+      ~ops_per_thread:opts.ops ~chunk:opts.chunk
+      ~config:(config ~keys ~threads:opts.threads ())
+      ~trace:(tracing ()) ~variant ~mix:Y.A ~dist ~nkeys:keys ~latencies ()
+  in
+  List.iter (fun (_, r) -> maybe_write_trace r) pts;
+  pts
+
 let fig3 () =
   line "";
   line "=== Figure 3: INCLL under emulated NVM latency (YCSB_A) ===";
@@ -238,17 +245,7 @@ let fig3 () =
       ~columns:
         [ "latency ns"; "uniform Mops"; "uniform rel"; "zipfian Mops"; "zipfian rel" ]
   in
-  let sweep dist =
-    let pts =
-      R.run_latency_sweep ~seed:opts.seed ~threads:opts.threads
-        ~ops_per_thread:opts.ops ~chunk:opts.chunk
-        ~config:(config ~keys ~threads:opts.threads ())
-        ~trace:(tracing ()) ~variant:Sys_.Incll ~mix:Y.A ~dist ~nkeys:keys
-        ~latencies ()
-    in
-    List.iter (fun (_, r) -> maybe_write_trace r) pts;
-    pts
-  in
+  let sweep = latency_sweep ~keys Sys_.Incll in
   let u = sweep Y.Uniform and z = sweep Y.Zipfian in
   let base l = (snd (List.hd l)).R.mops_sim in
   let bu = base u and bz = base z in
@@ -401,16 +398,7 @@ let fig8 () =
       ~columns:
         [ "latency ns"; "dist"; "LOGGING Mops"; "LOGGING rel"; "INCLL Mops"; "INCLL rel" ]
   in
-  let sweep variant dist =
-    let pts =
-      R.run_latency_sweep ~seed:opts.seed ~threads:opts.threads
-        ~ops_per_thread:opts.ops ~chunk:opts.chunk
-        ~config:(config ~keys ~threads:opts.threads ())
-        ~trace:(tracing ()) ~variant ~mix:Y.A ~dist ~nkeys:keys ~latencies ()
-    in
-    List.iter (fun (_, r) -> maybe_write_trace r) pts;
-    pts
-  in
+  let sweep = latency_sweep ~keys in
   List.iter
     (fun dist ->
       let l = sweep Sys_.Logging dist and i = sweep Sys_.Incll dist in
@@ -596,302 +584,56 @@ let ablation_internal () =
   line
     "with InCLL words would shrink fanout for no visible logging win (§6.1)."
 
-(* --------------------------------------------------------------- micro *)
-
-let micro () =
-  line "";
-  line "=== Microbenchmarks (bechamel, wall clock of substrate primitives) ===";
-  let open Bechamel in
-  let cfg =
-    {
-      Nvm.Config.default with
-      Nvm.Config.size_bytes = 8 * 1024 * 1024;
-      extlog_bytes = 1024 * 1024;
-      crash_support = Nvm.Config.Counting;
-    }
-  in
-  let region = Nvm.Region.create cfg in
-  let counter = ref 4096 in
-  let tests =
-    [
-      Test.make ~name:"region write_i64"
-        (Staged.stage (fun () ->
-             counter := if !counter > 7 * 1024 * 1024 then 4096 else !counter + 8;
-             Nvm.Region.write_i64 region !counter 42L));
-      Test.make ~name:"region read_i64"
-        (Staged.stage (fun () ->
-             counter := if !counter > 7 * 1024 * 1024 then 4096 else !counter + 8;
-             ignore (Nvm.Region.read_i64 region !counter)));
-      (let perm = ref Masstree.Permutation.empty in
-       Test.make ~name:"permutation insert+remove"
-         (Staged.stage (fun () ->
-              let p, _ = Masstree.Permutation.insert !perm ~rank:0 in
-              let p, _ = Masstree.Permutation.remove p ~rank:0 in
-              perm := p)));
-      (let sys =
-         Sys_.create
-           ~config:{ Sys_.nvm = cfg; epoch_len_ns = 1e15; val_incll = true }
-           Sys_.Incll
-       in
-       for i = 0 to 9_999 do
-         Sys_.put sys ~key:(Y.key_of_rank i) ~value:"12345678"
-       done;
-       let i = ref 0 in
-       Test.make ~name:"INCLL put (update)"
-         (Staged.stage (fun () ->
-              i := (!i + 7) mod 10_000;
-              Sys_.put sys ~key:(Y.key_of_rank !i) ~value:"abcdefgh")));
-    ]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  List.iter
-    (fun test ->
-      let results =
-        Benchmark.all
-          (Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ())
-          [ instance ] test
-      in
-      let ols =
-        Analyze.all
-          (Analyze.ols ~bootstrap:0 ~r_square:false
-             ~predictors:[| Measure.run |])
-          instance results
-      in
-      Hashtbl.iter
-        (fun name o ->
-          match Analyze.OLS.estimates o with
-          | Some [ est ] -> line "  %-32s %12.1f ns/op" name est
-          | _ -> line "  %-32s (no estimate)" name)
-        ols)
-    tests
-
 (* -------------------------------------------------------------- latency *)
 
-(* Per-mode JSON for the report's top-level "latency" section (schema v3).
-   bench_compare gates the simulated-clock percentiles of "merged" and the
-   per-cause "stall_totals" — both deterministic given seed and config —
-   and ignores the wall histograms, which are host noise. *)
+module LR = Bench_harness.Latency_report
+
+(* The report's top-level "latency" section (schema v3): one object per
+   mode, written by Latency_report, which also lists the cells
+   bench_compare gates. *)
 let latency_json : (string * Obs.Json.t) list ref = ref []
 
-let op_name = function '\000' -> "put" | '\001' -> "get" | _ -> "scan"
-
-(* Cross-shard per-cause (count, total stalled ns) from the ledgers. *)
-let stall_sums (r : R.result) =
-  List.map
-    (fun c ->
-      let count =
-        List.fold_left
-          (fun a (_, l) -> a + List.assoc c (Obs.Stall.counts l))
-          0 r.R.stalls
-      and total =
-        List.fold_left
-          (fun a (_, l) -> a +. List.assoc c (Obs.Stall.totals_ns l))
-          0.0 r.R.stalls
-      in
-      (c, count, total))
-    Obs.Stall.all_causes
-
-(* (over-threshold ops, attributed ops, per-cause attributed counts). *)
-let attribution (r : R.result) =
-  let over = Obs.Registry.counter_value r.R.metrics "latency.over_threshold" in
-  let per_cause =
-    List.map
-      (fun c ->
-        ( c,
-          Obs.Registry.counter_value r.R.metrics
-            ("latency.attributed." ^ Obs.Stall.cause_name c) ))
-      Obs.Stall.all_causes
+(* A closed run, then an open run at --arrival-rate or, by default, just
+   under the closed-loop capacity, so the queue stays stable but every
+   flush builds a backlog whose wait the CO correction charges to the
+   delayed ops. Deterministic either way — closed-loop capacity is itself
+   a pure function of seed and config. *)
+let closed_then_open ?policy () =
+  let closed = run ?policy Sys_.Incll Y.A Y.Zipfian in
+  let rate =
+    match opts.arrival_rate with
+    | Some r -> r
+    | None -> 0.9 *. closed.R.mops_sim *. 1e6
   in
-  let attributed = List.fold_left (fun a (_, n) -> a + n) 0 per_cause in
-  (over, attributed, per_cause)
+  (closed, run ?policy ~arrival_rate:rate Sys_.Incll Y.A Y.Zipfian)
 
-let spike_json (s : R.spike) =
-  Obs.Json.Obj
-    [
-      ("shard", Obs.Json.Int s.R.sp_shard);
-      ("index", Obs.Json.Int s.R.sp_index);
-      ("op", Obs.Json.String (op_name s.R.sp_tag));
-      ("start_ns", Obs.Json.Float s.R.sp_start_ns);
-      ("lat_ns", Obs.Json.Float s.R.sp_lat_ns);
-      ("wall_ns", Obs.Json.Float s.R.sp_wall_ns);
-      ( "stalls",
-        Obs.Json.List
-          (List.map
-             (fun (e : Obs.Stall.entry) ->
-               Obs.Json.Obj
-                 [
-                   ("cause", Obs.Json.String (Obs.Stall.cause_name e.Obs.Stall.cause));
-                   ("start_ns", Obs.Json.Float e.Obs.Stall.start_ns);
-                   ("dur_ns", Obs.Json.Float e.Obs.Stall.dur_ns);
-                   ("epoch", Obs.Json.Int e.Obs.Stall.epoch);
-                 ])
-             s.R.sp_stalls) );
-    ]
-
-let latency_mode_json (r : R.result) =
-  let hist name reg =
-    match Obs.Registry.find_histogram reg name with
-    | Some h -> Obs.Histogram.to_json h
-    | None -> Obs.Json.Null
-  in
-  let over, _, per_cause = attribution r in
-  Obs.Json.Obj
-    [
-      ("open_loop", Obs.Json.Bool r.R.open_loop);
-      ( "arrival_rate",
-        match r.R.arrival_rate with
-        | Some x -> Obs.Json.Float x
-        | None -> Obs.Json.Null );
-      ("threshold_ns", Obs.Json.Float r.R.latency_threshold_ns);
-      ("mops_sim", Obs.Json.Float r.R.mops_sim);
-      ("merged", hist "op.latency_ns" r.R.metrics);
-      ("wall", hist "op.latency_wall_ns" r.R.metrics);
-      ( "shards",
-        Obs.Json.List
-          (Array.to_list
-             (Array.map (hist "op.latency_ns") r.R.shard_metrics)) );
-      ("over_threshold", Obs.Json.Int over);
-      ( "attributed",
-        Obs.Json.Obj
-          (List.map
-             (fun (c, n) -> (Obs.Stall.cause_name c, Obs.Json.Int n))
-             per_cause
-          @ [
-              ( "none",
-                Obs.Json.Int
-                  (Obs.Registry.counter_value r.R.metrics
-                     "latency.attributed.none") );
-            ]) );
-      ( "stall_totals",
-        Obs.Json.Obj
-          (List.map
-             (fun (c, count, total) ->
-               ( Obs.Stall.cause_name c,
-                 Obs.Json.Obj
-                   [
-                     ("count", Obs.Json.Int count);
-                     ("total_ns", Obs.Json.Float total);
-                   ] ))
-             (stall_sums r)) );
-      ("spikes", Obs.Json.List (List.map spike_json r.R.spikes));
-    ]
-
-let print_spikes mode (r : R.result) =
-  let rec take n = function
-    | x :: tl when n > 0 -> x :: take (n - 1) tl
-    | _ -> []
-  in
-  List.iter
-    (fun (s : R.spike) ->
-      let ev =
-        match s.R.sp_stalls with
-        | [] -> "no overlapping stall"
-        | l ->
-            String.concat ", "
-              (List.map
-                 (fun (e : Obs.Stall.entry) ->
-                   Printf.sprintf "%s %.0fus"
-                     (Obs.Stall.cause_name e.Obs.Stall.cause)
-                     (e.Obs.Stall.dur_ns /. 1e3))
-                 (take 3 l))
-      in
-      line "    [%s] shard%d %s lat=%.0fus  <- %s" mode s.R.sp_shard
-        (op_name s.R.sp_tag)
-        (s.R.sp_lat_ns /. 1e3)
-        ev)
-    (take 5 r.R.spikes)
+(* Emit one bench's latency tables and spikes, and keep its modes for the
+   JSON report. *)
+let emit_latency name modes =
+  let reports = List.map (fun (m, r, _) -> (m, r)) modes in
+  let summary, stalls = LR.tables reports in
+  emit name summary;
+  emit (name ^ "_stalls") stalls;
+  line "    slowest ops and the evidence against them:";
+  LR.print_spikes reports;
+  latency_json :=
+    List.rev_append
+      (List.map (fun (m, r, extra) -> (m, LR.to_json ~extra r)) modes)
+      !latency_json
 
 let latency () =
   line "";
   line "=== Tail latency: per-op latency with stall attribution (INCLL, YCSB_A zipfian) ===";
   line "    beyond the paper: closed loop, then open loop with";
   line "    coordinated-omission-corrected latency from intended arrivals";
-  let keys = nkeys () in
-  let threads = opts.threads in
-  let run_mode ?arrival_rate () =
-    note_metrics
-      (R.run ~seed:opts.seed ~threads ~ops_per_thread:opts.ops
-         ~chunk:opts.chunk
-         ~config:(config ~keys ~threads ())
-         ~trace:(tracing ()) ?arrival_rate
-         ~latency_threshold_ns:opts.latency_threshold_ns ~variant:Sys_.Incll
-         ~mix:Y.A ~dist:Y.Zipfian ~nkeys:keys ())
-  in
-  let closed = run_mode () in
-  (* Offered open-loop rate: just under the closed-loop capacity, so the
-     queue stays stable but every flush builds a backlog whose wait the
-     CO correction charges to the delayed ops. Deterministic either way —
-     closed-loop capacity is itself a pure function of seed and config. *)
-  let rate =
-    match opts.arrival_rate with
-    | Some r -> r
-    | None -> 0.9 *. closed.R.mops_sim *. 1e6
-  in
-  let open_ = run_mode ~arrival_rate:rate () in
-  line "    open-loop offered rate: %.0f ops/s (sim); threshold %.0f us" rate
+  let closed, open_ = closed_then_open () in
+  line "    open-loop offered rate: %.0f ops/s (sim); threshold %.0f us"
+    (Option.value ~default:0.0 open_.R.latency.LR.arrival_rate)
     (opts.latency_threshold_ns /. 1e3);
-  let t =
-    Util.Table.create
-      ~columns:
-        [
-          "mode"; "p50 us"; "p99 us"; "p999 us"; "p9999 us"; "max us";
-          "over thr"; "attributed";
-        ]
+  let mode name (r : R.result) =
+    (name, r.R.latency, [ ("mops_sim", Obs.Json.Float r.R.mops_sim) ])
   in
-  let row mode (r : R.result) =
-    let h = Obs.Registry.find_histogram r.R.metrics "op.latency_ns" in
-    let p q = match h with
-      | Some h -> Obs.Histogram.percentile h q /. 1e3
-      | None -> 0.0
-    in
-    let over, attributed, _ = attribution r in
-    Util.Table.add_row t
-      [
-        mode;
-        Util.Table.cell_float (p 0.5);
-        Util.Table.cell_float (p 0.99);
-        Util.Table.cell_float (p 0.999);
-        Util.Table.cell_float (p 0.9999);
-        Util.Table.cell_float
-          ((match h with Some h -> Obs.Histogram.max_value h | None -> 0.0)
-          /. 1e3);
-        Util.Table.cell_int over;
-        (if over = 0 then "n/a"
-         else
-           Printf.sprintf "%.1f%%"
-             (100.0 *. float_of_int attributed /. float_of_int over));
-      ]
-  in
-  row "closed" closed;
-  row "open" open_;
-  emit "latency" t;
-  let st =
-    Util.Table.create
-      ~columns:[ "mode"; "cause"; "stalls"; "total ms"; "attributed ops" ]
-  in
-  let stall_rows mode (r : R.result) =
-    let _, _, per_cause = attribution r in
-    List.iter
-      (fun (c, count, total) ->
-        if count > 0 then
-          Util.Table.add_row st
-            [
-              mode;
-              Obs.Stall.cause_name c;
-              Util.Table.cell_int count;
-              Util.Table.cell_float (total /. 1e6);
-              Util.Table.cell_int (List.assoc c per_cause);
-            ])
-      (stall_sums r)
-  in
-  stall_rows "closed" closed;
-  stall_rows "open" open_;
-  emit "latency_stalls" st;
-  line "    slowest ops and the stalls that overlapped them:";
-  print_spikes "closed" closed;
-  print_spikes "open" open_;
-  latency_json :=
-    [ ("open", latency_mode_json open_); ("closed", latency_mode_json closed) ]
+  emit_latency "latency" [ mode "closed" closed; mode "open" open_ ]
 
 (* The recovery-time / throughput / tail-latency tradeoff the adaptive
    scheduler exposes (DESIGN.md §15): one row per policy over the same
@@ -908,7 +650,6 @@ let policies () =
   line "    latency    = pressure-driven epochs + bounded incremental sweep";
   line "    rto        = short epochs + aggressive pressure triggers";
   let keys = nkeys () in
-  let threads = opts.threads in
   let t =
     Util.Table.create
       ~columns:
@@ -919,29 +660,10 @@ let policies () =
   in
   List.iter
     (fun policy ->
-      let run_mode ?arrival_rate () =
-        R.run ~seed:opts.seed ~threads ~ops_per_thread:opts.ops
-          ~chunk:opts.chunk
-          ~config:(config ~policy ~keys ~threads ())
-          ?arrival_rate ~latency_threshold_ns:opts.latency_threshold_ns
-          ~variant:Sys_.Incll ~mix:Y.A ~dist:Y.Zipfian ~nkeys:keys ()
-      in
-      let closed = run_mode () in
-      let rate =
-        match opts.arrival_rate with
-        | Some r -> r
-        | None -> 0.9 *. closed.R.mops_sim *. 1e6
-      in
-      let open_ = run_mode ~arrival_rate:rate () in
-      let p999 =
-        match Obs.Registry.find_histogram open_.R.metrics "op.latency_ns" with
-        | Some h -> Obs.Histogram.percentile h 0.999 /. 1e3
-        | None -> 0.0
-      in
+      let closed, open_ = closed_then_open ~policy () in
+      let report = open_.R.latency in
       let stall cause =
-        List.fold_left
-          (fun a (c, _, total) -> if c = cause then a +. total else a)
-          0.0 (stall_sums open_)
+        snd (List.assoc (Obs.Stall.cause_name cause) report.LR.stall_totals)
         /. 1e6
       in
       (* Recovery window: load, run a mixed tail so the crash lands
@@ -985,7 +707,8 @@ let policies () =
         [
           Nvm.Config.policy_name policy;
           Util.Table.cell_float closed.R.mops_sim;
-          Util.Table.cell_float p999;
+          Util.Table.cell_float
+            (Obs.Histogram.percentile report.LR.latency 0.999 /. 1e3);
           Util.Table.cell_float (stall Obs.Stall.Epoch_advance);
           Util.Table.cell_float (stall Obs.Stall.Clwb_sweep);
           Util.Table.cell_int open_.R.epochs;
@@ -1007,67 +730,6 @@ let policies () =
    baseline. *)
 
 module RM = Bench_harness.Remote
-
-let remote_spike_json (s : RM.spike) =
-  Obs.Json.Obj
-    [
-      ("index", Obs.Json.Int s.RM.rsp_index);
-      ("op", Obs.Json.String (op_name s.RM.rsp_tag));
-      ("start_ns", Obs.Json.Float s.RM.rsp_arrival_ns);
-      ("lat_ns", Obs.Json.Float s.RM.rsp_lat_ns);
-      ("queue_ns", Obs.Json.Float s.RM.rsp_queue_ns);
-      ( "cause",
-        match s.RM.rsp_cause with
-        | Some c -> Obs.Json.String (Obs.Stall.cause_name c)
-        | None -> Obs.Json.Null );
-    ]
-
-let remote_mode_json (r : RM.result) =
-  Obs.Json.Obj
-    [
-      ("open_loop", Obs.Json.Bool true);
-      ("arrival_rate", Obs.Json.Float r.RM.arrival_rate);
-      ("threshold_ns", Obs.Json.Float r.RM.latency_threshold_ns);
-      ("mops_wall", Obs.Json.Float r.RM.mops_wall);
-      ("calibrated_mops", Obs.Json.Float r.RM.calibrated_mops);
-      ("busy", Obs.Json.Int r.RM.busy);
-      (* "merged" is what bench_compare's percentile gates read; for the
-         remote mode it is the same wall-clock histogram as "wall". *)
-      ("merged", Obs.Histogram.to_json r.RM.latency);
-      ("wall", Obs.Histogram.to_json r.RM.latency);
-      ("shards", Obs.Json.List []);
-      ("over_threshold", Obs.Json.Int r.RM.over_threshold);
-      ( "attributed",
-        Obs.Json.Obj
-          (List.map (fun (n, c) -> (n, Obs.Json.Int c)) r.RM.attributed) );
-      ( "stall_totals",
-        Obs.Json.Obj
-          (List.map
-             (fun (n, (count, total)) ->
-               ( n,
-                 Obs.Json.Obj
-                   [
-                     ("count", Obs.Json.Int count);
-                     ("total_ns", Obs.Json.Float total);
-                   ] ))
-             r.RM.stall_totals) );
-      ("spikes", Obs.Json.List (List.map remote_spike_json r.RM.spikes));
-      ( "oracle",
-        match r.RM.oracle_ok with
-        | None -> Obs.Json.Null
-        | Some b -> Obs.Json.Bool b );
-      (* Fault-tolerance telemetry from the robustness probe; gated by
-         bench_compare (retries/backoff/reconnects are higher-is-worse). *)
-      ( "robust",
-        Obs.Json.Obj
-          [
-            ("ops", Obs.Json.Int r.RM.robust.RM.rb_ops);
-            ("retries", Obs.Json.Int r.RM.robust.RM.rb_retries);
-            ("reconnects", Obs.Json.Int r.RM.robust.RM.rb_reconnects);
-            ("backoff_ns", Obs.Json.Float r.RM.robust.RM.rb_backoff_ns);
-            ("dedup_hits", Obs.Json.Int r.RM.robust.RM.rb_dedup_hits);
-          ] );
-    ]
 
 let remote () =
   match opts.connect with
@@ -1099,73 +761,30 @@ let remote () =
           ?arrival_rate:opts.arrival_rate
           ~latency_threshold_ns:opts.latency_threshold_ns ?oracle ()
       in
-      let attributed_n =
-        List.fold_left
-          (fun a (name, c) -> if name = "none" then a else a + c)
-          0 r.RM.attributed
-      in
-      let t =
-        Util.Table.create
-          ~columns:
-            [
-              "offered Kops/s"; "achieved Kops/s"; "p50 us"; "p99 us";
-              "p999 us"; "over thr"; "attributed"; "busy";
-            ]
-      in
-      Util.Table.add_row t
+      let report = r.RM.latency in
+      line "    offered %.1f Kops/s, achieved %.1f Kops/s, %d busy"
+        (Option.value ~default:0.0 report.LR.arrival_rate /. 1e3)
+        (r.RM.mops_wall *. 1e3) r.RM.busy;
+      emit_latency "remote"
         [
-          Util.Table.cell_float (r.RM.arrival_rate /. 1e3);
-          Util.Table.cell_float (r.RM.mops_wall *. 1e3);
-          Util.Table.cell_float (Obs.Histogram.percentile r.RM.latency 0.5 /. 1e3);
-          Util.Table.cell_float (Obs.Histogram.percentile r.RM.latency 0.99 /. 1e3);
-          Util.Table.cell_float
-            (Obs.Histogram.percentile r.RM.latency 0.999 /. 1e3);
-          Util.Table.cell_int r.RM.over_threshold;
-          (if r.RM.over_threshold = 0 then "n/a"
-           else
-             Printf.sprintf "%.1f%%"
-               (100.0 *. float_of_int attributed_n
-               /. float_of_int r.RM.over_threshold));
-          Util.Table.cell_int r.RM.busy;
+          ( "remote",
+            report,
+            [
+              ("mops_wall", Obs.Json.Float r.RM.mops_wall);
+              ("calibrated_mops", Obs.Json.Float r.RM.calibrated_mops);
+              ("busy", Obs.Json.Int r.RM.busy);
+              ( "oracle",
+                match r.RM.oracle_ok with
+                | None -> Obs.Json.Null
+                | Some b -> Obs.Json.Bool b );
+            ] );
         ];
-      emit "remote" t;
-      let st =
-        Util.Table.create
-          ~columns:[ "cause"; "stalls"; "total ms"; "attributed ops" ]
-      in
-      List.iter
-        (fun (name, (count, total)) ->
-          if count > 0 then
-            Util.Table.add_row st
-              [
-                name;
-                Util.Table.cell_int count;
-                Util.Table.cell_float (total /. 1e6);
-                Util.Table.cell_int
-                  (try List.assoc name r.RM.attributed with Not_found -> 0);
-              ])
-        r.RM.stall_totals;
-      emit "remote_stalls" st;
-      line "    slowest ops and the evidence their replies carried:";
-      List.iteri
-        (fun i (s : RM.spike) ->
-          if i < 5 then
-            line "    [remote] %s lat=%.0fus queue=%.0fus  <- %s"
-              (op_name s.RM.rsp_tag)
-              (s.RM.rsp_lat_ns /. 1e3)
-              (s.RM.rsp_queue_ns /. 1e3)
-              (match s.RM.rsp_cause with
-              | Some c -> Obs.Stall.cause_name c
-              | None -> "net_queue/none"))
-        r.RM.spikes;
-      if opts.oracle then
-        line "    oracle: server state == in-process replay";
-      latency_json := ("remote", remote_mode_json r) :: !latency_json;
       (* Gate mode (--oracle): the serving layer's whole observability
          claim is that tail excursions are attributable — enforce it,
          along with lossless admission, right here where the evidence
          is. *)
       if opts.oracle then begin
+        line "    oracle: server state == in-process replay";
         if r.RM.busy > 0 then begin
           Printf.eprintf
             "remote gate: %d ops bounced BUSY (raise --queue-capacity on \
@@ -1173,14 +792,13 @@ let remote () =
             r.RM.busy;
           exit 1
         end;
-        if
-          r.RM.over_threshold > 0
-          && float_of_int attributed_n
-             < 0.99 *. float_of_int r.RM.over_threshold
+        let over = report.LR.over_threshold in
+        let attributed_n = LR.attributed_ops report in
+        if over > 0 && float_of_int attributed_n < 0.99 *. float_of_int over
         then begin
           Printf.eprintf
             "remote gate: only %d/%d over-threshold ops attributed (< 99%%)\n"
-            attributed_n r.RM.over_threshold;
+            attributed_n over;
           exit 1
         end
       end
@@ -1203,9 +821,6 @@ let all_benches =
     ("ablation_internal", ablation_internal);
     ("latency", latency);
     ("policies", policies);
-    ("micro", micro);
-    (* must run after [latency], which overwrites [latency_json];
-       [remote] appends its mode to whatever is there *)
     ("remote", remote);
   ]
 
@@ -1214,7 +829,7 @@ let usage () =
     "Usage: bench/main.exe [options]\n\
      \  --only NAMES   comma-separated subset (fig2..fig8, flushcost, recovery,\n\
      \                 ablation_epoch, ablation_valincll, ablation_internal,\n\
-     \                 latency, policies, micro, remote)\n\
+     \                 latency, policies, remote)\n\
      \  --latency      shorthand for --only latency: closed- and open-loop\n\
      \                 per-op latency percentiles with stall attribution\n\
      \  --arrival-rate R  open-loop offered load for the latency bench, in ops\n\
@@ -1257,6 +872,13 @@ let usage () =
      \                 today; pass explicitly for reproducible reports)";
   exit 0
 
+let positive flag v =
+  match int_of_string_opt v with
+  | Some n when n > 0 -> n
+  | _ ->
+      prerr_endline (flag ^ " must be a positive integer");
+      exit 2
+
 let parse_args () =
   let rec go = function
     | [] -> ()
@@ -1267,13 +889,13 @@ let parse_args () =
         opts.scale <- float_of_string v;
         go rest
     | "--threads" :: v :: rest ->
-        opts.threads <- int_of_string v;
+        opts.threads <- positive "--threads" v;
         go rest
     | "--chunk" :: v :: rest ->
-        opts.chunk <- int_of_string v;
+        opts.chunk <- positive "--chunk" v;
         go rest
     | "--ops" :: v :: rest ->
-        opts.ops <- int_of_string v;
+        opts.ops <- positive "--ops" v;
         go rest
     | "--epoch-ms" :: v :: rest ->
         opts.epoch_ms <- float_of_string v;

@@ -9,8 +9,9 @@
    threshold (default 10%) is a regression.
 
    Schema-v3 reports additionally carry a top-level "latency" section
-   (from `bench --only latency`); its simulated-clock p50/p99/p999 and
-   per-cause stall totals are gated higher-is-worse.
+   (from `bench --only latency`); the cells Bench_harness.Latency_report
+   lists for it (p50/p99/p999, per-cause stall totals, the remote
+   mode's robustness counters) are gated higher-is-worse.
 
    With --improve / --improve-stall the tool runs in improvement-gate
    mode instead: regression gating is skipped (the reports are expected
@@ -22,21 +23,9 @@
    3 unreadable/incompatible reports. *)
 
 module J = Obs.Json
+module LR = Bench_harness.Latency_report
 
-(* Default threshold: the BENCH_COMPARE_THRESHOLD environment variable if
-   set (so CI can tighten or loosen the gate without editing the recipe),
-   else 10%. --threshold beats both. *)
-let threshold =
-  ref
-    (match Sys.getenv_opt "BENCH_COMPARE_THRESHOLD" with
-    | Some v -> (
-        match float_of_string_opt v with
-        | Some f when f >= 0.0 -> f
-        | _ ->
-            prerr_endline
-              ("bench_compare: ignoring invalid BENCH_COMPARE_THRESHOLD=" ^ v);
-            0.10)
-    | None -> 0.10)
+let threshold = ref 0.10
 
 let force = ref false
 
@@ -51,14 +40,13 @@ let usage_exit () =
      \       [--improve MODE:PCTL:FACTOR] [--improve-stall MODE:CAUSE:FACTOR]\n\
      \       BASELINE.json NEW.json\n\
      \  --threshold F  relative throughput drop that fails the gate\n\
-     \                 (default: $BENCH_COMPARE_THRESHOLD if set, else\n\
-     \                 0.10 = 10%)\n\
+     \                 (default 0.10 = 10%)\n\
      \  --force        compare even when the run metadata is incompatible\n\
      \  --improve MODE:PCTL:FACTOR\n\
      \                 improvement-gate mode (repeatable; disables the\n\
      \                 regression gates): the latency section's merged PCTL\n\
-     \                 (e.g. p999) of MODE (open/closed) must be at least\n\
-     \                 FACTOR x smaller in NEW than in BASELINE\n\
+     \                 (p50, p99 or p999) of MODE (e.g. open) must be at\n\
+     \                 least FACTOR x smaller in NEW than in BASELINE\n\
      \  --improve-stall MODE:CAUSE:FACTOR\n\
      \                 same, for the per-cause stalled time (e.g.\n\
      \                 open:epoch_advance:1.0 = must not grow)";
@@ -246,14 +234,14 @@ let compare_tables a b =
 
 (* ------------------------------------------------------------- latency *)
 
-(* Schema v3: gate the top-level "latency" section — the simulated-clock
-   percentiles of the merged per-op histogram and the per-cause stalled
-   time, both higher-is-worse (they are tail sizes, not throughput). The
-   wall histograms are host noise and ignored. A pair where only one
-   report has the section means the schema (or the bench selection)
-   drifted; refuse rather than silently passing an ungated report. *)
-let latency_percentiles = [ "p50"; "p99"; "p999" ]
-
+(* Schema v3: gate the top-level "latency" section, cell by cell as
+   Latency_report lists them — the simulated-clock percentiles of the
+   merged per-op histogram, the per-cause stalled time and the remote
+   mode's robustness counters, all higher-is-worse (they are tail sizes
+   and fault work, not throughput). The wall histograms are host noise
+   and ignored. A pair where only one report has the section means the
+   schema (or the bench selection) drifted; refuse rather than silently
+   passing an ungated report. *)
 let compare_latency a b =
   match (J.find a "latency", J.find b "latency") with
   | None, None -> (0, [])
@@ -270,12 +258,10 @@ let compare_latency a b =
            the same bench selection or pass --force"
   | Some la, Some lb ->
       let regressions = ref [] and compared = ref 0 in
-      let modes = match la with J.Obj kvs -> List.map fst kvs | _ -> [] in
+      let modes = match la with J.Obj kvs -> kvs | _ -> [] in
       List.iter
-        (fun mode ->
-          let num side path =
-            Option.bind (J.find_path side (mode :: path)) J.to_float_opt
-          in
+        (fun (mode, ma) ->
+          let mb = J.find lb mode in
           let gate label va vb =
             incr compared;
             let delta = if va = 0.0 then 0.0 else (vb -. va) /. va in
@@ -294,86 +280,29 @@ let compare_latency a b =
               label va vb (delta *. 100.0) flag
           in
           List.iter
-            (fun p ->
-              match (num la [ "merged"; p ], num lb [ "merged"; p ]) with
-              | Some va, Some vb -> gate p va vb
-              | _ -> ())
-            latency_percentiles;
-          (* Per-shard p99 deltas localize a merged regression to one
-             shard before the workload gets the blame; informational. *)
-          (match
-             ( J.find_path la [ mode; "shards" ],
-               J.find_path lb [ mode; "shards" ] )
-           with
-          | Some (J.List sa), Some (J.List sb)
-            when List.length sa = List.length sb ->
-              List.iteri
-                (fun i (ha, hb) ->
-                  match
-                    ( Option.bind (J.find ha "p99") J.to_float_opt,
-                      Option.bind (J.find hb "p99") J.to_float_opt )
-                  with
-                  | Some va, Some vb when va > 0.0 ->
-                      Printf.printf
-                        "latency | %s | shard%d p99: %.0f -> %.0f ns (%+.1f%%)\n"
-                        mode i va vb
-                        ((vb -. va) /. va *. 100.0)
-                  | _ -> ())
-                (List.combine sa sb)
-          | _ -> ());
-          (* Robustness telemetry (remote mode): client-visible fault
-             work is higher-is-worse — a serving change that makes the
-             session layer retry, reconnect or back off more has
-             regressed even if latency percentiles held up. dedup_hits
-             is informational (the probe provokes at least one). *)
-          (match J.find_path la [ mode; "robust" ] with
-          | Some (J.Obj _) ->
-              List.iter
-                (fun metric ->
-                  match
-                    ( num la [ "robust"; metric ],
-                      num lb [ "robust"; metric ] )
-                  with
-                  | Some va, Some vb ->
-                      if va > 0.0 then gate ("robust." ^ metric) va vb
+            (fun (cell : LR.cell) ->
+              let vb = Option.bind mb (fun m -> LR.cell_value m cell) in
+              match (LR.cell_value ma cell, vb) with
+              | Some va, Some vb -> (
+                  match cell.LR.gate with
+                  | LR.Always -> gate cell.LR.label va vb
+                  | LR.If_nonzero ->
+                      if va > 0.0 then gate cell.LR.label va vb
                       else if vb > 0.0 then
                         Printf.printf
-                          "latency | %s | robust.%s appeared: 0 -> %.0f\n"
-                          mode metric vb
-                  | _ -> ())
-                [ "retries"; "reconnects"; "backoff_ns" ];
-              (match
-                 ( num la [ "robust"; "dedup_hits" ],
-                   num lb [ "robust"; "dedup_hits" ] )
-               with
-              | Some va, Some vb ->
-                  Printf.printf
-                    "latency | %s | robust.dedup_hits: %.0f -> %.0f\n" mode va
-                    vb
+                          "latency | %s | %s appeared: 0 -> %.0f%s\n" mode
+                          cell.LR.label vb cell.LR.unit_
+                  | LR.Shown ->
+                      Printf.printf "latency | %s | %s: %.0f -> %.0f%s%s\n" mode
+                        cell.LR.label va vb cell.LR.unit_
+                        (if va > 0.0 then
+                           Printf.sprintf " (%+.1f%%)"
+                             ((vb -. va) /. va *. 100.0)
+                         else ""))
               | _ -> ())
-          | _ -> ());
-          (* Per-cause stalled time: a cause that grows (or appears) must
-             not slip through just because throughput held up. *)
-          match J.find_path la [ mode; "stall_totals" ] with
-          | Some (J.Obj causes) ->
-              List.iter
-                (fun (cause, _) ->
-                  match
-                    ( num la [ "stall_totals"; cause; "total_ns" ],
-                      num lb [ "stall_totals"; cause; "total_ns" ] )
-                  with
-                  | Some va, Some vb ->
-                      if va > 0.0 then gate ("stall." ^ cause) va vb
-                      else if vb > 0.0 then
-                        Printf.printf
-                          "latency | %s | stall.%s appeared: 0 -> %.0f ns\n"
-                          mode cause vb
-                  | _ -> ())
-                causes
-          | _ -> ())
+            (LR.cells ma))
         modes;
       (!compared, List.rev !regressions)
-
 
 (* ------------------------------------------------- improvement gates *)
 
@@ -400,11 +329,16 @@ let parse_improve_spec flag v =
    epoch_advance to clwb_sweep). *)
 let check_improvements a b =
   let failures = ref [] and compared = ref 0 in
-  let cell report mode path =
-    Option.bind (J.find_path report ("latency" :: mode :: path)) J.to_float_opt
-  in
-  let gate label mode path factor =
-    match (cell a mode path, cell b mode path) with
+  let gate label mode factor =
+    let value report =
+      Option.bind (J.find_path report [ "latency"; mode ]) (fun m ->
+          Option.bind
+            (List.find_opt
+               (fun (c : LR.cell) -> c.LR.label = label)
+               (LR.cells m))
+            (LR.cell_value m))
+    in
+    match (value a, value b) with
     | Some va, Some vb ->
         incr compared;
         let ratio = if vb > 0.0 then va /. vb else infinity in
@@ -423,12 +357,9 @@ let check_improvements a b =
           Printf.sprintf "%s %s: missing in one report" mode label
           :: !failures
   in
+  List.iter (fun (mode, pctl, factor) -> gate pctl mode factor) !improves;
   List.iter
-    (fun (mode, pctl, factor) -> gate pctl mode [ "merged"; pctl ] factor)
-    !improves;
-  List.iter
-    (fun (mode, cause, factor) ->
-      gate ("stall." ^ cause) mode [ "stall_totals"; cause; "total_ns" ] factor)
+    (fun (mode, cause, factor) -> gate ("stall." ^ cause) mode factor)
     !improve_stalls;
   (!compared, List.rev !failures)
 

@@ -55,23 +55,30 @@ let usage () =
      \                  [--threads N] [--seed N] [--json FILE] [--min-mops F]";
   exit 2
 
+let positive flag v =
+  match int_of_string_opt v with
+  | Some n when n > 0 -> n
+  | _ ->
+      prerr_endline (flag ^ " must be a positive integer");
+      exit 2
+
 let parse_args () =
   let rec go = function
     | [] -> ()
     | "--stores" :: v :: rest ->
-        opts.stores <- int_of_string v;
+        opts.stores <- positive "--stores" v;
         go rest
     | "--spans" :: v :: rest ->
-        opts.spans <- int_of_string v;
+        opts.spans <- positive "--spans" v;
         go rest
     | "--keys" :: v :: rest ->
-        opts.keys <- int_of_string v;
+        opts.keys <- positive "--keys" v;
         go rest
     | "--ops" :: v :: rest ->
-        opts.ops <- int_of_string v;
+        opts.ops <- positive "--ops" v;
         go rest
     | "--threads" :: v :: rest ->
-        opts.threads <- int_of_string v;
+        opts.threads <- positive "--threads" v;
         go rest
     | "--seed" :: v :: rest ->
         opts.seed <- int_of_string v;

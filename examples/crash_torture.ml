@@ -6,104 +6,39 @@
 
    The actual harness lives in [Chaos_runner.Torture] (shared with
    [bin/chaos.exe] and the CI chaos job); this executable is the
-   human-friendly front door.
+   human-friendly front door. For seed matrices, schedules and JSON
+   reports use bin/chaos.exe.
 
-   Run with: dune exec examples/crash_torture.exe -- [rounds] [seed]
-   or:       dune exec examples/crash_torture.exe -- --seeds 1,4,6,7 \
-               --ops 30000 --json out.json *)
+   Run with: dune exec examples/crash_torture.exe -- [ops] [seed] *)
 
 module Torture = Chaos_runner.Torture
-module J = Obs.Json
 
 let usage () =
-  prerr_endline
-    "usage: crash_torture [rounds] [seed]\n\
-    \       crash_torture [--ops N] [--seeds S1,S2,...] [--json FILE]";
+  prerr_endline "usage: crash_torture [ops] [seed]";
   exit 2
 
 let () =
-  let ops = ref Torture.default.Torture.ops in
-  let seeds = ref [ Torture.default.Torture.seed ] in
-  let json = ref None in
-  let positional = ref [] in
-  let rec parse = function
-    | [] -> ()
-    | "--ops" :: n :: rest ->
-        ops := int_of_string n;
-        parse rest
-    | "--seeds" :: s :: rest ->
-        seeds := List.map int_of_string (String.split_on_char ',' s);
-        parse rest
-    | "--json" :: f :: rest ->
-        json := Some f;
-        parse rest
-    | ("--help" | "-h") :: _ -> usage ()
-    | a :: _ when String.length a > 0 && a.[0] = '-' ->
-        Printf.eprintf "unknown option %s\n" a;
-        usage ()
-    | a :: rest ->
-        positional := a :: !positional;
-        parse rest
+  let int v = match int_of_string_opt v with Some n -> n | None -> usage () in
+  let cfg =
+    match List.tl (Array.to_list Sys.argv) with
+    | [] -> Torture.default
+    | [ ops ] -> { Torture.default with Torture.ops = int ops }
+    | [ ops; seed ] ->
+        { Torture.default with Torture.ops = int ops; seed = int seed }
+    | _ -> usage ()
   in
-  parse (List.tl (Array.to_list Sys.argv));
-  (match List.rev !positional with
-  | [] -> ()
-  | [ r ] -> ops := int_of_string r
-  | [ r; s ] ->
-      ops := int_of_string r;
-      seeds := [ int_of_string s ]
-  | _ -> usage ());
-  let results =
-    List.map
-      (fun seed ->
-        let cfg = { Torture.default with Torture.ops = !ops; seed } in
-        Printf.printf "torturing INCLL with %d ops over %d keys (seed %d)...\n%!"
-          cfg.Torture.ops cfg.Torture.nkeys seed;
-        let out = Torture.run cfg in
-        (match out.Torture.failure with
-        | Some f -> Printf.printf "MISMATCH: %s\n%!" (Torture.failure_to_string f)
-        | None ->
-            Printf.printf
-              "OK: %d crashes, %d post-crash key verifications, all states \
-               matched the\n\
-               beginning of the failed epoch (paper §5.2)\n%!"
-              out.Torture.crashes out.Torture.verified);
-        if out.Torture.quarantined > 0 then
-          Printf.printf "WARNING: %d allocator chain(s) quarantined\n%!"
-            out.Torture.quarantined;
-        (seed, out))
-      !seeds
-  in
-  (match !json with
-  | None -> ()
-  | Some path ->
-      let doc =
-        J.Obj
-          [
-            ("ok", J.Bool (List.for_all (fun (_, o) -> o.Torture.ok) results));
-            ( "runs",
-              J.List
-                (List.map
-                   (fun (seed, o) ->
-                     J.Obj
-                       [
-                         ("seed", J.Int seed);
-                         ("ops", J.Int o.Torture.ops_run);
-                         ("ok", J.Bool o.Torture.ok);
-                         ("crashes", J.Int o.Torture.crashes);
-                         ("recoveries", J.Int o.Torture.recoveries);
-                         ("verified", J.Int o.Torture.verified);
-                         ("quarantined", J.Int o.Torture.quarantined);
-                         ( "failure",
-                           match o.Torture.failure with
-                           | None -> J.Null
-                           | Some f -> J.String (Torture.failure_to_string f) );
-                       ])
-                   results) );
-          ]
-      in
-      let oc = open_out path in
-      output_string oc (J.to_string doc);
-      output_char oc '\n';
-      close_out oc);
-  if List.for_all (fun (_, o) -> o.Torture.ok) results then exit 0 else exit 1
+  Printf.printf "torturing INCLL with %d ops over %d keys (seed %d)...\n%!"
+    cfg.Torture.ops cfg.Torture.nkeys cfg.Torture.seed;
+  let out = Torture.run cfg in
+  (match out.Torture.failure with
+  | Some f -> Printf.printf "MISMATCH: %s\n%!" (Torture.failure_to_string f)
+  | None ->
+      Printf.printf
+        "OK: %d crashes, %d post-crash key verifications, all states \
+         matched the\n\
+         beginning of the failed epoch (paper §5.2)\n%!"
+        out.Torture.crashes out.Torture.verified);
+  if out.Torture.quarantined > 0 then
+    Printf.printf "WARNING: %d allocator chain(s) quarantined\n%!"
+      out.Torture.quarantined;
+  exit (if out.Torture.ok then 0 else 1)

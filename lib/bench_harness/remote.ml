@@ -4,38 +4,14 @@ module S = Wire.Session
 module Y = Workload.Ycsb
 module O = Workload.Opstream
 
-type spike = {
-  rsp_index : int;
-  rsp_tag : char;
-  rsp_arrival_ns : float;
-  rsp_lat_ns : float;
-  rsp_queue_ns : float;
-  rsp_cause : Obs.Stall.cause option;
-}
-
-type robust = {
-  rb_ops : int;
-  rb_retries : int;
-  rb_reconnects : int;
-  rb_backoff_ns : float;
-  rb_dedup_hits : int;
-}
+module LR = Latency_report
 
 type result = {
-  ops : int;
   busy : int;
-  wall_s : float;
   mops_wall : float;
   calibrated_mops : float;
-  arrival_rate : float;
-  latency_threshold_ns : float;
-  latency : Obs.Histogram.t;
-  over_threshold : int;
-  attributed : (string * int) list;
-  stall_totals : (string * (int * float)) list;
-  spikes : spike list;
+  latency : LR.t;
   oracle_ok : bool option;
-  robust : robust;
 }
 
 let wire_op = function
@@ -51,6 +27,24 @@ let calibration_seed seed = seed lxor 0x5eed
 
 let pipeline_window = 256
 
+(* Send [n] requests, at most [pipeline_window] in flight; [on_reply i r]
+   sees each reply with the index of its request. *)
+let pipelined c n request on_reply =
+  let inflight = Hashtbl.create pipeline_window in
+  let drain () =
+    let r = C.recv c in
+    let i = Hashtbl.find inflight r.P.id in
+    Hashtbl.remove inflight r.P.id;
+    on_reply i r
+  in
+  for i = 0 to n - 1 do
+    if C.pending c >= pipeline_window then drain ();
+    Hashtbl.replace inflight (C.send c (request i)) i
+  done;
+  while C.pending c > 0 do
+    drain ()
+  done
+
 (* --------------------------------------------------------- populate *)
 
 (* Population must land completely (the oracle replays it verbatim), so
@@ -64,26 +58,14 @@ let populate c ~nkeys =
     | P.Busy -> retry := key :: !retry
     | s -> failwith ("populate: " ^ P.status_name s)
   in
-  let inflight = Hashtbl.create pipeline_window in
-  Array.iter
-    (fun key ->
-      if C.pending c >= pipeline_window then begin
-        let r = C.recv c in
-        note r (Hashtbl.find inflight r.P.id);
-        Hashtbl.remove inflight r.P.id
-      end;
-      Hashtbl.replace inflight (C.send c (P.Put (key, Y.value_for key))) key)
-    keys;
-  while C.pending c > 0 do
-    let r = C.recv c in
-    note r (Hashtbl.find inflight r.P.id);
-    Hashtbl.remove inflight r.P.id
-  done;
+  let put key = P.Put (key, Y.value_for key) in
+  pipelined c (Array.length keys)
+    (fun i -> put keys.(i))
+    (fun i r -> note r keys.(i));
   while !retry <> [] do
     let keys = !retry in
     retry := [];
-    List.iter (fun key -> note (C.call c (P.Put (key, Y.value_for key))) key)
-      keys
+    List.iter (fun key -> note (C.call c (put key)) key) keys
   done
 
 (* --------------------------------------------------------- calibrate *)
@@ -93,21 +75,10 @@ let populate c ~nkeys =
 let calibrate c ops =
   let n = Array.length ops in
   let busy = Array.make n false in
-  let inflight = Hashtbl.create pipeline_window in
-  let note (r : P.reply) =
-    let i = Hashtbl.find inflight r.P.id in
-    Hashtbl.remove inflight r.P.id;
-    if r.P.status = P.Busy then busy.(i) <- true
-  in
   let t0 = Unix.gettimeofday () in
-  Array.iteri
-    (fun i op ->
-      if C.pending c >= pipeline_window then note (C.recv c);
-      Hashtbl.replace inflight (C.send c (wire_op op)) i)
-    ops;
-  while C.pending c > 0 do
-    note (C.recv c)
-  done;
+  pipelined c n
+    (fun i -> wire_op ops.(i))
+    (fun i r -> if r.P.status = P.Busy then busy.(i) <- true);
   let wall = Unix.gettimeofday () -. t0 in
   (float_of_int n /. wall, busy)
 
@@ -155,8 +126,14 @@ let robust_probe ~addr c =
   for i = 1 to nops do
     S.put s (Printf.sprintf "rb!k%d" (i mod 8)) (string_of_int i)
   done;
-  let telemetry =
-    (S.retries s, S.reconnects s, S.backoff_ns s)
+  let probe =
+    {
+      LR.ops = nops;
+      retries = S.retries s;
+      reconnects = S.reconnects s;
+      backoff_ns = S.backoff_ns s;
+      dedup_hits = 0;
+    }
   in
   S.close s;
   (* The deliberate replay: same (sid, seq) stamp sent twice. *)
@@ -177,30 +154,21 @@ let robust_probe ~addr c =
   let after = dedup_hits_snapshot c in
   if after - before < 1 then
     failwith "robust probe: duplicate stamp was not deduplicated";
-  let retries, reconnects, backoff_ns = telemetry in
-  {
-    rb_ops = nops;
-    rb_retries = retries;
-    rb_reconnects = reconnects;
-    rb_backoff_ns = backoff_ns;
-    rb_dedup_hits = after - before;
-  }
+  { probe with dedup_hits = after - before }
 
 (* ----------------------------------------------------- measured phase *)
 
-let spike_k = 16
-
-let insert_spike buf s =
-  let rec ins = function
-    | [] -> [ s ]
-    | x :: _ as l when s.rsp_lat_ns > x.rsp_lat_ns -> s :: l
-    | x :: tl -> x :: ins tl
-  in
-  let rec take n = function
-    | x :: tl when n > 0 -> x :: take (n - 1) tl
-    | _ -> []
-  in
-  take spike_k (ins buf)
+(* The queue wait measured by the server is the only wall component the
+   reply quantifies; when it explains the excursion (or dominates the
+   latency) the op is a net_queue casualty, otherwise blame falls to the
+   persistence stall the server saw overlapping the op, if any. *)
+let attribute ~threshold_ns ~lat_ns ~queue_ns server_cause =
+  if queue_ns >= 0.5 *. lat_ns || queue_ns >= lat_ns -. threshold_ns then
+    Some Obs.Stall.Net_queue
+  else
+    match server_cause with
+    | Some _ -> server_cause
+    | None -> if queue_ns > 0.0 then Some Obs.Stall.Net_queue else None
 
 let run ~addr ~seed ~n ~mix ~dist ~nkeys ?arrival_rate ?(latency_threshold_ns = 50_000.0)
     ?oracle () =
@@ -259,40 +227,29 @@ let run ~addr ~seed ~n ~mix ~dist ~nkeys ?arrival_rate ?(latency_threshold_ns = 
   done;
   let wall_s = Unix.gettimeofday () -. t0 in
   let after = stall_snapshot c in
-  (* Attribution: the queue wait measured by the server is the only wall
-     component the reply quantifies; when it explains the excursion (or
-     dominates the latency) the op is a net_queue casualty, otherwise
-     blame falls to the persistence stall the server saw overlapping the
-     op, if any. *)
   let hist = Obs.Histogram.create () in
-  let attributed =
-    List.map (fun cz -> (Obs.Stall.cause_name cz, ref 0)) Obs.Stall.all_causes
-    @ [ ("none", ref 0) ]
-  in
-  let bump name = incr (List.assoc name attributed) in
-  let over = ref 0 in
+  let blamed = ref [] in
   let spikes = ref [] in
   for i = 0 to n - 1 do
     Obs.Histogram.record hist lat.(i);
     if lat.(i) > latency_threshold_ns then begin
-      incr over;
-      let q = queue.(i) in
       let server_cause = Obs.Stall.cause_of_index cause.(i) in
-      (if q >= 0.5 *. lat.(i) || q >= lat.(i) -. latency_threshold_ns then
-         bump "net_queue"
-       else
-         match server_cause with
-         | Some cz -> bump (Obs.Stall.cause_name cz)
-         | None -> if q > 0.0 then bump "net_queue" else bump "none");
+      blamed :=
+        attribute ~threshold_ns:latency_threshold_ns ~lat_ns:lat.(i)
+          ~queue_ns:queue.(i) server_cause
+        :: !blamed;
       spikes :=
-        insert_spike !spikes
+        LR.insert_spike !spikes
           {
-            rsp_index = i;
-            rsp_tag = op_tag ops.(i);
-            rsp_arrival_ns = float_of_int i *. interval;
-            rsp_lat_ns = lat.(i);
-            rsp_queue_ns = q;
-            rsp_cause = server_cause;
+            LR.shard = 0;
+            index = i;
+            tag = op_tag ops.(i);
+            start_ns = float_of_int i *. interval;
+            lat_ns = lat.(i);
+            wall_ns = lat.(i);
+            queue_ns = queue.(i);
+            cause = server_cause;
+            stalls = [];
           }
     end
   done;
@@ -341,18 +298,22 @@ let run ~addr ~seed ~n ~mix ~dist ~nkeys ?arrival_rate ?(latency_threshold_ns = 
   let robust = robust_probe ~addr c in
   let busy_n = Array.fold_left (fun a b -> if b then a + 1 else a) 0 busy in
   {
-    ops = n;
     busy = busy_n;
-    wall_s;
     mops_wall = float_of_int n /. wall_s /. 1e6;
     calibrated_mops = calibrated_rate /. 1e6;
-    arrival_rate = rate;
-    latency_threshold_ns;
-    latency = hist;
-    over_threshold = !over;
-    attributed = List.map (fun (nm, r) -> (nm, !r)) attributed;
-    stall_totals = stall_diff ~before ~after;
-    spikes = !spikes;
+    latency =
+      {
+        LR.threshold_ns = latency_threshold_ns;
+        arrival_rate = Some rate;
+        latency = hist;
+        wall = None;
+        shards = [];
+        over_threshold = List.length !blamed;
+        attributed =
+          LR.attribution (fun c -> List.length (List.filter (( = ) c) !blamed));
+        stall_totals = stall_diff ~before ~after;
+        spikes = !spikes;
+        robust = Some robust;
+      };
     oracle_ok;
-    robust;
   }

@@ -17,50 +17,30 @@
     itself (schema/plumbing, attribution floor) rather than against a
     committed baseline. *)
 
-type spike = {
-  rsp_index : int;  (* position in the measured stream *)
-  rsp_tag : char;  (* '\000' put, '\001' get, '\002' scan *)
-  rsp_arrival_ns : float;  (* intended arrival, ns from phase start *)
-  rsp_lat_ns : float;  (* CO-corrected wall latency *)
-  rsp_queue_ns : float;  (* server shard-queue wait from the reply *)
-  rsp_cause : Obs.Stall.cause option;
-      (* dominant persistence stall the server reported, if any *)
-}
-
-type robust = {
-  rb_ops : int;  (* probe mutations sent through [Wire.Session] *)
-  rb_retries : int;  (* session retries consumed by the probe *)
-  rb_reconnects : int;  (* session reconnects during the probe *)
-  rb_backoff_ns : float;  (* wall time the probe spent backing off *)
-  rb_dedup_hits : int;
-      (* server dedup hits over the probe window; >= 1 by construction
-         (the probe replays one duplicate stamp deliberately) *)
-}
-(** Fault-tolerance telemetry from the post-measurement robustness
-    probe: a stamped mutation stream through {!Wire.Session} plus one
-    deliberate duplicate-stamp replay that must be answered from the
-    server's exactly-once dedup table. *)
-
 type result = {
-  ops : int;  (* measured ops completed *)
-  busy : int;  (* measured ops bounced with BUSY (not applied) *)
-  wall_s : float;  (* measured-phase wall time *)
-  mops_wall : float;  (* completion rate over the measured phase *)
-  calibrated_mops : float;  (* closed-loop capacity estimate *)
-  arrival_rate : float;  (* offered rate actually used, ops/s *)
-  latency_threshold_ns : float;
-  latency : Obs.Histogram.t;  (* per-op CO-corrected wall ns *)
-  over_threshold : int;
-  attributed : (string * int) list;
-      (* over-threshold ops per cause name, ["net_queue"] and ["none"]
-         included, {!Obs.Stall.all_causes} order *)
-  stall_totals : (string * (int * float)) list;
-      (* server-side (count, total ns) per cause over the measured
-         window, from the STATS diff *)
-  spikes : spike list;  (* slowest ops first, at most 16 *)
-  oracle_ok : bool option;  (* [None] when the oracle was not requested *)
-  robust : robust;
+  busy : int;  (** Measured ops bounced with BUSY (not applied). *)
+  mops_wall : float;  (** Completion rate over the measured phase. *)
+  calibrated_mops : float;  (** Closed-loop capacity estimate. *)
+  latency : Latency_report.t;
+      (** Per-op CO-corrected wall latency at the offered rate, the
+          attribution by {!attribute}, the server's per-cause stall
+          totals over the measured window (from the STATS diff), the
+          slowest ops with the evidence their replies carried, and the
+          robustness probe's telemetry. *)
+  oracle_ok : bool option;  (** [None] when the oracle was not requested. *)
 }
+
+val attribute :
+  threshold_ns:float ->
+  lat_ns:float ->
+  queue_ns:float ->
+  Obs.Stall.cause option ->
+  Obs.Stall.cause option
+(** The cause an over-threshold op is blamed on, from its reply:
+    [Net_queue] when the server's shard-queue wait is at least half the
+    latency or accounts for all of it above the threshold; otherwise the
+    persistence stall the server reported; with none, [Net_queue] if the
+    op queued at all, else [None]. *)
 
 val run :
   addr:Wire.Client.addr ->

@@ -1,12 +1,4 @@
-type spike = {
-  sp_shard : int;
-  sp_index : int;  (* position in the shard's encoded stream *)
-  sp_tag : char;  (* '\000' put, '\001' get, '\002' scan *)
-  sp_start_ns : float;  (* intended arrival (open loop) / dispatch *)
-  sp_lat_ns : float;  (* simulated latency, CO-corrected in open loop *)
-  sp_wall_ns : float;  (* wall service time (dispatch -> completion) *)
-  sp_stalls : Obs.Stall.entry list;  (* ledger entries overlapping the op *)
-}
+module LR = Latency_report
 
 type result = {
   ops : int;
@@ -26,12 +18,8 @@ type result = {
   incll_first_touches : int;
   incll_val_uses : int;
   metrics : Obs.Registry.t;
-  shard_metrics : Obs.Registry.t array;
   stalls : (string * Obs.Stall.t) list;
-  spikes : spike list;
-  open_loop : bool;
-  arrival_rate : float option;
-  latency_threshold_ns : float;
+  latency : LR.t;
   traces : (string * Obs.Trace.t) list;
   series : (string * Obs.Series.t) list;
 }
@@ -71,22 +59,6 @@ type encoded = O.encoded = {
   arrivals : float array;
 }
 
-(* Top-k slowest ops, kept per shard as a short descending list. *)
-let spike_k = 16
-
-let insert_spike buf s =
-  let rec ins = function
-    | [] -> [ s ]
-    | x :: _ as l when s.sp_lat_ns > x.sp_lat_ns -> s :: l
-    | x :: tl -> x :: ins tl
-  in
-  let rec take k = function
-    | [] -> []
-    | _ when k = 0 -> []
-    | x :: tl -> x :: take (k - 1) tl
-  in
-  buf := take spike_k (ins !buf)
-
 (* Apply [enc] in chunks of [chunk] ops. The shard handle, arrays and the
    stats record are all hoisted out of the inner loop; between chunks the
    wall-clock throughput of the finished chunk is offered to the shard's
@@ -112,14 +84,11 @@ let run_encoded sys ~shard enc ~chunk ~threshold =
   let h_lat = Obs.Registry.histogram m "op.latency_ns" in
   let h_wall = Obs.Registry.histogram m "op.latency_wall_ns" in
   let c_over = Obs.Registry.counter m "latency.over_threshold" in
-  let c_none = Obs.Registry.counter m "latency.attributed.none" in
   let attr =
     List.map
       (fun c ->
-        ( c,
-          Obs.Registry.counter m
-            ("latency.attributed." ^ Obs.Stall.cause_name c) ))
-      Obs.Stall.all_causes
+        (c, Obs.Registry.counter m ("latency.attributed." ^ LR.cause_key c)))
+      (List.map Option.some Obs.Stall.all_causes @ [ None ])
   in
   let n = Array.length enc.keys in
   let tags = enc.tags and keys = enc.keys in
@@ -178,19 +147,21 @@ let run_encoded sys ~shard enc ~chunk ~threshold =
         incr c_over;
         let a0 = if open_loop then Float.min !busy_start t_start else t_start in
         let over = Obs.Stall.overlapping stalls ~t0:a0 ~t1:t_end in
-        (match Obs.Stall.dominant_cause over ~t0:a0 ~t1:t_end with
-        | Some c -> incr (List.assoc c attr)
-        | None -> incr c_none);
-        insert_spike spikes
-          {
-            sp_shard = shard;
-            sp_index = i;
-            sp_tag = Bytes.unsafe_get tags i;
-            sp_start_ns = t_start;
-            sp_lat_ns = lat;
-            sp_wall_ns = (w1 -. w0) *. 1e9;
-            sp_stalls = over;
-          }
+        let cause = Obs.Stall.dominant_cause over ~t0:a0 ~t1:t_end in
+        incr (List.assoc cause attr);
+        spikes :=
+          LR.insert_spike !spikes
+            {
+              LR.shard;
+              index = i;
+              tag = Bytes.unsafe_get tags i;
+              start_ns = t_start;
+              lat_ns = lat;
+              wall_ns = (w1 -. w0) *. 1e9;
+              queue_ns = 0.0;
+              cause;
+              stalls = over;
+            }
       end
     done;
     let dt = Unix.gettimeofday () -. t0 in
@@ -375,6 +346,54 @@ let measure
            Incll.System.nodes_logged (Store.Sharded.shard store i)
            - logged_before.(i)))
   in
+  let metrics =
+    Obs.Registry.diff ~after:(Store.Sharded.metrics store)
+      ~before:metrics_before
+  in
+  let latency_hist reg =
+    Option.value ~default:(Obs.Histogram.create ())
+      (Obs.Registry.find_histogram reg "op.latency_ns")
+  in
+  let ledgers = Array.map Nvm.Region.stalls regions in
+  let latency =
+    {
+      LR.threshold_ns = latency_threshold_ns;
+      arrival_rate;
+      latency = latency_hist metrics;
+      wall = Obs.Registry.find_histogram metrics "op.latency_wall_ns";
+      (* Per shard, so a regression can be localised to one shard before
+         the workload gets the blame. *)
+      shards =
+        Array.to_list
+          (Array.mapi
+             (fun i r ->
+               latency_hist
+                 (Obs.Registry.diff ~after:(Nvm.Region.metrics r)
+                    ~before:shard_before.(i)))
+             regions);
+      over_threshold =
+        Obs.Registry.counter_value metrics "latency.over_threshold";
+      attributed =
+        LR.attribution (fun c ->
+            Obs.Registry.counter_value metrics
+              ("latency.attributed." ^ LR.cause_key c));
+      stall_totals =
+        List.map
+          (fun c ->
+            ( Obs.Stall.cause_name c,
+              ( Array.fold_left
+                  (fun a l -> a + List.assoc c (Obs.Stall.counts l))
+                  0 ledgers,
+                Array.fold_left
+                  (fun a l -> a +. List.assoc c (Obs.Stall.totals_ns l))
+                  0.0 ledgers ) ))
+          Obs.Stall.all_causes;
+      (* Per-shard lists in shard order: ties go to the lower shard, then
+         the earlier op. *)
+      spikes = LR.merge_spikes (Array.to_list shard_spikes);
+      robust = None;
+    }
+  in
   {
     ops;
     wall_s;
@@ -393,35 +412,11 @@ let measure
     epochs;
     incll_first_touches = ft;
     incll_val_uses = vu;
-    metrics =
-      Obs.Registry.diff
-        ~after:(Store.Sharded.metrics store)
-        ~before:metrics_before;
-    shard_metrics =
-      Array.mapi
-        (fun i r ->
-          Obs.Registry.diff ~after:(Nvm.Region.metrics r)
-            ~before:shard_before.(i))
-        regions;
+    metrics;
     stalls =
       Array.to_list
-        (Array.mapi
-           (fun i r -> (Printf.sprintf "shard%d" i, Nvm.Region.stalls r))
-           regions);
-    spikes =
-      (let all = Array.fold_left (fun a l -> a @ l) [] shard_spikes in
-       let sorted =
-         List.sort
-           (fun a b ->
-             match compare b.sp_lat_ns a.sp_lat_ns with
-             | 0 -> compare (a.sp_shard, a.sp_index) (b.sp_shard, b.sp_index)
-             | c -> c)
-           all
-       in
-       List.filteri (fun i _ -> i < spike_k) sorted);
-    open_loop = arrival_rate <> None;
-    arrival_rate;
-    latency_threshold_ns;
+        (Array.mapi (fun i l -> (Printf.sprintf "shard%d" i, l)) ledgers);
+    latency;
     traces =
       List.init threads (fun i ->
           ( Printf.sprintf "shard%d" i,

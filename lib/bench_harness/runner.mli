@@ -8,21 +8,6 @@
     simulator's own host-CPU overhead. Wall-clock throughput is reported
     alongside for reference. *)
 
-type spike = {
-  sp_shard : int;
-  sp_index : int;  (** Position in the shard's encoded stream. *)
-  sp_tag : char;  (** ['\000'] put, ['\001'] get, ['\002'] scan. *)
-  sp_start_ns : float;
-      (** Simulated start of the op's latency window: its intended
-          arrival in open loop, its dispatch in closed loop. *)
-  sp_lat_ns : float;  (** Simulated latency (CO-corrected in open loop). *)
-  sp_wall_ns : float;  (** Wall service time, dispatch to completion. *)
-  sp_stalls : Obs.Stall.entry list;
-      (** Ledger entries overlapping the op's latency window — the
-          evidence for the attribution. *)
-}
-(** One of the top-k slowest ops of a run, with its overlapping stalls. *)
-
 type result = {
   ops : int;
   wall_s : float;
@@ -48,20 +33,16 @@ type result = {
           per-op [op.latency_ns] / [op.latency_wall_ns] histograms, the
           [stall.<cause>_ns] histograms and the
           [latency.attributed.<cause>] counters. *)
-  shard_metrics : Obs.Registry.t array;
-      (** The same window delta, per shard — so a latency regression can
-          be localized to one shard before blaming the workload. *)
   stalls : (string * Obs.Stall.t) list;
       (** Each shard's stall ledger (cleared at the start of the
           measured phase), labelled ["shard<i>"]. Feed to
           {!Obs.Perfetto.export} as the [stalls] tracks. *)
-  spikes : spike list;
-      (** Top-k slowest ops across all shards, slowest first. *)
-  open_loop : bool;
-  arrival_rate : float option;
-      (** Offered load in ops per {e simulated} second (open loop). *)
-  latency_threshold_ns : float;
-      (** Attribution threshold the run used (simulated ns). *)
+  latency : Latency_report.t;
+      (** The measured phase's latency report: the merged
+          [op.latency_ns] histogram (CO-corrected in open loop), the
+          over-threshold attribution, the ledgers' per-cause stall totals
+          and the top-k slowest ops across shards with the ledger entries
+          that overlapped them. *)
   traces : (string * Obs.Trace.t) list;
       (** Each shard's live event ring, labelled ["shard<i>"]. Empty
           rings unless the run was prepared with [~trace:true]. Feed to

@@ -7,6 +7,7 @@
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 module R = Bench_harness.Runner
+module LR = Bench_harness.Latency_report
 module Y = Workload.Ycsb
 
 (* --- stall ledger ------------------------------------------------------- *)
@@ -166,7 +167,7 @@ let open_loop_is_deterministic () =
   let rate = 0.95 *. closed.R.mops_sim *. 1e6 in
   let a = run_once ~arrival_rate:rate () in
   let b = run_once ~arrival_rate:rate () in
-  check "open-loop run is flagged" true a.R.open_loop;
+  check "open-loop run is flagged" true (a.R.latency.LR.arrival_rate <> None);
   check "open-loop latency histogram identical across runs" true
     (latency_json a = latency_json b);
   check "open-loop attribution identical across runs" true
@@ -196,20 +197,130 @@ let open_loop_fattens_the_tail () =
 
 let spikes_carry_their_evidence () =
   let r = run_once () in
-  check "spikes were captured" true (r.R.spikes <> []);
+  check "spikes were captured" true (r.R.latency.LR.spikes <> []);
   List.iter
-    (fun (s : R.spike) ->
+    (fun (s : LR.spike) ->
       check "spike is over threshold" true
-        (s.R.sp_lat_ns > r.R.latency_threshold_ns);
+        (s.LR.lat_ns > r.R.latency.LR.threshold_ns);
       check "spike cites at least one overlapping stall" true
-        (s.R.sp_stalls <> []))
-    r.R.spikes;
+        (s.LR.stalls <> []))
+    r.R.latency.LR.spikes;
   (* Slowest first. *)
   let rec sorted = function
-    | a :: (b :: _ as tl) -> a.R.sp_lat_ns >= b.R.sp_lat_ns && sorted tl
+    | a :: (b :: _ as tl) -> a.LR.lat_ns >= b.LR.lat_ns && sorted tl
     | _ -> true
   in
-  check "spikes sorted by latency" true (sorted r.R.spikes)
+  check "spikes sorted by latency" true (sorted r.R.latency.LR.spikes)
+
+(* --- the shared latency report ------------------------------------------ *)
+
+let spike ?(shard = 0) index lat_ns =
+  {
+    LR.shard;
+    index;
+    tag = '\000';
+    start_ns = 0.0;
+    lat_ns;
+    wall_ns = lat_ns;
+    queue_ns = 0.0;
+    cause = None;
+    stalls = [];
+  }
+
+let ids l = List.map (fun s -> (s.LR.shard, s.LR.index)) l
+
+(* The top-k keeps the slowest [spike_k], slowest first; an op tying one
+   already kept goes after it, so the first seen stays first. *)
+let top_k_keeps_the_slowest () =
+  (* 40 ops whose latencies cycle through 0..9 (four ops per value). *)
+  let buf =
+    List.fold_left LR.insert_spike []
+      (List.init 40 (fun i -> spike i (float_of_int (i mod 10))))
+  in
+  check_int "k kept" LR.spike_k (List.length buf);
+  let expected =
+    List.concat_map
+      (fun v -> List.init 4 (fun j -> (0, v + (10 * j))))
+      [ 9; 8; 7; 6 ]
+  in
+  check "slowest first, ties in first-seen order" true (ids buf = expected);
+  (* Merging per-shard lists: ties go to the earlier list. *)
+  let a = [ spike ~shard:0 0 5.0; spike ~shard:0 1 3.0 ]
+  and b = [ spike ~shard:1 0 5.0; spike ~shard:1 1 4.0 ] in
+  check "merge orders by latency, then list" true
+    (ids (LR.merge_spikes [ a; b ]) = [ (0, 0); (1, 0); (1, 1); (0, 1) ]);
+  check_int "merge keeps k" LR.spike_k
+    (List.length (LR.merge_spikes [ buf; buf ]))
+
+(* The remote bench blames an over-threshold op from its reply alone. *)
+let remote_attribution_rule () =
+  let attr queue_ns cause =
+    Bench_harness.Remote.attribute ~threshold_ns:50.0 ~lat_ns:200.0 ~queue_ns
+      cause
+  in
+  let server = Some Obs.Stall.Epoch_advance in
+  let net = Some Obs.Stall.Net_queue in
+  check "queue >= half the latency" true (attr 100.0 server = net);
+  (* Under half the latency, but covering all of it above the (higher)
+     threshold: 60 >= 200 - 150. *)
+  check "queue >= latency - threshold" true
+    (Bench_harness.Remote.attribute ~threshold_ns:150.0 ~lat_ns:200.0
+       ~queue_ns:60.0 server
+    = net);
+  check "otherwise the server's cause" true (attr 10.0 server = server);
+  check "no cause, some queue" true (attr 10.0 None = net);
+  check "no cause, no queue" true (attr 0.0 None = None)
+
+(* Every gated cell to_json writes is one bench_compare finds through the
+   cell list, with the value the report holds. *)
+let cells_cover_the_json () =
+  let h = Obs.Histogram.create () in
+  List.iter (fun x -> Obs.Histogram.record h x) [ 10.0; 20.0; 30000.0 ];
+  let stall_totals =
+    List.mapi
+      (fun i c -> (Obs.Stall.cause_name c, (i, 1000.0 *. float_of_int (i + 1))))
+      Obs.Stall.all_causes
+  in
+  let report =
+    {
+      LR.threshold_ns = 50.0;
+      arrival_rate = Some 1e6;
+      latency = h;
+      wall = None;
+      shards = [ h; h ];
+      over_threshold = 1;
+      attributed = LR.attribution (fun c -> if c = None then 1 else 0);
+      stall_totals;
+      spikes = [ spike 2 30000.0 ];
+      robust =
+        Some
+          { LR.ops = 64; retries = 3; reconnects = 1; backoff_ns = 5e5;
+            dedup_hits = 1 };
+    }
+  in
+  let json = Obs.Json.of_string (Obs.Json.to_string (LR.to_json report)) in
+  let cells = LR.cells json in
+  let value label =
+    match List.find_opt (fun c -> c.LR.label = label) cells with
+    | Some c -> LR.cell_value json c
+    | None -> None
+  in
+  let gated label expected =
+    check ("gated cell " ^ label) true (value label = Some expected)
+  in
+  List.iter
+    (fun (label, q) -> gated label (Obs.Histogram.percentile h q))
+    [ ("p50", 0.5); ("p99", 0.99); ("p999", 0.999) ];
+  List.iter
+    (fun (name, (_, total)) -> gated ("stall." ^ name) total)
+    stall_totals;
+  gated "robust.retries" 3.0;
+  gated "robust.reconnects" 1.0;
+  gated "robust.backoff_ns" 5e5;
+  check "shard p99 shown" true
+    (value "shard1 p99" = Some (Obs.Histogram.percentile h 0.99));
+  check "every listed cell has a value" true
+    (List.for_all (fun c -> LR.cell_value json c <> None) cells)
 
 let tests =
   ( "latency",
@@ -231,4 +342,10 @@ let tests =
         open_loop_fattens_the_tail;
       Alcotest.test_case "spikes carry their evidence" `Quick
         spikes_carry_their_evidence;
+      Alcotest.test_case "top-k keeps the slowest, first seen first" `Quick
+        top_k_keeps_the_slowest;
+      Alcotest.test_case "remote attribution rule" `Quick
+        remote_attribution_rule;
+      Alcotest.test_case "bench_compare cells cover the report" `Quick
+        cells_cover_the_json;
     ] )
