@@ -371,7 +371,7 @@ let () =
               end
           | [ "load"; path ] ->
               let region = Nvm.Image.load config.Sys_.nvm ~path in
-              store := S.of_system (Sys_.attach ~config !variant region);
+              store := S.attach ~config !variant [| region |];
               crashed := false;
               Printf.printf "rebooted from %s (%d entries)\n" path
                 (S.cardinal !store)

@@ -19,7 +19,6 @@ let usage =
   --policy P            throughput | latency | rto        (default throughput)
   --epoch-ms MS         checkpoint cadence                (default 16)
   --queue-capacity N    per-shard request queue bound     (default 1024)
-  --batch N             max requests per shard dequeue    (default 64)
   --image-dir DIR       persist each shard's NVM image to DIR/shard<i>.img;
                         restarting over an existing DIR recovers the store
   --size-mb MB          per-shard region size             (default 64)
@@ -42,11 +41,10 @@ let config_for policy epoch_ms ~size_mb ~log_kb =
 let image_path dir i = Filename.concat dir (Printf.sprintf "shard%d.img" i)
 
 (* Attach-or-create over an image directory: when every shard image is
-   present, reload the mirrors and recover each shard over its region
-   (in-doubt 2PC records probe the coordinator shard's watermark across
-   the freshly loaded regions, mirroring [Store.Sharded.recover]);
-   otherwise start fresh and arm a mirror per shard so this process's
-   state survives even a SIGKILL. *)
+   present, reload the mirrors and recover the store over them
+   ([Store.Sharded.attach] resolves in-doubt 2PC records against the
+   coordinator shard's watermark); otherwise start fresh and arm a mirror
+   per shard so this process's state survives even a SIGKILL. *)
 let store_for ~image_dir ~config ~variant ~shards =
   match image_dir with
   | None -> (Store.Sharded.create ~config variant ~shards, false)
@@ -56,19 +54,9 @@ let store_for ~image_dir ~config ~variant ~shards =
         List.init shards (fun i ->
             Nvm.Region.load_mirror config.Sys_.nvm ~path:(image_path dir i))
       in
-      if List.for_all Option.is_some regions then begin
+      if List.for_all Option.is_some regions then
         let regions = Array.of_list (List.map Option.get regions) in
-        let txn_probe ~coordinator ~txn_id =
-          coordinator >= 0
-          && coordinator < Array.length regions
-          && txn_id <= Incll.Txn.watermark regions.(coordinator)
-        in
-        let systems =
-          Array.to_list
-            (Array.map (Sys_.attach ~txn_probe ~config variant) regions)
-        in
-        (Store.Sharded.of_systems systems, true)
-      end
+        (Store.Sharded.attach ~config variant regions, true)
       else begin
         let store = Store.Sharded.create ~config variant ~shards in
         for i = 0 to shards - 1 do
@@ -79,6 +67,22 @@ let store_for ~image_dir ~config ~variant ~shards =
         (store, false)
       end
 
+(* Numeric options: a malformed or non-positive value is refused with one
+   line and exit 2, before anything is created or bound. *)
+let refuse msg =
+  prerr_endline msg;
+  exit 2
+
+let positive flag v =
+  match int_of_string_opt v with
+  | Some n when n > 0 -> n
+  | _ -> refuse (flag ^ " must be a positive integer")
+
+let positive_float flag v =
+  match float_of_string_opt v with
+  | Some f when Float.is_finite f && f > 0.0 -> f
+  | _ -> refuse (flag ^ " must be a positive number")
+
 let () =
   let listen = ref None in
   let variant = ref Sys_.Incll in
@@ -86,7 +90,6 @@ let () =
   let policy = ref Nvm.Config.Throughput in
   let epoch_ms = ref 16.0 in
   let queue_capacity = ref 1024 in
-  let batch = ref 64 in
   let image_dir = ref None in
   let size_mb = ref 64 in
   let log_kb = ref 4096 in
@@ -103,10 +106,13 @@ let () =
         | exception Invalid_argument m -> bad m);
         parse rest
     | "--variant" :: v :: rest ->
-        variant := Sys_.variant_of_string v;
+        (match Sys_.variant_of_string v with
+        | x -> variant := x
+        | exception Invalid_argument _ ->
+            bad ("unknown variant " ^ v ^ " (MT|MT+|LOGGING|INCLL)"));
         parse rest
     | "--shards" :: v :: rest ->
-        shards := int_of_string v;
+        shards := positive "--shards" v;
         parse rest
     | "--policy" :: v :: rest ->
         (match Nvm.Config.policy_of_string v with
@@ -115,22 +121,19 @@ let () =
             bad ("unknown policy " ^ v ^ " (throughput|latency|rto)"));
         parse rest
     | "--epoch-ms" :: v :: rest ->
-        epoch_ms := float_of_string v;
+        epoch_ms := positive_float "--epoch-ms" v;
         parse rest
     | "--queue-capacity" :: v :: rest ->
-        queue_capacity := int_of_string v;
-        parse rest
-    | "--batch" :: v :: rest ->
-        batch := int_of_string v;
+        queue_capacity := positive "--queue-capacity" v;
         parse rest
     | "--image-dir" :: v :: rest ->
         image_dir := Some v;
         parse rest
     | "--size-mb" :: v :: rest ->
-        size_mb := int_of_string v;
+        size_mb := positive "--size-mb" v;
         parse rest
     | "--log-kb" :: v :: rest ->
-        log_kb := int_of_string v;
+        log_kb := positive "--log-kb" v;
         parse rest
     | x :: _ -> bad ("unknown argument " ^ x)
   in
@@ -143,13 +146,12 @@ let () =
         prerr_endline usage;
         exit 2
   in
-  if !shards < 1 then bad "--shards must be >= 1";
   let config = config_for !policy !epoch_ms ~size_mb:!size_mb ~log_kb:!log_kb in
   let store, recovered =
     store_for ~image_dir:!image_dir ~config ~variant:!variant ~shards:!shards
   in
   let srv =
-    Server.Engine.start ~queue_capacity:!queue_capacity ~batch:!batch ~store
+    Server.Engine.start ~queue_capacity:!queue_capacity ~store
       ~variant:!variant ~shards:!shards listen
   in
   Printf.printf

@@ -12,7 +12,6 @@ type t = {
   mutable allocs : int;
   mutable deallocs : int;
   mutable freelist_allocs : int;
-  mutable bump_allocs : int;
   mutable quarantined : int;
   c_quarantined : int ref;  (* "alloc.quarantined_chains" registry counter *)
 }
@@ -20,7 +19,6 @@ type t = {
 let allocs t = t.allocs
 let deallocs t = t.deallocs
 let freelist_allocs t = t.freelist_allocs
-let bump_allocs t = t.bump_allocs
 let quarantined t = t.quarantined
 
 let corrupt ~head ~at ~steps reason =
@@ -155,7 +153,6 @@ let make region em =
     allocs = 0;
     deallocs = 0;
     freelist_allocs = 0;
-    bump_allocs = 0;
     quarantined = 0;
     c_quarantined =
       Obs.Registry.counter (Nvm.Region.metrics region)
@@ -215,7 +212,6 @@ let alloc ?(aligned = false) t ~size =
       ~now:(Nvm.Stats.sim_ns (Nvm.Region.stats t.region));
     set_meta_head t ~line:bump_line (bump + sz);
     Chunk_header.init t.region ~chunk:bump ~epoch:(current t) ~cls;
-    t.bump_allocs <- t.bump_allocs + 1;
     Obs.Stall.exit stalls ~now:(Nvm.Stats.sim_ns (Nvm.Region.stats t.region));
     Size_class.payload_of_chunk ~chunk:bump ~aligned
   end

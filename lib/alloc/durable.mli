@@ -94,7 +94,6 @@ val forget_limbo_tails : t -> unit
 val allocs : t -> int
 val deallocs : t -> int
 val freelist_allocs : t -> int
-val bump_allocs : t -> int
 val bump_position : t -> int
 val free_count : t -> cls:int -> int
 (** Length of a class's free list (walks it; testing aid). *)

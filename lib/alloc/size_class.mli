@@ -17,9 +17,6 @@
 val header_bytes : int
 (** 16: [next] and [nextInCLL] words. *)
 
-val aligned_payload_offset : int
-(** 64. *)
-
 val count : int
 
 val chunk_size : int -> int

@@ -49,8 +49,6 @@ let config_for ?(sfence_extra_ns = 0.0) ?(epoch_len_ns = 64.0e6)
    this in-process runner. *)
 module O = Workload.Opstream
 
-let apply_op = O.apply
-
 type encoded = O.encoded = {
   tags : Bytes.t;
   keys : string array;

@@ -133,5 +133,3 @@ val run_latency_sweep :
     emulated NVM latency (Figures 3 and 8). The tree state carries over
     between points — the stream is update/read-only against a fixed key
     population, so each window measures the same logical work. *)
-
-val apply_op : Incll.System.t -> Workload.Ycsb.op -> unit

@@ -30,7 +30,6 @@ type t = {
   stop_flag : bool Atomic.t;
   mutable accept_domain : unit Domain.t option;
   mutable conns : unit Domain.t list;
-  live_conns : int Atomic.t;
   mu : Mutex.t;  (* conns list + schedules + injected counts *)
   up : sched;  (* client -> server *)
   down : sched;  (* server -> client *)
@@ -220,13 +219,7 @@ let handle_conn t client =
   match connect_upstream t.upstream with
   | exception _ -> close_quiet client
   | server ->
-      Atomic.incr t.live_conns;
-      let d =
-        Domain.spawn (fun () ->
-            Fun.protect
-              ~finally:(fun () -> Atomic.decr t.live_conns)
-              (fun () -> conn_loop t ~client ~server))
-      in
+      let d = Domain.spawn (fun () -> conn_loop t ~client ~server) in
       Mutex.lock t.mu;
       t.conns <- d :: t.conns;
       Mutex.unlock t.mu
@@ -257,7 +250,6 @@ let start ?sched_up ?sched_down ?on_fault ~listen ~upstream () =
       stop_flag = Atomic.make false;
       accept_domain = None;
       conns = [];
-      live_conns = Atomic.make 0;
       mu = Mutex.create ();
       up = { points = check_sched sched_up; frames = 0 };
       down = { points = check_sched sched_down; frames = 0 };
@@ -269,7 +261,6 @@ let start ?sched_up ?sched_down ?on_fault ~listen ~upstream () =
   t
 
 let addr t = t.bound
-let live_conns t = Atomic.get t.live_conns
 
 let injected t site =
   Mutex.lock t.mu;

@@ -35,9 +35,6 @@ val start :
 val addr : t -> Wire.Client.addr
 (** The bound downstream address (ephemeral TCP port resolved). *)
 
-val live_conns : t -> int
-(** Relayed connections currently open. *)
-
 val injected : t -> Chaos.Site.t -> int
 (** Faults actually injected at a site so far, both directions. *)
 

@@ -39,7 +39,6 @@ type t = {
 }
 
 val make : Epoch.Manager.t -> Extlog.Log.t -> t
-val fresh_counters : unit -> counters
 
 (** Figure-7 accounting, mirrored into the region's metric registry (the
     hooks call these next to their own [counters] increments). *)

@@ -36,10 +36,6 @@ type recover_stats = {
       (* ordered (phase, sim ns) breakdown; sums to recovery_sim_ns *)
 }
 
-(* A transaction buffers its writes until commit (last-write-wins), so
-   abort never touches the tree. *)
-type txn_state = { id : int; mutable writes : (string * string option) list }
-
 type t = {
   variant : variant;
   config : config;
@@ -49,8 +45,6 @@ type t = {
   dalloc : Alloc.Durable.t option;
   tree : Masstree.Tree.t;
   last_recover_stats : recover_stats option;
-  mutable active_txn : txn_state option;
-  mutable next_txn_id : int;
   (* (sid, last_seq, status of that seq) per session found in the crashed
      epoch's dedup records; the serving layer reseeds its table from it. *)
   recovered_sessions : (int * int * int) list;
@@ -123,8 +117,6 @@ let create ?(config = default_config) variant =
         dalloc = None;
         tree;
         last_recover_stats = None;
-        active_txn = None;
-        next_txn_id = 1;
         recovered_sessions = [];
       }
   | Logging | Incll ->
@@ -155,8 +147,6 @@ let create ?(config = default_config) variant =
         dalloc = Some dalloc;
         tree;
         last_recover_stats = None;
-        active_txn = None;
-        next_txn_id = 1;
         recovered_sessions = [];
       }
 
@@ -175,8 +165,6 @@ let get t ~key =
   let r = Masstree.Tree.get t.tree ~key in
   after_op t;
   r
-
-let mem t ~key = Option.is_some (get t ~key)
 
 let remove t ~key =
   Nvm.Region.charge_op t.region;
@@ -225,79 +213,6 @@ let crash_with t ~choose =
   require_recoverable t "System.crash_with";
   Nvm.Region.crash_with t.region ~choose
 
-(* {1 Transactions}
-
-   Multi-key atomic updates over the [Txn] protocol. The system is
-   sequential, so the commit window (reserve .. apply) runs without an
-   intervening epoch advance: [reserve] takes any needed checkpoint
-   before the first PREPARE, and the writes are applied through the tree
-   directly (no [after_op]) so the records and the applied writes always
-   share one epoch. *)
-
-let txn_active t = Option.is_some t.active_txn
-
-let require_txn_capable t what =
-  require_recoverable t what;
-  if t.ctx = None then failwith (what ^ ": no logging context")
-
-let txn_begin t =
-  require_txn_capable t "System.txn_begin";
-  if txn_active t then failwith "System.txn_begin: transaction already active";
-  let id = t.next_txn_id in
-  t.next_txn_id <- id + 1;
-  t.active_txn <- Some { id; writes = [] }
-
-let active_exn t what =
-  match t.active_txn with
-  | Some txn -> txn
-  | None -> failwith (what ^ ": no active transaction")
-
-let txn_put t ~key ~value =
-  let txn = active_exn t "System.txn_put" in
-  txn.writes <- (key, Some value) :: txn.writes
-
-let txn_remove t ~key =
-  let txn = active_exn t "System.txn_remove" in
-  txn.writes <- (key, None) :: txn.writes
-
-(* Read-your-writes: the buffer (newest first) shadows the tree. *)
-let txn_get t ~key =
-  let txn = active_exn t "System.txn_get" in
-  match List.assoc_opt key txn.writes with
-  | Some v -> v
-  | None -> get t ~key
-
-let txn_abort t =
-  ignore (active_exn t "System.txn_abort" : txn_state);
-  t.active_txn <- None
-
-(* Last-write-wins flattening, preserving first-write order. *)
-let flatten_writes writes =
-  let seen = Hashtbl.create 8 in
-  List.fold_left
-    (fun acc (key, value) ->
-      if Hashtbl.mem seen key then acc
-      else begin
-        Hashtbl.add seen key ();
-        { Txn.key; value } :: acc
-      end)
-    [] writes
-
-let txn_commit t =
-  let txn = active_exn t "System.txn_commit" in
-  let ctx = Option.get t.ctx in
-  t.active_txn <- None;
-  let writes = flatten_writes txn.writes in
-  if writes <> [] then begin
-    Nvm.Region.charge_op t.region;
-    let coordinator = Txn.self_coordinator in
-    Txn.reserve ctx ~bytes:(Txn.prepare_bytes ~coordinator ~writes);
-    Txn.append_prepare ctx ~txn_id:txn.id ~coordinator ~writes;
-    Txn.advance_watermark t.region ~txn_id:txn.id;
-    Txn.apply_committed ctx t.tree ~txn_id:txn.id ~coordinator writes
-  end;
-  after_op t
-
 let recover_region ?txn_probe ~variant ~config region =
   (match variant with
   | Logging | Incll -> ()
@@ -342,14 +257,13 @@ let recover_region ?txn_probe ~variant ~config region =
         Epoch.Manager.open_after_crash ~epoch_len_ns:config.epoch_len_ns region)
   in
   let log = Extlog.Log.attach region in
-  (* Replay the external log (order-independent entries, §4.3). *)
-  let replayed =
+  (* Replay the external log (order-independent entries, §4.3) in one
+     pass that also collects the txn/session records resolved below and
+     parks the append cursor past the live prefix. *)
+  let replayed, records =
     phase "recover.extlog_replay" (fun () ->
         Extlog.Log.replay log ~is_failed:(Epoch.Manager.is_failed em))
   in
-  (* Recovery-time appends (txn redo below) must not overwrite the live
-     prefix — a crash during recovery replays it again. *)
-  Extlog.Log.seek_live_end log ~is_failed:(Epoch.Manager.is_failed em);
   (* Restore the allocator metadata lines (bump/free/limbo chains). *)
   let dalloc =
     phase "recover.alloc_chains" (fun () -> Alloc.Durable.open_after_crash em)
@@ -379,7 +293,8 @@ let recover_region ?txn_probe ~variant ~config region =
     | None -> fun ~coordinator:_ ~txn_id -> txn_id <= Txn.watermark region
   in
   let txns_redone, txns_aborted, session_records =
-    phase "recover.txn_resolve" (fun () -> Txn.resolve ctx tree ~probe)
+    phase "recover.txn_resolve" (fun () ->
+        Txn.resolve ctx tree ~probe records)
   in
   (* Per-session newest record wins: the records arrive in log order, so
      a later record of the same session overwrites an earlier one. *)
@@ -434,10 +349,6 @@ let recover_region ?txn_probe ~variant ~config region =
           sessions_recovered = List.length recovered_sessions;
           phases = List.rev !phases;
         };
-    active_txn = None;
-    (* Ids must stay above every committed id, or a reused id would make
-       a later in-doubt probe report a stale commit. *)
-    next_txn_id = Txn.watermark region + 1;
     recovered_sessions;
   }
 

@@ -54,44 +54,11 @@ val durable_alloc : t -> Alloc.Durable.t option
 
 val put : t -> key:string -> value:string -> unit
 val get : t -> key:string -> string option
-val mem : t -> key:string -> bool
 val remove : t -> key:string -> bool
 val scan : t -> start:string -> n:int -> (string * string) list
 
 val scan_rev : t -> ?bound:string -> n:int -> unit -> (string * string) list
 (** Descending scan from the largest key [<= bound]. *)
-
-(** {1 Transactions (Logging / Incll variants)}
-
-    Durable multi-key transactions over the {!Txn} commit protocol.
-    Writes are buffered until commit (reads inside the transaction see
-    them), so {!txn_abort} is free; {!txn_commit} makes the whole write
-    set atomic with respect to crashes — after recovery either every
-    write of the transaction is present or none is. One transaction at a
-    time (the system is sequential). *)
-
-val txn_begin : t -> unit
-(** Start buffering. Fails if a transaction is already active or the
-    variant has no logging context ([Mt] / [Mt_plus]). *)
-
-val txn_active : t -> bool
-
-val txn_put : t -> key:string -> value:string -> unit
-val txn_remove : t -> key:string -> unit
-(** Buffer a write into the active transaction (last write per key
-    wins). Fails outside a transaction. *)
-
-val txn_get : t -> key:string -> string option
-(** Read-your-writes lookup: buffered writes shadow the tree. *)
-
-val txn_abort : t -> unit
-(** Discard the buffered writes; the tree was never touched. *)
-
-val txn_commit : t -> unit
-(** Commit atomically: reserve log headroom, append a fenced PREPARE
-    record carrying the write set, durably advance the commit watermark
-    (the atomic commit point), then apply the writes through the tree.
-    An empty transaction commits without touching the log. *)
 
 val durability_lag_ns : t -> float
 (** Simulated time since the last completed checkpoint — the window of
@@ -121,7 +88,7 @@ val recover : ?txn_probe:(coordinator:int -> txn_id:int -> bool) -> t -> t
 
     [txn_probe] decides whether a surviving PREPARE record's transaction
     committed; the default probes this region's own watermark (correct
-    for a standalone system). A sharded store passes a probe that reads
+    for a one-shard store). [Store.Sharded] passes a probe that reads
     the coordinator shard's watermark. *)
 
 val attach :

@@ -27,10 +27,6 @@
 
 type write = { key : string; value : string option }
 
-(* Coordinator id used by a standalone (unsharded) system: the probe
-   resolves it to the system's own region. *)
-let self_coordinator = 0
-
 (* {1 Record payload codec}
 
    Fixed-width little-endian words with explicit lengths; the extlog pads
@@ -100,19 +96,6 @@ let decode_prepare payload =
     let* writes = loop 16 n [] in
     Some (coordinator, writes)
   end
-
-let decode_commit payload =
-  let ( let* ) = Option.bind in
-  let* n = word payload 0 in
-  if n < 0 then None
-  else
-    let rec loop pos k acc =
-      if k = 0 then Some (List.rev acc)
-      else
-        let* p = word payload pos in
-        loop (pos + 8) (k - 1) (p :: acc)
-    in
-    loop 8 n []
 
 let prepare_bytes ~coordinator ~writes =
   Extlog.Log.record_bytes
@@ -268,12 +251,12 @@ let apply_committed ctx tree ~txn_id ~coordinator writes =
    commit order, so redone write sets land in the original serialization
    order.
 
-   The records are materialized before any redo runs: redo writes append
-   node images to the log (past the live prefix — recovery parked the
-   cursor there), and an iteration interleaved with appends could race a
-   [Log_full]-forced truncation. For the same reason, a mid-redo epoch
-   change re-arms PREPAREs for every transaction not fully redone yet,
-   current one included, before continuing. Returns [(redone, aborted)]
+   The records were materialized by the replay pass before any redo
+   runs: redo writes append node images to the log (past the live prefix
+   — the replay parked the cursor there), and a [Log_full]-forced
+   truncation mid-redo drops the originals. So a mid-redo epoch change
+   re-arms PREPAREs for every transaction not fully redone yet, current
+   one included, before continuing. Returns [(redone, aborted)]
    transaction counts. *)
 (* A pending redo item: a committed PREPARE's (remaining) write set, or
    a session dedup record. Redone strictly in log order, so a session
@@ -283,12 +266,11 @@ type redo_item =
   | Rtxn of int * int * write list  (* txn_id, coordinator, remaining *)
   | Rsess of int * int * int * Session.op  (* sid, seq, status *)
 
-let resolve ctx tree ~probe =
+let resolve ctx tree ~probe records =
   let items = ref [] and aborted = ref 0 in
   let sessions = ref [] in
-  Extlog.Log.fold_live_records ctx.Ctx.log
-    ~is_failed:(Epoch.Manager.is_failed ctx.Ctx.em)
-    (fun ~kind ~epoch:_ ~txn_id ~payload ->
+  List.iter
+    (fun { Extlog.Log.kind; txn_id; payload; epoch = _ } ->
       if kind = Extlog.Log.kind_txn_prepare then begin
         match decode_prepare payload with
         | None -> incr aborted (* writer bug; treat as never-committed *)
@@ -306,7 +288,8 @@ let resolve ctx tree ~probe =
         | Some (seq, status, op) ->
             sessions := (txn_id, seq, status) :: !sessions;
             items := Rsess (txn_id, seq, status, op) :: !items
-      end);
+      end)
+    records;
   let pending = ref (List.rev !items) in
   let redone = ref 0 in
   (* Mid-redo epoch change: re-arm a record for everything not fully

@@ -1,9 +1,9 @@
 (** The durable multi-key transaction commit protocol.
 
-    Building blocks shared by [Incll.System] (single store) and
-    [Store.Sharded] (two-phase commit across shards): typed PREPARE /
-    COMMIT records in the external log, the durable commit watermark, and
-    the recovery-side resolution of in-doubt records.
+    Building blocks of [Store.Sharded]'s two-phase commit (a one-shard
+    store runs the same protocol): typed PREPARE / COMMIT records in the
+    external log, the durable commit watermark, and the recovery-side
+    resolution of in-doubt records.
 
     The protocol in one line: buffer writes, reserve log headroom,
     append a fenced PREPARE per participant, durably advance the
@@ -20,20 +20,7 @@
 
 type write = { key : string; value : string option  (** [None] = remove *) }
 
-val self_coordinator : int
-(** Coordinator id a standalone (unsharded) system stamps into its
-    PREPARE records; the default recovery probe resolves it to the
-    system's own region. *)
-
-(** {1 Payload codec} *)
-
-val encode_prepare : coordinator:int -> writes:write list -> string
-val decode_prepare : string -> (int * write list) option
-(** [None] on malformed bytes — recovery treats such a record as
-    never-committed rather than crashing. *)
-
-val encode_commit : participants:int list -> string
-val decode_commit : string -> int list option
+(** {1 Record sizes} *)
 
 val prepare_bytes : coordinator:int -> writes:write list -> int
 (** Log bytes the PREPARE for [writes] will consume (for {!reserve}). *)
@@ -78,17 +65,13 @@ val apply_committed :
     the unapplied remainder is re-armed first, so the transaction stays
     redoable across any crash point. *)
 
-val append_session :
+val append_session_retry :
   Ctx.t -> sid:int -> seq:int -> status:int -> Session.op -> unit
 (** Append and fence a session dedup record ({!Session}): the serving
     layer calls this after an op applied and before its reply is sent,
-    so every acked mutation is redoable after a crash. Raises
-    [Extlog.Log.Log_full] if the record does not fit. *)
-
-val append_session_retry :
-  Ctx.t -> sid:int -> seq:int -> status:int -> Session.op -> unit
-(** {!append_session}, forcing a checkpoint (which truncates the log)
-    and retrying on [Log_full]. *)
+    so every acked mutation is redoable after a crash. If the record
+    does not fit, forces a checkpoint (which truncates the log) and
+    retries. *)
 
 (** {1 Recovery-side resolution} *)
 
@@ -96,14 +79,15 @@ val resolve :
   Ctx.t ->
   Masstree.Tree.t ->
   probe:(coordinator:int -> txn_id:int -> bool) ->
+  Extlog.Log.record list ->
   int * int * (int * int * int) list
-(** Resolve surviving PREPARE and session records strictly in log
-    (= serialization) order: redo the write sets of transactions
-    [probe] reports committed and the ops of session records (their
-    effects were rolled back with the crashed epoch; commit-tagged
-    session records are not re-applied — their write set redoes via its
-    own PREPARE), discard the rest (firing [Txn_rollback] per discarded
-    txn). Returns [(txns_redone, txns_aborted, sessions)] where
+(** Resolve the records [Extlog.Log.replay] collected from the crashed
+    epoch's live log prefix, strictly in log (= serialization) order:
+    redo the write sets of PREPAREs [probe] reports committed and the
+    ops of session records (their effects were rolled back with the
+    crashed epoch; commit-tagged session records are not re-applied —
+    their write set redoes via its own PREPARE), discard the rest
+    (firing [Txn_rollback] per discarded txn). Returns [(txns_redone, txns_aborted, sessions)] where
     [sessions] lists every surviving session record as
     [(sid, seq, status)] in log order — the serving layer rebuilds its
     dedup table from it. Run after the undo replay and tree reattach,

@@ -105,6 +105,7 @@ let load_failed_set t =
 
 let failed_slots t = List.length t.ranges
 
+(* The durable floor last recorded by [note_swept] (0 = never swept). *)
 let sweep_floor t =
   Int64.to_int (Nvm.Region.read_i64 t.region Nvm.Layout.off_sweep_floor)
 

@@ -136,9 +136,6 @@ val note_swept : t -> floor:int -> unit
     [floor] become garbage and are collected when the set runs out of
     slots. *)
 
-val sweep_floor : t -> int
-(** The durable floor last recorded by {!note_swept} (0 = never swept). *)
-
 (** {1 Epoch-number encodings used by the InCLL words (§4.1.3)} *)
 
 val lower16 : int -> int

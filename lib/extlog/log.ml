@@ -212,45 +212,42 @@ let scan_entries t f =
   fold_entries t (fun ~kind ~epoch ~addr ~size ~payload_off:_ ->
       f ~kind ~epoch ~addr ~size)
 
+type record = { kind : int; epoch : int; txn_id : int; payload : string }
+
 (* The live prefix after a crash: intact entries at or above the durable
-   truncation floor that belong to a failed (rolled-back) epoch. Replayable
-   entries form a contiguous prefix; stop at the first stale or non-failed
-   entry. *)
-let fold_live t ~is_failed f =
-  let floor = truncation_epoch t in
-  let stop = ref false in
-  fold_entries t (fun ~kind ~epoch ~addr ~size ~payload_off ->
-      if (not !stop) && epoch >= floor && is_failed epoch then
-        f ~kind ~epoch ~addr ~size ~payload_off
-      else stop := true)
-
-(* Recovery appends (transaction redo) must not overwrite the live
-   prefix: a crash during recovery replays it again, so its entries have
-   to stay intact until the end-of-recovery checkpoint truncates them.
-   Park the cursor just past the prefix instead of at the start. *)
-let seek_live_end t ~is_failed =
-  let end_ = ref 0 in
-  fold_live t ~is_failed (fun ~kind:_ ~epoch:_ ~addr:_ ~size ~payload_off:_ ->
-      end_ := !end_ + header_bytes + size);
-  t.tail <- !end_
-
+   truncation floor that belong to a failed (rolled-back) epoch, up to the
+   first stale or non-failed entry. One walk over it copies the node
+   images home, collects the typed records for recovery to resolve, and
+   parks the append cursor just past it: a crash during recovery replays
+   the prefix again, so recovery-time appends (transaction redo) must not
+   overwrite it before the end-of-recovery checkpoint truncates it. *)
 let replay t ~is_failed =
-  let applied = ref 0 in
-  fold_live t ~is_failed (fun ~kind ~epoch:_ ~addr ~size ~payload_off ->
-      if kind = kind_node then begin
-        Nvm.Region.blit_within t.region ~src:payload_off ~dst:addr ~len:size;
-        incr applied
-      end);
+  let floor = truncation_epoch t in
+  let live = ref true in
+  let applied = ref 0 and records = ref [] and live_end = ref 0 in
+  fold_entries t (fun ~kind ~epoch ~addr ~size ~payload_off ->
+      if !live && epoch >= floor && is_failed epoch then begin
+        if kind = kind_node then begin
+          Nvm.Region.blit_within t.region ~src:payload_off ~dst:addr ~len:size;
+          incr applied
+        end
+        else
+          records :=
+            {
+              kind;
+              epoch;
+              txn_id = addr;
+              payload = Nvm.Region.read_string t.region payload_off ~len:size;
+            }
+            :: !records;
+        live_end := !live_end + header_bytes + size
+      end
+      else live := false);
+  t.tail <- !live_end;
   t.c_replayed := !(t.c_replayed) + !applied;
   Nvm.Region.trace_event t.region
     (Obs.Trace.Extlog_replay { entries = !applied });
-  !applied
-
-let fold_live_records t ~is_failed f =
-  fold_live t ~is_failed (fun ~kind ~epoch ~addr ~size ~payload_off ->
-      if kind <> kind_node then
-        f ~kind ~epoch ~txn_id:addr
-          ~payload:(Nvm.Region.read_string t.region payload_off ~len:size))
+  (!applied, List.rev !records)
 
 let fold_all_records t f =
   fold_entries t (fun ~kind ~epoch ~addr ~size ~payload_off ->

@@ -7,10 +7,10 @@
     caller tracks that via the node's logged-epoch field), so entries are
     mutually independent and can be replayed in any order (§4.3).
 
-    Every entry carries a {e kind}: [kind_node] entries are the paper's
-    undo images; [kind_txn_prepare] / [kind_txn_commit] entries are
-    WAL-style commit-protocol records (serialized write sets keyed by a
-    transaction id in the header's addr field) that {!replay} skips and
+    Every entry carries a {e kind}: node entries are the paper's undo
+    images; [kind_txn_prepare] / [kind_txn_commit] entries are WAL-style
+    commit-protocol records (serialized write sets keyed by a transaction
+    id in the header's addr field) that {!replay} hands back uncopied and
     {!Incll.Txn} interprets during recovery.
 
     The log is logically discarded at every checkpoint: the append cursor is
@@ -27,19 +27,18 @@ exception Log_full
     the caller reacts by forcing a checkpoint (which truncates the log)
     and retrying. *)
 
-val kind_node : int
 val kind_txn_prepare : int
 val kind_txn_commit : int
 
 val kind_session : int
 (** Session dedup record (exactly-once serving, DESIGN.md §17): the addr
     field carries the session id, the payload a serialized
-    (seqno, status, op) tuple ({!Incll.Session}). Skipped by {!replay},
-    interpreted alongside txn records during recovery. *)
+    (seqno, status, op) tuple ({!Incll.Session}). Returned uncopied by
+    {!replay}, interpreted alongside txn records during recovery. *)
 
 val attach : Nvm.Region.t -> t
 (** Attach to the region's log slice with the cursor at the start. Use after
-    [create] or at the start of recovery (replay does not need a cursor). *)
+    [create] or at the start of recovery ({!replay} parks the cursor). *)
 
 val append : t -> epoch:int -> addr:int -> size:int -> unit
 (** Log the current image of the object at [addr .. addr+size): copy it into
@@ -66,28 +65,25 @@ val truncate : t -> epoch:int -> unit
 
 val truncation_epoch : t -> int
 
-val replay : t -> is_failed:(int -> bool) -> int
-(** Copy every intact [kind_node] entry belonging to a failed epoch at or
-    above the truncation floor back to its home address; returns the number
-    of entries applied. Txn records in the same live prefix are skipped
-    (see {!fold_live_records}). Idempotent, and writes are not flushed — if
-    recovery crashes, it simply runs again (§4.3). *)
+type record = {
+  kind : int;
+  epoch : int;
+  txn_id : int;  (** the session id for [kind_session] *)
+  payload : string;  (** NUL-padded to a multiple of 8 bytes *)
+}
+(** A typed (non-node) entry read back from the log. *)
 
-val seek_live_end : t -> is_failed:(int -> bool) -> unit
-(** Park the append cursor just past the live prefix instead of at the
-    start. Recovery calls this before any recovery-time append
-    (transaction redo), because overwriting the live prefix would starve
-    a subsequent crash-during-recovery of the very entries it replays. *)
-
-val fold_live_records :
-  t ->
-  is_failed:(int -> bool) ->
-  (kind:int -> epoch:int -> txn_id:int -> payload:string -> unit) ->
-  unit
-(** Iterate the typed (non-node) records of the same live prefix
-    {!replay} applies: intact, at or above the truncation floor,
-    belonging to a failed epoch. Recovery resolves these (redo or
-    discard), in log order. *)
+val replay : t -> is_failed:(int -> bool) -> int * record list
+(** Recovery's one pass over the live prefix: the intact entries at or
+    above the truncation floor that belong to a failed epoch, up to the
+    first entry that is not. Copies every node image back to its home
+    address, collects the typed records in log order, and parks the
+    append cursor just past the prefix, so recovery-time appends
+    (transaction redo) cannot overwrite what a crash during recovery
+    would replay again. Returns the number of node images applied and
+    the records, which recovery then resolves (redo or discard).
+    Idempotent, and writes are not flushed — if recovery crashes, it
+    simply runs again (§4.3). *)
 
 val fold_all_records :
   t -> (kind:int -> epoch:int -> txn_id:int -> payload:string -> unit) -> unit

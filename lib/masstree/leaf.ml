@@ -75,8 +75,6 @@ let set_value region node ~slot v =
   Nvm.Region.write_int region (node + val_off slot) v
 
 let incll region node ~slot = Nvm.Region.read_i64 region (node + incll_off slot)
-let set_incll region node ~slot v =
-  Nvm.Region.write_i64 region (node + incll_off slot) v
 
 let incll_by_index region node ~which =
   Nvm.Region.read_i64 region (node + if which = 0 then incll1_off else incll2_off)

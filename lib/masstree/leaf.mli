@@ -77,7 +77,6 @@ val set_value : Nvm.Region.t -> int -> slot:int -> int -> unit
 val incll : Nvm.Region.t -> int -> slot:int -> int64
 (** The InCLL word covering [slot]'s cache line. *)
 
-val set_incll : Nvm.Region.t -> int -> slot:int -> int64 -> unit
 val incll_by_index : Nvm.Region.t -> int -> which:int -> int64
 (** [which] is 0 (InCLL1) or 1 (InCLL2). *)
 

@@ -738,6 +738,9 @@ let rec scan_layer_rev t root ~prefix ~local_bound ~f =
 let fold_from t ~start ~f =
   ignore (scan_layer t t.root ~prefix:"" ~local_start:(Some start) ~f)
 
+(* Reverse in-order traversal of keys [<= bound] (all keys when [bound]
+   is omitted); [f] returns whether to continue. Walks the [prev] links
+   of the leaf chain. *)
 let fold_back t ?bound ~f () =
   ignore (scan_layer_rev t t.root ~prefix:"" ~local_bound:bound ~f)
 

@@ -64,11 +64,6 @@ val scan : t -> start:string -> n:int -> (string * string) list
 (** The YCSB-E operation: up to [n] consecutive key-value pairs starting at
     the smallest key [>= start]. *)
 
-val fold_back : t -> ?bound:string -> f:(string -> string -> bool) -> unit -> unit
-(** Reverse in-order traversal of keys [<= bound] (all keys when [bound]
-    is omitted); [f] returns whether to continue. Walks the [prev] links
-    of the leaf chain. *)
-
 val scan_rev : t -> ?bound:string -> n:int -> unit -> (string * string) list
 (** Up to [n] pairs in descending order from the largest key [<= bound]
     (from the maximum when [bound] is omitted). *)

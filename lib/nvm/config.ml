@@ -78,13 +78,8 @@ let default =
     cost = default_cost_model;
   }
 
-let with_size t size_bytes = { t with size_bytes }
-let with_crash_support t crash_support = { t with crash_support }
-
 let with_sfence_extra_ns t ns =
   { t with cost = { t.cost with sfence_extra_ns = ns } }
-
-let with_max_dirty_lines t max_dirty_lines = { t with max_dirty_lines }
 
 (* Policy presets. [Throughput] is the paper's scheduler (fixed-period
    stop-the-world wbinvd) and is the default, so existing configurations

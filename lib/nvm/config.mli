@@ -109,10 +109,7 @@ type t = {
 
 val default : t
 
-val with_size : t -> int -> t
-val with_crash_support : t -> crash_support -> t
 val with_sfence_extra_ns : t -> float -> t
-val with_max_dirty_lines : t -> int option -> t
 
 val with_policy : t -> policy -> t
 (** Set [policy] and reset the sweep/pressure knobs to that policy's

@@ -44,7 +44,5 @@ let off_sweep_floor = 3080
 let extlog_off = superblock_bytes
 let heap_off (cfg : Config.t) = extlog_off + cfg.Config.extlog_bytes
 
-let heap_len (cfg : Config.t) = cfg.Config.size_bytes - heap_off cfg
-
 let magic = 0x1AC11_0CA41_2019L (* "InCLL OCaml 2019" *)
 let format_version = 1L

@@ -79,7 +79,6 @@ val max_size_classes : int
 
 val extlog_off : int
 val heap_off : Config.t -> int
-val heap_len : Config.t -> int
 
 val magic : int64
 val format_version : int64

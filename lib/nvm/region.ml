@@ -393,11 +393,6 @@ let read_string t addr ~len =
   charge_read_span t addr len;
   Bytes.sub_string t.volatile addr len
 
-let blit_to_buf t addr buf ~pos ~len =
-  check_range t addr len;
-  charge_read_span t addr len;
-  Bytes.blit t.volatile addr buf pos len
-
 let blit_within t ~src ~dst ~len =
   check_range t src len;
   check_range t dst len;

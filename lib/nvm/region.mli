@@ -99,8 +99,8 @@ val write_u8 : t -> addr -> int -> unit
 val read_bytes : t -> addr -> len:int -> Bytes.t
 val write_bytes : t -> addr -> Bytes.t -> unit
 (** Multi-line stores are split into per-line stores in address order.
-    Symmetrically, multi-byte {e reads} ({!read_bytes}, {!read_string},
-    {!blit_to_buf} and the source side of {!blit_within}) charge one read
+    Symmetrically, multi-byte {e reads} ({!read_bytes}, {!read_string}
+    and the source side of {!blit_within}) charge one read
     plus one LLC probe per touched line. *)
 
 val read_string : t -> addr -> len:int -> string
@@ -109,7 +109,6 @@ val write_string : t -> addr -> string -> unit
     no intermediate [Bytes.t] copy (one allocation for the result of
     {!read_string}, none for {!write_string}). *)
 
-val blit_to_buf : t -> addr -> Bytes.t -> pos:int -> len:int -> unit
 val blit_within : t -> src:addr -> dst:addr -> len:int -> unit
 (** Volatile-image copy, recorded as stores to the destination lines and
     reads of the source lines. *)

@@ -32,8 +32,3 @@ val export :
 
 val events_of_stalls : pid:int -> tid:int -> Stall.t -> Json.t list
 (** The raw slice list for one stall ledger (no metadata, no wrapper). *)
-
-val events_of_trace : pid:int -> tid:int -> Trace.t -> Json.t list
-(** The raw event list for one ring (no wrapper object). *)
-
-val counter_events : pid:int -> name:string -> Series.t -> Json.t list

@@ -144,8 +144,6 @@ let exit t ~now =
         ~dur_ns:(Float.max 0.0 (now -. t.scope_start))
   end
 
-let in_scope t = t.scope_depth > 0
-
 let leaf t cause ~start_ns ~dur_ns =
   if t.scope_depth = 0 then record t cause ~start_ns ~dur_ns
 

@@ -90,9 +90,6 @@ val exit : t -> now:float -> unit
     recorded spanning [enter]'s [now] to this [now]. Unbalanced [exit]
     (no open scope) is a no-op. *)
 
-val in_scope : t -> bool
-(** True while any scope is open (leaf recordings are suppressed). *)
-
 val leaf : t -> cause -> start_ns:float -> dur_ns:float -> unit
 (** Record a point stall unless a scope is open (in which case the open
     scope already accounts for this time). *)

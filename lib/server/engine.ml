@@ -584,6 +584,9 @@ let bind_listen addr =
 
 let start ?config ?(queue_capacity = 1024) ?(batch = 64) ?on_dequeue ?store
     ~variant ~shards addr =
+  (* A zero batch would leave every queued job unrun behind an armed
+     wake pipe; a zero capacity would bounce every queued op BUSY. *)
+  if batch < 1 || queue_capacity < 1 then invalid_arg "Engine.start";
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let store =
     match store with

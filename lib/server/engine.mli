@@ -54,9 +54,11 @@ type t
 val start :
   ?config:Incll.System.config ->
   ?queue_capacity:int ->
-  (* per-shard request queue bound; default 1024 *)
+  (* per-shard request queue bound; default 1024; must be positive *)
   ?batch:int ->
-  (* max requests a shard domain dequeues at once; default 64 *)
+  (* max requests a shard domain dequeues at once; default 64; must be
+     positive. A test seam (batch 1 makes a wedged shard hold exactly one
+     request); the server binary does not expose it *)
   ?on_dequeue:(shard:int -> unit) ->
   (* test hook: runs on shard domain [shard] before each dequeued batch
      and each read's requests — block here to wedge that domain *)

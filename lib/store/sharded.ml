@@ -1,9 +1,8 @@
-(* A store-level transaction buffers its writes until commit
-   (last-write-wins), exactly like the single-system one. *)
+(* A transaction buffers its writes until commit (last-write-wins), so
+   abort never touches a tree. *)
 type txn_state = { id : int; mutable writes : (string * string option) list }
 
 type t = {
-  variant : Incll.System.variant;
   mutable shards : Incll.System.t array;
   mutable active_txn : txn_state option;
   mutable next_txn_id : int;
@@ -12,43 +11,37 @@ type t = {
 let create ?config variant ~shards =
   if shards <= 0 then invalid_arg "Sharded.create";
   {
-    variant;
     shards = Array.init shards (fun _ -> Incll.System.create ?config variant);
     active_txn = None;
     next_txn_id = 1;
   }
 
-let of_system sys =
-  {
-    variant = Incll.System.variant sys;
-    shards = [| sys |];
-    active_txn = None;
-    next_txn_id = Incll.Txn.watermark (Incll.System.region sys) + 1;
-  }
+(* The coordinator-watermark rule, in one place: an in-doubt PREPARE
+   committed iff its coordinator shard's durable watermark covers its
+   txn id. Regions persist across recovery and the watermark word is
+   fenced at commit, so the probe is valid even for shards not yet
+   re-attached. *)
+let txn_probe regions ~coordinator ~txn_id =
+  coordinator >= 0
+  && coordinator < Array.length regions
+  && txn_id <= Incll.Txn.watermark regions.(coordinator)
 
-(* Wrap systems recovered elsewhere (e.g. reattached from per-shard NVM
-   mirrors after a process restart) as one store. Ids must stay above
-   every committed id on any shard, or a reused id would make a later
-   in-doubt probe report a stale commit. *)
-let of_systems systems =
-  if systems = [] then invalid_arg "Sharded.of_systems";
-  let shards = Array.of_list systems in
-  let variant = Incll.System.variant shards.(0) in
-  Array.iter
-    (fun s ->
-      if Incll.System.variant s <> variant then
-        invalid_arg "Sharded.of_systems: mixed variants")
-    shards;
-  let max_wm =
-    Array.fold_left
-      (fun acc s -> max acc (Incll.Txn.watermark (Incll.System.region s)))
-      0 shards
-  in
-  { variant; shards; active_txn = None; next_txn_id = max_wm + 1 }
+(* Ids must stay above every committed id on any shard, or a reused id
+   would make a later in-doubt probe report a stale commit. *)
+let next_id_above regions ~floor =
+  1 + Array.fold_left (fun a r -> max a (Incll.Txn.watermark r)) floor regions
+
+let attach ?config variant regions =
+  if Array.length regions = 0 then invalid_arg "Sharded.attach";
+  let txn_probe = txn_probe regions in
+  {
+    shards = Array.map (Incll.System.attach ~txn_probe ?config variant) regions;
+    active_txn = None;
+    next_txn_id = next_id_above regions ~floor:0;
+  }
 
 let nshards t = Array.length t.shards
 let shard t i = t.shards.(i)
-let variant t = t.variant
 
 (* Monotone map from the first key slice to a shard index: multiply the
    top 32 bits by the shard count. *)
@@ -230,22 +223,11 @@ let crash t rng = Array.iter (fun s -> Incll.System.crash s rng) t.shards
 (* In place: [shards] is mutable, so the old `{t with shards = ...}` copy
    left any alias of [t] still pointing at the pre-recovery shard array. *)
 let recover t =
-  (* In-doubt PREPAREs probe the coordinator shard's watermark. Regions
-     persist across recovery and the watermark word is fenced at commit,
-     so the probe is valid even for shards not yet re-attached. *)
   let regions = Array.map Incll.System.region t.shards in
-  let txn_probe ~coordinator ~txn_id =
-    coordinator >= 0
-    && coordinator < Array.length regions
-    && txn_id <= Incll.Txn.watermark regions.(coordinator)
-  in
+  let txn_probe = txn_probe regions in
   t.shards <- Array.map (Incll.System.recover ~txn_probe) t.shards;
   t.active_txn <- None;
-  t.next_txn_id <-
-    1
-    + Array.fold_left
-        (fun a r -> max a (Incll.Txn.watermark r))
-        (t.next_txn_id - 1) regions;
+  t.next_txn_id <- next_id_above regions ~floor:(t.next_txn_id - 1);
   (* Merge the shards' per-phase breakdowns: sum durations per phase,
      phase order taken from first appearance (shards recover through the
      same procedure, so that is the procedure order). *)
@@ -268,12 +250,6 @@ let recover t =
 let metrics t =
   Obs.Registry.merged
     (Array.to_list (Array.map Incll.System.metrics t.shards))
-
-let sim_ns s = Nvm.Stats.sim_ns (Nvm.Region.stats (Incll.System.region s))
-
-let total_sim_ns t = Array.fold_left (fun a s -> a +. sim_ns s) 0.0 t.shards
-
-let max_sim_ns t = Array.fold_left (fun a s -> Float.max a (sim_ns s)) 0.0 t.shards
 
 let cardinal t =
   Array.fold_left

@@ -20,20 +20,18 @@ type t
 
 val create : ?config:Incll.System.config -> Incll.System.variant -> shards:int -> t
 
-val of_system : Incll.System.t -> t
-(** Wrap one existing system (e.g. restored from an NVM image) as a
-    single-shard store. *)
-
-val of_systems : Incll.System.t list -> t
-(** Wrap existing systems (e.g. reattached from per-shard NVM mirrors
-    after a process restart — the shards must be in shard order and all
-    of one variant) as one store; the next transaction id resumes above
+val attach :
+  ?config:Incll.System.config -> Incll.System.variant -> Nvm.Region.t array -> t
+(** Recover a store from per-shard regions obtained elsewhere (e.g. NVM
+    images or mirrors reloaded after a process restart), given in shard
+    order: each shard runs [Incll.System.attach], in-doubt transaction
+    records are resolved against the coordinator shard's watermark
+    exactly as in {!recover}, and the next transaction id resumes above
     every shard's durable watermark. *)
 
 val nshards : t -> int
 val shard : t -> int -> Incll.System.t
 val shard_of_key : t -> string -> int
-val variant : t -> Incll.System.variant
 
 val put : t -> key:string -> value:string -> unit
 val get : t -> key:string -> string option
@@ -94,12 +92,5 @@ val recover : t -> (string * float) list
 
 val metrics : t -> Obs.Registry.t
 (** Fresh merged copy of every shard's metric registry. *)
-
-val total_sim_ns : t -> float
-(** Sum of per-shard simulated clocks (sequential-work view). *)
-
-val max_sim_ns : t -> float
-(** Max over shards (parallel wall-clock view: shards run on their own
-    domains). *)
 
 val cardinal : t -> int

@@ -25,9 +25,6 @@ val next64 : t -> int64
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. [bound] must be positive. *)
 
-val int64_nonneg : t -> int64
-(** Uniform non-negative int64 (63 random bits). *)
-
 val float : t -> float
 (** Uniform float in [\[0, 1)]. *)
 

@@ -88,8 +88,3 @@ let apply sys = function
   | Del key -> ignore (Incll.System.remove sys ~key : bool)
   | Scan (start, n) ->
       ignore (Incll.System.scan sys ~start ~n : (string * string) list)
-
-let of_ycsb = function
-  | Ycsb.Put (k, v) -> Put (k, v)
-  | Ycsb.Get k -> Get k
-  | Ycsb.Scan (k, n) -> Scan (k, n)

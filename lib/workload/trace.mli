@@ -19,8 +19,6 @@ val parse_line : string -> op option
 (** [None] for blank/comment lines; raises [Failure] on malformed input
     (naming the offending line). *)
 
-val print_line : op -> string
-
 val load : string -> op list
 (** Parse a trace file. *)
 
@@ -29,8 +27,6 @@ val save : string -> op list -> unit
 
 val apply : Incll.System.t -> op -> unit
 (** Execute one traced operation (results of reads are discarded). *)
-
-val of_ycsb : Ycsb.op -> op
 
 val encode_field : string -> string
 val decode_field : string -> string

@@ -24,6 +24,9 @@ let fill r addr n seed =
 
 let content r addr n = Bytes.to_string (Nvm.Region.read_bytes r addr ~len:n)
 
+(* Node images [Extlog.Log.replay] applied (it also returns the records). *)
+let applied (n, _records) = n
+
 let append_replay_roundtrip () =
   let r, log = mk () in
   Extlog.Log.truncate log ~epoch:5;
@@ -33,7 +36,8 @@ let append_replay_roundtrip () =
   (* Mutate the node, then roll it back. *)
   fill r node_addr 128 999;
   check "mutated" true (content r node_addr 128 <> image);
-  check_int "one applied" 1 (Extlog.Log.replay log ~is_failed:(fun e -> e = 5));
+  check_int "one applied" 1
+    (applied (Extlog.Log.replay log ~is_failed:(fun e -> e = 5)));
   Alcotest.(check string) "restored" image (content r node_addr 128)
 
 let entries_are_durable_immediately () =
@@ -47,7 +51,8 @@ let entries_are_durable_immediately () =
      fenced, so replay still restores the node. *)
   Nvm.Region.crash_persist_none r;
   let log2 = Extlog.Log.attach r in
-  check_int "entry survived" 1 (Extlog.Log.replay log2 ~is_failed:(fun e -> e = 5));
+  check_int "entry survived" 1
+    (applied (Extlog.Log.replay log2 ~is_failed:(fun e -> e = 5)));
   Alcotest.(check string) "restored" image (content r node_addr 64)
 
 let replay_skips_other_epochs () =
@@ -56,7 +61,7 @@ let replay_skips_other_epochs () =
   fill r node_addr 64 1;
   Extlog.Log.append log ~epoch:4 ~addr:node_addr ~size:64;
   check_int "wrong epoch not applied" 0
-    (Extlog.Log.replay log ~is_failed:(fun e -> e = 9));
+    (applied (Extlog.Log.replay log ~is_failed:(fun e -> e = 9)));
   ignore r
 
 let truncation_floor_blocks_stale_entries () =
@@ -74,8 +79,8 @@ let truncation_floor_blocks_stale_entries () =
   fill r node_addr 64 70;
   Extlog.Log.append log ~epoch:5 ~addr:node_addr ~size:64;
   let before = content r other 64 in
-  let applied = Extlog.Log.replay log ~is_failed:(fun e -> e = 4 || e = 5) in
-  check_int "only the prefix entry" 1 applied;
+  let n = applied (Extlog.Log.replay log ~is_failed:(fun e -> e = 4 || e = 5)) in
+  check_int "only the prefix entry" 1 n;
   Alcotest.(check string) "stale entry not applied" before (content r other 64)
 
 let torn_tail_entry_rejected () =
@@ -88,7 +93,8 @@ let torn_tail_entry_rejected () =
   Nvm.Region.write_i64 r (Nvm.Layout.extlog_off + 64 + 48 + 16) 0xDEADL;
   Nvm.Region.wbinvd r;
   let log2 = Extlog.Log.attach r in
-  check_int "rejected" 0 (Extlog.Log.replay log2 ~is_failed:(fun e -> e = 5))
+  check_int "rejected" 0
+    (applied (Extlog.Log.replay log2 ~is_failed:(fun e -> e = 5)))
 
 let log_full_raises () =
   let r, log = mk () in
@@ -130,7 +136,8 @@ let replay_order_independent () =
       addrs
   in
   List.iter (fun a -> fill r a 64 123456) addrs;
-  check_int "all applied" 5 (Extlog.Log.replay log ~is_failed:(fun e -> e = 6));
+  check_int "all applied" 5
+    (applied (Extlog.Log.replay log ~is_failed:(fun e -> e = 6)));
   List.iter2
     (fun a img -> Alcotest.(check string) "restored" img (content r a 64))
     addrs images
@@ -185,13 +192,12 @@ let record_roundtrip () =
     ~txn_id:41 ~payload:"s0,s2";
   Extlog.Log.append_record log ~kind:Extlog.Log.kind_txn_commit ~epoch:9
     ~txn_id:41 ~payload:"";
-  let seen = ref [] in
-  Extlog.Log.fold_live_records log
-    ~is_failed:(fun e -> e = 9)
-    (fun ~kind ~epoch ~txn_id ~payload ->
-      seen := (kind, epoch, txn_id, payload) :: !seen);
-  match List.rev !seen with
-  | [ (k1, e1, id1, p1); (k2, e2, id2, p2) ] ->
+  let _, records = Extlog.Log.replay log ~is_failed:(fun e -> e = 9) in
+  match records with
+  | [
+   { Extlog.Log.kind = k1; epoch = e1; txn_id = id1; payload = p1 };
+   { Extlog.Log.kind = k2; epoch = e2; txn_id = id2; payload = p2 };
+  ] ->
       check_int "prepare kind" Extlog.Log.kind_txn_prepare k1;
       check_int "commit kind" Extlog.Log.kind_txn_commit k2;
       check_int "prepare epoch" 9 e1;
@@ -219,15 +225,16 @@ let replay_skips_txn_records () =
   Extlog.Log.append log ~epoch:4 ~addr:node_addr ~size:64;
   Extlog.Log.append_record log ~kind:Extlog.Log.kind_txn_prepare ~epoch:4
     ~txn_id:7 ~payload:"x";
+  let used = Extlog.Log.used log in
   fill r node_addr 64 2;
-  check_int "only the node entry applies" 1
-    (Extlog.Log.replay log ~is_failed:(fun e -> e = 4));
+  let n, records = Extlog.Log.replay log ~is_failed:(fun e -> e = 4) in
+  check_int "only the node entry applies" 1 n;
+  check_int "the record is handed back" 1 (List.length records);
+  check_int "cursor parked past the live prefix" used (Extlog.Log.used log);
   Alcotest.(check string) "node image restored" image (content r node_addr 64);
-  let live = ref 0 in
-  Extlog.Log.fold_live_records log
-    ~is_failed:(fun e -> e = 5)
-    (fun ~kind:_ ~epoch:_ ~txn_id:_ ~payload:_ -> incr live);
-  check_int "record of a non-failed epoch is not live" 0 !live;
+  let _, live = Extlog.Log.replay log ~is_failed:(fun e -> e = 5) in
+  check_int "record of a non-failed epoch is not live" 0 (List.length live);
+  check_int "nothing live, cursor at the start" 0 (Extlog.Log.used log);
   let all = ref 0 in
   Extlog.Log.fold_all_records log
     (fun ~kind:_ ~epoch:_ ~txn_id:_ ~payload:_ -> incr all);

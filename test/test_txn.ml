@@ -53,6 +53,30 @@ let crash_recover ?(seed = 42) store =
   in
   loop 0
 
+(* The other recovery path: reattach the crashed shards' regions as a
+   new store, as a restarted server does over its NVM images. *)
+let reattach ?(seed = 42) store =
+  St.crash store (Util.Rng.create ~seed);
+  St.attach ~config Sys_.Incll
+    (Array.init (St.nshards store) (fun i -> Sys_.region (St.shard store i)))
+
+let recover_in_place store =
+  crash_recover store;
+  store
+
+(* The next transaction must get an id above every shard's durable
+   watermark, or a later in-doubt probe could report a stale commit. *)
+let check_next_id_fresh store =
+  let max_wm = ref 0 in
+  for i = 0 to St.nshards store - 1 do
+    max_wm := max !max_wm (Incll.Txn.watermark (Sys_.region (St.shard store i)))
+  done;
+  St.txn_begin store;
+  (match St.txn_id store with
+  | Some id -> check "next txn id above every watermark" true (id > !max_wm)
+  | None -> Alcotest.fail "no active txn id");
+  St.txn_abort store
+
 let buffered_until_commit () =
   Chaos.Plan.reset ();
   let store = mk ~shards:1 in
@@ -107,7 +131,7 @@ let abort_survives_crash () =
   check_int "watermark untouched" wm0
     (Incll.Txn.watermark (Sys_.region (St.shard store 0)))
 
-let cross_shard_commit () =
+let cross_shard_commit ~recover () =
   Chaos.Plan.reset ();
   let shards = 4 in
   let store = mk ~shards in
@@ -116,20 +140,28 @@ let cross_shard_commit () =
   St.txn_begin store;
   List.iter (fun k -> St.txn_put store ~key:k ~value:("v" ^ k)) keys;
   St.txn_commit store;
-  crash_recover store;
+  let store = recover store in
   List.iter
     (fun k -> check_opt "present on every shard" (Some ("v" ^ k)) (St.get store ~key:k))
     keys;
-  check_int "nothing else" shards (St.cardinal store)
+  check_int "nothing else" shards (St.cardinal store);
+  check_next_id_fresh store
 
-(* Crash at an armed protocol site, then verify all-or-nothing across
-   four shards. [expect_commit] says which side of the commit point the
-   site sits on. *)
-let torn_commit_at site ~hit ~expect_commit () =
+(* Crash at an armed protocol site, recover through [recover], then
+   verify all-or-nothing across four shards. [expect_commit] says which
+   side of the commit point the site sits on. A committed one-shard
+   transaction on the last shard runs first, so that shard's watermark
+   is the largest and the next-id check covers every shard, not only
+   the coordinator of the torn transaction. *)
+let torn_commit_at site ~hit ~expect_commit ~recover () =
   Chaos.Plan.reset ();
   let shards = 4 in
   let store = mk ~shards in
   let keys = List.init shards (key_in_shard store) in
+  let prior = key_in_shard store (shards - 1) ^ "-prior" in
+  St.txn_begin store;
+  St.txn_put store ~key:prior ~value:"p";
+  St.txn_commit store;
   St.advance_epochs store;
   let wm0 = Incll.Txn.watermark (Sys_.region (St.shard store 0)) in
   St.txn_begin store;
@@ -138,8 +170,9 @@ let torn_commit_at site ~hit ~expect_commit () =
   (match St.txn_commit store with
   | () -> Alcotest.fail "commit was not interrupted"
   | exception Chaos.Plan.Crash_requested _ -> ());
-  crash_recover store;
+  let store = recover store in
   check "txn closed by crash" false (St.txn_active store);
+  check_opt "earlier commit kept" (Some "p") (St.get store ~key:prior);
   if expect_commit then begin
     List.iter
       (fun k ->
@@ -154,8 +187,9 @@ let torn_commit_at site ~hit ~expect_commit () =
       keys;
     check_int "watermark untouched" wm0
       (Incll.Txn.watermark (Sys_.region (St.shard store 0)));
-    check_int "no stragglers" 0 (St.cardinal store)
+    check_int "no stragglers" 1 (St.cardinal store)
   end;
+  check_next_id_fresh store;
   (* The store must be fully usable afterwards. *)
   St.put store ~key:"after" ~value:"ok";
   check_opt "store alive" (Some "ok") (St.get store ~key:"after")
@@ -163,10 +197,10 @@ let torn_commit_at site ~hit ~expect_commit () =
 let crash_at_first_prepare =
   torn_commit_at Chaos.Site.Txn_prepare ~hit:1 ~expect_commit:false
 
+(* Every PREPARE durable, watermark not yet advanced: the canonical
+   in-doubt state — recovery must probe the coordinator and roll back on
+   all four shards. *)
 let crash_at_last_prepare =
-  (* Every PREPARE durable, watermark not yet advanced: the canonical
-     in-doubt state — recovery must probe the coordinator and roll back
-     on all four shards. *)
   torn_commit_at Chaos.Site.Txn_prepare ~hit:4 ~expect_commit:false
 
 let crash_before_watermark =
@@ -199,9 +233,21 @@ let tests =
       Alcotest.test_case "buffered until commit" `Quick buffered_until_commit;
       Alcotest.test_case "commit survives crash" `Quick commit_survives_crash;
       Alcotest.test_case "abort survives crash" `Quick abort_survives_crash;
-      Alcotest.test_case "cross-shard commit" `Quick cross_shard_commit;
-      Alcotest.test_case "crash at first PREPARE" `Quick crash_at_first_prepare;
-      Alcotest.test_case "crash at last PREPARE" `Quick crash_at_last_prepare;
-      Alcotest.test_case "crash before watermark" `Quick crash_before_watermark;
+      Alcotest.test_case "cross-shard commit" `Quick
+        (cross_shard_commit ~recover:recover_in_place);
+      Alcotest.test_case "crash at first PREPARE" `Quick
+        (crash_at_first_prepare ~recover:recover_in_place);
+      Alcotest.test_case "crash at last PREPARE" `Quick
+        (crash_at_last_prepare ~recover:recover_in_place);
+      Alcotest.test_case "crash before watermark" `Quick
+        (crash_before_watermark ~recover:recover_in_place);
+      Alcotest.test_case "cross-shard commit, reattach" `Quick
+        (cross_shard_commit ~recover:reattach);
+      Alcotest.test_case "crash at first PREPARE, reattach" `Quick
+        (crash_at_first_prepare ~recover:reattach);
+      Alcotest.test_case "crash at last PREPARE, reattach" `Quick
+        (crash_at_last_prepare ~recover:reattach);
+      Alcotest.test_case "crash before watermark, reattach" `Quick
+        (crash_before_watermark ~recover:reattach);
       Alcotest.test_case "crash during resolve" `Quick crash_during_resolve;
     ] )
