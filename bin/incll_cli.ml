@@ -335,18 +335,23 @@ let () =
           | [ "recover" ] ->
               if !crashed then begin
                 let phases = S.recover !store in
+                let wall = S.last_recover_wall_phases !store in
                 crashed := false;
                 print_endline "recovered to the last completed checkpoint";
-                let total =
-                  List.fold_left (fun a (_, d) -> a +. d) 0.0 phases
-                in
+                let sum l = List.fold_left (fun a (_, d) -> a +. d) 0.0 l in
+                let total = sum phases in
+                Printf.printf "  %-24s %10s  %6s  %10s\n" "phase" "simulated"
+                  "share" "wall";
                 List.iter
                   (fun (name, d) ->
-                    Printf.printf "  %-24s %10.3f ms  %5.1f%%\n" name (d /. 1e6)
-                      (if total > 0.0 then 100.0 *. d /. total else 0.0))
+                    Printf.printf "  %-24s %7.3f ms  %5.1f%%  %7.3f ms\n" name
+                      (d /. 1e6)
+                      (if total > 0.0 then 100.0 *. d /. total else 0.0)
+                      (Option.value ~default:0.0 (List.assoc_opt name wall)
+                      /. 1e6))
                   phases;
-                Printf.printf "  %-24s %10.3f ms\n" "total (simulated)"
-                  (total /. 1e6)
+                Printf.printf "  %-24s %7.3f ms  %6s  %7.3f ms\n" "total"
+                  (total /. 1e6) "" (sum wall /. 1e6)
               end
               else print_endline "nothing to recover from (try `crash` first)"
           | [ "replay"; path ] when not !crashed ->

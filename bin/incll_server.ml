@@ -147,6 +147,15 @@ let () =
         exit 2
   in
   let config = config_for !policy !epoch_ms ~size_mb:!size_mb ~log_kb:!log_kb in
+  (* A region holds the superblock, then the external log, then the heap;
+     one the first two fill leaves a fresh store nothing to allocate. *)
+  if Nvm.Layout.heap_off config.Sys_.nvm >= config.Sys_.nvm.Nvm.Config.size_bytes
+  then
+    refuse
+      (Printf.sprintf
+         "--size-mb %d leaves no heap after the --log-kb %d external log; \
+          raise --size-mb or lower --log-kb"
+         !size_mb !log_kb);
   let store, recovered =
     store_for ~image_dir:!image_dir ~config ~variant:!variant ~shards:!shards
   in

@@ -2,9 +2,10 @@
 
    Unlike bench/main.exe (which reports *simulated*-clock throughput),
    this tool measures how fast the simulator itself runs on the host:
-   stores/s and loads/s against a raw region, put/get Mops through the
-   full YCSB-A stack, and the allocation rate of each loop (via
-   Gc.allocated_bytes). It exists so that wall-clock regressions of the
+   stores/s and loads/s against a raw region (and the store loops again
+   on a Precise region, whose pending-store journal only a crash reads),
+   put/get Mops through the full YCSB-A stack, and the allocation rate of
+   each loop (via Gc.allocated_bytes). It exists so that wall-clock regressions of the
    simulator are visible next to the simulated-throughput gate of
    bin/bench_compare.
 
@@ -140,35 +141,78 @@ let time ~bench ~iters ~sim_of f =
 
 let region_mb = 8
 
-let fresh_region () =
+let fresh_region crash_support =
   Nvm.Region.create
     {
       Nvm.Config.default with
       Nvm.Config.size_bytes = region_mb * 1024 * 1024;
       extlog_bytes = 1024 * 1024;
-      crash_support = Nvm.Config.Counting;
+      crash_support;
     }
 
-let raw_benches () =
-  Printf.printf "raw region (Counting mode, %d MiB):\n" region_mb;
+(* The three store loops, timed against [region] with [prefix] on their
+   names. Sequential sweep: a fresh line every 8 stores, so the LLC model
+   is exercised; the hot variant re-stores a 64-line working set.
+   Unaligned 16-byte spans take the multi-line split path that value
+   writes take (values are not 8-aligned in the tree heap). With
+   [~epoch:n > 0] every run starts an epoch and a wbinvd follows every
+   [n]-th store, as an epoch boundary would, so a Precise region's
+   pending-store journal runs at the size one epoch fills (reached in the
+   warm-up run) instead of growing through the whole loop. *)
+let store_rows ~prefix ~epoch region =
   let size = region_mb * 1024 * 1024 in
   let lo = 4096 in
   let hi = size - 4096 in
-  (* Sequential sweep: a fresh line every 8 stores, so the LLC model is
-     exercised; the hot variant re-stores a 64-line working set. *)
-  let region = fresh_region () in
   let sim_of () = Nvm.Stats.sim_ns (Nvm.Region.stats region) in
+  let since = ref 0 in
+  let new_epoch () =
+    if epoch > 0 then begin
+      since := 0;
+      Nvm.Region.wbinvd region
+    end
+  in
+  let tick () =
+    if epoch > 0 then begin
+      incr since;
+      if !since = epoch then new_epoch ()
+    end
+  in
   let addr = ref lo in
-  time ~bench:"store_i64 seq" ~iters:opts.stores ~sim_of (fun n ->
+  time ~bench:(prefix ^ "store_i64 seq") ~iters:opts.stores ~sim_of (fun n ->
+      new_epoch ();
       for _ = 1 to n do
         addr := (if !addr >= hi then lo else !addr + 8);
-        Nvm.Region.write_i64 region !addr 0x5eed_f00d_dead_beefL
+        Nvm.Region.write_i64 region !addr 0x5eed_f00d_dead_beefL;
+        tick ()
       done);
-  time ~bench:"store_i64 hot64" ~iters:opts.stores ~sim_of (fun n ->
+  time ~bench:(prefix ^ "store_i64 hot64") ~iters:opts.stores ~sim_of (fun n ->
+      new_epoch ();
       for i = 1 to n do
         Nvm.Region.write_i64 region (lo + (i land 511) * 8)
-          0x0123_4567_89ab_cdefL
+          0x0123_4567_89ab_cdefL;
+        tick ()
       done);
+  let payload = Bytes.make 16 'x' in
+  time ~bench:(prefix ^ "write_bytes 16B") ~iters:opts.spans ~sim_of (fun n ->
+      new_epoch ();
+      for i = 1 to n do
+        Nvm.Region.write_bytes region (lo + 3 + (i land 4095) * 24) payload;
+        tick ()
+      done)
+
+(* Stores per epoch in the Precise rows: small enough that the warm-up
+   run (a tenth of the loop) spans a whole epoch at the default counts
+   and at those of `make microbench`. *)
+let precise_epoch = 4096
+
+let raw_benches () =
+  Printf.printf "raw region (Counting mode, %d MiB):\n" region_mb;
+  let region = fresh_region Nvm.Config.Counting in
+  store_rows ~prefix:"" ~epoch:0 region;
+  let sim_of () = Nvm.Stats.sim_ns (Nvm.Region.stats region) in
+  let lo = 4096 in
+  let hi = (region_mb * 1024 * 1024) - 4096 in
+  let addr = ref lo in
   time ~bench:"load_i64 seq" ~iters:opts.stores ~sim_of (fun n ->
       let acc = ref 0L in
       for _ = 1 to n do
@@ -176,13 +220,6 @@ let raw_benches () =
         acc := Int64.add !acc (Nvm.Region.read_i64 region !addr)
       done;
       ignore (Sys.opaque_identity !acc));
-  (* Unaligned 16-byte spans: the multi-line split path that value writes
-     take (values are not 8-aligned in the tree heap). *)
-  let payload = Bytes.make 16 'x' in
-  time ~bench:"write_bytes 16B" ~iters:opts.spans ~sim_of (fun n ->
-      for i = 1 to n do
-        Nvm.Region.write_bytes region (lo + 3 + (i land 4095) * 24) payload
-      done);
   time ~bench:"read_bytes 16B" ~iters:opts.spans ~sim_of (fun n ->
       for i = 1 to n do
         ignore
@@ -190,7 +227,11 @@ let raw_benches () =
              (Nvm.Region.read_bytes region
                 (lo + 3 + (i land 4095) * 24)
                 ~len:16))
-      done)
+      done);
+  Printf.printf "raw region (Precise mode, %d MiB, wbinvd every %d stores):\n"
+    region_mb precise_epoch;
+  store_rows ~prefix:"precise " ~epoch:precise_epoch
+    (fresh_region Nvm.Config.Precise)
 
 (* -------------------------------------------------------------- ycsb-a *)
 

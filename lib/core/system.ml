@@ -34,6 +34,8 @@ type recover_stats = {
   sessions_recovered : int;  (* distinct sessions rebuilt from dedup records *)
   phases : (string * float) list;
       (* ordered (phase, sim ns) breakdown; sums to recovery_sim_ns *)
+  wall_phases : (string * float) list;
+      (* same phases, wall ns of each body; sums to at most recovery_wall_ns *)
 }
 
 type t = {
@@ -234,6 +236,7 @@ let recover_region ?txn_probe ~variant ~config region =
   let stalls = Nvm.Region.stalls region in
   Obs.Stall.enter stalls Obs.Stall.Recovery ~now:sim0;
   let phases = ref [] in
+  let wall_phases = ref [] in
   let last_mark = ref sim0 in
   let phase name f =
     (* Fault-injection hook: every phase boundary is a chaos site, so a
@@ -243,10 +246,13 @@ let recover_region ?txn_probe ~variant ~config region =
     | Some site -> Chaos.Plan.fire site
     | None -> ());
     Obs.Span.begin_ spans name;
+    let w0 = Unix.gettimeofday () in
     let r = f () in
+    let w1 = Unix.gettimeofday () in
     ignore (Obs.Span.end_ spans name : float);
     let now = sim_now () in
     phases := (name, now -. !last_mark) :: !phases;
+    wall_phases := (name, (w1 -. w0) *. 1e9) :: !wall_phases;
     last_mark := now;
     r
   in
@@ -348,6 +354,7 @@ let recover_region ?txn_probe ~variant ~config region =
           txns_aborted;
           sessions_recovered = List.length recovered_sessions;
           phases = List.rev !phases;
+          wall_phases = List.rev !wall_phases;
         };
     recovered_sessions;
   }

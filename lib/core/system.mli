@@ -132,6 +132,12 @@ type recover_stats = {
           sum exactly to [recovery_sim_ns]. Each phase is also a
           {!Obs.Span} — its latency histogram lands in {!metrics} and its
           begin/end events in the region's trace ring. *)
+  wall_phases : (string * float) list;
+      (** The same phases in the same order, in wall-clock ns of each
+          phase's own body. The glue between phases is left out, so they
+          sum to at most [recovery_wall_ns]. Set beside [phases], they
+          show where the simulator's own recovery time goes against what
+          the cost model charges. *)
 }
 
 val last_recover_stats : t -> recover_stats option

@@ -21,7 +21,7 @@ type t = {
   dirty : Bytes.t;  (* one byte per line: 0 clean, 1 dirty *)
   dirty_list : Util.Ivec.t;  (* line ids, unordered *)
   dirty_pos : int array;  (* line -> index in dirty_list, -1 if clean *)
-  logs : Line_log.t option array;  (* Precise mode: log per dirty line *)
+  log : Line_log.t;  (* Precise mode: pending stores of the dirty lines *)
   pending_wb : Util.Ivec.t;  (* lines clwb'd since the last sfence *)
   wb_pending : Bytes.t;  (* one byte per line: 1 iff in pending_wb *)
   evict_rng : Util.Rng.t;
@@ -88,7 +88,9 @@ let create (cfg : Config.t) =
     dirty = Bytes.make nlines '\000';
     dirty_list = Util.Ivec.create ~capacity:1024 ();
     dirty_pos = Array.make nlines (-1);
-    logs = Array.make (if cfg.crash_support = Config.Precise then nlines else 0) None;
+    log =
+      Line_log.create
+        ~nlines:(if cfg.crash_support = Config.Precise then nlines else 0);
     pending_wb = Util.Ivec.create ~capacity:64 ();
     wb_pending = Bytes.make nlines '\000';
     evict_rng = Util.Rng.create ~seed:0x5eed_ca5e;
@@ -161,7 +163,7 @@ let commit_line t line =
       let pos = line * Config.line_size in
       Bytes.blit t.volatile pos t.persisted pos Config.line_size;
       mirror_line t line;
-      (match t.logs.(line) with Some log -> Line_log.clear log | None -> ())
+      Line_log.commit t.log line
     end;
     Bytes.unsafe_set t.dirty line '\000';
     let idx = t.dirty_pos.(line) in
@@ -198,26 +200,15 @@ let mark_dirty t line =
     if Util.Ivec.length t.dirty_list > t.max_dirty then evict_some t
   end
 
-let log_of_line t line =
-  match t.logs.(line) with
-  | Some log -> log
-  | None ->
-      let log = Line_log.create () in
-      t.logs.(line) <- Some log;
-      log
-
 (* Record one intra-line store in Precise mode, evicting the line first if
-   its pending log outgrew the configured bound (a legal cache behaviour
-   that keeps simulator memory bounded). [commit_line] clears the log in
-   place rather than dropping it, so the single lookup stays valid across
-   the eviction. *)
+   its pending stores outgrew the configured bound (a legal cache
+   behaviour that keeps simulator memory bounded). *)
 let record_store t line ~off ~src ~src_pos ~len =
-  let log = log_of_line t line in
-  if Line_log.payload_bytes log > t.max_line_log_bytes then begin
+  if Line_log.payload_bytes t.log line > t.max_line_log_bytes then begin
     commit_line t line;
     t.stats.Stats.evictions <- t.stats.Stats.evictions + 1
   end;
-  Line_log.append log ~off ~src ~src_pos ~len
+  Line_log.append t.log ~line ~off ~src ~src_pos ~len
 
 let check_range t addr len =
   if addr < 0 || len < 0 || addr + len > t.size_bytes then
@@ -547,24 +538,14 @@ let advance_clock t ns = Stats.add_ns t.stats ns
 let crash_with t ~choose =
   if not (precise t) then
     failwith "Region.crash: region was created in Counting mode";
-  while dirty_line_count t > 0 do
-    let line = Util.Ivec.get t.dirty_list (dirty_line_count t - 1) in
-    (match t.logs.(line) with
-    | Some log ->
-        let n = Line_log.count log in
-        let k = choose ~line ~nwrites:n in
-        if k < 0 || k > n then invalid_arg "Region.crash_with: bad prefix";
-        Line_log.apply_prefix log ~k ~dst:t.persisted
-          ~dst_pos:(line * Config.line_size);
-        Line_log.clear log
-    | None -> ());
-    (* Remove from the dirty set without committing volatile content. *)
-    Bytes.unsafe_set t.dirty line '\000';
-    let idx = t.dirty_pos.(line) in
-    let moved = Util.Ivec.swap_remove t.dirty_list idx in
-    if moved >= 0 then t.dirty_pos.(moved) <- idx;
-    t.dirty_pos.(line) <- -1
-  done;
+  Line_log.crash t.log ~lines:t.dirty_list ~choose ~dst:t.persisted;
+  (* Empty the dirty set without committing volatile content. *)
+  Util.Ivec.iter
+    (fun line ->
+      Bytes.unsafe_set t.dirty line '\000';
+      t.dirty_pos.(line) <- -1)
+    t.dirty_list;
+  Util.Ivec.clear t.dirty_list;
   clear_pending_wb t;
   (* Power is gone: the LLC is cold. Without this, post-crash recovery
      reads of pre-crash-hot lines were never charged [mem_miss_ns]. *)
@@ -596,10 +577,11 @@ let pending_writes t =
   let acc = ref [] in
   Util.Ivec.iter
     (fun line ->
-      let n = match t.logs.(line) with Some l -> Line_log.count l | None -> 0 in
-      acc := (line, n) :: !acc)
+      acc := (line, Line_log.count t.log line) :: !acc)
     t.dirty_list;
   List.sort compare !acc
+
+let journal_footprint t = Line_log.footprint t.log
 
 let read_persisted_i64 t addr =
   if not (precise t) then

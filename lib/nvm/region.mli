@@ -190,6 +190,10 @@ val pending_writes : t -> (int * int) list
 (** Dirty lines and their pending-store counts, sorted by line id (drives
     the systematic crash-state enumeration in the tests). *)
 
+val journal_footprint : t -> Line_log.footprint
+(** Live content and allocated storage of the pending-store journal
+    (white-box memory-bound testing). *)
+
 (** {1 Cross-process persistence (Precise mode only)}
 
     A file-backed shared mmap shadowing the persisted image, updated at

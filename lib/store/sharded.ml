@@ -220,17 +220,10 @@ let txn_commit t =
 let advance_epochs t = Array.iter Incll.System.advance_epoch t.shards
 let crash t rng = Array.iter (fun s -> Incll.System.crash s rng) t.shards
 
-(* In place: [shards] is mutable, so the old `{t with shards = ...}` copy
-   left any alias of [t] still pointing at the pre-recovery shard array. *)
-let recover t =
-  let regions = Array.map Incll.System.region t.shards in
-  let txn_probe = txn_probe regions in
-  t.shards <- Array.map (Incll.System.recover ~txn_probe) t.shards;
-  t.active_txn <- None;
-  t.next_txn_id <- next_id_above regions ~floor:(t.next_txn_id - 1);
-  (* Merge the shards' per-phase breakdowns: sum durations per phase,
-     phase order taken from first appearance (shards recover through the
-     same procedure, so that is the procedure order). *)
+(* Merge the shards' per-phase breakdowns of their last recovery: sum
+   durations per phase, phase order taken from first appearance (shards
+   recover through the same procedure, so that is the procedure order). *)
+let merged_phases t field =
   let totals = Hashtbl.create 8 in
   let order = ref [] in
   Array.iter
@@ -242,10 +235,23 @@ let recover t =
               if not (Hashtbl.mem totals name) then order := name :: !order;
               Hashtbl.replace totals name
                 (d +. try Hashtbl.find totals name with Not_found -> 0.0))
-            st.Incll.System.phases
+            (field st)
       | None -> ())
     t.shards;
   List.rev_map (fun name -> (name, Hashtbl.find totals name)) !order
+
+(* In place: [shards] is mutable, so the old `{t with shards = ...}` copy
+   left any alias of [t] still pointing at the pre-recovery shard array. *)
+let recover t =
+  let regions = Array.map Incll.System.region t.shards in
+  let txn_probe = txn_probe regions in
+  t.shards <- Array.map (Incll.System.recover ~txn_probe) t.shards;
+  t.active_txn <- None;
+  t.next_txn_id <- next_id_above regions ~floor:(t.next_txn_id - 1);
+  merged_phases t (fun st -> st.Incll.System.phases)
+
+let last_recover_wall_phases t =
+  merged_phases t (fun st -> st.Incll.System.wall_phases)
 
 let metrics t =
   Obs.Registry.merged

@@ -90,6 +90,10 @@ val recover : t -> (string * float) list
     simulated ns, in procedure order; the sum of the durations is the
     total simulated recovery time across shards. *)
 
+val last_recover_wall_phases : t -> (string * float) list
+(** The same breakdown for the shards' last recovery in wall-clock ns
+    ([Incll.System.recover_stats.wall_phases] summed over shards). *)
+
 val metrics : t -> Obs.Registry.t
 (** Fresh merged copy of every shard's metric registry. *)
 

@@ -309,6 +309,19 @@ let recovery_phase_breakdown_sums () =
       check "phases sum to total" true
         (Float.abs (sum -. st.Sys_.recovery_sim_ns)
         <= 1e-6 *. Float.max 1.0 st.Sys_.recovery_sim_ns);
+      (* Wall time of the same phases: one per phase, in order, each
+         non-negative, and (glue between phases left out) summing to at
+         most the whole recovery's wall time. *)
+      Alcotest.(check (list string))
+        "wall phases name the phases" (List.map fst st.Sys_.phases)
+        (List.map fst st.Sys_.wall_phases);
+      List.iter
+        (fun (name, d) ->
+          check (Printf.sprintf "wall phase %s non-negative" name) true (d >= 0.0))
+        st.Sys_.wall_phases;
+      let wall = List.fold_left (fun a (_, d) -> a +. d) 0.0 st.Sys_.wall_phases in
+      check "wall phases sum to at most the wall total" true
+        (wall <= st.Sys_.recovery_wall_ns);
       (* And each phase fed a span histogram in the region's registry. *)
       List.iter
         (fun (name, _) ->
@@ -348,7 +361,11 @@ let sharded_recover_merges_phases () =
   in
   let total = List.fold_left ( +. ) 0.0 per_shard in
   check "merged sum = sum over shards" true
-    (Float.abs (sum -. total) <= 1e-6 *. Float.max 1.0 total)
+    (Float.abs (sum -. total) <= 1e-6 *. Float.max 1.0 total);
+  (* The wall breakdown merges the same way, phase for phase. *)
+  Alcotest.(check (list string))
+    "merged wall phases name the merged phases" (List.map fst phases)
+    (List.map fst (Store.Sharded.last_recover_wall_phases st))
 
 let lazy_recovery_is_lazy () =
   (* After recovery, untouched nodes still carry failed-epoch stamps; the
