@@ -17,11 +17,12 @@
    per op, so a duplicated replay would surface as a stale overwrite) —
    and that the server drains cleanly on SIGTERM afterwards.
 
-   Seed 1 is a targeted dedup scenario: the proxy drops exactly one
-   reply frame and SIGKILLs the server at that moment, so the op is
-   applied + durably recorded but never acked; the session's resend
-   after the restart MUST be answered from the recovered dedup table —
-   the seed asserts [server.dedup_hits >= 1].
+   Seed 1 is a targeted dedup scenario: one session; the proxy drops
+   exactly one reply frame and, before relaying anything else, SIGKILLs
+   and restarts the server, so the op is applied + durably recorded but
+   never acked; the session's resend can only reach the restarted
+   server and MUST be answered from the recovered dedup table — the
+   seed asserts [server.dedup_hits >= 1].
 
    Run with: dune exec bin/chaos_net.exe -- [--seeds 8] [--json FILE] *)
 
@@ -261,7 +262,12 @@ let run_seed ~seed ~sessions ~nops ~ncrashes =
   wait_ready sv;
   let rng = Util.Rng.create ~seed in
   let targeted = seed = 1 in
-  let kill_now = Atomic.make false in
+  (* The proxy numbers frames per direction across all its connections,
+     so with several sessions connecting at once the targeted ordinal
+     could land on another session's HELLO reply. One session makes it
+     the reply to that session's 3rd op, a stamped mutation. *)
+  let sessions = if targeted then 1 else sessions in
+  let crashes = Atomic.make 0 in
   let sched_up = if targeted then [] else gen_sched rng 4 in
   let sched_down =
     if targeted then
@@ -275,7 +281,15 @@ let run_seed ~seed ~sessions ~nops ~ncrashes =
     Chaos_net.Netproxy.start ~sched_up ~sched_down
       ~on_fault:(fun p ->
         logf "seed %d: injected %s" seed (Chaos.Plan.point_to_string p);
-        if targeted then Atomic.set kill_now true)
+        if targeted then begin
+          (* Synchronously, on the relaying domain: the old server is
+             dead and the new one recovered before this connection
+             relays another frame, so no resend can reach the old
+             server's in-memory dedup table. *)
+          logf "seed %d: SIGKILL at dropped reply" seed;
+          sigkill_restart sv;
+          Atomic.incr crashes
+        end)
       ~listen:(Wire.Client.Unix_sock (Filename.concat dir "proxy.sock"))
       ~upstream:(Wire.Client.Unix_sock sv.sock) ()
   in
@@ -285,30 +299,19 @@ let run_seed ~seed ~sessions ~nops ~ncrashes =
     List.init sessions (fun i ->
         Domain.spawn (run_session ~addr:paddr ~sid_ix:i ~seed ~nops))
   in
-  (* Crash controller, on this domain: seeded SIGKILL cycles mid-load
-     (or, for the targeted seed, the single kill armed by the dropped
-     reply), each restart recovering from the same image directory. *)
-  let crashes = ref 0 in
+  (* Crash controller for the other seeds, on its own domain: seeded
+     SIGKILL cycles mid-load, each restart recovering from the same
+     image directory. *)
   let watcher =
     Domain.spawn (fun () ->
-        if targeted then begin
-          while (not (Atomic.get done_flag)) && not (Atomic.get kill_now) do
-            Unix.sleepf 0.005
-          done;
-          if Atomic.get kill_now then begin
-            logf "seed %d: SIGKILL at dropped reply" seed;
-            sigkill_restart sv;
-            incr crashes
-          end
-        end
-        else
+        if not targeted then
           for _ = 1 to ncrashes do
             if not (Atomic.get done_flag) then begin
               Unix.sleepf (0.2 +. (Util.Rng.float rng *. 0.3));
               if not (Atomic.get done_flag) then begin
                 logf "seed %d: SIGKILL mid-load" seed;
                 sigkill_restart sv;
-                incr crashes
+                Atomic.incr crashes
               end
             end
           done)
@@ -362,7 +365,7 @@ let run_seed ~seed ~sessions ~nops ~ncrashes =
       | _ -> fail "STATS failed on final server")
       [@warning "-8"];
       Wire.Client.close c);
-  if targeted && !crashes = 0 then
+  if targeted && Atomic.get crashes = 0 then
     fail "targeted seed: reply-drop fault never fired";
   if targeted && !dedup_hits < 1 then
     fail "targeted seed: expected a dedup hit after crash-restart recovery";
@@ -381,7 +384,7 @@ let run_seed ~seed ~sessions ~nops ~ncrashes =
     total_reconnects = List.fold_left (fun a r -> a + r.reconnects) 0 results;
     total_backoff_ms =
       List.fold_left (fun a r -> a +. r.backoff_ns) 0.0 results /. 1e6;
-    crashes = !crashes;
+    crashes = Atomic.get crashes;
     faults;
     dedup_hits = !dedup_hits;
   }

@@ -89,27 +89,30 @@ let quarantine_chain t ~line exn =
   t.quarantined <- t.quarantined + 1;
   incr t.c_quarantined
 
-(* Guarded chain walk: returns the tail of the chain starting at [head],
-   raising [Corrupt_chain] on a cycle, an out-of-bounds link or a
+(* Guarded chain walk: calls [f] on each chunk from [head], raising
+   [Corrupt_chain] on a wild head, a cycle, an out-of-bounds link or a
    mis-aligned link instead of walking forever. The visited set is
-   transient scaffolding — the walk itself only happens on the recovery
-   path (transient tail lost in a crash), never on the alloc/dealloc
-   fast path. *)
-let find_tail t head =
-  let visited = Hashtbl.create 64 in
-  Hashtbl.add visited head ();
-  let rec walk c steps =
-    let next = chunk_next t c in
-    check_link t ~head ~at:c ~steps next;
-    if next = 0 then c
-    else begin
-      if Hashtbl.mem visited next then
-        corrupt ~head ~at:c ~steps "cycle in chain";
-      Hashtbl.add visited next ();
-      walk next (steps + 1)
-    end
-  in
-  walk head 0
+   transient scaffolding: the walks run on the recovery and validation
+   paths (and the limbo merge after a crash lost its transient tail),
+   never on the alloc/dealloc fast path. *)
+let iter_chain t head f =
+  if head <> 0 then begin
+    check_link t ~head ~at:0 ~steps:0 head;
+    let visited = Hashtbl.create 64 in
+    Hashtbl.add visited head ();
+    let rec loop c steps =
+      f c;
+      let next = chunk_next t c in
+      check_link t ~head ~at:c ~steps next;
+      if next <> 0 then begin
+        if Hashtbl.mem visited next then
+          corrupt ~head ~at:c ~steps "cycle in chain";
+        Hashtbl.add visited next ();
+        loop next (steps + 1)
+      end
+    in
+    loop head 0
+  end
 
 (* Checkpoint subscriber: splice each limbo list onto its free list. Runs
    inside the new epoch, so every store is first-touch logged and a crash
@@ -126,7 +129,10 @@ let merge_limbo t () =
          if t.limbo_tails.(cls) <> 0 then Ok t.limbo_tails.(cls)
          else
            (* Transient tail lost in a crash: walk the chain. *)
-           try Ok (find_tail t lhead)
+           try
+             let tail = ref 0 in
+             iter_chain t lhead (fun c -> tail := c);
+             Ok !tail
            with Corrupt_chain _ as e -> Error e
        with
       | Ok tail ->
@@ -235,28 +241,6 @@ let payload_capacity_of t payload =
   let d = Chunk_header.read t.region ~chunk in
   Size_class.payload_capacity ~cls:d.Chunk_header.size_class
     ~aligned:(payload land 63 = 0)
-
-(* Every chain iteration carries the same guard as [find_tail]: a cyclic
-   or wild chain is an immediate [Corrupt_chain] (with the chain head and
-   the step count reached), never a hang. *)
-let iter_chain t head f =
-  if head <> 0 then begin
-    check_link t ~head ~at:0 ~steps:0 head;
-    let visited = Hashtbl.create 64 in
-    Hashtbl.add visited head ();
-    let rec loop c steps =
-      f c;
-      let next = chunk_next t c in
-      check_link t ~head ~at:c ~steps next;
-      if next <> 0 then begin
-        if Hashtbl.mem visited next then
-          corrupt ~head ~at:c ~steps "cycle in chain";
-        Hashtbl.add visited next ();
-        loop next (steps + 1)
-      end
-    in
-    loop head 0
-  end
 
 let recover_all_chains t =
   for cls = 0 to Size_class.count - 1 do

@@ -132,6 +132,25 @@ let run ?save_image cfg =
     done;
     !total
   in
+  (* The structural check after every recovery and at the end of the
+     run: each shard's tree, then (with [validate_chains]) its allocator
+     chains. *)
+  let validate_shards ~op_index =
+    let fail detail = raise (Fail { op_index; site = !last_site; detail }) in
+    for s = 0 to cfg.shards - 1 do
+      try Masstree.Tree.validate (Sys_.tree (St.shard store s))
+      with Failure m -> fail ("tree: " ^ m)
+    done;
+    if cfg.validate_chains then
+      for s = 0 to cfg.shards - 1 do
+        match Sys_.durable_alloc (St.shard store s) with
+        | Some da -> (
+            match (Alloc.Durable.validate da).Alloc.Durable.errors with
+            | [] -> ()
+            | e :: _ -> fail ("allocator: " ^ e.Alloc.Durable.detail))
+        | None -> ()
+      done
+  in
   (* Crash now (every shard's volatile state is lost with a random PCSO
      prefix per dirty line), then recover — re-entering recovery as many
      times as armed [recover.*] points crash it — and check the result
@@ -187,12 +206,7 @@ let run ?save_image cfg =
     let paused = Chaos.Plan.armed () in
     Chaos.Plan.disarm ();
     Oracle.compact oracle ~boundary:(fun s -> boundary.(s)) ~committed;
-    (try
-       for s = 0 to cfg.shards - 1 do
-         Masstree.Tree.validate (Sys_.tree (St.shard store s))
-       done
-     with Failure m ->
-       raise (Fail { op_index; site = !last_site; detail = "tree: " ^ m }));
+    validate_shards ~op_index;
     (match
        Oracle.check oracle
          ~get:(fun k -> St.get store ~key:k)
@@ -200,22 +214,6 @@ let run ?save_image cfg =
      with
     | Ok n -> verified := !verified + n
     | Error detail -> raise (Fail { op_index; site = !last_site; detail }));
-    (if cfg.validate_chains then
-       for s = 0 to cfg.shards - 1 do
-         match Sys_.durable_alloc (St.shard store s) with
-         | Some da -> (
-             match (Alloc.Durable.validate da).Alloc.Durable.errors with
-             | [] -> ()
-             | e :: _ ->
-                 raise
-                   (Fail
-                      {
-                        op_index;
-                        site = !last_site;
-                        detail = "allocator: " ^ e.Alloc.Durable.detail;
-                      }))
-         | None -> ()
-       done);
     (* Resync the live model with the oracle's replay. *)
     Hashtbl.reset model;
     Hashtbl.iter (fun k v -> Hashtbl.replace model k v) (Oracle.replay oracle);
@@ -333,28 +331,7 @@ let run ?save_image cfg =
      done;
      (* End-of-run sweep: one final crash-free validation pass. *)
      Chaos.Plan.disarm ();
-     (try
-        for s = 0 to cfg.shards - 1 do
-          Masstree.Tree.validate (Sys_.tree (St.shard store s))
-        done
-      with Failure m ->
-        raise (Fail { op_index = cfg.ops; site = !last_site; detail = "tree: " ^ m }));
-     if cfg.validate_chains then
-       for s = 0 to cfg.shards - 1 do
-         match Sys_.durable_alloc (St.shard store s) with
-         | Some da -> (
-             match (Alloc.Durable.validate da).Alloc.Durable.errors with
-             | [] -> ()
-             | e :: _ ->
-                 raise
-                   (Fail
-                      {
-                        op_index = cfg.ops;
-                        site = !last_site;
-                        detail = "allocator: " ^ e.Alloc.Durable.detail;
-                      }))
-         | None -> ()
-       done
+     validate_shards ~op_index:cfg.ops
    with
   | Fail f -> failure := Some f
   | Alloc.Durable.Corrupt_chain { head; at; steps; reason } ->

@@ -180,12 +180,6 @@ let scan t ~start ~n =
   after_op t;
   r
 
-let scan_rev t ?bound ~n () =
-  Nvm.Region.charge_op t.region;
-  let r = Masstree.Tree.scan_rev t.tree ?bound ~n () in
-  after_op t;
-  r
-
 (* How much uncommitted work is currently at risk: the simulated time
    since the last completed checkpoint (bounded by the epoch length). *)
 let durability_lag_ns t =

@@ -57,9 +57,6 @@ val get : t -> key:string -> string option
 val remove : t -> key:string -> bool
 val scan : t -> start:string -> n:int -> (string * string) list
 
-val scan_rev : t -> ?bound:string -> n:int -> unit -> (string * string) list
-(** Descending scan from the largest key [<= bound]. *)
-
 val durability_lag_ns : t -> float
 (** Simulated time since the last completed checkpoint — the window of
     work a crash right now would lose (§4's tradeoff; bounded by the

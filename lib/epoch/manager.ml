@@ -1,14 +1,37 @@
 exception Failed_set_full
 
+(* How a checkpoint policy schedules (DESIGN.md §15). [sweep_budget > 0]
+   selects the incremental-sweep drain; 0 is the paper's stop-the-world
+   wbinvd. *)
+type schedule = {
+  period_divisor : float;  (* the epoch period is [epoch_len_ns] over this *)
+  sweep_budget : int;  (* max dirty lines per [flush_some] quantum *)
+  dirty_trigger : int;  (* advance early at this many dirty lines; 0 = off *)
+  log_trigger : float;  (* advance early at this extlog fill; 0. = off *)
+}
+
+(* [Throughput] is the paper's scheduler: fixed-period stop-the-world
+   wbinvd. [Latency] trades fences for tail: each checkpoint is swept in
+   bounded clwb quanta interleaved with op execution, and dirty/log
+   pressure starts the sweep early so the boundary never meets a full
+   cache. [Rto] bounds recovery time: a quarter of the period plus
+   aggressive pressure triggers keep the rollback window and the
+   replayable log short, at a throughput cost. *)
+let schedule_of_policy = function
+  | Nvm.Config.Throughput ->
+      { period_divisor = 1.0; sweep_budget = 0;
+        dirty_trigger = 0; log_trigger = 0.0 }
+  | Nvm.Config.Latency ->
+      { period_divisor = 1.0; sweep_budget = 128;
+        dirty_trigger = 8192; log_trigger = 0.5 }
+  | Nvm.Config.Rto ->
+      { period_divisor = 4.0; sweep_budget = 256;
+        dirty_trigger = 2048; log_trigger = 0.25 }
+
 type t = {
   region : Nvm.Region.t;
   epoch_len_ns : float;
-  (* Adaptive-scheduler knobs, copied from the region's [Nvm.Config]
-     (DESIGN.md §15). [sweep_budget > 0] selects the incremental-sweep
-     drain; 0 is the paper's stop-the-world wbinvd. *)
-  sweep_budget : int;
-  dirty_trigger : int;  (* advance early at this many dirty lines; 0 = off *)
-  log_trigger_frac : float;  (* advance early at this extlog fill; 0. = off *)
+  schedule : schedule;  (* of the region's [Nvm.Config.policy] *)
   mutable log_pressure : unit -> float;  (* extlog fill fraction, 0..1 *)
   mutable sweeping : bool;  (* a boundary is recorded, quanta in flight *)
   mutable current : int;
@@ -172,67 +195,40 @@ let clear_failed t =
   Hashtbl.reset t.failed;
   t.ranges <- []
 
-let observables region =
-  let m = Nvm.Region.metrics region in
-  ( Obs.Registry.histogram m "epoch.len_ns",
-    Obs.Registry.histogram m "epoch.dirty_lines",
-    Obs.Registry.counter m "epoch.advances",
-    Obs.Registry.counter m "epoch.advance.timer",
-    Obs.Registry.counter m "epoch.advance.pressure_dirty",
-    Obs.Registry.counter m "epoch.advance.pressure_log",
-    Nvm.Region.series region "epoch.dirty_lines",
-    Nvm.Region.series region "epoch.pending_wb" )
-
-let no_log_pressure () = 0.0
-
-let scheduler_knobs region ~epoch_len_ns =
-  let cfg = Nvm.Region.config region in
-  let epoch_len_ns =
-    match cfg.Nvm.Config.policy with
-    | Nvm.Config.Rto -> epoch_len_ns /. Nvm.Config.rto_epoch_divisor
-    | Nvm.Config.Throughput | Nvm.Config.Latency -> epoch_len_ns
+(* The state both entry points start from: the run opens in [current],
+   now, with an empty volatile failed set. *)
+let make region ~epoch_len_ns ~current ~crashed_epoch =
+  let schedule =
+    schedule_of_policy (Nvm.Region.config region).Nvm.Config.policy
   in
-  ( epoch_len_ns,
-    cfg.Nvm.Config.sweep_budget_lines,
-    cfg.Nvm.Config.dirty_trigger_lines,
-    cfg.Nvm.Config.log_trigger_frac )
+  let m = Nvm.Region.metrics region in
+  {
+    region;
+    epoch_len_ns = epoch_len_ns /. schedule.period_divisor;
+    schedule;
+    log_pressure = (fun () -> 0.0);
+    sweeping = false;
+    current;
+    first_epoch_of_run = current;
+    crashed_epoch;
+    epoch_start_ns = Nvm.Stats.sim_ns (Nvm.Region.stats region);
+    advances = 0;
+    failed = Hashtbl.create 8;
+    ranges = [];
+    subscribers = [];
+    h_epoch_len = Obs.Registry.histogram m "epoch.len_ns";
+    h_epoch_dirty = Obs.Registry.histogram m "epoch.dirty_lines";
+    c_advances = Obs.Registry.counter m "epoch.advances";
+    c_adv_timer = Obs.Registry.counter m "epoch.advance.timer";
+    c_adv_dirty = Obs.Registry.counter m "epoch.advance.pressure_dirty";
+    c_adv_log = Obs.Registry.counter m "epoch.advance.pressure_log";
+    s_dirty = Nvm.Region.series region "epoch.dirty_lines";
+    s_pending = Nvm.Region.series region "epoch.pending_wb";
+  }
 
 let create ?(epoch_len_ns = default_epoch_len_ns) region =
   Nvm.Superblock.check region;
-  let h_epoch_len, h_epoch_dirty, c_advances, c_adv_timer, c_adv_dirty,
-      c_adv_log, s_dirty, s_pending =
-    observables region
-  in
-  let epoch_len_ns, sweep_budget, dirty_trigger, log_trigger_frac =
-    scheduler_knobs region ~epoch_len_ns
-  in
-  let t =
-    {
-      region;
-      epoch_len_ns;
-      sweep_budget;
-      dirty_trigger;
-      log_trigger_frac;
-      log_pressure = no_log_pressure;
-      sweeping = false;
-      current = 2;
-      first_epoch_of_run = 2;
-      crashed_epoch = None;
-      epoch_start_ns = Nvm.Stats.sim_ns (Nvm.Region.stats region);
-      advances = 0;
-      failed = Hashtbl.create 8;
-      ranges = [];
-      subscribers = [];
-      h_epoch_len;
-      h_epoch_dirty;
-      c_advances;
-      c_adv_timer;
-      c_adv_dirty;
-      c_adv_log;
-      s_dirty;
-      s_pending;
-    }
-  in
+  let t = make region ~epoch_len_ns ~current:2 ~crashed_epoch:None in
   write_durable_epoch t 2;
   Obs.Stall.set_epoch (Nvm.Region.stalls region) t.current;
   t.epoch_start_ns <- Nvm.Stats.sim_ns (Nvm.Region.stats region);
@@ -242,39 +238,10 @@ let open_after_crash ?(epoch_len_ns = default_epoch_len_ns) region =
   Nvm.Superblock.check region;
   let crashed = read_durable_epoch region in
   if crashed < 2 then failwith "Manager: corrupt durable epoch index";
-  let h_epoch_len, h_epoch_dirty, c_advances, c_adv_timer, c_adv_dirty,
-      c_adv_log, s_dirty, s_pending =
-    observables region
-  in
-  let epoch_len_ns, sweep_budget, dirty_trigger, log_trigger_frac =
-    scheduler_knobs region ~epoch_len_ns
-  in
+  (* The run opens in the recovery-marker epoch. *)
   let t =
-    {
-      region;
-      epoch_len_ns;
-      sweep_budget;
-      dirty_trigger;
-      log_trigger_frac;
-      log_pressure = no_log_pressure;
-      sweeping = false;
-      current = crashed + 1;  (* the recovery-marker epoch *)
-      first_epoch_of_run = crashed + 1;
-      crashed_epoch = Some crashed;
-      epoch_start_ns = Nvm.Stats.sim_ns (Nvm.Region.stats region);
-      advances = 0;
-      failed = Hashtbl.create 8;
-      ranges = [];
-      subscribers = [];
-      h_epoch_len;
-      h_epoch_dirty;
-      c_advances;
-      c_adv_timer;
-      c_adv_dirty;
-      c_adv_log;
-      s_dirty;
-      s_pending;
-    }
+    make region ~epoch_len_ns ~current:(crashed + 1)
+      ~crashed_epoch:(Some crashed)
   in
   load_failed_set t;
   append_failed t crashed;
@@ -337,9 +304,10 @@ let finalize t =
      flush was already attributed to [clwb_sweep] quanta. *)
   Obs.Stall.enter stalls Obs.Stall.Epoch_advance
     ~now:(Nvm.Stats.sim_ns (Nvm.Region.stats t.region));
-  if t.sweep_budget > 0 then begin
+  let budget_lines = t.schedule.sweep_budget in
+  if budget_lines > 0 then begin
     while Nvm.Region.dirty_line_count t.region > 0 do
-      ignore (Nvm.Region.flush_some t.region ~budget_lines:t.sweep_budget : int)
+      ignore (Nvm.Region.flush_some t.region ~budget_lines : int)
     done;
     (* Mirror wbinvd's post-flush state: every line is committed, so the
        pending write-back set holds only stale (already-clean) entries. *)
@@ -373,7 +341,9 @@ let advance t =
    the dirty set and fenced the boundary. *)
 let sweep_step t =
   Chaos.Plan.fire Chaos.Site.Sweep_partial;
-  let remaining = Nvm.Region.flush_some t.region ~budget_lines:t.sweep_budget in
+  let remaining =
+    Nvm.Region.flush_some t.region ~budget_lines:t.schedule.sweep_budget
+  in
   if remaining = 0 then begin
     finalize t;
     true
@@ -397,21 +367,22 @@ let maybe_advance t =
     end
     else sweep_step t
   else begin
+    let s = t.schedule in
     let trigger =
       if now -. t.epoch_start_ns >= t.epoch_len_ns then Some t.c_adv_timer
       else if
-        t.dirty_trigger > 0
-        && Nvm.Region.dirty_line_count t.region >= t.dirty_trigger
+        s.dirty_trigger > 0
+        && Nvm.Region.dirty_line_count t.region >= s.dirty_trigger
       then Some t.c_adv_dirty
-      else if t.log_trigger_frac > 0.0 && t.log_pressure () >= t.log_trigger_frac
-      then Some t.c_adv_log
+      else if s.log_trigger > 0.0 && t.log_pressure () >= s.log_trigger then
+        Some t.c_adv_log
       else None
     in
     match trigger with
     | None -> false
     | Some cause ->
         incr cause;
-        if t.sweep_budget > 0 then begin
+        if s.sweep_budget > 0 then begin
           record_boundary t;
           t.sweeping <- true;
           sweep_step t

@@ -49,7 +49,8 @@ exception Failed_set_full
 
 val create : ?epoch_len_ns:float -> Nvm.Region.t -> t
 (** Initialise epoch state on a freshly formatted region and durably set the
-    epoch index to 2. *)
+    epoch index to 2. [epoch_len_ns] is the period before the policy's
+    divisor ([Rto] runs a quarter of it; see {!epoch_len_ns}). *)
 
 val open_after_crash : ?epoch_len_ns:float -> Nvm.Region.t -> t
 (** Attach to a region that was running when it crashed: load the failed
@@ -92,29 +93,33 @@ val maybe_advance : t -> bool
     advanced (a completed, fenced checkpoint — in-flight sweep quanta
     return [false]).
 
-    Under the stop-the-world drain ([sweep_budget_lines = 0]):
-    checkpoint iff the simulated clock has moved [epoch_len_ns] past the
-    current epoch's start (plus the pressure triggers below), exactly as
-    before.
+    The region's [Nvm.Config.policy] picks the schedule (the presets
+    are tabled in DESIGN.md §15). Under the stop-the-world drain
+    ([Throughput]): checkpoint iff the simulated clock has moved
+    [epoch_len_ns] past the current epoch's start.
 
-    Under the incremental sweep ([sweep_budget_lines > 0]): a trigger —
-    period elapsed, [dirty_trigger_lines] dirty lines, or the external
-    log [log_trigger_frac] full — records the epoch boundary and starts
-    the sweep; each subsequent call runs one bounded
-    [Region.flush_some] quantum, so no single stall exceeds the budget;
-    the quantum that drains the dirty set fences the durable epoch word
-    and completes the checkpoint. A sweep that lingers a whole extra
-    period is completed synchronously (convergence guard). *)
+    Under the incremental sweep ([Latency], [Rto]): a trigger — period
+    elapsed, the policy's dirty-line count reached, or the external log
+    filled to the policy's fraction — records the epoch boundary and
+    starts the sweep; each subsequent call runs one bounded
+    [Region.flush_some] quantum, so no single stall exceeds the
+    policy's sweep budget; the quantum that drains the dirty set fences
+    the durable epoch word and completes the checkpoint. A sweep that
+    lingers a whole extra period is completed synchronously
+    (convergence guard). *)
 
 val sweeping : t -> bool
 (** Whether a boundary is recorded with its sweep still in flight. *)
 
 val set_log_pressure : t -> (unit -> float) -> unit
 (** Provide the external-log fill fraction (0..1) consulted by the
-    [log_trigger_frac] pressure trigger ([Incll.System] wires this to
+    policy's log-pressure trigger ([Incll.System] wires this to
     [Extlog.Log.used / capacity]; default constant 0). *)
 
 val epoch_len_ns : t -> float
+(** The epoch period in force: the requested one divided by the
+    policy's divisor. *)
+
 val epochs_elapsed : t -> int
 (** Number of [advance] calls so far (for reporting flush frequency). *)
 

@@ -639,125 +639,8 @@ let rec scan_layer t root ~prefix ~local_start ~f =
   in
   first_leaf leaf0
 
-(* Reverse iteration: ranks high-to-low inside a leaf, [prev] links
-   between leaves, nested layers visited from their rightmost leaf. The
-   residual bound selects the largest entry <= the bound. *)
-let rec scan_layer_rev t root ~prefix ~local_bound ~f =
-  let target =
-    match local_bound with
-    | None -> None
-    | Some k -> Some (Key.slice_at k ~layer:0)
-  in
-  let rec rightmost node =
-    if Leaf.is_leaf_node t.region node then node
-    else rightmost (Internal.child t.region node ~i:(Internal.nkeys t.region node))
-  in
-  let rec entries leaf rank p =
-    if rank < 0 then begin
-      let pv = Leaf.prev t.region leaf in
-      if pv = 0 then true else visit_leaf pv
-    end
-    else begin
-      let slot = Permutation.slot_at_rank p rank in
-      let s = Leaf.key t.region leaf ~slot in
-      let kl = Leaf.keylen t.region leaf ~slot in
-      let keep_going =
-        if kl = Key.layer_link_len then begin
-          (* A link's keys all extend its 8-byte slice: relative to a
-             bound they are all above (slice above, or equal without a
-             suffix to compare into), all below (slice below), or bounded
-             by the bound's own suffix. *)
-          let verdict =
-            match local_bound with
-            | None -> `Visit None
-            | Some k ->
-                let bs = (Key.slice_at k ~layer:0).Key.bits in
-                let c = Key.compare_slices s bs in
-                if c > 0 then `Skip
-                else if c < 0 then `Visit None
-                else if Key.has_suffix k ~layer:0 then
-                  `Visit (Some (Key.suffix k ~layer:0))
-                else `Skip
-          in
-          match verdict with
-          | `Skip -> true
-          | `Visit sub_bound ->
-              scan_layer_rev t
-                (Leaf.value t.region leaf ~slot)
-                ~prefix:(prefix ^ Key.bytes_of_slice s ~len:8)
-                ~local_bound:sub_bound ~f
-        end
-        else begin
-          let is_suffix = kl = Key.suffix_len_marker in
-          let buf = Leaf.value t.region leaf ~slot in
-          let full_key =
-            if is_suffix then
-              prefix ^ Key.bytes_of_slice s ~len:8 ^ read_suffix t buf
-            else prefix ^ Key.bytes_of_slice s ~len:kl
-          in
-          let within =
-            match local_bound with
-            | None -> true
-            | Some k -> full_key <= prefix ^ k
-          in
-          (not within)
-          || f full_key
-               (if is_suffix then read_suffix_value t buf
-                else read_value t buf)
-        end
-      in
-      if keep_going then entries leaf (rank - 1) p else false
-    end
-  and visit_leaf leaf =
-    t.hooks.Hooks.on_leaf_access ~leaf;
-    let p = Leaf.perm t.region leaf in
-    entries leaf (Permutation.count p - 1) p
-  in
-  match target with
-  | None -> visit_leaf (rightmost root)
-  | Some tg ->
-      let leaf0 = descend_leaf t root tg.Key.bits in
-      t.hooks.Hooks.on_leaf_access ~leaf:leaf0;
-      let p = Leaf.perm t.region leaf0 in
-      let tklen =
-        match local_bound with
-        | Some k when Key.has_suffix k ~layer:0 -> 9
-        | Some k -> (Key.slice_at k ~layer:0).Key.len
-        | None -> 0
-      in
-      (* Largest rank at or below the bound. A link entry covering the
-         bound sorts above (slice, tklen<=9), so start one past the find
-         position and let the per-entry bound check trim. *)
-      let from_rank =
-        match Leaf.find t.region leaf0 ~slice:tg.Key.bits ~keylen:tklen with
-        | Leaf.Found r -> r
-        | Leaf.Insert_before r -> min r (Permutation.count p - 1)
-      in
-      entries leaf0 from_rank p
-
 let fold_from t ~start ~f =
   ignore (scan_layer t t.root ~prefix:"" ~local_start:(Some start) ~f)
-
-(* Reverse in-order traversal of keys [<= bound] (all keys when [bound]
-   is omitted); [f] returns whether to continue. Walks the [prev] links
-   of the leaf chain. *)
-let fold_back t ?bound ~f () =
-  ignore (scan_layer_rev t t.root ~prefix:"" ~local_bound:bound ~f)
-
-let scan_rev t ?bound ~n () =
-  t.stats.scans <- t.stats.scans + 1;
-  if n <= 0 then []
-  else begin
-    let acc = ref [] in
-    let count = ref 0 in
-    fold_back t ?bound
-      ~f:(fun k v ->
-        acc := (k, v) :: !acc;
-        incr count;
-        !count < n)
-      ();
-    List.rev !acc
-  end
 
 let scan t ~start ~n =
   t.stats.scans <- t.stats.scans + 1;

@@ -64,10 +64,6 @@ val scan : t -> start:string -> n:int -> (string * string) list
 (** The YCSB-E operation: up to [n] consecutive key-value pairs starting at
     the smallest key [>= start]. *)
 
-val scan_rev : t -> ?bound:string -> n:int -> unit -> (string * string) list
-(** Up to [n] pairs in descending order from the largest key [<= bound]
-    (from the maximum when [bound] is omitted). *)
-
 val cardinal : t -> int
 val iter : t -> (string -> string -> unit) -> unit
 

@@ -56,9 +56,6 @@ type t = {
   max_line_log_bytes : int;
   trace_capacity : int;
   policy : policy;
-  sweep_budget_lines : int;
-  dirty_trigger_lines : int;
-  log_trigger_frac : float;
   cost : cost_model;
 }
 
@@ -72,49 +69,10 @@ let default =
     max_line_log_bytes = 8192;
     trace_capacity = 4096;
     policy = Throughput;
-    sweep_budget_lines = 0;
-    dirty_trigger_lines = 0;
-    log_trigger_frac = 0.0;
     cost = default_cost_model;
   }
 
 let with_sfence_extra_ns t ns =
   { t with cost = { t.cost with sfence_extra_ns = ns } }
 
-(* Policy presets. [Throughput] is the paper's scheduler (fixed-period
-   stop-the-world wbinvd) and is the default, so existing configurations
-   are bit-identical. [Latency] trades fences for tail: each checkpoint
-   is swept incrementally in bounded clwb quanta interleaved with op
-   execution, and dirty/log pressure starts the sweep early so the
-   boundary never meets a full cache. [Rto] bounds recovery time: small
-   epochs (the manager divides the period by [rto_epoch_divisor]) plus
-   aggressive pressure triggers keep the rollback window and the
-   replayable log short, at a throughput cost. *)
-let rto_epoch_divisor = 4.0
-
-let with_policy t policy =
-  match policy with
-  | Throughput ->
-      {
-        t with
-        policy;
-        sweep_budget_lines = 0;
-        dirty_trigger_lines = 0;
-        log_trigger_frac = 0.0;
-      }
-  | Latency ->
-      {
-        t with
-        policy;
-        sweep_budget_lines = 128;
-        dirty_trigger_lines = 8192;
-        log_trigger_frac = 0.5;
-      }
-  | Rto ->
-      {
-        t with
-        policy;
-        sweep_budget_lines = 256;
-        dirty_trigger_lines = 2048;
-        log_trigger_frac = 0.25;
-      }
+let with_policy t policy = { t with policy }

@@ -63,9 +63,9 @@ type policy =
           op execution (no single stall exceeds the sweep budget), with
           dirty-line and extlog pressure starting checkpoints early. *)
   | Rto
-      (** Recovery-time-optimised: short epochs (period divided by
-          {!rto_epoch_divisor}) and aggressive pressure triggers bound the
-          rollback window and the replayable log at a throughput cost. *)
+      (** Recovery-time-optimised: short epochs and aggressive pressure
+          triggers bound the rollback window and the replayable log at a
+          throughput cost. *)
 
 val policy_name : policy -> string
 val policy_of_string : string -> policy
@@ -92,18 +92,9 @@ type t = {
           suffices for interactive poking; timeline exports
           ([bench --trace]) raise it so whole epochs survive the ring. *)
   policy : policy;
-  sweep_budget_lines : int;
-      (** Max dirty lines committed per incremental sweep quantum
-          ({!Region.flush_some}); 0 = stop-the-world [wbinvd] at the
-          checkpoint (the {!Throughput} scheduler). *)
-  dirty_trigger_lines : int;
-      (** Start a checkpoint early once this many lines are dirty
-          (0 = timer only). *)
-  log_trigger_frac : float;
-      (** Start a checkpoint early once the external log is this full
-          (fraction of capacity; 0.0 = timer only). Truncation at the
-          checkpoint reclaims the log, so this trigger averts synchronous
-          log-wrap advances on the op path. *)
+      (** The checkpoint schedule. The drain, the period divisor and the
+          pressure thresholds all follow from it; their values live in
+          [Epoch.Manager] (DESIGN.md §15). *)
   cost : cost_model;
 }
 
@@ -112,8 +103,4 @@ val default : t
 val with_sfence_extra_ns : t -> float -> t
 
 val with_policy : t -> policy -> t
-(** Set [policy] and reset the sweep/pressure knobs to that policy's
-    presets (override individual fields afterwards for custom shapes). *)
-
-val rto_epoch_divisor : float
-(** Epoch-period divisor applied by the epoch manager under {!Rto}. *)
+(** [with_policy t p] is [{ t with policy = p }]. *)

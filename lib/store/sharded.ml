@@ -79,21 +79,6 @@ let scan t ~start ~n =
   in
   gather (shard_of_key t start) start [] n
 
-let scan_rev t ?bound ~n () =
-  (* Walk shards from the bound's owner downwards. *)
-  let start_shard =
-    match bound with Some b -> shard_of_key t b | None -> Array.length t.shards - 1
-  in
-  let rec gather i bound acc need =
-    if need <= 0 || i < 0 then List.rev acc
-    else begin
-      let part = Incll.System.scan_rev t.shards.(i) ?bound ~n:need () in
-      let acc, got = rev_append_count part acc 0 in
-      gather (i - 1) None acc (need - got)
-    end
-  in
-  gather start_shard bound [] n
-
 (* {1 Cross-shard transactions: two-phase commit}
 
    Every participating shard gets a fenced PREPARE record carrying its

@@ -38,9 +38,6 @@ val get : t -> key:string -> string option
 val remove : t -> key:string -> bool
 val scan : t -> start:string -> n:int -> (string * string) list
 
-val scan_rev : t -> ?bound:string -> n:int -> unit -> (string * string) list
-(** Descending scan across shards from the largest key [<= bound]. *)
-
 (** {1 Cross-shard transactions}
 
     Durable multi-key transactions with two-phase commit. Writes are

@@ -128,6 +128,23 @@ let merge_quarantines_cycled_chain () =
   check "chains valid after quarantine" true
     (report.Alloc.Durable.errors = [])
 
+let merge_quarantines_wild_limbo_head () =
+  (* A limbo head pointing past the heap gets the same head check as
+     every other chain walk: the merge quarantines it instead of reading
+     outside the region. *)
+  let r, em = mk_em () in
+  let da = Alloc.Durable.create em in
+  let p = Alloc.Durable.alloc da ~size:32 in
+  Alloc.Durable.dealloc da p;
+  Alloc.Durable.forget_limbo_tails da;
+  let cls = Alloc.Size_class.class_of_payload 32 in
+  Alloc.Meta_line.set_head r
+    ~line:(Nvm.Layout.alloc_class_limbo_line cls)
+    (Nvm.Region.size r + 64);
+  Epoch.Manager.advance em;
+  check_int "wild chain quarantined" 1 (Alloc.Durable.quarantined da);
+  check_int "limbo head cleared" 0 (Alloc.Durable.limbo_count da ~cls)
+
 (* --- the torn-restore (chimera epoch) regression ----------------------- *)
 
 (* [Chunk_header.restore] writes word1 then word0. A crash persisting
@@ -314,6 +331,8 @@ let tests =
       Alcotest.test_case "cycle guard raises" `Quick cycle_guard_raises;
       Alcotest.test_case "merge quarantines cycled chain" `Quick
         merge_quarantines_cycled_chain;
+      Alcotest.test_case "merge quarantines wild limbo head" `Quick
+        merge_quarantines_wild_limbo_head;
       Alcotest.test_case "torn restore is visible" `Quick torn_restore_is_visible;
       Alcotest.test_case "oracle commit boundaries" `Quick
         oracle_commit_boundaries;

@@ -76,25 +76,25 @@ let flush_some_durable () =
 
 (* --- the adaptive scheduler (Epoch.Manager) ---------------------------- *)
 
-let sweep_cfg ?(budget = 2) ?(dirty_trigger = 0) ?(log_frac = 0.0) () =
-  {
-    (Nvm.Config.with_policy
-       (base_cfg ~crash_support:Nvm.Config.Precise ())
-       Nvm.Config.Latency)
-    with
-    Nvm.Config.sweep_budget_lines = budget;
-    dirty_trigger_lines = dirty_trigger;
-    log_trigger_frac = log_frac;
-  }
+(* The real [Latency] preset: 128-line quanta, a dirty trigger at 8192
+   lines and a log trigger at half full. The dirty-line counts below are
+   scaled to it. *)
+let latency_cfg () =
+  Nvm.Config.with_policy
+    (base_cfg ~crash_support:Nvm.Config.Precise ())
+    Nvm.Config.Latency
+
+let counter r name =
+  Obs.Registry.counter_value (Nvm.Region.metrics r) name
 
 let mid_sweep_word_unadvanced () =
   (* While the sweep is in flight the durable epoch word still names the
      open epoch — a crash mid-sweep recovers exactly like a crash
      mid-wbinvd. The word only advances on the draining quantum. *)
-  let r = mk_region (sweep_cfg ()) in
+  let r = mk_region (latency_cfg ()) in
   let em = Epoch.Manager.create ~epoch_len_ns:1000.0 r in
   Nvm.Region.wbinvd r;
-  dirty_lines r 10;
+  dirty_lines r 300;
   Nvm.Region.advance_clock r 1001.0;
   check "first quantum, not done" false (Epoch.Manager.maybe_advance em);
   check "sweep in flight" true (Epoch.Manager.sweeping em);
@@ -118,10 +118,10 @@ let mid_sweep_word_unadvanced () =
 let forced_advance_completes_sweep () =
   (* A forced advance (extlog wrap, recovery) mid-sweep drains the
      remainder and fences the same boundary — never a second one. *)
-  let r = mk_region (sweep_cfg ()) in
+  let r = mk_region (latency_cfg ()) in
   let em = Epoch.Manager.create ~epoch_len_ns:1000.0 r in
   Nvm.Region.wbinvd r;
-  dirty_lines r 10;
+  dirty_lines r 300;
   Nvm.Region.advance_clock r 1001.0;
   check "sweep started" false (Epoch.Manager.maybe_advance em);
   check "in flight" true (Epoch.Manager.sweeping em);
@@ -134,10 +134,10 @@ let forced_advance_completes_sweep () =
 let lingering_sweep_completes_synchronously () =
   (* Convergence guard: a sweep that is still in flight a whole extra
      period later is completed in one synchronous drain. *)
-  let r = mk_region (sweep_cfg ~budget:1 ()) in
+  let r = mk_region (latency_cfg ()) in
   let em = Epoch.Manager.create ~epoch_len_ns:1000.0 r in
   Nvm.Region.wbinvd r;
-  dirty_lines r 50;
+  dirty_lines r 300;
   Nvm.Region.advance_clock r 1001.0;
   check "sweep started" false (Epoch.Manager.maybe_advance em);
   Nvm.Region.advance_clock r 1100.0;
@@ -146,29 +146,74 @@ let lingering_sweep_completes_synchronously () =
   check_int "drained" 0 (Nvm.Region.dirty_line_count r)
 
 let dirty_pressure_triggers_early () =
-  (* The dirty-set trigger starts a checkpoint long before the timer. *)
-  let r = mk_region (sweep_cfg ~budget:256 ~dirty_trigger:4 ()) in
+  (* The dirty-set trigger starts a checkpoint long before the timer, and
+     the sweep it starts drains over several quanta. *)
+  let r = mk_region (latency_cfg ()) in
   let em = Epoch.Manager.create ~epoch_len_ns:1.0e15 r in
   Nvm.Region.wbinvd r;
-  dirty_lines r 3;
+  dirty_lines r 8191;
   check "below threshold" false (Epoch.Manager.maybe_advance em);
-  check_int "still epoch 2" 2 (Epoch.Manager.current em);
-  dirty_lines r 5;
-  (* Budget exceeds the dirty set, so the trigger drains in one call. *)
-  check "pressure advance" true (Epoch.Manager.maybe_advance em);
-  check_int "advanced without the timer" 3 (Epoch.Manager.current em)
+  check "no sweep yet" false (Epoch.Manager.sweeping em);
+  dirty_lines r 8192;
+  check "pressure starts the sweep" false (Epoch.Manager.maybe_advance em);
+  check_int "dirty trigger counted" 1
+    (counter r "epoch.advance.pressure_dirty");
+  let calls = ref 1 in
+  while (not (Epoch.Manager.maybe_advance em)) && !calls < 1000 do
+    incr calls
+  done;
+  check "drained over many quanta" true (!calls > 1);
+  check_int "advanced without the timer" 3 (Epoch.Manager.current em);
+  check_int "timer never fired" 0 (counter r "epoch.advance.timer")
 
 let log_pressure_triggers_early () =
-  let r = mk_region (sweep_cfg ~budget:256 ~log_frac:0.5 ()) in
+  let r = mk_region (latency_cfg ()) in
   let em = Epoch.Manager.create ~epoch_len_ns:1.0e15 r in
   Nvm.Region.wbinvd r;
-  let fill = ref 0.1 in
+  let fill = ref 0.49 in
   Epoch.Manager.set_log_pressure em (fun () -> !fill);
   dirty_lines r 2;
-  check "log mostly empty" false (Epoch.Manager.maybe_advance em);
-  fill := 0.7;
+  check "log under half full" false (Epoch.Manager.maybe_advance em);
+  fill := 0.5;
+  (* Two dirty lines fit one quantum, so the trigger drains in one call. *)
   check "log pressure advance" true (Epoch.Manager.maybe_advance em);
+  check_int "log trigger counted" 1 (counter r "epoch.advance.pressure_log");
   check_int "advanced without the timer" 3 (Epoch.Manager.current em)
+
+let record_update_schedules_like_with_policy () =
+  (* The policy alone picks the schedule: a config built by record update
+     sweeps in quanta (no wbinvd at the boundary) and gets the policy's
+     period, exactly like one built by [with_policy]. *)
+  List.iter
+    (fun (policy, period) ->
+      let name = Nvm.Config.policy_name policy in
+      let run cfg =
+        let r = mk_region cfg in
+        let em = Epoch.Manager.create ~epoch_len_ns:1000.0 r in
+        Nvm.Region.wbinvd r;
+        let st = Nvm.Region.stats r in
+        let wb0 = st.Nvm.Stats.wbinvd in
+        dirty_lines r 300;
+        Nvm.Region.advance_clock r 1001.0;
+        let calls = ref 1 in
+        while (not (Epoch.Manager.maybe_advance em)) && !calls < 1000 do
+          incr calls
+        done;
+        check_int (name ^ ": checkpoint completed") 3
+          (Epoch.Manager.current em);
+        check (name ^ ": swept in quanta") true (st.Nvm.Stats.sweep_quanta > 1);
+        check_int (name ^ ": no wbinvd at the boundary") wb0 st.Nvm.Stats.wbinvd;
+        Alcotest.(check (float 0.0))
+          (name ^ ": period") period
+          (Epoch.Manager.epoch_len_ns em);
+        (st.Nvm.Stats.sweep_quanta, st.Nvm.Stats.sweep_lines, !calls)
+      in
+      let base = base_cfg () in
+      let by_update = run { base with Nvm.Config.policy } in
+      let by_preset = run (Nvm.Config.with_policy base policy) in
+      check (name ^ ": same schedule as with_policy") true
+        (by_update = by_preset))
+    [ (Nvm.Config.Latency, 1000.0); (Nvm.Config.Rto, 250.0) ]
 
 (* --- sweep vs wbinvd differential -------------------------------------- *)
 
@@ -197,8 +242,9 @@ let apply_workload sys =
 
 let differential_images_identical () =
   (* Same op stream into two Precise-mode systems whose only difference
-     is the drain mechanism (timer and pressure triggers disabled on the
-     sweep side so the epoch schedules coincide): after every completed
+     is the drain mechanism (the timer is off, and the workload stays
+     under the Latency preset's pressure triggers, so the epoch schedules
+     coincide): after every completed
      checkpoint — and after a crash at any common point — the durable
      images must be byte-identical, and both recoveries must agree. *)
   let nvm_wb =
@@ -208,13 +254,7 @@ let differential_images_identical () =
       extlog_bytes = 256 * 1024;
     }
   in
-  let nvm_sweep =
-    {
-      (Nvm.Config.with_policy nvm_wb Nvm.Config.Latency) with
-      Nvm.Config.dirty_trigger_lines = 0;
-      log_trigger_frac = 0.0;
-    }
-  in
+  let nvm_sweep = Nvm.Config.with_policy nvm_wb Nvm.Config.Latency in
   let a = mk_system nvm_wb and b = mk_system nvm_sweep in
   let wb0 = (Nvm.Region.stats (Incll.System.region b)).Nvm.Stats.wbinvd in
   apply_workload a;
@@ -231,6 +271,11 @@ let differential_images_identical () =
     Incll.System.put a ~key ~value:"tail";
     Incll.System.put b ~key ~value:"tail"
   done;
+  List.iter
+    (fun trigger ->
+      check_int (trigger ^ " never fired on the sweep side") 0
+        (counter (Incll.System.region b) trigger))
+    [ "epoch.advance.pressure_dirty"; "epoch.advance.pressure_log" ];
   Nvm.Region.crash_persist_none (Incll.System.region a);
   Nvm.Region.crash_persist_none (Incll.System.region b);
   check "post-crash durable images byte-identical" true
@@ -316,6 +361,8 @@ let tests =
         dirty_pressure_triggers_early;
       Alcotest.test_case "log pressure triggers early" `Quick
         log_pressure_triggers_early;
+      Alcotest.test_case "record-update policy schedules like with_policy"
+        `Quick record_update_schedules_like_with_policy;
       Alcotest.test_case "sweep vs wbinvd byte-identical" `Quick
         differential_images_identical;
       Alcotest.test_case "torture both policies, same seeds" `Slow

@@ -172,24 +172,6 @@ let tests =
       Alcotest.test_case "store crash/recover" `Quick store_crash_recover;
     ] )
 
-let scan_rev_through_system_and_store () =
-  let s = Sys_.create ~config:small_cfg Sys_.Incll in
-  for i = 0 to 99 do
-    Sys_.put s ~key:(Printf.sprintf "k%03d" i) ~value:(string_of_int i)
-  done;
-  Alcotest.(check (list string)) "system scan_rev"
-    [ "k099"; "k098" ]
-    (List.map fst (Sys_.scan_rev s ~n:2 ()));
-  let st = Store.Sharded.create ~config:small_cfg Sys_.Incll ~shards:4 in
-  let keys = List.init 200 (fun b -> Printf.sprintf "%03d-key" b) in
-  List.iter (fun k -> Store.Sharded.put st ~key:k ~value:k) keys;
-  Alcotest.(check (list string)) "store scan_rev crosses shards"
-    (List.rev keys)
-    (List.map fst (Store.Sharded.scan_rev st ~n:500 ()));
-  Alcotest.(check (list string)) "store bounded"
-    [ "100-key"; "099-key"; "098-key" ]
-    (List.map fst (Store.Sharded.scan_rev st ~bound:"100-zzz" ~n:3 ()))
-
 let durability_lag_reports () =
   let cfg = { small_cfg with Sys_.epoch_len_ns = 1.0e9 } in
   let s = Sys_.create ~config:cfg Sys_.Incll in
@@ -205,7 +187,6 @@ let durability_lag_reports () =
 
 let extra_tests =
   [
-    Alcotest.test_case "scan_rev via system/store" `Quick scan_rev_through_system_and_store;
     Alcotest.test_case "durability lag" `Quick durability_lag_reports;
   ]
 
@@ -291,7 +272,7 @@ let recover_mutates_store_in_place () =
     (Store.Sharded.put alias ~key:(key8 1000) ~value:"post";
      Store.Sharded.get st ~key:(key8 1000) = Some "post")
 
-(* Cross-shard scans: starts and bounds that land mid-shard, with windows
+(* Cross-shard scans: starts that land mid-shard, with windows
    long enough to cross one or more shard boundaries. *)
 let scan_windows_cross_shard_boundaries () =
   List.iter
@@ -319,19 +300,7 @@ let scan_windows_cross_shard_boundaries () =
           Alcotest.(check (list string))
             (Printf.sprintf "scan %s n=%d (%d shards) sorted" start n shards)
             (expect_from start n) got)
-        [ ("", List.length keys); ("3e-2", 80); ("7a-0", 120); ("f8-3", 10) ];
-      let rev_sorted = List.rev sorted in
-      let expect_rev bound n =
-        List.filteri (fun i _ -> i < n)
-          (List.filter (fun k -> k <= bound) rev_sorted)
-      in
-      List.iter
-        (fun (bound, n) ->
-          let got = List.map fst (Store.Sharded.scan_rev st ~bound ~n ()) in
-          Alcotest.(check (list string))
-            (Printf.sprintf "scan_rev %s n=%d (%d shards)" bound n shards)
-            (expect_rev bound n) got)
-        [ ("zz", 90); ("80-9", 130); ("04-1", 3) ])
+        [ ("", List.length keys); ("3e-2", 80); ("7a-0", 120); ("f8-3", 10) ])
     [ 2; 3; 4 ]
 
 let tests =

@@ -355,74 +355,6 @@ let removal_tests =
 
 let tests = (fst tests, snd tests @ removal_tests)
 
-(* --- reverse scans ------------------------------------------------------- *)
-
-let scan_rev_basic () =
-  let t = mk () in
-  for i = 0 to 99 do
-    T.put t ~key:(Printf.sprintf "k%03d" i) ~value:(string_of_int i)
-  done;
-  Alcotest.(check (list string)) "top three descending"
-    [ "k099"; "k098"; "k097" ]
-    (List.map fst (T.scan_rev t ~n:3 ()));
-  Alcotest.(check (list string)) "bounded descending"
-    [ "k050"; "k049"; "k048" ]
-    (List.map fst (T.scan_rev t ~bound:"k050" ~n:3 ()));
-  Alcotest.(check (list string)) "bound between keys"
-    [ "k050" ]
-    (List.map fst (T.scan_rev t ~bound:"k0505" ~n:1 ()));
-  Alcotest.(check (list string)) "bound below all" []
-    (List.map fst (T.scan_rev t ~bound:"a" ~n:5 ()))
-
-let scan_rev_matches_forward =
-  let open QCheck in
-  Test.make ~name:"reverse scan = reversed forward scan" ~count:40
-    (pair (int_bound 1_000_000) (int_range 1 400))
-    (fun (seed, nkeys) ->
-      let t = mk () in
-      let rng = Util.Rng.create ~seed in
-      (* A mix of short, long and shared-prefix keys. *)
-      for i = 0 to nkeys - 1 do
-        let k =
-          match Util.Rng.int rng 3 with
-          | 0 -> Printf.sprintf "%05d" i
-          | 1 -> Printf.sprintf "shared-prefix/%05d" i
-          | _ -> key8 i
-        in
-        T.put t ~key:k ~value:(string_of_int i)
-      done;
-      let forward = T.scan t ~start:"" ~n:max_int in
-      let backward = T.scan_rev t ~n:max_int () in
-      backward = List.rev forward)
-
-let scan_rev_bounded_property =
-  let open QCheck in
-  Test.make ~name:"bounded reverse scan = filtered forward" ~count:40
-    (pair (int_bound 1_000_000) (string_of_size Gen.(int_bound 10)))
-    (fun (seed, bound) ->
-      let t = mk () in
-      let rng = Util.Rng.create ~seed in
-      for i = 0 to 200 do
-        let k =
-          if Util.Rng.bool rng then Printf.sprintf "%c%04d" (Char.chr (97 + (i mod 26))) i
-          else Printf.sprintf "prefix!!%d-%05d" (i mod 3) i
-        in
-        T.put t ~key:k ~value:""
-      done;
-      let forward = List.map fst (T.scan t ~start:"" ~n:max_int) in
-      let expect = List.rev (List.filter (fun k -> k <= bound) forward) in
-      let got = List.map fst (T.scan_rev t ~bound ~n:max_int ()) in
-      got = expect)
-
-let rev_tests =
-  [
-    Alcotest.test_case "scan_rev basics" `Quick scan_rev_basic;
-    QCheck_alcotest.to_alcotest scan_rev_matches_forward;
-    QCheck_alcotest.to_alcotest scan_rev_bounded_property;
-  ]
-
-let tests = (fst tests, snd tests @ rev_tests)
-
 (* --- key-suffix inlining (ksuf) ------------------------------------------ *)
 
 let single_long_key_needs_no_layer () =
@@ -483,9 +415,6 @@ let suffix_scan_ordering () =
   T.validate t;
   Alcotest.(check (list string)) "forward order" (List.sort compare keys)
     (List.map fst (T.scan t ~start:"" ~n:10));
-  Alcotest.(check (list string)) "reverse order"
-    (List.rev (List.sort compare keys))
-    (List.map fst (T.scan_rev t ~n:10 ()));
   (* Start mid-way between a suffix entry and its slice. *)
   Alcotest.(check (list string)) "start inside suffix range"
     [ "abcdefghSOLO"; "zz" ]
