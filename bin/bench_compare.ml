@@ -101,14 +101,7 @@ let cell_number s =
 (* ---------------------------------------------------------------- meta *)
 
 let meta_field report name =
-  match J.find_path report [ "meta"; name ] with
-  | Some v -> v
-  | None -> (
-      (* Schema-1 reports kept the run parameters under "opts" and had
-         no version field; surface that as version 1. *)
-      match J.find_path report [ "opts"; name ] with
-      | Some v -> v
-      | None -> if name = "schema_version" then J.Int 1 else J.Null)
+  Option.value (J.find_path report [ "meta"; name ]) ~default:J.Null
 
 let check_meta a b =
   let mismatches =

@@ -10,6 +10,13 @@
      - SIGKILL crash-restart cycles landing mid-load, the restart
        recovering from the same image directory.
 
+   The proxy counts frames per direction across all its connections, so
+   a schedule faults the same frames every run only with one client
+   connection at a time, as in seed 1. The other seeds run three
+   sessions at once: which session's frame each scheduled ordinal hits
+   depends on scheduling, and so does the crash timing, so those seeds
+   check the oracle under varied faults rather than replay one trace.
+
    The exactly-once oracle at the end of each seed connects DIRECTLY to
    the final server incarnation and checks, for every key, that the
    store holds exactly the last acked mutation — no acked op lost
@@ -271,7 +278,8 @@ let run_seed ~seed ~sessions ~nops ~ncrashes =
   let sched_up = if targeted then [] else gen_sched rng 4 in
   let sched_down =
     if targeted then
-      (* Drop exactly one reply frame: frame 1 is the HELLO reply, so
+      (* Drop exactly one reply frame: frame 1 is the HELLO reply and
+         every op, a transaction included, is one request frame, so
          hit 4 is the reply to the session's 3rd op — applied, durably
          recorded, never acked. [on_fault] SIGKILLs at that moment. *)
       [ { Chaos.Plan.site = Chaos.Site.Net_drop; hit = 4 } ]

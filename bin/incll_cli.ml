@@ -4,9 +4,9 @@
    Run with: dune exec bin/incll_cli.exe
      [-- --variant INCLL --shards 2 --policy latency]
    or against a running bin/incll_server.exe over the wire protocol:
-     dune exec bin/incll_cli.exe -- --connect unix:/tmp/incll.sock [--retry]
-   (--retry routes commands through the fault-tolerant Wire.Session:
-   retry with backoff, transparent reconnect, exactly-once stamps).
+     dune exec bin/incll_cli.exe -- --connect unix:/tmp/incll.sock
+   (commands go through the fault-tolerant Wire.Session: retry with
+   backoff, transparent reconnect, exactly-once stamps).
    Then type `help` at the prompt, or pipe a script on stdin. *)
 
 module S = Store.Sharded
@@ -45,90 +45,31 @@ let usage =
 let remote_usage =
   {|commands (remote):
   put <key> <value>       insert or update on the server
-  get <key>               look a key up (read-your-writes inside a txn)
+  get <key>               look a key up on the server
   del <key>               remove a key
   scan <start> <n>        n consecutive pairs from the smallest key >= start
   count                   number of entries (paged scans)
-  begin                   open a server-side transaction on this connection
+  begin                   open a transaction, buffered in the shell
   tput <key> <value>      buffer a put in the open transaction
   tdel <key>              buffer a remove in the open transaction
-  tget <key>              read-your-writes lookup (same as get remotely)
-  commit                  durable cross-shard commit of the open transaction
+  tget <key>              read-your-writes lookup inside the transaction
+  commit                  send the transaction as one durable cross-shard
+                          commit (the write set must fit one 1 MiB frame)
   abort                   discard the open transaction
   stats                   server metrics as JSON (stats --json is the same)
   stats --prom            server metrics in Prometheus text exposition
   help                    this text
   quit                    exit|}
 
-(* One remote backend: the shell loop below is written against this
-   record so the raw [Wire.Client] (one connection, errors surface) and
-   the fault-tolerant [Wire.Session] (--retry: backoff, reconnect,
-   exactly-once stamps) plug in interchangeably. *)
-type remote_ops = {
-  r_put : string -> string -> unit;
-  r_get : string -> string option;
-  r_tget : string -> string option;
-  r_del : string -> bool;
-  r_scan : start:string -> n:int -> (string * string) list;
-  r_txn_begin : unit -> unit;
-  r_txn_put : string -> string -> unit;
-  r_txn_remove : string -> unit;
-  r_txn_commit : unit -> unit;
-  r_txn_abort : unit -> unit;
-  r_stats : Wire.Proto.stats_format -> string;
-  r_close : unit -> unit;
-}
-
-let client_ops addr =
-  let module C = Wire.Client in
-  let c = C.connect addr in
-  {
-    r_put = C.put c;
-    r_get = C.get c;
-    (* Server-side txns buffer on the connection; a remote read inside
-       one is just a read. *)
-    r_tget = C.get c;
-    r_del = C.delete c;
-    r_scan = (fun ~start ~n -> C.scan c ~start ~n);
-    r_txn_begin = (fun () -> C.txn_begin c);
-    r_txn_put = C.txn_put c;
-    r_txn_remove = C.txn_remove c;
-    r_txn_commit = (fun () -> C.txn_commit c);
-    r_txn_abort = (fun () -> C.txn_abort c);
-    r_stats = C.stats c;
-    r_close = (fun () -> C.close c);
-  }
-
-let session_ops addr =
-  let module S = Wire.Session in
-  let s = S.connect addr in
-  {
-    r_put = S.put s;
-    r_get = S.get s;
-    (* Session txns buffer client-side: read-your-writes needs the
-       local buffer, not the server. *)
-    r_tget = (fun k -> if S.txn_active s then S.txn_get s k else S.get s k);
-    r_del = S.delete s;
-    r_scan = (fun ~start ~n -> S.scan s ~start ~n);
-    r_txn_begin = (fun () -> S.txn_begin s);
-    r_txn_put = S.txn_put s;
-    r_txn_remove = S.txn_remove s;
-    r_txn_commit = (fun () -> S.txn_commit s);
-    r_txn_abort = (fun () -> S.txn_abort s);
-    r_stats = S.stats s;
-    r_close = (fun () -> S.close s);
-  }
-
 (* The same shell, but every command is a wire round-trip to a running
-   bin/incll_server.exe. Crash/recover/save/load stay local-only: the
-   server owns its region. *)
-let remote_main ~retry addr =
-  let module C = Wire.Client in
+   bin/incll_server.exe, through a retrying Wire.Session. Crash/recover/
+   save/load stay local-only: the server owns its region. *)
+let remote_main addr =
+  let module R = Wire.Session in
   let module P = Wire.Proto in
-  let c = if retry then session_ops addr else client_ops addr in
-  Printf.printf "incll shell — connected to %s%s. Type `help`.\n%!"
-    (C.string_of_addr addr)
-    (if retry then " (retrying session)" else "");
+  let s = R.connect addr in
+  Printf.printf "incll shell — connected to %s. Type `help`.\n%!"
+    (Wire.Client.string_of_addr addr);
   let interactive = Unix.isatty Unix.stdin in
   (try
      while true do
@@ -144,25 +85,25 @@ let remote_main ~retry addr =
           | [ "help" ] -> print_endline remote_usage
           | [ "quit" ] | [ "exit" ] -> raise Exit
           | [ "put"; k; v ] ->
-              c.r_put k v;
+              R.put s k v;
               print_endline "ok"
           | [ "get"; k ] -> (
-              match c.r_get k with
+              match R.get s k with
               | Some v -> Printf.printf "%S\n" v
               | None -> print_endline "(not found)")
           | [ "tget"; k ] -> (
-              match c.r_tget k with
+              match if R.txn_active s then R.txn_get s k else R.get s k with
               | Some v -> Printf.printf "%S\n" v
               | None -> print_endline "(not found)")
           | [ "del"; k ] ->
-              print_endline (if c.r_del k then "ok" else "(not found)")
+              print_endline (if R.delete s k then "ok" else "(not found)")
           | [ "scan"; start; n ] ->
               List.iter
                 (fun (k, v) -> Printf.printf "  %S -> %S\n" k v)
-                (c.r_scan ~start ~n:(int_of_string n))
+                (R.scan s ~start ~n:(int_of_string n))
           | [ "count" ] ->
               let rec page start acc =
-                match c.r_scan ~start ~n:512 with
+                match R.scan s ~start ~n:512 with
                 | [] -> acc
                 | pairs ->
                     let last, _ = List.nth pairs (List.length pairs - 1) in
@@ -170,30 +111,30 @@ let remote_main ~retry addr =
               in
               Printf.printf "%d entries\n" (page "" 0)
           | [ "begin" ] ->
-              c.r_txn_begin ();
+              R.txn_begin s;
               print_endline "txn open"
           | [ "tput"; k; v ] ->
-              c.r_txn_put k v;
+              R.txn_put s k v;
               print_endline "buffered"
           | [ "tdel"; k ] ->
-              c.r_txn_remove k;
+              R.txn_remove s k;
               print_endline "buffered"
           | [ "commit" ] ->
-              c.r_txn_commit ();
+              R.txn_commit s;
               print_endline "committed durably"
           | [ "abort" ] ->
-              c.r_txn_abort ();
+              R.txn_abort s;
               print_endline "aborted (no shard was touched)"
           | [ "stats" ] | [ "stats"; "--json" ] ->
-              print_endline (c.r_stats P.Stats_json)
-          | [ "stats"; "--prom" ] -> print_string (c.r_stats P.Stats_prom)
+              print_endline (R.stats s P.Stats_json)
+          | [ "stats"; "--prom" ] -> print_string (R.stats s P.Stats_prom)
           | _ -> print_endline "unknown command (try `help`)"
         with
        | Exit -> raise Exit
        | e -> Printf.printf "error: %s\n" (Printexc.to_string e))
      done
    with End_of_file | Exit -> if interactive then print_endline "bye");
-  c.r_close ()
+  R.close s
 
 let config_for policy =
   {
@@ -214,14 +155,10 @@ let () =
   let shards = ref 1 in
   let policy = ref Nvm.Config.Throughput in
   let connect = ref None in
-  let retry = ref false in
   let rec parse = function
     | [] -> ()
     | "--connect" :: v :: rest ->
         connect := Some (Wire.Client.addr_of_string v);
-        parse rest
-    | "--retry" :: rest ->
-        retry := true;
         parse rest
     | "--variant" :: v :: rest ->
         variant := Sys_.variant_of_string v;
@@ -244,7 +181,7 @@ let () =
   parse (List.tl (Array.to_list Sys.argv));
   (match !connect with
   | Some addr ->
-      remote_main ~retry:!retry addr;
+      remote_main addr;
       exit 0
   | None -> ());
   let config = config_for !policy in

@@ -6,8 +6,11 @@
 
    Determinism: faults are scheduled by *frame ordinal per direction*
    ([{site = Net_drop; hit = 5}] faults the 5th relayed frame in that
-   direction), not by time, so a seeded workload replays the same fault
-   sequence every run. The proxy keeps its own counters — the global
+   direction), not by time. The ordinals count frames across every
+   relayed connection, so a seeded schedule replays the same fault
+   sequence only while one client connection is relayed at a time; with
+   concurrent connections each ordinal lands on whichever connection's
+   frame comes next. The proxy keeps its own counters — the global
    [Chaos.Plan] injector singleton is for single-domain crash plans and
    is not touched here.
 
@@ -37,8 +40,8 @@ type t = {
   on_fault : (Chaos.Plan.point -> unit) option;
 }
 
-let rec restart_eintr f =
-  try f () with Unix.Unix_error (Unix.EINTR, _, _) -> restart_eintr f
+let restart_eintr = Wire.Client.restart_eintr
+let write_all = Wire.Client.write_all
 
 let net_site = function
   | Chaos.Site.Net_drop | Net_delay | Net_dup | Net_trunc | Net_sever -> true
@@ -84,15 +87,6 @@ let frame_of_payload payload =
   Bytes.set_int32_be b 0 (Int32.of_int n);
   Bytes.blit_string payload 0 b 4 n;
   Bytes.unsafe_to_string b
-
-let write_all fd s =
-  let b = Bytes.unsafe_of_string s in
-  let n = Bytes.length b in
-  let off = ref 0 in
-  while !off < n do
-    let k = restart_eintr (fun () -> Unix.write fd b !off (n - !off)) in
-    off := !off + k
-  done
 
 exception Severed
 
@@ -168,55 +162,8 @@ let conn_loop t ~client ~server =
   close_quiet client;
   close_quiet server
 
-let connect_upstream addr =
-  match addr with
-  | Wire.Client.Unix_sock path ->
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      (try Unix.connect fd (Unix.ADDR_UNIX path)
-       with e ->
-         close_quiet fd;
-         raise e);
-      fd
-  | Wire.Client.Tcp (host, port) ->
-      let ip =
-        try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-        with Not_found -> Unix.inet_addr_of_string host
-      in
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      (try
-         Unix.setsockopt fd Unix.TCP_NODELAY true;
-         Unix.connect fd (Unix.ADDR_INET (ip, port))
-       with e ->
-         close_quiet fd;
-         raise e);
-      fd
-
-let bind_listen addr =
-  match addr with
-  | Wire.Client.Unix_sock path ->
-      if Sys.file_exists path then Sys.remove path;
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.bind fd (Unix.ADDR_UNIX path);
-      Unix.listen fd 64;
-      (fd, addr)
-  | Wire.Client.Tcp (host, port) ->
-      let ip =
-        try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-        with Not_found -> Unix.inet_addr_of_string host
-      in
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.setsockopt fd Unix.SO_REUSEADDR true;
-      Unix.bind fd (Unix.ADDR_INET (ip, port));
-      Unix.listen fd 64;
-      let port =
-        match Unix.getsockname fd with
-        | Unix.ADDR_INET (_, p) -> p
-        | _ -> port
-      in
-      (fd, Wire.Client.Tcp (host, port))
-
 let handle_conn t client =
-  match connect_upstream t.upstream with
+  match Wire.Client.connect_fd t.upstream with
   | exception _ -> close_quiet client
   | server ->
       let d = Domain.spawn (fun () -> conn_loop t ~client ~server) in
@@ -241,7 +188,7 @@ let accept_loop t =
 let start ?sched_up ?sched_down ?on_fault ~listen ~upstream () =
   (* Relaying into severed sockets is this proxy's job description. *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let listen_fd, bound = bind_listen listen in
+  let listen_fd, bound = Wire.Client.listen listen in
   let t =
     {
       listen_fd;
@@ -288,6 +235,7 @@ let stop t =
     Mutex.unlock t.mu;
     List.iter Domain.join conns;
     match t.bound with
-    | Wire.Client.Unix_sock path -> ( try Sys.remove path with Sys_error _ -> ())
+    | Wire.Client.Unix_sock path -> (
+        try Unix.unlink path with Unix.Unix_error _ -> ())
     | _ -> ()
   end

@@ -5,9 +5,12 @@
 
     Faults are scheduled by {e frame ordinal per direction}: the point
     [{site = Net_drop; hit = 5}] in [sched_down] drops the 5th reply
-    frame the server sends — not the 5th second, so a seeded workload
-    replays the same fault sequence every run. At most one fault applies
-    per frame; points fire in ascending [hit] order.
+    frame the server sends — not the 5th second. The ordinals count
+    frames across every relayed connection, so a seeded schedule hits
+    the same frames every run only while one client connection is
+    relayed at a time; with concurrent connections, which connection's
+    frame an ordinal lands on depends on scheduling. At most one fault
+    applies per frame; points fire in ascending [hit] order.
 
     Sites: [Net_drop] (frame vanishes), [Net_delay] (delivered ~150 ms
     late), [Net_dup] (delivered twice), [Net_trunc] (cut mid-payload,

@@ -8,7 +8,6 @@ type conn = {
   dec : P.Decoder.t;
   out : Buffer.t;  (* encoded reply frames not yet written *)
   mutable outstanding : int;  (* requests answered by other domains *)
-  mutable txn : P.txn_write list option;  (* newest first *)
   mutable reading : bool;  (* false after EOF, an error or the drain sweep *)
 }
 
@@ -72,8 +71,7 @@ let wall_ns t = (Unix.gettimeofday () -. t.t0) *. 1e9
 (* A signal delivered to the process (SIGTERM with a handler installed,
    say) interrupts blocking syscalls on whatever domain is inside one;
    an EINTR must resume the call, never abandon a drain. *)
-let rec restart_eintr f =
-  try f () with Unix.Unix_error (Unix.EINTR, _, _) -> restart_eintr f
+let restart_eintr = Wire.Client.restart_eintr
 
 (* ------------------------------------------------------------- replies *)
 
@@ -113,7 +111,7 @@ let exec_single sys (op : P.op) =
       if Incll.System.remove sys ~key:k then (P.Ok, P.Unit)
       else (P.Not_found, P.Unit)
   | _ ->
-      (* SCAN/TXN_*/STATS never reach a single-shard queue entry. *)
+      (* SCAN/TXN_COMMIT/STATS never reach a single-shard queue entry. *)
       (P.Bad_request, P.Unit)
 
 (* Replayed (sid, seq)? Answer without re-applying: the recorded status
@@ -261,12 +259,12 @@ let submit_barrier t conn id f =
   Array.iter (fun q -> ignore (Bqueue.push_unbounded q (Barrier b))) t.queues;
   Mutex.unlock t.barrier_mu
 
-(* Replay a connection's buffered writes through the store's 2PC. A
+(* Commit one TXN frame's write set through the store's 2PC. A
    session-stamped commit dedups against the session's *home* shard
    (sid mod nshards — stamp-deterministic, key-independent). Runs inside
    the cross-shard barrier, so every shard is parked and touching the
    home shard's table and log is exclusive. A failed commit is not
-   recorded: the client's replay re-runs it from scratch. *)
+   recorded: a resend of the same stamp runs it again. *)
 let commit_txn t sess writes () =
   let store = t.store in
   let home sid = sid mod Store.Sharded.nshards store in
@@ -305,16 +303,6 @@ let stats_text store fmt () =
   in
   (P.Ok, P.Text text)
 
-(* Read-your-writes against the connection's buffered transaction: the
-   newest buffered write for [k], if any. *)
-let txn_shadow buffered k =
-  List.find_map
-    (function
-      | P.Tw_put (k', v) when k' = k -> Some (Some v)
-      | P.Tw_remove k' when k' = k -> Some None
-      | _ -> None)
-    buffered
-
 (* Serve one request on its connection's owner [i]. [dec_ns] is when
    its read began: reading, decoding and the wait behind the read's
    earlier requests count as queueing. *)
@@ -338,44 +326,15 @@ let handle_request t i conn ~draining ~dec_ns ({ P.id; op; sess } as req) =
       end
     in
     match op with
-    | P.Txn_begin ->
-        (* In-flight work drains to completion, but a drain does not
-           accept the start of a new conversation. *)
-        if draining then simple conn id P.Shutting_down
-        else if conn.txn <> None then simple conn id P.Txn_state
-        else begin
-          conn.txn <- Some [];
-          simple conn id P.Ok
-        end
-    | P.Txn_write w -> (
-        match conn.txn with
-        | None -> simple conn id P.Txn_state
-        | Some l ->
-            conn.txn <- Some (w :: l);
-            simple conn id P.Ok)
-    | P.Txn_abort ->
-        if conn.txn = None then simple conn id P.Txn_state
-        else begin
-          conn.txn <- None;
-          simple conn id P.Ok
-        end
-    | P.Txn_commit -> (
-        match conn.txn with
-        | None -> simple conn id P.Txn_state
-        | Some l ->
-            conn.txn <- None;
-            submit_barrier t conn id (commit_txn t sess (List.rev l)))
-    | P.Get k -> (
-        match Option.bind conn.txn (fun l -> txn_shadow l k) with
-        | Some (Some v) -> simple ~payload:(P.Value v) conn id P.Ok
-        | Some None -> simple conn id P.Not_found
-        | None -> route_to_shard k)
-    | P.Put (k, _) | P.Delete k -> route_to_shard k
+    | P.Get k | P.Put (k, _) | P.Delete k -> route_to_shard k
+    | P.Txn_commit writes -> submit_barrier t conn id (commit_txn t sess writes)
     | P.Scan (start, n) ->
         submit_barrier t conn id (fun () ->
             (P.Ok, P.Pairs (Store.Sharded.scan t.store ~start ~n)))
     | P.Stats fmt -> submit_barrier t conn id (stats_text t.store fmt)
     | P.Hello proposed ->
+        (* In-flight work drains to completion, but a drain does not
+           start a new session. *)
         if draining then simple conn id P.Shutting_down
         else begin
           (* Grant the proposed id (resuming after a reconnect) or mint a
@@ -423,10 +382,6 @@ let flush conn =
         Buffer.clear conn.out;
         conn.reading <- false
 
-let stop_reading conn =
-  conn.reading <- false;
-  conn.txn <- None
-
 (* One non-blocking read, serving every complete frame in it; [false]
    when nothing was there or the peer is gone. Unframeable garbage
    cannot be resynced mid-stream: stop reading (requests in flight
@@ -436,7 +391,7 @@ let read_conn t i buf conn ~draining =
   match restart_eintr (fun () -> Unix.read conn.fd buf 0 (Bytes.length buf)) with
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> false
   | 0 | (exception Unix.Unix_error _) ->
-      stop_reading conn;
+      conn.reading <- false;
       false
   | n ->
       (* A read is the inline batch. *)
@@ -452,14 +407,14 @@ let read_conn t i buf conn ~draining =
                go ()
          in
          go ()
-       with P.Malformed _ -> stop_reading conn);
+       with P.Malformed _ -> conn.reading <- false);
       true
 
 (* The drain's last pass over a connection: requests the peer had
    already delivered are served, not dropped — that is what makes the
    drain graceful. The first read serves them normally (they beat the
    stop; the connection may even have come off the backlog during the
-   stop), later ones refuse new conversations with Shutting_down. *)
+   stop), later ones refuse a HELLO with Shutting_down. *)
 let sweep t i buf conn =
   let draining = ref false in
   while
@@ -470,7 +425,7 @@ let sweep t i buf conn =
     draining := true;
     flush conn
   done;
-  stop_reading conn
+  conn.reading <- false
 
 (* Accept one pending connection on domain 0 and hand it to the next
    domain round-robin; [false] when none is pending. A descriptor that
@@ -489,7 +444,7 @@ let accept_one t =
           t.accepted <- t.accepted + 1;
           let conn =
             { fd; owner; dec = P.Decoder.create (); out = Buffer.create 256;
-              outstanding = 0; txn = None; reading = true }
+              outstanding = 0; reading = true }
           in
           if owner = 0 then t.conns.(0) <- conn :: t.conns.(0)
           else ignore (Bqueue.push_unbounded t.queues.(owner) (Adopt conn))
@@ -558,30 +513,6 @@ let shard_loop t i =
   in
   loop ()
 
-let bind_listen addr =
-  match addr with
-  | Wire.Client.Unix_sock path ->
-      (try Unix.unlink path with Unix.Unix_error _ -> ());
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.bind fd (Unix.ADDR_UNIX path);
-      Unix.listen fd 64;
-      (fd, addr)
-  | Wire.Client.Tcp (host, port) ->
-      let ip =
-        try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-        with Not_found -> Unix.inet_addr_of_string host
-      in
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.setsockopt fd Unix.SO_REUSEADDR true;
-      Unix.bind fd (Unix.ADDR_INET (ip, port));
-      Unix.listen fd 64;
-      let bound_port =
-        match Unix.getsockname fd with
-        | Unix.ADDR_INET (_, p) -> p
-        | _ -> port
-      in
-      (fd, Wire.Client.Tcp (host, bound_port))
-
 let start ?config ?(queue_capacity = 1024) ?(batch = 64) ?on_dequeue ?store
     ~variant ~shards addr =
   (* A zero batch would leave every queued job unrun behind an armed
@@ -594,7 +525,7 @@ let start ?config ?(queue_capacity = 1024) ?(batch = 64) ?on_dequeue ?store
     | None -> Store.Sharded.create ?config variant ~shards
   in
   let shards = Store.Sharded.nshards store in
-  let listen_fd, bound = bind_listen addr in
+  let listen_fd, bound = Wire.Client.listen addr in
   let t =
     {
       store;

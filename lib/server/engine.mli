@@ -29,8 +29,9 @@
     server-owned per-shard ledger sharing the shard's registry, so
     [stall.net_queue_ns] surfaces through STATS. Replies carry that wait
     plus the dominant persistence-stall cause of the execution window.
-    Transaction writes buffer per connection; TXN_COMMIT replays them
-    through the store's 2PC under a barrier.
+    A connection carries no transaction state: a TXN_COMMIT frame holds
+    its whole write set and commits it through the store's 2PC under a
+    barrier.
 
     {b Exactly-once dedup (DESIGN.md §17)}: HELLO grants a session id;
     a mutation stamped [(session_id, seqno)] is recorded durably (a
@@ -91,5 +92,5 @@ val stop : t -> unit
     the listen backlog when stop arrives — their [connect] already
     succeeded, possibly with requests already sent — are accepted and
     drained like established ones; requests delivered before the drain
-    reached a connection are served normally, later HELLOs and
-    TXN_BEGINs are bounced [Shutting_down]. *)
+    reached a connection are served normally, and so are later ones
+    except HELLO, which is bounced [Shutting_down]. *)

@@ -25,48 +25,9 @@ let string_of_addr = function
   | Unix_sock p -> "unix:" ^ p
   | Tcp (h, p) -> Printf.sprintf "tcp:%s:%d" h p
 
-type t = {
-  fd : Unix.file_descr;
-  dec : Proto.Decoder.t;
-  rbuf : Bytes.t;
-  stash : (int, Proto.reply) Hashtbl.t;
-  mutable next_id : int;
-  mutable in_flight : int;
-}
-
-let connect addr =
-  let fd =
-    match addr with
-    | Unix_sock path ->
-        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        (try Unix.connect fd (Unix.ADDR_UNIX path)
-         with e -> Unix.close fd; raise e);
-        fd
-    | Tcp (host, port) ->
-        let ip =
-          try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-          with Not_found -> Unix.inet_addr_of_string host
-        in
-        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-        (try
-           Unix.setsockopt fd Unix.TCP_NODELAY true;
-           Unix.connect fd (Unix.ADDR_INET (ip, port))
-         with e -> Unix.close fd; raise e);
-        fd
-  in
-  {
-    fd;
-    dec = Proto.Decoder.create ();
-    rbuf = Bytes.create 65536;
-    stash = Hashtbl.create 64;
-    next_id = 0;
-    in_flight = 0;
-  }
-
-let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
-
-(* A signal delivered to the process (the CLI installs handlers) makes
-   blocking syscalls fail with EINTR; always resume them. *)
+(* A signal delivered to the process (the CLI installs handlers, the
+   server a SIGTERM one) makes blocking syscalls fail with EINTR; always
+   resume them. *)
 let rec restart_eintr f =
   try f () with Unix.Unix_error (Unix.EINTR, _, _) -> restart_eintr f
 
@@ -78,6 +39,69 @@ let write_all fd s =
     let k = restart_eintr (fun () -> Unix.write fd b !off (n - !off)) in
     off := !off + k
   done
+
+let inet_addr host =
+  try (Unix.gethostbyname host).Unix.h_addr_list.(0)
+  with Not_found -> Unix.inet_addr_of_string host
+
+let connect_fd addr =
+  let domain, sockaddr =
+    match addr with
+    | Unix_sock path -> (Unix.PF_UNIX, Unix.ADDR_UNIX path)
+    | Tcp (host, port) -> (Unix.PF_INET, Unix.ADDR_INET (inet_addr host, port))
+  in
+  let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
+  (try
+     if domain = Unix.PF_INET then Unix.setsockopt fd Unix.TCP_NODELAY true;
+     Unix.connect fd sockaddr
+   with e ->
+     Unix.close fd;
+     raise e);
+  fd
+
+let listen addr =
+  let fd, bound =
+    match addr with
+    | Unix_sock path ->
+        (* A stale socket file from an earlier run would fail the bind. *)
+        (try Unix.unlink path with Unix.Unix_error _ -> ());
+        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        (fd, Unix.ADDR_UNIX path)
+    | Tcp (host, port) ->
+        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        Unix.setsockopt fd Unix.SO_REUSEADDR true;
+        (fd, Unix.ADDR_INET (inet_addr host, port))
+  in
+  (try
+     Unix.bind fd bound;
+     Unix.listen fd 64
+   with e ->
+     Unix.close fd;
+     raise e);
+  match (addr, Unix.getsockname fd) with
+  | Tcp (host, _), Unix.ADDR_INET (_, port) -> (fd, Tcp (host, port))
+  | _ -> (fd, addr)
+
+type t = {
+  fd : Unix.file_descr;
+  dec : Proto.Decoder.t;
+  rbuf : Bytes.t;
+  stash : (int, Proto.reply) Hashtbl.t;
+  mutable next_id : int;
+  mutable in_flight : int;
+}
+
+let connect addr =
+  {
+    fd = connect_fd addr;
+    dec = Proto.Decoder.create ();
+    rbuf = Bytes.create 65536;
+    stash = Hashtbl.create 64;
+    next_id = 0;
+    in_flight = 0;
+  }
+
+let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 
 let send ?sess t op =
   let id = t.next_id in
@@ -198,18 +222,6 @@ let scan t ~start ~n =
   match call t (Proto.Scan (start, n)) with
   | { Proto.status = Proto.Ok; payload = Proto.Pairs l; _ } -> l
   | r -> fail_status "scan" r
-
-let unit_call what t op =
-  match call t op with
-  | { Proto.status = Proto.Ok; _ } -> ()
-  | r -> fail_status what r
-
-let txn_begin t = unit_call "txn_begin" t Proto.Txn_begin
-let txn_put t k v = unit_call "txn_put" t (Proto.Txn_write (Proto.Tw_put (k, v)))
-let txn_remove t k =
-  unit_call "txn_remove" t (Proto.Txn_write (Proto.Tw_remove k))
-let txn_commit t = unit_call "txn_commit" t Proto.Txn_commit
-let txn_abort t = unit_call "txn_abort" t Proto.Txn_abort
 
 let stats t fmt =
   match call t (Proto.Stats fmt) with

@@ -6,7 +6,12 @@
     interface returns replies in whatever order the server produced
     them; match them to requests by {!Proto.reply.id}. The synchronous
     {!call} stashes out-of-order replies internally, so the two styles
-    can be mixed as long as every pipelined id is eventually received. *)
+    can be mixed as long as every pipelined id is eventually received.
+
+    The wrappers cover the single-key ops, SCAN and STATS; a transaction
+    is one {!Proto.Txn_commit} request sent through {!call} or {!send}
+    (or buffered by {!Session}). This module also holds the socket setup
+    and EINTR-safe I/O that the server and the fault proxy share. *)
 
 exception Timeout
 (** Raised by {!recv} / {!call} when the absolute [deadline] passes
@@ -23,6 +28,27 @@ val addr_of_string : string -> addr
     [Invalid_argument] on anything else. *)
 
 val string_of_addr : addr -> string
+
+(* --- sockets -------------------------------------------------------- *)
+
+val connect_fd : addr -> Unix.file_descr
+(** A connected blocking stream socket ([TCP_NODELAY] on TCP). Raises
+    [Unix.Unix_error] when nothing listens there. *)
+
+val listen : addr -> Unix.file_descr * addr
+(** Bind and listen (backlog 64): a stale unix socket file at the path is
+    removed first, a TCP socket gets [SO_REUSEADDR]. Returns the socket
+    and the bound address, with a TCP port 0 resolved to the ephemeral
+    port the kernel chose. *)
+
+val restart_eintr : (unit -> 'a) -> 'a
+(** Run a syscall, resuming it for as long as it fails with [EINTR] (a
+    signal handler fired). *)
+
+val write_all : Unix.file_descr -> string -> unit
+(** Write every byte on a blocking descriptor, resuming on [EINTR]. *)
+
+(* --- connections -------------------------------------------------- *)
 
 type t
 
@@ -67,9 +93,4 @@ val delete : t -> string -> bool
 (** [false] when the key was absent. *)
 
 val scan : t -> start:string -> n:int -> (string * string) list
-val txn_begin : t -> unit
-val txn_put : t -> string -> string -> unit
-val txn_remove : t -> string -> unit
-val txn_commit : t -> unit
-val txn_abort : t -> unit
 val stats : t -> Proto.stats_format -> string

@@ -13,23 +13,19 @@ type op =
   | Put of string * string
   | Delete of string
   | Scan of string * int
-  | Txn_begin
-  | Txn_write of txn_write
-  | Txn_commit
-  | Txn_abort
+  | Txn_commit of txn_write list
   | Stats of stats_format
   | Hello of int
       (* proposed session id (0 = assign a fresh one); the reply's Value
          payload is the decimal id the server actually granted *)
 
-type status = Ok | Not_found | Busy | Bad_request | Txn_state | Shutting_down
+type status = Ok | Not_found | Busy | Bad_request | Shutting_down
 
 let status_name = function
   | Ok -> "OK"
   | Not_found -> "NOT_FOUND"
   | Busy -> "BUSY"
   | Bad_request -> "BAD_REQUEST"
-  | Txn_state -> "TXN_STATE"
   | Shutting_down -> "SHUTTING_DOWN"
 
 type payload =
@@ -84,10 +80,7 @@ let opcode = function
   | Put _ -> 2
   | Delete _ -> 3
   | Scan _ -> 4
-  | Txn_begin -> 5
-  | Txn_write _ -> 6
-  | Txn_commit -> 7
-  | Txn_abort -> 8
+  | Txn_commit _ -> 7
   | Stats _ -> 9
   | Hello _ -> 10
 
@@ -96,7 +89,6 @@ let status_code = function
   | Not_found -> 1
   | Busy -> 2
   | Bad_request -> 3
-  | Txn_state -> 4
   | Shutting_down -> 5
 
 let status_of_code = function
@@ -104,7 +96,6 @@ let status_of_code = function
   | 1 -> Not_found
   | 2 -> Busy
   | 3 -> Bad_request
-  | 4 -> Txn_state
   | 5 -> Shutting_down
   | c -> malformed "unknown status code %d" c
 
@@ -128,14 +119,18 @@ let frame_of_request { id; op; sess } =
   | Scan (start, n) ->
       put_str b start;
       put_u32 b n
-  | Txn_begin | Txn_commit | Txn_abort -> ()
-  | Txn_write (Tw_put (k, v)) ->
-      put_u8 b 0;
-      put_str b k;
-      put_str b v
-  | Txn_write (Tw_remove k) ->
-      put_u8 b 1;
-      put_str b k
+  | Txn_commit writes ->
+      put_u32 b (List.length writes);
+      List.iter
+        (function
+          | Tw_put (k, v) ->
+              put_u8 b 0;
+              put_str b k;
+              put_str b v
+          | Tw_remove k ->
+              put_u8 b 1;
+              put_str b k)
+        writes
   | Stats f -> put_u8 b (match f with Stats_json -> 0 | Stats_prom -> 1)
   | Hello sid -> put_u64 b sid);
   (* Uniform trailer on every request: 0 = no session stamp, 1 = an
@@ -240,16 +235,19 @@ let request_of_payload s =
     | 4 ->
         let start = get_str r in
         Scan (start, get_u32 r)
-    | 5 -> Txn_begin
-    | 6 -> (
-        match get_u8 r with
-        | 0 ->
-            let k = get_str r in
-            Txn_write (Tw_put (k, get_str r))
-        | 1 -> Txn_write (Tw_remove (get_str r))
-        | k -> malformed "unknown txn-write kind %d" k)
-    | 7 -> Txn_commit
-    | 8 -> Txn_abort
+    | 7 ->
+        let n = get_u32 r in
+        (* Bound before allocating: each write needs >= 3 bytes. *)
+        if n > (String.length s - r.pos) / 3 then
+          malformed "write count %d cannot fit the remaining payload" n;
+        Txn_commit
+          (List.init n (fun _ ->
+               match get_u8 r with
+               | 0 ->
+                   let k = get_str r in
+                   Tw_put (k, get_str r)
+               | 1 -> Tw_remove (get_str r)
+               | k -> malformed "unknown txn-write kind %d" k))
     | 9 -> (
         match get_u8 r with
         | 0 -> Stats Stats_json

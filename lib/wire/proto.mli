@@ -33,6 +33,10 @@
     evidence a remote client needs to attribute its own tail latency
     without a second round trip.
 
+    Every request is self-contained: a transaction travels as one
+    TXN_COMMIT frame carrying its whole write set, so a connection holds
+    no state between requests.
+
     Strings (keys, values) are [u16 len + bytes]; list counts and text
     blobs (STATS output) are [u32]. A declared frame length above
     {!max_frame} is rejected before any allocation, so a garbage header
@@ -57,10 +61,11 @@ type op =
   | Put of string * string
   | Delete of string
   | Scan of string * int  (** start key, max pairs *)
-  | Txn_begin
-  | Txn_write of txn_write
-  | Txn_commit
-  | Txn_abort
+  | Txn_commit of txn_write list
+      (** A whole transaction, write set in order, committed atomically
+          across shards. Encoded as a u32 count, then per write a u8
+          kind (0 put, 1 remove) and its strings. The set must fit one
+          {!max_frame}. *)
   | Stats of stats_format
   | Hello of int
       (** Session negotiation: propose a session id to resume (0 =
@@ -72,7 +77,6 @@ type status =
   | Not_found  (** GET/DELETE on an absent key *)
   | Busy  (** shard queue full — backpressure, retry later *)
   | Bad_request  (** malformed or semantically invalid command *)
-  | Txn_state  (** TXN_* command in the wrong transaction state *)
   | Shutting_down  (** server draining; no new work accepted *)
 
 val status_name : status -> string
@@ -80,7 +84,8 @@ val status_name : status -> string
 val status_code : status -> int
 val status_of_code : int -> status
 (** The on-wire status byte; the server also persists it inside session
-    dedup records, so both directions are exposed. *)
+    dedup records, so both directions are exposed and a status keeps its
+    code for good (code 4 is retired, [Shutting_down] stays 5). *)
 
 type payload =
   | Unit
@@ -105,7 +110,7 @@ type reply = {
 
 val frame_of_request : request -> string
 (** Complete frame, length prefix included. Raises {!Malformed} if a key
-    or value exceeds the u16 string limit. *)
+    or value exceeds the u16 string limit or the frame {!max_frame}. *)
 
 val frame_of_reply : reply -> string
 

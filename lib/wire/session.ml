@@ -10,15 +10,11 @@
    the same seq after reconnecting and re-presenting the session id.
 
    Transactions are buffered client-side: txn_begin/txn_put/txn_remove
-   touch no socket, and txn_commit plays the whole conversation
-   (TXN_BEGIN, writes, TXN_COMMIT carrying the session stamp) in one
-   attempt — so a lost connection mid-commit is resumable by replaying
-   the conversation with the same stamp, and the server's commit dedup
-   keeps it exactly-once. *)
+   touch no socket, and txn_commit sends the whole write set as one
+   stamped TXN_COMMIT frame, retried like any other mutation. *)
 
 exception Timed_out
 exception Retries_exhausted
-exception Txn_lost
 
 type config = {
   op_deadline : float;  (* overall wall-clock budget per logical op, s *)
@@ -263,59 +259,14 @@ let txn_abort t =
   ignore (txn_exn t "txn_abort" : txn_buf);
   t.txn <- None
 
-(* Play the whole conversation on one connection; any interruption —
-   including Txn_state, which a duplicated frame can induce — replays it
-   from TXN_BEGIN with the same commit stamp, which the server's commit
-   dedup makes exactly-once. Only Bad_request (protocol damage no replay
-   can reconstruct) is terminal -> Txn_lost. *)
+(* One stamped frame carries the whole write set, so a commit retries
+   like any other mutation and the server's commit dedup keeps it
+   exactly-once. [Client.send] encodes before it writes: a set over
+   [Proto.max_frame] raises [Proto.Malformed] with nothing sent and the
+   connection intact. *)
 let txn_commit t =
   let b = txn_exn t "txn_commit" in
   t.txn <- None;
-  let writes = List.rev b.writes in
-  let seq = next_seq t in
-  let deadline = now () +. t.cfg.op_deadline in
-  let tries = ref 0 in
-  let interrupted () =
-    charge_retry t ~tries ~deadline;
-    drop_conn t;
-    backoff t ~tries:!tries ~deadline
-  in
-  let rec go () =
-    let c = ensure_conn t ~tries ~deadline in
-    let attempt_dl () = min deadline (now () +. t.cfg.attempt_timeout) in
-    let step what op ~sess =
-      match Client.call ~deadline:(attempt_dl ()) ?sess c op with
-      | { Proto.status = Proto.Ok; _ } -> `Done
-      | { Proto.status = Proto.Busy | Proto.Shutting_down; _ } -> `Again
-      | { Proto.status = Proto.Txn_state; _ } ->
-          (* A duplicated frame can poison the server-side conversation
-             (a dup TXN_COMMIT answers Txn_state from the reader, and
-             that reply can overtake the real commit's barrier reply).
-             The conversation is fully reconstructible from the local
-             buffer, so this is an interruption, not a loss. *)
-          `Again
-      | { Proto.status = Proto.Bad_request; _ } -> raise Txn_lost
-      | r -> fail_status what r
-    in
-    match
-      let rec all = function
-        | [] -> `Done
-        | (what, op, sess) :: tl -> (
-            match step what op ~sess with `Done -> all tl | `Again -> `Again)
-      in
-      all
-        (("txn_begin", Proto.Txn_begin, None)
-        :: List.map (fun w -> ("txn_write", Proto.Txn_write w, None)) writes
-        @ [ ("txn_commit", Proto.Txn_commit, Some (t.sid, seq)) ])
-    with
-    | `Done -> ()
-    | `Again ->
-        (* Busy/draining mid-conversation: abandon this connection's
-           half-built txn state and replay fresh. *)
-        interrupted ();
-        go ()
-    | exception (Client.Timeout | End_of_file | Unix.Unix_error _) ->
-        interrupted ();
-        go ()
-  in
-  go ()
+  match exec t ~seq:(next_seq t) (Proto.Txn_commit (List.rev b.writes)) with
+  | { Proto.status = Proto.Ok; _ } -> ()
+  | r -> fail_status "txn_commit" r

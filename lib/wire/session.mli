@@ -11,10 +11,10 @@
     record instead of re-applying it. [Busy] and [Shutting_down] replies
     mean the op was not applied and simply back off and retry.
 
-    Transactions are buffered client-side; {!txn_commit} plays the whole
-    conversation (TXN_BEGIN, writes, stamped TXN_COMMIT) in one attempt
-    and replays it wholesale on interruption, which the server's commit
-    dedup keeps exactly-once.
+    Transactions are buffered client-side; {!txn_commit} sends the whole
+    write set as one stamped TXN_COMMIT frame and retries it like any
+    other mutation, which the server's commit dedup keeps exactly-once.
+    The write set must therefore fit one {!Proto.max_frame} (1 MiB).
 
     Not thread-safe: one session belongs to one caller. *)
 
@@ -23,13 +23,6 @@ exception Timed_out
 
 exception Retries_exhausted
 (** The per-op retry budget ([config.retry_budget]) was consumed. *)
-
-exception Txn_lost
-(** A commit replay hit protocol damage no replay can reconstruct
-    ([Bad_request] mid-conversation). [Txn_state] is {e not} terminal:
-    the conversation is buffered locally and replays wholesale. The
-    caller must assume the transaction did not commit only if the
-    commit stamp was never acked. *)
 
 type config = {
   op_deadline : float;  (** overall wall-clock budget per logical op, s *)
@@ -76,7 +69,11 @@ val txn_get : t -> string -> string option
     remote {!get}. *)
 
 val txn_abort : t -> unit
+
 val txn_commit : t -> unit
+(** Commit the buffered writes, closing the transaction either way.
+    Raises {!Proto.Malformed}, with nothing sent and the session usable,
+    when the encoded write set exceeds {!Proto.max_frame}. *)
 
 (** {1 Robustness telemetry} — cumulative since [connect]. *)
 

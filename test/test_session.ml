@@ -1,8 +1,9 @@
 (* The fault-tolerance layer (DESIGN.md §17): the session dedup record
    codec, net.* chaos plan points, NVM mirror round trips, client
-   deadlines, stamped-replay dedup in the engine, session-table rebuild
-   during recovery, and the retrying session driving ops through a
-   fault-injecting proxy. *)
+   deadlines, stamped-replay dedup in the engine (single-key ops and
+   whole TXN frames), session-table rebuild during recovery, the
+   client-side frame limit on a write set, and the retrying session
+   driving ops through a fault-injecting proxy. *)
 
 module Sys_ = Incll.System
 module P = Wire.Proto
@@ -131,16 +132,7 @@ let recovery_rebuilds_sessions () =
 
 (* --- the running engine ------------------------------------------------- *)
 
-let server_config =
-  Bench_harness.Runner.config_for ~epoch_len_ns:1.0e6 ~nkeys_per_shard:1_064 ()
-
-let with_server ?queue_capacity ?batch ?on_dequeue ?(shards = 2) f =
-  let addr = C.Unix_sock (Filename.temp_file "incll_sess" ".sock") in
-  let srv =
-    E.start ?queue_capacity ?batch ?on_dequeue ~config:server_config
-      ~variant:Sys_.Incll ~shards addr
-  in
-  Fun.protect ~finally:(fun () -> E.stop srv) (fun () -> f srv)
+let with_server = Test_wire.with_server
 
 let dedup_hits srv =
   let c = C.connect (E.addr srv) in
@@ -211,6 +203,70 @@ let stamped_replay_deduped () =
           check "next seq visible" true (C.get c "dk" = Some "third"));
       check "dedup hits counted" true (dedup_hits srv >= 1))
 
+(* A duplicated TXN frame, as a retry or a duplicating network sends it:
+   the whole write set travels in one stamped request, so the copy is
+   answered from the commit record on the session's home shard instead
+   of committing again. *)
+let duplicated_txn_frame_commits_once () =
+  with_server (fun srv ->
+      let c = C.connect (E.addr srv) in
+      Fun.protect
+        ~finally:(fun () -> C.close c)
+        (fun () ->
+          let sid =
+            match C.call c (P.Hello 0) with
+            | { P.status = P.Ok; payload = P.Value v; _ } -> int_of_string v
+            | r -> Alcotest.fail (P.status_name r.P.status)
+          in
+          let txn =
+            P.Txn_commit [ P.Tw_put ("ta", "1"); P.Tw_put ("tb", "2") ]
+          in
+          let hits0 = dedup_hits srv in
+          let ids = List.init 2 (fun _ -> C.send ~sess:(sid, 1) c txn) in
+          List.iter
+            (fun _ ->
+              let r = C.recv c in
+              check "reply to one of the copies" true (List.mem r.P.id ids);
+              check "both copies answered OK" true (r.P.status = P.Ok))
+            ids;
+          check_int "the copy was a dedup hit" (hits0 + 1) (dedup_hits srv);
+          check "committed" true
+            (C.get c "ta" = Some "1" && C.get c "tb" = Some "2");
+          (* A later resend of the same stamp still does not commit again:
+             it would clobber this unstamped put. *)
+          C.put c "ta" "later";
+          check "late resend ok" true
+            ((C.call ~sess:(sid, 1) c txn).P.status = P.Ok);
+          check "late resend not applied" true (C.get c "ta" = Some "later");
+          check_int "late resend was a dedup hit" (hits0 + 2) (dedup_hits srv)))
+
+(* A write set must fit one frame: the session refuses an oversized one
+   before sending anything, and stays usable. *)
+let oversized_write_set_refused () =
+  with_server (fun srv ->
+      let s = S.connect (E.addr srv) in
+      Fun.protect
+        ~finally:(fun () -> S.close s)
+        (fun () ->
+          let value = String.make 60_000 'v' in
+          let keys = List.init 20 (Printf.sprintf "big%02d") in
+          S.txn_begin s;
+          List.iter (fun k -> S.txn_put s k value) keys;
+          (match S.txn_commit s with
+          | () -> Alcotest.fail "oversized write set committed"
+          | exception P.Malformed _ -> ());
+          check "transaction closed" false (S.txn_active s);
+          List.iter
+            (fun k -> check "nothing applied" true (S.get s k = None))
+            keys;
+          S.put s "after" "1";
+          S.txn_begin s;
+          S.txn_put s "small" "2";
+          S.txn_commit s;
+          check "session usable" true
+            (S.get s "after" = Some "1" && S.get s "small" = Some "2");
+          check_int "no retry spent" 0 (S.retries s)))
+
 (* The retrying session through a proxy that drops reply frames and
    severs the connection: every op lands exactly once, the session
    reports its retries/reconnects, and the server's dedup absorbed the
@@ -249,8 +305,8 @@ let session_rides_through_faults () =
               for i = 0 to 19 do
                 S.put s (Printf.sprintf "f%02d" i) (string_of_int i)
               done;
-              (* A buffered txn replays wholesale through the same
-                 faults. *)
+              (* A buffered txn commits as one stamped frame through
+                 the same faults. *)
               S.txn_begin s;
               S.txn_put s "t0" "a";
               S.txn_put s "t1" "b";
@@ -285,6 +341,10 @@ let tests =
         client_deadline_timeout;
       Alcotest.test_case "stamped replay answered from the record" `Quick
         stamped_replay_deduped;
+      Alcotest.test_case "duplicated TXN frame commits once" `Quick
+        duplicated_txn_frame_commits_once;
+      Alcotest.test_case "oversized write set refused before sending" `Quick
+        oversized_write_set_refused;
       Alcotest.test_case "session rides through frame faults" `Quick
         session_rides_through_faults;
     ] )

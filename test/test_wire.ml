@@ -23,17 +23,20 @@ module R = Bench_harness.Runner
 let arbitrary_op =
   let open QCheck.Gen in
   let str = string_size ~gen:(char_range 'a' 'z') (int_bound 24) in
+  let txn_write =
+    frequency
+      [
+        (2, map2 (fun k v -> P.Tw_put (k, v)) str str);
+        (1, map (fun k -> P.Tw_remove k) str);
+      ]
+  in
   frequency
     [
       (4, map (fun k -> P.Get k) str);
       (4, map2 (fun k v -> P.Put (k, v)) str str);
       (2, map (fun k -> P.Delete k) str);
       (2, map2 (fun k n -> P.Scan (k, n)) str (int_bound 1000));
-      (1, return P.Txn_begin);
-      (1, map2 (fun k v -> P.Txn_write (P.Tw_put (k, v))) str str);
-      (1, map (fun k -> P.Txn_write (P.Tw_remove k)) str);
-      (1, return P.Txn_commit);
-      (1, return P.Txn_abort);
+      (3, map (fun ws -> P.Txn_commit ws) (list_size (int_bound 6) txn_write));
       (1, return (P.Stats P.Stats_json));
       (1, return (P.Stats P.Stats_prom));
     ]
@@ -43,7 +46,7 @@ let arbitrary_reply =
   let str = string_size ~gen:(char_range 'a' 'z') (int_bound 24) in
   let status =
     oneofl
-      [ P.Ok; P.Not_found; P.Busy; P.Bad_request; P.Txn_state; P.Shutting_down ]
+      [ P.Ok; P.Not_found; P.Busy; P.Bad_request; P.Shutting_down ]
   in
   let payload =
     frequency
@@ -309,36 +312,45 @@ let basic_ops_over_tcp () =
           C.put c "k" "v";
           check "tcp get" true (C.get c "k" = Some "v")))
 
+(* A transaction is one TXN_COMMIT frame carrying its write set, applied
+   in order and atomically; the connection keeps no state around it. *)
 let transactions_over_the_wire () =
   with_server (fun srv ->
       let c = C.connect (E.addr srv) in
       Fun.protect ~finally:(fun () -> C.close c) (fun () ->
+          let commit writes = (C.call c (P.Txn_commit writes)).P.status in
           C.put c "a" "0";
-          C.txn_begin c;
-          C.txn_put c "a" "1";
-          C.txn_put c "b" "2";
-          C.txn_remove c "never_there";
-          (* Read-your-writes inside the open transaction... *)
-          check "ryw" true (C.get c "a" = Some "1");
-          check "ryw absent" true (C.get c "never_there" = None);
-          C.txn_commit c;
+          C.put c "gone" "x";
+          check "commit ok" true
+            (commit
+               [ P.Tw_put ("a", "1"); P.Tw_put ("b", "2"); P.Tw_remove "gone";
+                 P.Tw_remove "never_there" ]
+            = P.Ok);
           check "committed a" true (C.get c "a" = Some "1");
           check "committed b" true (C.get c "b" = Some "2");
-          (* Abort discards. *)
-          C.txn_begin c;
-          C.txn_put c "a" "9";
-          C.txn_abort c;
-          check "abort discards" true (C.get c "a" = Some "1");
-          (* State machine errors are typed, not fatal. *)
-          check "commit outside txn" true
-            ((C.call c P.Txn_commit).P.status = P.Txn_state);
-          check "write outside txn" true
-            ((C.call c (P.Txn_write (P.Tw_put ("x", "y")))).P.status
-            = P.Txn_state);
-          C.txn_begin c;
-          check "double begin" true
-            ((C.call c P.Txn_begin).P.status = P.Txn_state);
-          C.txn_abort c))
+          check "committed remove" true (C.get c "gone" = None);
+          (* Writes apply in order: the last write to a key wins. *)
+          check "ordered commit ok" true
+            (commit [ P.Tw_put ("a", "2"); P.Tw_remove "a"; P.Tw_put ("a", "3") ]
+            = P.Ok);
+          check "last write wins" true (C.get c "a" = Some "3");
+          check "empty commit ok" true (commit [] = P.Ok);
+          check "empty commit changes nothing" true
+            (C.scan c ~start:"" ~n:10 = [ ("a", "3"); ("b", "2") ])));
+  (* The opcodes of the retired BEGIN/WRITE/ABORT conversation are
+     unknown: a frame carrying one is malformed. *)
+  List.iter
+    (fun opcode ->
+      let payload =
+        "\000\000\000\001" ^ String.make 1 (Char.chr opcode) ^ "\000"
+      in
+      match P.request_of_payload payload with
+      | _ -> Alcotest.failf "retired opcode %d accepted" opcode
+      | exception P.Malformed _ -> ())
+    [ 5; 6; 8 ];
+  match P.status_of_code 4 with
+  | _ -> Alcotest.fail "retired status code 4 accepted"
+  | exception P.Malformed _ -> ()
 
 let pipelined_out_of_order () =
   with_server ~shards:4 (fun srv ->
@@ -550,8 +562,8 @@ let many_sessions () =
                 (Ss.get fresh "m007" = Some "7"))))
 
 (* Read-your-commit on one pipelined connection: the GET right behind a
-   TXN_COMMIT sees the commit, whether it runs inline on the
-   connection's own shard or queued on the other one. *)
+   TXN frame sees the commit, whether it runs inline on the connection's
+   own shard or queued on the other one. *)
 let pipelined_commit_then_get () =
   with_server ~shards:2 (fun srv ->
       let c = C.connect (E.addr srv) in
@@ -562,14 +574,13 @@ let pipelined_commit_then_get () =
               C.put c k "old";
               let ids =
                 List.map (C.send c)
-                  [ P.Txn_begin; P.Txn_write (P.Tw_put (k, "new")); P.Txn_commit;
-                    P.Get k ]
+                  [ P.Txn_commit [ P.Tw_put (k, "new") ]; P.Get k ]
               in
               let replies = List.init (List.length ids) (fun _ -> C.recv c) in
               List.iter
                 (fun r -> check "pipelined ok" true (r.P.status = P.Ok))
                 replies;
-              let get = List.find (fun r -> r.P.id = List.nth ids 3) replies in
+              let get = List.find (fun r -> r.P.id = List.nth ids 1) replies in
               check
                 (Printf.sprintf "GET on shard %d sees the commit" shard)
                 true
@@ -729,10 +740,11 @@ let oracle_one ~seed ~shards =
             check "no BUSY in oracle tail" true ((C.recv c).P.status <> P.Busy)
           done;
           (* One multi-key transaction on top, same on both sides. *)
-          C.txn_begin c;
-          C.txn_put c "txn_a" "across";
-          C.txn_put c "txn_b" "shards";
-          C.txn_commit c;
+          check "oracle txn ok" true
+            ((C.call c
+                (P.Txn_commit
+                   [ P.Tw_put ("txn_a", "across"); P.Tw_put ("txn_b", "shards") ]))
+               .P.status = P.Ok);
           (* In-process side: same stream through the sequential facade. *)
           let local =
             S.create ~config:(server_config ~nkeys ~shards)
