@@ -4,8 +4,9 @@
    this tool measures how fast the simulator itself runs on the host:
    stores/s and loads/s against a raw region (and the store loops again
    on a Precise region, whose pending-store journal only a crash reads),
-   put/get Mops through the full YCSB-A stack, and the allocation rate of
-   each loop (via Gc.allocated_bytes). It exists so that wall-clock regressions of the
+   put/get Mops through the full YCSB-A stack, and the minor-heap words
+   each loop allocates per op (for YCSB-A, counted inside each worker
+   domain around its op loop only). It exists so that wall-clock regressions of the
    simulator are visible next to the simulated-throughput gate of
    bin/bench_compare.
 
@@ -103,7 +104,7 @@ type sample = {
   bench : string;
   iters : int;
   wall_s : float;
-  alloc_bytes : float;  (* minor+major words allocated, in bytes *)
+  alloc_words : float;  (* minor-heap words allocated by the loop *)
   sim_ns : float;  (* simulated time charged by the loop *)
 }
 
@@ -113,27 +114,27 @@ let mops s = float_of_int s.iters /. s.wall_s /. 1e6
 
 let report s =
   results := s :: !results;
-  Printf.printf "  %-24s %9.2f ns/op  %7.2f Mops  %8.1f B/op alloc\n%!"
+  Printf.printf "  %-24s %9.2f ns/op  %7.2f Mops  %8.1f words/op alloc\n%!"
     s.bench
     (s.wall_s *. 1e9 /. float_of_int s.iters)
     (mops s)
-    (s.alloc_bytes /. float_of_int s.iters)
+    (s.alloc_words /. float_of_int s.iters)
 
 (* Run [f iters] once to warm up (10% of the budget), then measured. *)
 let time ~bench ~iters ~sim_of f =
   f (max 1 (iters / 10));
   let sim0 = sim_of () in
-  let a0 = Gc.allocated_bytes () in
+  let a0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
   f iters;
   let t1 = Unix.gettimeofday () in
-  let a1 = Gc.allocated_bytes () in
+  let a1 = Gc.minor_words () in
   report
     {
       bench;
       iters;
       wall_s = Float.max (t1 -. t0) 1e-9;
-      alloc_bytes = a1 -. a0;
+      alloc_words = a1 -. a0;
       sim_ns = sim_of () -. sim0;
     }
 
@@ -241,20 +242,18 @@ let ycsb_bench () =
   Printf.printf
     "YCSB-A through the full INCLL stack (%d keys, %d threads x %d ops):\n"
     opts.keys opts.threads opts.ops;
-  let a0 = Gc.allocated_bytes () in
   let r =
     R.run ~seed:opts.seed ~threads:opts.threads ~ops_per_thread:opts.ops
       ~variant:Incll.System.Incll ~mix:Y.A ~dist:Y.Uniform ~nkeys:opts.keys ()
   in
-  let a1 = Gc.allocated_bytes () in
   let s =
     {
       bench = "ycsb_a put/get";
       iters = r.R.ops;
       wall_s = Float.max r.R.wall_s 1e-9;
-      (* Domain-local: excludes worker-domain allocation when threads>1,
-         so compare like with like (same --threads). *)
-      alloc_bytes = a1 -. a0;
+      (* The workers' op loops only: populate and stream generation are
+         set-up, not ops. *)
+      alloc_words = r.R.minor_words;
       sim_ns = r.R.sim_total_s *. 1e9;
     }
   in
@@ -285,8 +284,8 @@ let write_json path ~ycsb_mops =
         ("mops_wall", Obs.Json.Float (mops s));
         ( "ns_per_op",
           Obs.Json.Float (s.wall_s *. 1e9 /. float_of_int s.iters) );
-        ( "alloc_bytes_per_op",
-          Obs.Json.Float (s.alloc_bytes /. float_of_int s.iters) );
+        ( "alloc_words_per_op",
+          Obs.Json.Float (s.alloc_words /. float_of_int s.iters) );
         ("sim_ns", Obs.Json.Float s.sim_ns);
       ]
   in

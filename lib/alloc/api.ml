@@ -5,12 +5,20 @@ type t = {
 
 let of_durable d =
   {
-    alloc = (fun ~aligned ~size -> Durable.alloc ~aligned d ~size);
+    (* Constant [Some true] / absent: passing [~aligned] through would box
+       a fresh option per allocation. *)
+    alloc =
+      (fun ~aligned ~size ->
+        if aligned then Durable.alloc ~aligned:true d ~size
+        else Durable.alloc d ~size);
     dealloc = Durable.dealloc d;
   }
 
 let of_transient tr =
   {
-    alloc = (fun ~aligned ~size -> Transient.alloc ~aligned tr ~size);
+    alloc =
+      (fun ~aligned ~size ->
+        if aligned then Transient.alloc ~aligned:true tr ~size
+        else Transient.alloc tr ~size);
     dealloc = Transient.dealloc tr;
   }

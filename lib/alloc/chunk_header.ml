@@ -1,76 +1,93 @@
-type decoded = {
-  next : int;
-  next_incll : int;
-  epoch : int;
-  ctr_matches : bool;
-  size_class : int;
-}
+module Region = Nvm.Region
 
-let encode ~ptr ~ctr ~cls2 ~half =
+(* Field codec over a header word's unsigned 32-bit halves: [lo] holds
+   ctr and the low 30 bits of ptr>>4, [hi] the high 14 bits of ptr>>4,
+   the class bits and the epoch half. *)
+let[@inline] ctr ~lo = lo land 3
+let[@inline] ptr ~hi ~lo = ((lo lsr 2) lor ((hi land 0x3fff) lsl 30)) lsl 4
+let[@inline] cls2 ~hi = (hi lsr 14) land 3
+let[@inline] half ~hi = hi lsr 16
+
+let[@inline] lo ~ptr ~ctr =
   if ptr land 15 <> 0 then invalid_arg "Chunk_header: unaligned pointer";
-  let open Int64 in
-  logor
-    (of_int (ctr land 3))
-    (logor
-       (shift_left (of_int (ptr lsr 4)) 2)
-       (logor
-          (shift_left (of_int (cls2 land 3)) 46)
-          (shift_left (of_int (half land 0xffff)) 48)))
+  (((ptr lsr 4) land 0x3fff_ffff) lsl 2) lor (ctr land 3)
 
-let decode_word w =
-  let ctr = Util.Bits.get_int w ~lo:0 ~width:2 in
-  let ptr = Util.Bits.get_int w ~lo:2 ~width:44 lsl 4 in
-  let cls2 = Util.Bits.get_int w ~lo:46 ~width:2 in
-  let half = Util.Bits.get_int w ~lo:48 ~width:16 in
-  (ctr, ptr, cls2, half)
+let[@inline] hi ~ptr ~cls2 ~half =
+  (ptr lsr 34) land 0x3fff lor ((cls2 land 3) lsl 14) lor ((half land 0xffff) lsl 16)
 
-let read region ~chunk =
-  let w0 = Nvm.Region.read_i64 region chunk in
-  let w1 = Nvm.Region.read_i64 region (chunk + 8) in
-  let ctr0, ptr0, cls_lo, hi = decode_word w0 in
-  let ctr1, ptr1, cls_hi, lo = decode_word w1 in
-  {
-    next = ptr0;
-    next_incll = ptr1;
-    epoch = (hi lsl 16) lor lo;
-    ctr_matches = ctr0 = ctr1;
-    size_class = (cls_hi lsl 2) lor cls_lo;
-  }
+(* Every decode loads both words, word0 first — one charged read each —
+   and keeps the four halves in locals. *)
+
+let read_epoch region ~chunk =
+  let lo0 = Region.read_u64 region chunk in
+  let hi0 = Region.hi32 region in
+  let lo1 = Region.read_u64 region (chunk + 8) in
+  let hi1 = Region.hi32 region in
+  if ctr ~lo:lo0 <> ctr ~lo:lo1 then -1
+  else (half ~hi:hi0 lsl 16) lor half ~hi:hi1
+
+let read_next region ~chunk =
+  let lo0 = Region.read_u64 region chunk in
+  let hi0 = Region.hi32 region in
+  ignore (Region.read_u64 region (chunk + 8) : int);
+  ptr ~hi:hi0 ~lo:lo0
+
+let read_class region ~chunk =
+  ignore (Region.read_u64 region chunk : int);
+  let hi0 = Region.hi32 region in
+  ignore (Region.read_u64 region (chunk + 8) : int);
+  (cls2 ~hi:(Region.hi32 region) lsl 2) lor cls2 ~hi:hi0
 
 let write_words region ~chunk ~next ~next_incll ~ctr ~epoch ~cls =
-  let hi = (epoch lsr 16) land 0xffff and lo = epoch land 0xffff in
   (* word1 (the log copy) strictly before word0; same line => PCSO keeps
      this order on a crash. *)
-  Nvm.Region.write_i64 region (chunk + 8)
-    (encode ~ptr:next_incll ~ctr ~cls2:(cls lsr 2) ~half:lo);
-  Nvm.Region.write_i64 region chunk
-    (encode ~ptr:next ~ctr ~cls2:cls ~half:hi);
-  Nvm.Region.release_fence region
+  Region.write_u64 region (chunk + 8)
+    ~hi:(hi ~ptr:next_incll ~cls2:(cls lsr 2) ~half:epoch)
+    ~lo:(lo ~ptr:next_incll ~ctr);
+  Region.write_u64 region chunk
+    ~hi:(hi ~ptr:next ~cls2:cls ~half:(epoch lsr 16))
+    ~lo:(lo ~ptr:next ~ctr);
+  Region.release_fence region
 
-let write_first_touch region ~chunk ~current_next ~epoch ~cls =
-  let w0 = Nvm.Region.read_i64 region chunk in
-  let ctr0, _, _, _ = decode_word w0 in
-  write_words region ~chunk ~next:current_next ~next_incll:current_next
-    ~ctr:((ctr0 + 1) land 3) ~epoch ~cls
+(* word0's counter, from one more load of it. *)
+let word0_ctr region ~chunk = ctr ~lo:(Region.read_u64 region chunk)
+
+let first_touch region ~chunk ~epoch =
+  let lo0 = Region.read_u64 region chunk in
+  let hi0 = Region.hi32 region in
+  ignore (Region.read_u64 region (chunk + 8) : int);
+  let hi1 = Region.hi32 region in
+  if (half ~hi:hi0 lsl 16) lor half ~hi:hi1 <> epoch then begin
+    let ctr0 = word0_ctr region ~chunk in
+    let next = ptr ~hi:hi0 ~lo:lo0 in
+    write_words region ~chunk ~next ~next_incll:next
+      ~ctr:((ctr0 + 1) land 3) ~epoch
+      ~cls:((cls2 ~hi:hi1 lsl 2) lor cls2 ~hi:hi0)
+  end
 
 let write_next region ~chunk ~next =
-  let w0 = Nvm.Region.read_i64 region chunk in
-  let ctr, _, cls_lo, hi = decode_word w0 in
-  Nvm.Region.write_i64 region chunk
-    (encode ~ptr:next ~ctr ~cls2:cls_lo ~half:hi)
+  let lo0 = Region.read_u64 region chunk in
+  let hi0 = Region.hi32 region in
+  Region.write_u64 region chunk
+    ~hi:(hi ~ptr:next ~cls2:(cls2 ~hi:hi0) ~half:(half ~hi:hi0))
+    ~lo:(lo ~ptr:next ~ctr:(ctr ~lo:lo0))
 
 let init region ~chunk ~epoch ~cls =
   write_words region ~chunk ~next:0 ~next_incll:0 ~ctr:0 ~epoch ~cls
 
 let restore region ~chunk ~marker_epoch =
-  let d = read region ~chunk in
-  let w0 = Nvm.Region.read_i64 region chunk in
-  let ctr0, _, _, _ = decode_word w0 in
+  ignore (Region.read_u64 region chunk : int);
+  let hi0 = Region.hi32 region in
+  let lo1 = Region.read_u64 region (chunk + 8) in
+  let hi1 = Region.hi32 region in
+  let ctr0 = word0_ctr region ~chunk in
   (* The new ctr must differ from word0's current one: [write_words] emits
      word1 first, so a crash that persists only word1 would otherwise leave
      the two ctrs equal by coincidence (old ctr0 = 0) while the decoded
      epoch is a chimera of word0's high half and word1's low half — a state
      that reads as committed but still carries the failed [next]. With
      ctr0+1 a torn restore is always a visible mismatch and simply re-runs. *)
-  write_words region ~chunk ~next:d.next_incll ~next_incll:d.next_incll
-    ~ctr:((ctr0 + 1) land 3) ~epoch:marker_epoch ~cls:d.size_class
+  let next_incll = ptr ~hi:hi1 ~lo:lo1 in
+  write_words region ~chunk ~next:next_incll ~next_incll
+    ~ctr:((ctr0 + 1) land 3) ~epoch:marker_epoch
+    ~cls:((cls2 ~hi:hi1 lsl 2) lor cls2 ~hi:hi0)

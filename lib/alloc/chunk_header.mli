@@ -20,24 +20,42 @@
     between the two stores and [next] must be recovered from [nextInCLL]
     (§5.1). *)
 
-type decoded = {
-  next : int;  (** Current free-list successor (payload of word0). *)
-  next_incll : int;  (** Successor at the beginning of [epoch]. *)
-  epoch : int;  (** 32-bit epoch reassembled from the two halves. *)
-  ctr_matches : bool;
-  size_class : int;
-}
+(** {1 Word codec}
 
-val read : Nvm.Region.t -> chunk:int -> decoded
-(** Decode both header words. When [ctr_matches] is false, [epoch] is
-    meaningless and only [next_incll] and [size_class] may be trusted. *)
+    A header word uses bit 63, so it is coded as its unsigned 32-bit
+    halves [hi] (bits 32..63) and [lo] (bits 0..31), as
+    {!Nvm.Region.read_u64} loads them: tagged ints, nothing boxed.
+    [ptr] is 16-byte aligned and below 2^48. *)
 
-val write_first_touch :
-  Nvm.Region.t -> chunk:int -> current_next:int -> epoch:int -> cls:int -> unit
-(** First modification of the chunk in [epoch]: store
-    [nextInCLL := current_next] and re-tag [next := current_next] with the
-    new epoch and a bumped counter — word1 strictly before word0, in the
-    same cache line, so PCSO gives the §5.1 recovery invariant. *)
+val ctr : lo:int -> int
+val ptr : hi:int -> lo:int -> int
+val cls2 : hi:int -> int
+val half : hi:int -> int
+val lo : ptr:int -> ctr:int -> int
+val hi : ptr:int -> cls2:int -> half:int -> int
+
+(** {1 Header access}
+
+    Each reader loads both words, word0 first (one charged read each),
+    and returns one field. *)
+
+val read_epoch : Nvm.Region.t -> chunk:int -> int
+(** The 32-bit epoch reassembled from the two halves, or [-1] when the
+    counters differ (a torn first touch: only [nextInCLL] and the class
+    may be trusted). *)
+
+val read_next : Nvm.Region.t -> chunk:int -> int
+(** Current free-list successor (word0's pointer). *)
+
+val read_class : Nvm.Region.t -> chunk:int -> int
+(** The chunk's size class. *)
+
+val first_touch : Nvm.Region.t -> chunk:int -> epoch:int -> unit
+(** Unless the header already carries [epoch], log it for its first
+    modification in [epoch]: store [nextInCLL := next] and re-tag
+    [next] with the new epoch and a bumped counter — word1 strictly
+    before word0, in the same cache line, so PCSO gives the §5.1
+    recovery invariant. The counters must match. *)
 
 val write_next : Nvm.Region.t -> chunk:int -> next:int -> unit
 (** Subsequent modification within the same epoch: rewrite word0's pointer

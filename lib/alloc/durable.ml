@@ -9,6 +9,10 @@ type t = {
   heap_start : int;
   heap_end : int;
   limbo_tails : int array;  (* transient; 0 = unknown/empty *)
+  mutable visited : Bytes.t;
+      (* chain-walk cycle guard: one bit per 64-byte heap slot, all clear
+         between walks; allocated by the first walk *)
+  marked : Util.Ivec.t;  (* the chunks the current walk has marked *)
   mutable allocs : int;
   mutable deallocs : int;
   mutable freelist_allocs : int;
@@ -48,26 +52,18 @@ let marker t = Epoch.Manager.first_epoch_of_run t.em
 (* Lazy chunk-header recovery (§5.1): restore [next] from [nextInCLL] when
    the header's counters are torn or its epoch failed. *)
 let recover_chunk t chunk =
-  let d = Chunk_header.read t.region ~chunk in
-  if not d.Chunk_header.ctr_matches then
+  let e = Chunk_header.read_epoch t.region ~chunk in
+  if e < 0 || (e < marker t && Epoch.Manager.is_failed t.em e) then
     Chunk_header.restore t.region ~chunk ~marker_epoch:(marker t)
-  else if
-    d.Chunk_header.epoch < marker t
-    && Epoch.Manager.is_failed t.em d.Chunk_header.epoch
-  then Chunk_header.restore t.region ~chunk ~marker_epoch:(marker t)
 
 let chunk_next t chunk =
   recover_chunk t chunk;
-  (Chunk_header.read t.region ~chunk).Chunk_header.next
+  Chunk_header.read_next t.region ~chunk
 
 (* First-touch discipline before modifying a chunk's [next] in this epoch. *)
 let touch_chunk t chunk =
   recover_chunk t chunk;
-  let d = Chunk_header.read t.region ~chunk in
-  if d.Chunk_header.epoch <> current t then
-    Chunk_header.write_first_touch t.region ~chunk
-      ~current_next:d.Chunk_header.next ~epoch:(current t)
-      ~cls:d.Chunk_header.size_class
+  Chunk_header.first_touch t.region ~chunk ~epoch:(current t)
 
 let set_meta_head t ~line v =
   Meta_line.touch t.region ~line ~epoch:(current t);
@@ -89,29 +85,55 @@ let quarantine_chain t ~line exn =
   t.quarantined <- t.quarantined + 1;
   incr t.c_quarantined
 
+(* Cycle guard of the chain walks: chunks are 64-aligned heap addresses
+   ([check_link] proves it before one is marked), so bit
+   [(c - heap_start) / 64] stands for chunk [c]. [mark] returns whether
+   it was already set. *)
+let mark t c =
+  if Bytes.length t.visited = 0 then
+    t.visited <- Bytes.make ((((t.heap_end - t.heap_start) lsr 6) lsr 3) + 1) '\000';
+  let i = (c - t.heap_start) lsr 6 in
+  let byte = Char.code (Bytes.unsafe_get t.visited (i lsr 3)) in
+  let bit = 1 lsl (i land 7) in
+  byte land bit <> 0
+  || begin
+       Bytes.unsafe_set t.visited (i lsr 3) (Char.unsafe_chr (byte lor bit));
+       Util.Ivec.push t.marked c;
+       false
+     end
+
+let clear_marks t =
+  for j = 0 to Util.Ivec.length t.marked - 1 do
+    let i = (Util.Ivec.get t.marked j - t.heap_start) lsr 6 in
+    Bytes.unsafe_set t.visited (i lsr 3) '\000'
+  done;
+  Util.Ivec.clear t.marked
+
 (* Guarded chain walk: calls [f] on each chunk from [head], raising
    [Corrupt_chain] on a wild head, a cycle, an out-of-bounds link or a
-   mis-aligned link instead of walking forever. The visited set is
-   transient scaffolding: the walks run on the recovery and validation
-   paths (and the limbo merge after a crash lost its transient tail),
-   never on the alloc/dealloc fast path. *)
+   mis-aligned link instead of walking forever. The visited set is a
+   reusable bitmap, cleared through the list of chunks the walk marked:
+   the walks run on the recovery and validation paths (and the limbo
+   merge after a crash lost its transient tail, over every chunk freed
+   in the last epoch), never on the alloc/dealloc fast path. *)
 let iter_chain t head f =
   if head <> 0 then begin
     check_link t ~head ~at:0 ~steps:0 head;
-    let visited = Hashtbl.create 64 in
-    Hashtbl.add visited head ();
     let rec loop c steps =
       f c;
       let next = chunk_next t c in
       check_link t ~head ~at:c ~steps next;
       if next <> 0 then begin
-        if Hashtbl.mem visited next then
-          corrupt ~head ~at:c ~steps "cycle in chain";
-        Hashtbl.add visited next ();
+        if mark t next then corrupt ~head ~at:c ~steps "cycle in chain";
         loop next (steps + 1)
       end
     in
-    loop head 0
+    ignore (mark t head : bool);
+    match loop head 0 with
+    | () -> clear_marks t
+    | exception e ->
+        clear_marks t;
+        raise e
   end
 
 (* Checkpoint subscriber: splice each limbo list onto its free list. Runs
@@ -156,6 +178,8 @@ let make region em =
     heap_start = Nvm.Layout.heap_off cfg;
     heap_end = cfg.Nvm.Config.size_bytes;
     limbo_tails = Array.make Size_class.count 0;
+    visited = Bytes.empty;
+    marked = Util.Ivec.create ();
     allocs = 0;
     deallocs = 0;
     freelist_allocs = 0;
@@ -225,8 +249,7 @@ let alloc ?(aligned = false) t ~size =
 let dealloc t payload =
   let chunk = Size_class.chunk_of_payload payload in
   recover_chunk t chunk;
-  let d = Chunk_header.read t.region ~chunk in
-  let cls = d.Chunk_header.size_class in
+  let cls = Chunk_header.read_class t.region ~chunk in
   if cls < 0 || cls >= Size_class.count then
     invalid_arg "Durable.dealloc: not an allocator chunk";
   let lhead = Meta_line.head t.region ~line:(limbo_line cls) in
@@ -238,8 +261,7 @@ let dealloc t payload =
 
 let payload_capacity_of t payload =
   let chunk = Size_class.chunk_of_payload payload in
-  let d = Chunk_header.read t.region ~chunk in
-  Size_class.payload_capacity ~cls:d.Chunk_header.size_class
+  Size_class.payload_capacity ~cls:(Chunk_header.read_class t.region ~chunk)
     ~aligned:(payload land 63 = 0)
 
 let recover_all_chains t =
@@ -263,12 +285,12 @@ let limbo_count t ~cls = count_chain t (Meta_line.head t.region ~line:(limbo_lin
 let check_chains t =
   for cls = 0 to Size_class.count - 1 do
     let check c =
-      let d = Chunk_header.read t.region ~chunk:c in
-      if d.Chunk_header.size_class <> cls then
+      let got = Chunk_header.read_class t.region ~chunk:c in
+      if got <> cls then
         failwith
           (Printf.sprintf
              "Durable.check_chains: chunk %d in class-%d list has class %d" c
-             cls d.Chunk_header.size_class)
+             cls got)
     in
     iter_chain t (Meta_line.head t.region ~line:(free_line cls)) check;
     iter_chain t (Meta_line.head t.region ~line:(limbo_line cls)) check
@@ -309,12 +331,12 @@ let validate t =
                        "chunk %d also reachable from the %s chain of class %d"
                        c okind ocls)
               | None -> Hashtbl.add owner c (cls, kind));
-              let d = Chunk_header.read t.region ~chunk:c in
-              if d.Chunk_header.size_class <> cls then
+              let got = Chunk_header.read_class t.region ~chunk:c in
+              if got <> cls then
                 err
                   (Printf.sprintf
                      "chunk %d header claims class %d, chain is class %d" c
-                     d.Chunk_header.size_class cls);
+                     got cls);
               if c < t.heap_start || c + Size_class.chunk_size cls > bump then
                 err
                   (Printf.sprintf "chunk %d outside [heap start, bump)" c))

@@ -14,15 +14,15 @@ let chunk_size i =
   if i < 0 || i >= count then invalid_arg "Size_class.chunk_size";
   sizes.(i)
 
-let find_class total =
-  let rec find i =
-    if i >= count then
-      invalid_arg
-        (Printf.sprintf "Size_class: %d-byte chunk too large" total)
-    else if sizes.(i) >= total then i
-    else find (i + 1)
-  in
-  find 0
+(* Top-level loop: a local closure over [total] would be allocated on
+   every allocation. *)
+let rec find_from total i =
+  if i >= count then
+    invalid_arg (Printf.sprintf "Size_class: %d-byte chunk too large" total)
+  else if sizes.(i) >= total then i
+  else find_from total (i + 1)
+
+let find_class total = find_from total 0
 
 let class_of_payload payload =
   if payload < 0 then invalid_arg "Size_class.class_of_payload";

@@ -8,6 +8,7 @@ type result = {
   mops_sim : float;
   mops_wall : float;
   nodes_logged : int;
+  minor_words : float;
   sfences : int;
   clwbs : int;
   wbinvds : int;
@@ -300,15 +301,21 @@ let measure
         Incll.System.nodes_logged (Store.Sharded.shard store i))
   in
   let wall0 = Unix.gettimeofday () in
-  let shard_spikes =
+  (* [Gc.minor_words] is per domain: each worker counts its own op loop. *)
+  let per_shard =
     in_domains
       (Array.init threads (fun i ->
            let sys = Store.Sharded.shard store i in
            let enc = shard_ops.(i) in
            fun () ->
-             run_encoded sys ~shard:i enc ~chunk
-               ~threshold:latency_threshold_ns))
+             let w0 = Gc.minor_words () in
+             let spikes =
+               run_encoded sys ~shard:i enc ~chunk
+                 ~threshold:latency_threshold_ns
+             in
+             (spikes, Gc.minor_words () -. w0)))
   in
+  let shard_spikes = Array.map fst per_shard in
   let wall1 = Unix.gettimeofday () in
   let after = Array.init threads (snapshot_shard store) in
   let diff =
@@ -401,6 +408,7 @@ let measure
     mops_wall =
       (if wall_s > 0.0 then float_of_int ops /. wall_s /. 1e6 else 0.0);
     nodes_logged;
+    minor_words = Array.fold_left (fun a (_, w) -> a +. w) 0.0 per_shard;
     sfences = sum (fun d -> d.Nvm.Stats.sfence);
     clwbs = sum (fun d -> d.Nvm.Stats.clwb);
     wbinvds = sum (fun d -> d.Nvm.Stats.wbinvd);

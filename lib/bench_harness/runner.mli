@@ -16,6 +16,9 @@ type result = {
   mops_sim : float;
   mops_wall : float;
   nodes_logged : int;  (** External-log appends during the measured phase. *)
+  minor_words : float;
+      (** Minor-heap words the op loops allocated, measured inside each
+          worker domain around its loop and summed over shards. *)
   sfences : int;
   clwbs : int;
   wbinvds : int;

@@ -49,14 +49,18 @@ let make em log =
 
 let note_incll_hit t = incr t.m_incll_hit
 
+(* The trace payloads are built only while tracing, so the op path
+   allocates nothing for them. *)
 let note_first_touch t ~leaf =
   incr t.m_incll_hit;
   incr t.m_first_touch;
-  Nvm.Region.trace_event t.region (Obs.Trace.Incll_first_touch { leaf })
+  if Nvm.Region.tracing t.region then
+    Nvm.Region.trace_event t.region (Obs.Trace.Incll_first_touch { leaf })
 
 let note_fallback t ~leaf =
   incr t.m_incll_fallback;
-  Nvm.Region.trace_event t.region (Obs.Trace.Incll_fallback { leaf })
+  if Nvm.Region.tracing t.region then
+    Nvm.Region.trace_event t.region (Obs.Trace.Incll_fallback { leaf })
 
 let current t = Epoch.Manager.current t.em
 let lower16 = Epoch.Manager.lower16

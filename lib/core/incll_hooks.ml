@@ -1,6 +1,5 @@
 module L = Masstree.Leaf
 module I = Masstree.Internal
-module EW = Masstree.Epoch_word
 module V = Masstree.Val_incll
 
 (* After externally logging a leaf: stamp it logged-for-this-epoch and
@@ -12,26 +11,29 @@ module V = Masstree.Val_incll
 let stamp_logged ctx leaf =
   let region = ctx.Ctx.region in
   let g = Ctx.current ctx in
-  L.set_epoch_word region leaf
-    { EW.epoch = g; ins_allowed = true; logged = true };
-  let inv = V.invalid ~low_epoch:(Ctx.lower16 g) in
-  L.set_incll_by_index region leaf ~which:0 inv;
-  L.set_incll_by_index region leaf ~which:1 inv;
+  L.set_epoch_word region leaf ~epoch:g ~ins_allowed:true ~logged:true;
+  let low_epoch = Ctx.lower16 g in
+  L.set_incll_invalid region leaf ~which:0 ~low_epoch;
+  L.set_incll_invalid region leaf ~which:1 ~low_epoch;
   Nvm.Region.release_fence region
 
 let log_leaf ctx leaf =
   Ctx.log_node ctx ~addr:leaf ~size:L.node_bytes;
   stamp_logged ctx leaf
 
+(* Value InCLL [which] logs [ptr], the epoch-start value of [slot]. *)
+let set_logged_value region leaf ~which ~slot ~ptr ~low_epoch =
+  L.set_incll region leaf ~which ~hi:(V.hi ~ptr ~low_epoch)
+    ~lo:(V.lo ~ptr ~idx:slot)
+
 (* The first-touch body of Listing 3: make the node recoverable for this
-   epoch. [vc] builds the two value-InCLL words given the epoch's low bits
-   (invalid words for inserts/removes; the pre-image of the updated slot
-   for updates). *)
-let first_touch ctx leaf ~vc =
+   epoch. [slot] is the updated slot, whose pre-image goes into its line's
+   value InCLL (the other one is left invalid); [-1] for inserts and
+   removes, which leave both invalid. *)
+let first_touch ctx leaf ~slot =
   let region = ctx.Ctx.region in
   let g = Ctx.current ctx in
-  let ew = L.epoch_word region leaf in
-  if Ctx.higher g <> Ctx.higher ew.EW.epoch then begin
+  if Ctx.higher g <> Ctx.higher (L.epoch_word region leaf) then begin
     (* 16 bits cannot encode the epoch distance for the value InCLLs:
        fall back on the external log (§4.1.3; ~once an hour). *)
     ctx.Ctx.counters.Ctx.ext_fallback_epoch <-
@@ -40,31 +42,30 @@ let first_touch ctx leaf ~vc =
     log_leaf ctx leaf
   end
   else begin
-    let low = Ctx.lower16 g in
-    let vc1, vc2 = vc ~low_epoch:low in
+    let low_epoch = Ctx.lower16 g in
+    let ptr = if slot < 0 then 0 else L.value region leaf ~slot in
+    let mine = if slot < 0 then -1 else L.incll_index slot in
     (* Undo copies first, nodeEpoch second: all in program order, and
        permutationInCLL/nodeEpoch share a cache line, so PCSO turns this
        order into the recovery invariant of §4.1.2. *)
     L.set_perm_incll region leaf (L.perm region leaf);
-    L.set_incll_by_index region leaf ~which:0 vc1;
-    L.set_incll_by_index region leaf ~which:1 vc2;
+    for which = 0 to 1 do
+      if which = mine then set_logged_value region leaf ~which ~slot ~ptr ~low_epoch
+      else L.set_incll_invalid region leaf ~which ~low_epoch
+    done;
     Nvm.Region.release_fence region;
-    L.set_epoch_word region leaf
-      { EW.epoch = g; ins_allowed = true; logged = false };
+    L.set_epoch_word region leaf ~epoch:g ~ins_allowed:true ~logged:false;
     ctx.Ctx.counters.Ctx.first_touches <-
       ctx.Ctx.counters.Ctx.first_touches + 1;
     Ctx.note_first_touch ctx ~leaf
   end
 
-let invalid_pair ~low_epoch =
-  let inv = V.invalid ~low_epoch in
-  (inv, inv)
-
 let pre_insert ctx ~leaf =
   let region = ctx.Ctx.region in
-  let ew = L.epoch_word region leaf in
-  if ew.EW.epoch <> Ctx.current ctx then first_touch ctx leaf ~vc:invalid_pair
-  else if (not ew.EW.logged) && not ew.EW.ins_allowed then begin
+  let e = L.epoch_word region leaf in
+  let logged = L.logged region and ins_allowed = L.ins_allowed region in
+  if e <> Ctx.current ctx then first_touch ctx leaf ~slot:(-1)
+  else if (not logged) && not ins_allowed then begin
     (* A slot freed by a same-epoch delete could be re-populated,
        destroying the key/value pair a rollback must restore (§4.1.1). *)
     ctx.Ctx.counters.Ctx.ext_fallback_mixed <-
@@ -75,21 +76,22 @@ let pre_insert ctx ~leaf =
 
 let pre_remove ctx ~leaf =
   let region = ctx.Ctx.region in
-  let ew = L.epoch_word region leaf in
-  if ew.EW.epoch <> Ctx.current ctx then first_touch ctx leaf ~vc:invalid_pair;
+  if L.epoch_word region leaf <> Ctx.current ctx then
+    first_touch ctx leaf ~slot:(-1);
   (* Deletes always fit in InCLLp, but they forbid later same-epoch
      inserts (Listing 3's remove sets InsAllowed=false). The flag is
      semantically transient (§4.1.2). *)
-  let ew = L.epoch_word region leaf in
-  if ew.EW.ins_allowed then
-    L.set_epoch_word region leaf { ew with EW.ins_allowed = false }
+  let epoch = L.epoch_word region leaf in
+  if L.ins_allowed region then
+    L.set_epoch_word region leaf ~epoch ~ins_allowed:false
+      ~logged:(L.logged region)
 
 let pre_update ctx ~val_incll ~leaf ~slot =
   let region = ctx.Ctx.region in
   if not val_incll then begin
     (* Ablation: InCLLp only — updates always use the external log. *)
-    let ew = L.epoch_word region leaf in
-    if not (ew.EW.logged && ew.EW.epoch = Ctx.current ctx) then begin
+    let e = L.epoch_word region leaf in
+    if not (L.logged region && e = Ctx.current ctx) then begin
       ctx.Ctx.counters.Ctx.ext_fallback_update <-
         ctx.Ctx.counters.Ctx.ext_fallback_update + 1;
       Ctx.note_fallback ctx ~leaf;
@@ -98,46 +100,41 @@ let pre_update ctx ~val_incll ~leaf ~slot =
   end
   else begin
     let g = Ctx.current ctx in
-    let ew = L.epoch_word region leaf in
-    if ew.EW.epoch <> g then begin
+    let e = L.epoch_word region leaf in
+    let logged = L.logged region in
+    if e <> g then begin
       (* First touch: log the pre-image of this slot in its line's InCLL
          and leave the other line's InCLL invalid (Listing 3's update). *)
-      let vc ~low_epoch =
-        let mine =
-          V.pack ~ptr:(L.value region leaf ~slot) ~idx:slot ~low_epoch
-        in
-        let inv = V.invalid ~low_epoch in
-        if slot <= 6 then (mine, inv) else (inv, mine)
-      in
-      first_touch ctx leaf ~vc;
+      first_touch ctx leaf ~slot;
       (* first_touch may have chosen the external log instead; only count
          an InCLL use when it did not. *)
-      if not (L.epoch_word region leaf).EW.logged then begin
+      ignore (L.epoch_word region leaf : int);
+      if not (L.logged region) then begin
         ctx.Ctx.counters.Ctx.val_incll_uses <-
           ctx.Ctx.counters.Ctx.val_incll_uses + 1;
         Ctx.note_incll_hit ctx
       end
     end
-    else if ew.EW.logged then ()
+    else if logged then ()
     else begin
-      let which = if slot <= 6 then 0 else 1 in
-      let d = V.unpack (L.incll_by_index region leaf ~which) in
-      if d.V.idx = slot then
+      let which = L.incll_index slot in
+      let idx = V.idx ~lo:(L.incll region leaf ~which) in
+      if idx = slot then
         (* The epoch-start value of this slot is already logged; further
            overwrites need nothing (valuable under skew, §4.1.3). *)
         (ctx.Ctx.counters.Ctx.val_incll_hits <-
            ctx.Ctx.counters.Ctx.val_incll_hits + 1;
          Ctx.note_incll_hit ctx)
-      else if d.V.idx = V.invalid_idx then begin
+      else if idx = V.invalid_idx then begin
         (* This line's InCLL is still free this epoch: claim it. Same
            cache line as the value slot, so no fence is needed before the
            overwrite. Note: Listing 3's same-epoch arm omits this store
            and would lose the pre-image; §4.1.3's prose ("it is still
            possible to use the unused InCLL") requires it, so we follow
            the prose. *)
-        L.set_incll_by_index region leaf ~which
-          (V.pack ~ptr:(L.value region leaf ~slot) ~idx:slot
-             ~low_epoch:(Ctx.lower16 g));
+        set_logged_value region leaf ~which ~slot
+          ~ptr:(L.value region leaf ~slot)
+          ~low_epoch:(Ctx.lower16 g);
         Nvm.Region.release_fence region;
         ctx.Ctx.counters.Ctx.val_incll_uses <-
           ctx.Ctx.counters.Ctx.val_incll_uses + 1;
@@ -163,13 +160,9 @@ let pre_structural ctx nodes =
     let e0 = Ctx.current ctx in
     let log_one (addr, size) =
       if addr = Nvm.Layout.off_root then begin
-        if
-          Int64.to_int (Nvm.Region.read_i64 region Nvm.Layout.off_root_meta)
-          <> e0
-        then begin
+        if Nvm.Region.read_int region Nvm.Layout.off_root_meta <> e0 then begin
           Ctx.log_node ctx ~addr ~size;
-          Nvm.Region.write_i64 region Nvm.Layout.off_root_meta
-            (Int64.of_int e0);
+          Nvm.Region.write_int region Nvm.Layout.off_root_meta e0;
           ctx.Ctx.counters.Ctx.ext_structural <-
             ctx.Ctx.counters.Ctx.ext_structural + 1;
           Ctx.note_fallback ctx ~leaf:addr
@@ -183,8 +176,8 @@ let pre_structural ctx nodes =
            un-rolled-back contents into the current epoch, disabling its
            lazy recovery forever. *)
         Recovery.lazy_leaf_recovery ctx ~leaf:addr;
-        let ew = L.epoch_word region addr in
-        if not (ew.EW.logged && ew.EW.epoch = e0) then begin
+        let e = L.epoch_word region addr in
+        if not (L.logged region && e = e0) then begin
           Ctx.log_node ctx ~addr ~size:L.node_bytes;
           stamp_logged ctx addr;
           ctx.Ctx.counters.Ctx.ext_structural <-

@@ -355,7 +355,9 @@ let sweeping t = t.sweeping
 let set_log_pressure t f = t.log_pressure <- f
 
 let maybe_advance t =
-  let now = Nvm.Stats.sim_ns (Nvm.Region.stats t.region) in
+  (* The clock field itself: [Nvm.Stats.sim_ns] would box the float on
+     every op. *)
+  let now = (Nvm.Region.stats t.region).Nvm.Stats.clock.Nvm.Stats.ns in
   if t.sweeping then
     (* Convergence guard: ops keep dirtying lines while the sweep runs;
        the budget normally outpaces them, but if a sweep somehow lingers

@@ -81,7 +81,14 @@ let checksum region ~payload_off ~size ~kind ~epoch ~addr =
   acc := Int64.logxor !acc (Int64.mul (Int64.of_int addr) 0x9E3779B97F4A7C15L);
   acc := Int64.logxor !acc (Int64.of_int size);
   for i = 0 to (size / 8) - 1 do
-    let w = Nvm.Region.read_i64 region (payload_off + (8 * i)) in
+    (* Each word read as halves and reassembled in place: the sum stays
+       unboxed, one charged load per word as with [read_i64]. *)
+    let lo = Nvm.Region.read_u64 region (payload_off + (8 * i)) in
+    let w =
+      Int64.logor
+        (Int64.shift_left (Int64.of_int (Nvm.Region.hi32 region)) 32)
+        (Int64.of_int lo)
+    in
     (* Mix the position in so swapped words change the sum. *)
     acc :=
       Int64.logxor !acc
@@ -94,10 +101,10 @@ let checksum region ~payload_off ~size ~kind ~epoch ~addr =
    back every line, fence once. *)
 let seal_entry t ~entry ~kind ~epoch ~addr ~size =
   let payload_off = entry + header_bytes in
-  Nvm.Region.write_i64 t.region (entry + 8) (Int64.of_int kind);
-  Nvm.Region.write_i64 t.region (entry + 16) (Int64.of_int epoch);
-  Nvm.Region.write_i64 t.region (entry + 24) (Int64.of_int addr);
-  Nvm.Region.write_i64 t.region (entry + 32) (Int64.of_int size);
+  Nvm.Region.write_int t.region (entry + 8) kind;
+  Nvm.Region.write_int t.region (entry + 16) epoch;
+  Nvm.Region.write_int t.region (entry + 24) addr;
+  Nvm.Region.write_int t.region (entry + 32) size;
   Nvm.Region.write_i64 t.region (entry + 40)
     (checksum t.region ~payload_off ~size ~kind ~epoch ~addr);
   Nvm.Region.write_i64 t.region entry entry_magic;
@@ -115,7 +122,8 @@ let seal_entry t ~entry ~kind ~epoch ~addr ~size =
   t.bytes_logged <- t.bytes_logged + size;
   incr t.c_appends;
   Obs.Histogram.record t.h_append_bytes (float_of_int size);
-  Nvm.Region.trace_event t.region (Obs.Trace.Extlog_append { bytes = size })
+  if Nvm.Region.tracing t.region then
+    Nvm.Region.trace_event t.region (Obs.Trace.Extlog_append { bytes = size })
 
 let append t ~epoch ~addr ~size =
   if size <= 0 || size land 7 <> 0 then

@@ -1,16 +1,10 @@
-type decoded = { epoch : int; ins_allowed : bool; logged : bool }
+let[@inline] epoch ~hi ~lo = ((hi land 0x3fff_ffff) lsl 32) lor lo
+let[@inline] ins_allowed ~hi = hi land 0x4000_0000 <> 0
+let[@inline] logged ~hi = hi land 0x8000_0000 <> 0
 
-let pack ~epoch ~ins_allowed ~logged =
-  let open Int64 in
-  logor
-    (logand (of_int epoch) (Util.Bits.mask 62))
-    (logor
-       (if ins_allowed then shift_left 1L 62 else 0L)
-       (if logged then shift_left 1L 63 else 0L))
+let[@inline] hi ~epoch ~ins_allowed ~logged =
+  (epoch lsr 32) land 0x3fff_ffff
+  lor (if ins_allowed then 0x4000_0000 else 0)
+  lor if logged then 0x8000_0000 else 0
 
-let unpack w =
-  {
-    epoch = Util.Bits.get_int w ~lo:0 ~width:62;
-    ins_allowed = Util.Bits.get w ~lo:62 ~width:1 = 1L;
-    logged = Util.Bits.get w ~lo:63 ~width:1 = 1L;
-  }
+let[@inline] lo ~epoch = epoch land 0xffff_ffff

@@ -28,20 +28,24 @@ val create : Alloc.Api.t -> Nvm.Region.t -> layer:int -> int
 
 val nkeys : Nvm.Region.t -> int -> int
 val set_nkeys : Nvm.Region.t -> int -> int -> unit
-val key : Nvm.Region.t -> int -> i:int -> int64
-val set_key : Nvm.Region.t -> int -> i:int -> int64 -> unit
+val key : Nvm.Region.t -> int -> i:int -> int
+(** Load separator [i] and return its low half; the high half is then
+    [Nvm.Region.hi32] (see {!Leaf.key}). *)
+
+val set_key : Nvm.Region.t -> int -> i:int -> hi:int -> lo:int -> unit
 val child : Nvm.Region.t -> int -> i:int -> int
 val set_child : Nvm.Region.t -> int -> i:int -> int -> unit
 val logged_epoch : Nvm.Region.t -> int -> int
 val set_logged_epoch : Nvm.Region.t -> int -> int -> unit
 val layer : Nvm.Region.t -> int -> int
 
-val search_child : Nvm.Region.t -> int -> slice:int64 -> int
-(** Index of the child to descend into for [slice]. *)
+val search_child : Nvm.Region.t -> int -> hi:int -> lo:int -> int
+(** Index of the child to descend into for the slice with halves [hi],
+    [lo]. *)
 
 val insert_separator :
-  Nvm.Region.t -> int -> at:int -> sep:int64 -> right:int -> unit
-(** Insert separator [sep] at key index [at] with [right] as the child to
+  Nvm.Region.t -> int -> at:int -> hi:int -> lo:int -> right:int -> unit
+(** Insert the separator slice [hi]/[lo] at key index [at] with [right] as the child to
     its right, shifting later keys/children. The node must not be full and
     must already be logged by the caller. *)
 

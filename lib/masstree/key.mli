@@ -11,10 +11,6 @@
     are big-endian and zero-padded, this coincides with lexicographic byte
     order of the full keys. *)
 
-type slice = { bits : int64; len : int }
-(** [len] is the number of key bytes in this slice (0–8); [len = 8] with
-    remaining bytes means the key continues in the next layer. *)
-
 val layer_link_len : int
 (** Sentinel keylen (15) marking a slot whose value is the next-layer
     root. *)
@@ -27,8 +23,29 @@ val suffix_len_marker : int
     of a suffix entry / a link entry exists per slice: a second long key
     on the same slice converts the suffix entry into a nested layer. *)
 
-val slice_at : string -> layer:int -> slice
-(** Slice of [key] at trie depth [layer] (8-byte granularity). *)
+(** {1 Slices}
+
+    A slice travels as its two unsigned 32-bit halves, the form
+    {!Nvm.Region.compare_u64} and {!Nvm.Region.write_u64} take, so a
+    lookup builds neither a record nor an [int64]. Each raises
+    [Invalid_argument] when [layer] lies beyond the key. *)
+
+val slice_hi : string -> layer:int -> int
+(** Bits 32..63 of the layer's slice (its first four bytes). *)
+
+val slice_lo : string -> layer:int -> int
+(** Bits 0..31 of the layer's slice (its last four bytes). *)
+
+val slice_len : string -> layer:int -> int
+(** Key bytes in the layer's slice (0–8); [8] with {!has_suffix} means the
+    key continues in the next layer. *)
+
+val of_halves : hi:int -> lo:int -> int64
+(** The packed slice with halves [hi] and [lo]. *)
+
+val of_slice : prefix:string -> hi:int -> lo:int -> len:int -> string
+(** [prefix] followed by the first [len] bytes of the slice with halves
+    [hi] and [lo]: a scanned key rebuilt in one allocation. *)
 
 val has_suffix : string -> layer:int -> bool
 (** True when the key extends beyond this layer's 8 bytes. *)
@@ -41,9 +58,6 @@ val compare_slices : int64 -> int64 -> int
 
 val compare_entry : int64 -> int -> int64 -> int -> int
 (** [(slice, keylen)] ordering used inside a leaf. *)
-
-val bytes_of_slice : int64 -> len:int -> string
-(** Recover the raw bytes of a slice (for key reconstruction in scans). *)
 
 val of_int64 : int64 -> string
 (** 8-byte big-endian key from an integer (benchmark keys). *)

@@ -35,10 +35,6 @@ val off_perm : int
 val key_off : int -> int
 val keylen_off : int -> int
 val val_off : int -> int
-val incll_off : int -> int
-(** The InCLL word covering value slot [i]: offset 256 for slots 0–6, 376
-    for slots 7–13. *)
-
 val incll1_off : int
 val incll2_off : int
 
@@ -48,10 +44,14 @@ val create :
     stamped with [epoch], both value InCLLs invalid. Returns the node
     address (64-byte aligned). *)
 
-(** {1 Accessors} *)
+(** {1 Accessors}
 
-val version : Nvm.Region.t -> int -> int64
-val set_version : Nvm.Region.t -> int -> int64 -> unit
+    Words that use bit 63 — the InCLLp word, key slices and the value
+    InCLLs — are loaded with {!Nvm.Region.read_u64}: the accessor returns
+    one part (or the low half) and the rest of the same word is read back
+    from the region right after, before any other [read_u64]. *)
+
+val set_version : Nvm.Region.t -> int -> int -> unit
 val next : Nvm.Region.t -> int -> int
 val set_next : Nvm.Region.t -> int -> int -> unit
 val prev : Nvm.Region.t -> int -> int
@@ -60,35 +60,50 @@ val layer : Nvm.Region.t -> int -> int
 val is_leaf_node : Nvm.Region.t -> int -> bool
 (** Discriminate leaf from internal via the flags word (shared offset). *)
 
-val epoch_word : Nvm.Region.t -> int -> Epoch_word.decoded
-val set_epoch_word : Nvm.Region.t -> int -> Epoch_word.decoded -> unit
+val epoch_word : Nvm.Region.t -> int -> int
+(** Load the InCLLp word ({!Epoch_word}) and return its [nodeEpoch]; the
+    same word's flags are then {!logged} and {!ins_allowed}. *)
+
+val logged : Nvm.Region.t -> bool
+val ins_allowed : Nvm.Region.t -> bool
+(** Flags of the InCLLp word the last {!epoch_word} loaded. *)
+
+val set_epoch_word :
+  Nvm.Region.t -> int -> epoch:int -> ins_allowed:bool -> logged:bool -> unit
+
 val perm_incll : Nvm.Region.t -> int -> Permutation.t
 val set_perm_incll : Nvm.Region.t -> int -> Permutation.t -> unit
 val perm : Nvm.Region.t -> int -> Permutation.t
 val set_perm : Nvm.Region.t -> int -> Permutation.t -> unit
 
-val key : Nvm.Region.t -> int -> slot:int -> int64
-val set_key : Nvm.Region.t -> int -> slot:int -> int64 -> unit
+val key : Nvm.Region.t -> int -> slot:int -> int
+(** Load [slot]'s key slice and return its low half ({!Key.slice_lo});
+    the high half is then [Nvm.Region.hi32]. *)
+
+val set_key : Nvm.Region.t -> int -> slot:int -> hi:int -> lo:int -> unit
 val keylen : Nvm.Region.t -> int -> slot:int -> int
 val set_keylen : Nvm.Region.t -> int -> slot:int -> int -> unit
 val value : Nvm.Region.t -> int -> slot:int -> int
 val set_value : Nvm.Region.t -> int -> slot:int -> int -> unit
 
-val incll : Nvm.Region.t -> int -> slot:int -> int64
-(** The InCLL word covering [slot]'s cache line. *)
+val incll_index : int -> int
+(** Which value InCLL (0 = InCLL1, 1 = InCLL2) covers a slot's line. *)
 
-val incll_by_index : Nvm.Region.t -> int -> which:int -> int64
-(** [which] is 0 (InCLL1) or 1 (InCLL2). *)
+val incll : Nvm.Region.t -> int -> which:int -> int
+(** Load value InCLL [which] and return its [lo] half ({!Val_incll});
+    the [hi] half is then [Nvm.Region.hi32]. *)
 
-val set_incll_by_index : Nvm.Region.t -> int -> which:int -> int64 -> unit
+val set_incll : Nvm.Region.t -> int -> which:int -> hi:int -> lo:int -> unit
+
+val set_incll_invalid : Nvm.Region.t -> int -> which:int -> low_epoch:int -> unit
+(** Mark value InCLL [which] unused, stamped with the epoch's low bits. *)
 
 (** {1 Search} *)
 
-type lookup = Found of int | Insert_before of int
-(** Rank-space result of a leaf search. *)
-
-val find : Nvm.Region.t -> int -> slice:int64 -> keylen:int -> lookup
+val find : Nvm.Region.t -> int -> hi:int -> lo:int -> keylen:int -> int
 (** Binary search over the permutation's sorted ranks by
-    [(slice, keylen)]. *)
+    [(slice, keylen)], the slice given by its halves. Returns the rank
+    [r >= 0] of the matching entry, or [lnot r] (negative) when there is
+    none and the entry would be inserted at rank [r]. *)
 
 val entry_count : Nvm.Region.t -> int -> int

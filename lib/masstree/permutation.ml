@@ -1,18 +1,23 @@
-type t = int64
+type t = int
 
 let width = 14
 
-let get_nibble p i = Util.Bits.get_int p ~lo:(4 * i) ~width:4
-let set_nibble p i v = Util.Bits.set_int p ~lo:(4 * i) ~width:4 v
+(* The word fits in 60 bits (a count nibble and 14 slot nibbles), so it
+   is a tagged int: the same bytes as the historical [int64] through
+   [Region.read_int]/[write_int], and no box per access. *)
+let[@inline] get_nibble p i = (p lsr (4 * i)) land 0xf
 
-let count p = get_nibble p 0
-let slot_at_rank p rank = get_nibble p (rank + 1)
-let set_rank p rank slot = set_nibble p (rank + 1) slot
-let with_count p c = set_nibble p 0 c
+let[@inline] set_nibble p i v =
+  p land lnot (0xf lsl (4 * i)) lor ((v land 0xf) lsl (4 * i))
+
+let[@inline] count p = get_nibble p 0
+let[@inline] slot_at_rank p rank = get_nibble p (rank + 1)
+let[@inline] set_rank p rank slot = set_nibble p (rank + 1) slot
+let[@inline] with_count p c = set_nibble p 0 c
 
 let empty =
   let rec fill p i = if i >= width then p else fill (set_rank p i i) (i + 1) in
-  fill 0L 0
+  fill 0 0
 
 let is_full p = count p >= width
 

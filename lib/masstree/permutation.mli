@@ -18,7 +18,9 @@
     Width may be at most 15 (14 for the durable leaf, which gives one slot
     up to the two value InCLLs). All functions are pure. *)
 
-type t = int64
+type t = int
+(** The word's bits 0..59; bits 60..63 are always zero, so it round-trips
+    through [Nvm.Region.read_int]/[write_int] exactly. *)
 
 val width : int
 (** 14, the durable leaf width (§4.1). *)

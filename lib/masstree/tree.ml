@@ -21,6 +21,9 @@ type t = {
   hooks : Hooks.t;
   current_epoch : unit -> int;
   mutable root : int;  (* cached copy of the superblock root word *)
+  mutable path : int array;
+      (* the last descent's (internal, child index) pairs, root first *)
+  mutable depth : int;  (* ints of [path] in use *)
   stats : op_stats;
 }
 
@@ -62,7 +65,16 @@ let read_root region =
 
 let create region alloc hooks ~current_epoch =
   let t =
-    { region; alloc; hooks; current_epoch; root = 0; stats = fresh_stats () }
+    {
+      region;
+      alloc;
+      hooks;
+      current_epoch;
+      root = 0;
+      path = Array.make 32 0;
+      depth = 0;
+      stats = fresh_stats ();
+    }
   in
   let leaf = Leaf.create alloc region ~layer:0 ~epoch:(current_epoch ()) in
   Nvm.Region.write_int region Nvm.Layout.off_root leaf;
@@ -74,7 +86,16 @@ let create region alloc hooks ~current_epoch =
 
 let open_existing region alloc hooks ~current_epoch =
   let t =
-    { region; alloc; hooks; current_epoch; root = 0; stats = fresh_stats () }
+    {
+      region;
+      alloc;
+      hooks;
+      current_epoch;
+      root = 0;
+      path = Array.make 32 0;
+      depth = 0;
+      stats = fresh_stats ();
+    }
   in
   t.root <- read_root region;
   if t.root = 0 then failwith "Tree.open_existing: no root recorded";
@@ -124,28 +145,45 @@ let read_suffix_value t buf =
 
 (* --- descent ----------------------------------------------------------- *)
 
-(* Stack of (internal, child-index) with the immediate parent first. *)
-let descend t root slice =
-  let rec loop node stack =
-    if Leaf.is_leaf_node t.region node then (node, stack)
-    else begin
-      let idx = Internal.search_child t.region node ~slice in
-      loop (Internal.child t.region node ~i:idx) ((node, idx) :: stack)
-    end
-  in
-  loop root []
+(* Walk to the leaf covering the slice [hi]/[lo]. Reads and writes walk
+   the same nodes with the same charges; a mutation's descent also records
+   each (internal, child index) step in [t.path], an int array, so
+   neither allocates. Only a split or a leaf removal needs the ancestors,
+   and then as a list: {!stack}. *)
+let rec leaf_for t node ~hi ~lo =
+  if Leaf.is_leaf_node t.region node then node
+  else
+    leaf_for t
+      (Internal.child t.region node ~i:(Internal.search_child t.region node ~hi ~lo))
+      ~hi ~lo
 
-(* Read-path variant: same walk, same charges, but no ancestor stack —
-   lookups and scans never splice, so they need not allocate the spine. *)
-let descend_leaf t root slice =
-  let rec loop node =
-    if Leaf.is_leaf_node t.region node then node
-    else
-      loop
-        (Internal.child t.region node
-           ~i:(Internal.search_child t.region node ~slice))
+let rec walk t node ~hi ~lo =
+  if Leaf.is_leaf_node t.region node then node
+  else begin
+    let idx = Internal.search_child t.region node ~hi ~lo in
+    if t.depth + 2 > Array.length t.path then begin
+      let path = Array.make (2 * Array.length t.path) 0 in
+      Array.blit t.path 0 path 0 t.depth;
+      t.path <- path
+    end;
+    t.path.(t.depth) <- node;
+    t.path.(t.depth + 1) <- idx;
+    t.depth <- t.depth + 2;
+    walk t (Internal.child t.region node ~i:idx) ~hi ~lo
+  end
+
+let descend t root ~hi ~lo =
+  t.depth <- 0;
+  walk t root ~hi ~lo
+
+(* The last descent's ancestors as (internal, child index), immediate
+   parent first. *)
+let stack t =
+  let rec build i acc =
+    if i >= t.depth then acc
+    else build (i + 2) ((t.path.(i), t.path.(i + 1)) :: acc)
   in
-  loop root
+  build 0 []
 
 (* --- structural modification (splits) ---------------------------------- *)
 
@@ -187,14 +225,18 @@ let set_root t rr new_root =
 
 (* Split rank near the middle such that the slices on either side differ
    (internal separators route by slice alone). Some rank always qualifies:
-   at most 10 entries can share a slice (9 terminal lengths + 1 link). *)
+   at most 10 entries can share a slice (9 terminal lengths + 1 link).
+   Each test loads rank [r]'s slice, then rank [r - 1]'s. *)
 let pick_split_rank t leaf p =
   let n = Permutation.count p in
-  let slice_at rank =
-    Leaf.key t.region leaf ~slot:(Permutation.slot_at_rank p rank)
-  in
+  let region = t.region in
   let ok r =
-    r > 0 && r < n && Key.compare_slices (slice_at (r - 1)) (slice_at r) <> 0
+    r > 0 && r < n
+    &&
+    let lo = Leaf.key region leaf ~slot:(Permutation.slot_at_rank p r) in
+    let hi = Nvm.Region.hi32 region in
+    let lo' = Leaf.key region leaf ~slot:(Permutation.slot_at_rank p (r - 1)) in
+    lo' <> lo || Nvm.Region.hi32 region <> hi
   in
   let rec search d =
     if d > n then failwith "Tree: cannot split leaf (all slices equal)"
@@ -205,14 +247,14 @@ let pick_split_rank t leaf p =
   search 0
 
 let copy_entry t ~src ~src_slot ~dst ~dst_slot =
-  Leaf.set_key t.region dst ~slot:dst_slot (Leaf.key t.region src ~slot:src_slot);
-  Leaf.set_keylen t.region dst ~slot:dst_slot
-    (Leaf.keylen t.region src ~slot:src_slot);
-  Leaf.set_value t.region dst ~slot:dst_slot
-    (Leaf.value t.region src ~slot:src_slot)
+  let region = t.region in
+  let lo = Leaf.key region src ~slot:src_slot in
+  Leaf.set_key region dst ~slot:dst_slot ~hi:(Nvm.Region.hi32 region) ~lo;
+  Leaf.set_keylen region dst ~slot:dst_slot (Leaf.keylen region src ~slot:src_slot);
+  Leaf.set_value region dst ~slot:dst_slot (Leaf.value region src ~slot:src_slot)
 
-(* Split [leaf]; returns the new right sibling and the separator slice.
-   The caller has already externally logged [leaf]. *)
+(* Split [leaf]; returns the new right sibling and the separator slice's
+   halves. The caller has already externally logged [leaf]. *)
 let split_leaf t leaf ~layer =
   let p = Leaf.perm t.region leaf in
   let n = Permutation.count p in
@@ -242,165 +284,177 @@ let split_leaf t leaf ~layer =
   if old_next <> 0 then Leaf.set_prev t.region old_next right;
   Leaf.set_next t.region leaf right;
   t.stats.leaf_splits <- t.stats.leaf_splits + 1;
-  (right, Leaf.key t.region right ~slot:0)
+  let lo = Leaf.key t.region right ~slot:0 in
+  (right, Nvm.Region.hi32 t.region, lo)
 
 (* Split a full internal node; returns the new right sibling and the
    separator pushed up. The caller has already logged [node]. *)
 let split_internal t node ~layer =
+  let region = t.region in
   let n = Internal.width in
   let mid = n / 2 in
-  let sep_up = Internal.key t.region node ~i:mid in
-  let right = Internal.create t.alloc t.region ~layer in
+  let up_lo = Internal.key region node ~i:mid in
+  let up_hi = Nvm.Region.hi32 region in
+  let right = Internal.create t.alloc region ~layer in
   for i = mid + 1 to n - 1 do
-    Internal.set_key t.region right ~i:(i - mid - 1)
-      (Internal.key t.region node ~i)
+    let lo = Internal.key region node ~i in
+    Internal.set_key region right ~i:(i - mid - 1) ~hi:(Nvm.Region.hi32 region) ~lo
   done;
   for i = mid + 1 to n do
-    Internal.set_child t.region right ~i:(i - mid - 1)
-      (Internal.child t.region node ~i)
+    Internal.set_child region right ~i:(i - mid - 1)
+      (Internal.child region node ~i)
   done;
-  Internal.set_nkeys t.region right (n - mid - 1);
-  Internal.set_nkeys t.region node mid;
+  Internal.set_nkeys region right (n - mid - 1);
+  Internal.set_nkeys region node mid;
   t.stats.internal_splits <- t.stats.internal_splits + 1;
-  (right, sep_up)
+  (right, up_hi, up_lo)
 
-let rec insert_into_parent t rr ~layer stack ~left ~sep ~right =
+(* Unsigned order of two slices given by their halves. *)
+let compare_halves h1 l1 h2 l2 =
+  if h1 <> h2 then compare (h1 : int) h2 else compare (l1 : int) l2
+
+let rec insert_into_parent t rr ~layer stack ~left ~hi ~lo ~right =
   match stack with
   | [] ->
       let nroot = Internal.create t.alloc t.region ~layer in
       Internal.set_child t.region nroot ~i:0 left;
-      Internal.set_key t.region nroot ~i:0 sep;
+      Internal.set_key t.region nroot ~i:0 ~hi ~lo;
       Internal.set_child t.region nroot ~i:1 right;
       Internal.set_nkeys t.region nroot 1;
       set_root t rr nroot;
       t.stats.root_splits <- t.stats.root_splits + 1
   | (node, _) :: rest ->
       if Internal.is_full t.region node then begin
-        let right2, sep_up = split_internal t node ~layer in
+        let right2, up_hi, up_lo = split_internal t node ~layer in
         let target =
-          if Key.compare_slices sep sep_up >= 0 then right2 else node
+          if compare_halves hi lo up_hi up_lo >= 0 then right2 else node
         in
-        let at = Internal.search_child t.region target ~slice:sep in
-        Internal.insert_separator t.region target ~at ~sep ~right;
-        insert_into_parent t rr ~layer rest ~left:node ~sep:sep_up
+        let at = Internal.search_child t.region target ~hi ~lo in
+        Internal.insert_separator t.region target ~at ~hi ~lo ~right;
+        insert_into_parent t rr ~layer rest ~left:node ~hi:up_hi ~lo:up_lo
           ~right:right2
       end
       else begin
-        let at = Internal.search_child t.region node ~slice:sep in
-        Internal.insert_separator t.region node ~at ~sep ~right
+        let at = Internal.search_child t.region node ~hi ~lo in
+        Internal.insert_separator t.region node ~at ~hi ~lo ~right
       end
 
-(* Insert a fresh entry. [make_v] runs after all hooks so its allocation
-   belongs to the epoch that the modification lands in. Returns the leaf,
-   slot and value finally written. *)
-let insert_entry t rr ~layer stack leaf rank ~slice ~klen ~make_v =
+(* Insert a fresh entry for the slice [hi]/[lo] at [rank] of [leaf] (the
+   leaf of the last descent). [make_v] runs after all hooks so its
+   allocation belongs to the epoch that the modification lands in. *)
+let insert_entry t rr ~layer leaf rank ~hi ~lo ~klen ~make_v =
   let write_at target rank =
     let v = make_v () in
     let p = Leaf.perm t.region target in
     let p', slot = Permutation.insert p ~rank in
-    Leaf.set_key t.region target ~slot slice;
+    Leaf.set_key t.region target ~slot ~hi ~lo;
     Leaf.set_keylen t.region target ~slot klen;
     Leaf.set_value t.region target ~slot v;
     (* Activation last: the entry becomes visible in one permutation
        store (Listing 1's ordering concern is InCLLp's job, §4.1.2). *)
-    Leaf.set_perm t.region target p';
-    (target, slot, v)
+    Leaf.set_perm t.region target p'
   in
   if not (Permutation.is_full (Leaf.perm t.region leaf)) then begin
     t.hooks.Hooks.pre_leaf_insert ~leaf;
     write_at leaf rank
   end
   else begin
+    let stack = stack t in
     t.hooks.Hooks.pre_structural (structural_log_list t rr stack leaf);
-    let right, sep = split_leaf t leaf ~layer in
-    insert_into_parent t rr ~layer stack ~left:leaf ~sep ~right;
-    let target = if Key.compare_slices slice sep >= 0 then right else leaf in
+    let right, sep_hi, sep_lo = split_leaf t leaf ~layer in
+    insert_into_parent t rr ~layer stack ~left:leaf ~hi:sep_hi ~lo:sep_lo
+      ~right;
+    let target =
+      if compare_halves hi lo sep_hi sep_lo >= 0 then right else leaf
+    in
     t.hooks.Hooks.pre_leaf_insert ~leaf:target;
-    match Leaf.find t.region target ~slice ~keylen:klen with
-    | Leaf.Found _ -> assert false
-    | Leaf.Insert_before rank -> write_at target rank
+    let r = Leaf.find t.region target ~hi ~lo ~keylen:klen in
+    assert (r < 0);
+    write_at target (lnot r)
   end
 
 (* --- point operations --------------------------------------------------- *)
 
-let slice_info key ~layer =
-  let s = Key.slice_at key ~layer in
-  (s.Key.bits, Key.has_suffix key ~layer, s.Key.len)
+let slot_of_rank t leaf rank =
+  Permutation.slot_at_rank (Leaf.perm t.region leaf) rank
 
 let rec put_rec t rr root ~key ~layer ~value =
-  let slice, more, slen = slice_info key ~layer in
-  let leaf, stack = descend t root slice in
+  let hi = Key.slice_hi key ~layer and lo = Key.slice_lo key ~layer in
+  let leaf = descend t root ~hi ~lo in
   t.hooks.Hooks.on_leaf_access ~leaf;
-  if not more then begin
-    match Leaf.find t.region leaf ~slice ~keylen:slen with
-    | Leaf.Found rank ->
-        let slot = Permutation.slot_at_rank (Leaf.perm t.region leaf) rank in
-        t.hooks.Hooks.pre_leaf_update ~leaf ~slot;
-        let old_buf = Leaf.value t.region leaf ~slot in
-        let new_buf = write_value t value in
-        Leaf.set_value t.region leaf ~slot new_buf;
-        t.alloc.Alloc.Api.dealloc old_buf;
-        t.stats.updates <- t.stats.updates + 1
-    | Leaf.Insert_before rank ->
-        ignore
-          (insert_entry t rr ~layer stack leaf rank ~slice ~klen:slen
-             ~make_v:(fun () -> write_value t value));
-        t.stats.inserts <- t.stats.inserts + 1
+  if not (Key.has_suffix key ~layer) then begin
+    let klen = Key.slice_len key ~layer in
+    let r = Leaf.find t.region leaf ~hi ~lo ~keylen:klen in
+    if r >= 0 then begin
+      let slot = slot_of_rank t leaf r in
+      t.hooks.Hooks.pre_leaf_update ~leaf ~slot;
+      let old_buf = Leaf.value t.region leaf ~slot in
+      let new_buf = write_value t value in
+      Leaf.set_value t.region leaf ~slot new_buf;
+      t.alloc.Alloc.Api.dealloc old_buf;
+      t.stats.updates <- t.stats.updates + 1
+    end
+    else begin
+      insert_entry t rr ~layer leaf (lnot r) ~hi ~lo ~klen
+        ~make_v:(fun () -> write_value t value);
+      t.stats.inserts <- t.stats.inserts + 1
+    end
   end
   else begin
-    match Leaf.find t.region leaf ~slice ~keylen:Key.layer_link_len with
-    | Leaf.Found rank ->
-        let slot = Permutation.slot_at_rank (Leaf.perm t.region leaf) rank in
-        let subroot = Leaf.value t.region leaf ~slot in
-        put_rec t (Val_slot { leaf; slot }) subroot ~key ~layer:(layer + 1)
-          ~value
-    | Leaf.Insert_before _ -> (
-        let suff = Key.suffix key ~layer in
-        match Leaf.find t.region leaf ~slice ~keylen:Key.suffix_len_marker with
-        | Leaf.Found rank ->
-            let slot =
-              Permutation.slot_at_rank (Leaf.perm t.region leaf) rank
-            in
-            let buf = Leaf.value t.region leaf ~slot in
-            let stored = read_suffix t buf in
-            if stored = suff then begin
-              (* Same long key: an ordinary value update. *)
-              t.hooks.Hooks.pre_leaf_update ~leaf ~slot;
-              let new_buf = write_suffix_value t ~suffix:suff ~value in
-              Leaf.set_value t.region leaf ~slot new_buf;
-              t.alloc.Alloc.Api.dealloc buf;
-              t.stats.updates <- t.stats.updates + 1
-            end
-            else begin
-              (* Two long keys share the slice: convert the suffix entry
-                 into a nested layer holding both. Changing keylen and
-                 the value pointer of a live entry is a structural
-                 modification — log the whole leaf (§4.2). *)
-              t.hooks.Hooks.pre_structural [ (leaf, Leaf.node_bytes) ];
-              let sub =
-                Leaf.create t.alloc t.region ~layer:(layer + 1)
-                  ~epoch:(t.current_epoch ())
-              in
-              Leaf.set_keylen t.region leaf ~slot Key.layer_link_len;
-              Leaf.set_value t.region leaf ~slot sub;
-              t.stats.layer_creations <- t.stats.layer_creations + 1;
-              let old_value = read_suffix_value t buf in
-              (* Re-insert the displaced key: only its bytes past this
-                 layer matter, so a zero-padded synthetic prefix works. *)
-              let synth = String.make (8 * (layer + 1)) '\000' ^ stored in
-              put_rec t (Val_slot { leaf; slot }) sub ~key:synth
-                ~layer:(layer + 1) ~value:old_value;
-              t.alloc.Alloc.Api.dealloc buf;
-              let subroot = Leaf.value t.region leaf ~slot in
-              put_rec t (Val_slot { leaf; slot }) subroot ~key
-                ~layer:(layer + 1) ~value
-            end
-        | Leaf.Insert_before rank ->
-            ignore
-              (insert_entry t rr ~layer stack leaf rank ~slice
-                 ~klen:Key.suffix_len_marker
-                 ~make_v:(fun () -> write_suffix_value t ~suffix:suff ~value));
-            t.stats.inserts <- t.stats.inserts + 1)
+    let r = Leaf.find t.region leaf ~hi ~lo ~keylen:Key.layer_link_len in
+    if r >= 0 then begin
+      let slot = slot_of_rank t leaf r in
+      let subroot = Leaf.value t.region leaf ~slot in
+      put_rec t (Val_slot { leaf; slot }) subroot ~key ~layer:(layer + 1)
+        ~value
+    end
+    else begin
+      let suff = Key.suffix key ~layer in
+      let r = Leaf.find t.region leaf ~hi ~lo ~keylen:Key.suffix_len_marker in
+      if r >= 0 then begin
+        let slot = slot_of_rank t leaf r in
+        let buf = Leaf.value t.region leaf ~slot in
+        let stored = read_suffix t buf in
+        if stored = suff then begin
+          (* Same long key: an ordinary value update. *)
+          t.hooks.Hooks.pre_leaf_update ~leaf ~slot;
+          let new_buf = write_suffix_value t ~suffix:suff ~value in
+          Leaf.set_value t.region leaf ~slot new_buf;
+          t.alloc.Alloc.Api.dealloc buf;
+          t.stats.updates <- t.stats.updates + 1
+        end
+        else begin
+          (* Two long keys share the slice: convert the suffix entry
+             into a nested layer holding both. Changing keylen and
+             the value pointer of a live entry is a structural
+             modification — log the whole leaf (§4.2). *)
+          t.hooks.Hooks.pre_structural [ (leaf, Leaf.node_bytes) ];
+          let sub =
+            Leaf.create t.alloc t.region ~layer:(layer + 1)
+              ~epoch:(t.current_epoch ())
+          in
+          Leaf.set_keylen t.region leaf ~slot Key.layer_link_len;
+          Leaf.set_value t.region leaf ~slot sub;
+          t.stats.layer_creations <- t.stats.layer_creations + 1;
+          let old_value = read_suffix_value t buf in
+          (* Re-insert the displaced key: only its bytes past this
+             layer matter, so a zero-padded synthetic prefix works. *)
+          let synth = String.make (8 * (layer + 1)) '\000' ^ stored in
+          put_rec t (Val_slot { leaf; slot }) sub ~key:synth
+            ~layer:(layer + 1) ~value:old_value;
+          t.alloc.Alloc.Api.dealloc buf;
+          let subroot = Leaf.value t.region leaf ~slot in
+          put_rec t (Val_slot { leaf; slot }) subroot ~key
+            ~layer:(layer + 1) ~value
+        end
+      end
+      else begin
+        insert_entry t rr ~layer leaf (lnot r) ~hi ~lo
+          ~klen:Key.suffix_len_marker
+          ~make_v:(fun () -> write_suffix_value t ~suffix:suff ~value);
+        t.stats.inserts <- t.stats.inserts + 1
+      end
+    end
   end
 
 let put t ~key ~value =
@@ -408,31 +462,32 @@ let put t ~key ~value =
   put_rec t Top t.root ~key ~layer:0 ~value
 
 let rec get_rec t root ~key ~layer =
-  let slice, more, slen = slice_info key ~layer in
-  let leaf = descend_leaf t root slice in
+  let hi = Key.slice_hi key ~layer and lo = Key.slice_lo key ~layer in
+  let leaf = leaf_for t root ~hi ~lo in
   t.hooks.Hooks.on_leaf_access ~leaf;
-  if not more then
-    match Leaf.find t.region leaf ~slice ~keylen:slen with
-    | Leaf.Insert_before _ -> None
-    | Leaf.Found rank ->
-        let slot = Permutation.slot_at_rank (Leaf.perm t.region leaf) rank in
-        Some (read_value t (Leaf.value t.region leaf ~slot))
-  else
-    match Leaf.find t.region leaf ~slice ~keylen:Key.layer_link_len with
-    | Leaf.Found rank ->
-        let slot = Permutation.slot_at_rank (Leaf.perm t.region leaf) rank in
-        get_rec t (Leaf.value t.region leaf ~slot) ~key ~layer:(layer + 1)
-    | Leaf.Insert_before _ -> (
-        match Leaf.find t.region leaf ~slice ~keylen:Key.suffix_len_marker with
-        | Leaf.Insert_before _ -> None
-        | Leaf.Found rank ->
-            let slot =
-              Permutation.slot_at_rank (Leaf.perm t.region leaf) rank
-            in
-            let buf = Leaf.value t.region leaf ~slot in
-            if read_suffix t buf = Key.suffix key ~layer then
-              Some (read_suffix_value t buf)
-            else None)
+  if not (Key.has_suffix key ~layer) then begin
+    let r =
+      Leaf.find t.region leaf ~hi ~lo ~keylen:(Key.slice_len key ~layer)
+    in
+    if r < 0 then None
+    else Some (read_value t (Leaf.value t.region leaf ~slot:(slot_of_rank t leaf r)))
+  end
+  else begin
+    let r = Leaf.find t.region leaf ~hi ~lo ~keylen:Key.layer_link_len in
+    if r >= 0 then
+      get_rec t (Leaf.value t.region leaf ~slot:(slot_of_rank t leaf r)) ~key
+        ~layer:(layer + 1)
+    else begin
+      let r = Leaf.find t.region leaf ~hi ~lo ~keylen:Key.suffix_len_marker in
+      if r < 0 then None
+      else begin
+        let buf = Leaf.value t.region leaf ~slot:(slot_of_rank t leaf r) in
+        if read_suffix t buf = Key.suffix key ~layer then
+          Some (read_suffix_value t buf)
+        else None
+      end
+    end
+  end
 
 let get t ~key =
   t.stats.gets <- t.stats.gets + 1;
@@ -447,8 +502,7 @@ let mem t ~key = Option.is_some (get t ~key)
    nodes that change are externally logged first; the leaf itself is
    logged too, so its rollback image is complete, and its chunk goes to
    the allocator's limbo list (resurrected if the epoch fails). *)
-let remove_empty_leaf t rr ~layer stack leaf =
-  ignore layer;
+let remove_empty_leaf t rr stack leaf =
   let region = t.region in
   let prev = Leaf.prev region leaf and next = Leaf.next region leaf in
   let parent, pidx, rest =
@@ -489,7 +543,7 @@ let remove_empty_leaf t rr ~layer stack leaf =
 
 (* Remove the entry at [rank]. Returns the entry's value pointer (the
    caller deallocates it — a value buffer or a pruned layer root). *)
-let remove_entry t rr ~layer stack leaf rank =
+let remove_entry t rr stack leaf rank =
   let region = t.region in
   let p = Leaf.perm region leaf in
   let slot = Permutation.slot_at_rank p rank in
@@ -499,58 +553,63 @@ let remove_entry t rr ~layer stack leaf rank =
     let p2, _ = Permutation.remove (Leaf.perm region leaf) ~rank in
     Leaf.set_perm region leaf p2
   end
-  else remove_empty_leaf t rr ~layer stack leaf;
+  else remove_empty_leaf t rr stack leaf;
   v
 
 let rec remove_rec t rr root ~key ~layer =
-  let slice, more, slen = slice_info key ~layer in
-  let leaf, stack = descend t root slice in
+  let hi = Key.slice_hi key ~layer and lo = Key.slice_lo key ~layer in
+  let leaf = descend t root ~hi ~lo in
+  (* A nested layer's descent reuses [t.path]: keep this layer's
+     ancestors for the link pruning below. *)
+  let stack = stack t in
   t.hooks.Hooks.on_leaf_access ~leaf;
-  if not more then begin
-    match Leaf.find t.region leaf ~slice ~keylen:slen with
-    | Leaf.Insert_before _ -> false
-    | Leaf.Found rank ->
-        let old_buf = remove_entry t rr ~layer stack leaf rank in
-        t.alloc.Alloc.Api.dealloc old_buf;
-        true
+  if not (Key.has_suffix key ~layer) then begin
+    let r =
+      Leaf.find t.region leaf ~hi ~lo ~keylen:(Key.slice_len key ~layer)
+    in
+    r >= 0
+    && begin
+         let old_buf = remove_entry t rr stack leaf r in
+         t.alloc.Alloc.Api.dealloc old_buf;
+         true
+       end
   end
   else begin
-    match Leaf.find t.region leaf ~slice ~keylen:Key.layer_link_len with
-    | Leaf.Found rank ->
-        let slot = Permutation.slot_at_rank (Leaf.perm t.region leaf) rank in
-        let sub = Leaf.value t.region leaf ~slot in
-        let removed =
-          remove_rec t (Val_slot { leaf; slot }) sub ~key ~layer:(layer + 1)
-        in
-        (if removed then begin
-           (* If the nested layer collapsed to an empty leaf, prune the
-              link entry (which may in turn empty this leaf, recursively
-              up through the layers as each frame returns). *)
-           let sub2 = Leaf.value t.region leaf ~slot in
-           if
-             Leaf.is_leaf_node t.region sub2
-             && Leaf.entry_count t.region sub2 = 0
-           then begin
-             ignore (remove_entry t rr ~layer stack leaf rank : int);
-             t.alloc.Alloc.Api.dealloc sub2;
-             t.stats.layer_prunes <- t.stats.layer_prunes + 1
-           end
-         end);
-        removed
-    | Leaf.Insert_before _ -> (
-        match Leaf.find t.region leaf ~slice ~keylen:Key.suffix_len_marker with
-        | Leaf.Insert_before _ -> false
-        | Leaf.Found rank ->
-            let slot =
-              Permutation.slot_at_rank (Leaf.perm t.region leaf) rank
-            in
-            let buf = Leaf.value t.region leaf ~slot in
-            if read_suffix t buf = Key.suffix key ~layer then begin
-              ignore (remove_entry t rr ~layer stack leaf rank : int);
-              t.alloc.Alloc.Api.dealloc buf;
-              true
-            end
-            else false)
+    let r = Leaf.find t.region leaf ~hi ~lo ~keylen:Key.layer_link_len in
+    if r >= 0 then begin
+      let slot = slot_of_rank t leaf r in
+      let sub = Leaf.value t.region leaf ~slot in
+      let removed =
+        remove_rec t (Val_slot { leaf; slot }) sub ~key ~layer:(layer + 1)
+      in
+      (if removed then begin
+         (* If the nested layer collapsed to an empty leaf, prune the
+            link entry (which may in turn empty this leaf, recursively
+            up through the layers as each frame returns). *)
+         let sub2 = Leaf.value t.region leaf ~slot in
+         if
+           Leaf.is_leaf_node t.region sub2
+           && Leaf.entry_count t.region sub2 = 0
+         then begin
+           ignore (remove_entry t rr stack leaf r : int);
+           t.alloc.Alloc.Api.dealloc sub2;
+           t.stats.layer_prunes <- t.stats.layer_prunes + 1
+         end
+       end);
+      removed
+    end
+    else begin
+      let r = Leaf.find t.region leaf ~hi ~lo ~keylen:Key.suffix_len_marker in
+      r >= 0
+      &&
+      let buf = Leaf.value t.region leaf ~slot:(slot_of_rank t leaf r) in
+      read_suffix t buf = Key.suffix key ~layer
+      && begin
+           ignore (remove_entry t rr stack leaf r : int);
+           t.alloc.Alloc.Api.dealloc buf;
+           true
+         end
+    end
   end
 
 let remove t ~key =
@@ -563,47 +622,46 @@ let remove t ~key =
    layer (i.e. with the covering 8-byte prefixes stripped). Returns false
    when [f] asked to stop. *)
 let rec scan_layer t root ~prefix ~local_start ~f =
-  let target =
+  let region = t.region in
+  let start_hi, start_lo, target_klen =
     match local_start with
-    | None -> { Key.bits = 0L; len = 0 }
-    | Some k -> Key.slice_at k ~layer:0
-  in
-  let target_klen =
-    match local_start with
-    | None -> 0
+    | None -> (0, 0, 0)
     | Some k ->
-        (* Between 8 (a full terminal) and 15 (a link), so a key that
-           continues past this layer skips the exact-8 terminal. *)
-        if Key.has_suffix k ~layer:0 then 9 else target.Key.len
+        ( Key.slice_hi k ~layer:0,
+          Key.slice_lo k ~layer:0,
+          (* Between 8 (a full terminal) and 15 (a link), so a key that
+             continues past this layer skips the exact-8 terminal. *)
+          if Key.has_suffix k ~layer:0 then 9 else Key.slice_len k ~layer:0 )
   in
-  let leaf0, _ = descend t root target.Key.bits in
+  let leaf0 = leaf_for t root ~hi:start_hi ~lo:start_lo in
   let rec entries leaf rank n p =
     if rank >= n then
-      let nx = Leaf.next t.region leaf in
+      let nx = Leaf.next region leaf in
       if nx = 0 then true else visit_leaf nx 0
     else begin
       let slot = Permutation.slot_at_rank p rank in
-      let s = Leaf.key t.region leaf ~slot in
-      let kl = Leaf.keylen t.region leaf ~slot in
+      let lo = Leaf.key region leaf ~slot in
+      let hi = Nvm.Region.hi32 region in
+      let kl = Leaf.keylen region leaf ~slot in
       let keep_going =
         if kl = Key.layer_link_len then begin
           let sub_start =
             match local_start with
             | Some k
-              when (Key.slice_at k ~layer:0).Key.bits = s
-                   && Key.has_suffix k ~layer:0 ->
+              when hi = start_hi && lo = start_lo && Key.has_suffix k ~layer:0
+              ->
                 Some (Key.suffix k ~layer:0)
             | _ -> None
           in
           scan_layer t
-            (Leaf.value t.region leaf ~slot)
-            ~prefix:(prefix ^ Key.bytes_of_slice s ~len:8)
+            (Leaf.value region leaf ~slot)
+            ~prefix:(Key.of_slice ~prefix ~hi ~lo ~len:8)
             ~local_start:sub_start ~f
         end
         else if kl = Key.suffix_len_marker then begin
-          let buf = Leaf.value t.region leaf ~slot in
+          let buf = Leaf.value region leaf ~slot in
           let full_key =
-            prefix ^ Key.bytes_of_slice s ~len:8 ^ read_suffix t buf
+            Key.of_slice ~prefix ~hi ~lo ~len:8 ^ read_suffix t buf
           in
           (* The rank-space start position cannot order against inline
              suffixes; filter here instead. *)
@@ -614,30 +672,22 @@ let rec scan_layer t root ~prefix ~local_start ~f =
           in
           (not within) || f full_key (read_suffix_value t buf)
         end
-        else begin
-          let full_key = prefix ^ Key.bytes_of_slice s ~len:kl in
-          f full_key (read_value t (Leaf.value t.region leaf ~slot))
-        end
+        else
+          f
+            (Key.of_slice ~prefix ~hi ~lo ~len:kl)
+            (read_value t (Leaf.value region leaf ~slot))
       in
-      if keep_going then entries leaf (rank + 1) n p else false
+      keep_going && entries leaf (rank + 1) n p
     end
   and visit_leaf leaf from_rank =
     t.hooks.Hooks.on_leaf_access ~leaf;
-    let p = Leaf.perm t.region leaf in
+    let p = Leaf.perm region leaf in
     entries leaf from_rank (Permutation.count p) p
-  and first_leaf leaf =
-    t.hooks.Hooks.on_leaf_access ~leaf;
-    let p = Leaf.perm t.region leaf in
-    let rank =
-      match
-        Leaf.find t.region leaf ~slice:target.Key.bits ~keylen:target_klen
-      with
-      | Leaf.Found r -> r
-      | Leaf.Insert_before r -> r
-    in
-    entries leaf rank (Permutation.count p) p
   in
-  first_leaf leaf0
+  t.hooks.Hooks.on_leaf_access ~leaf:leaf0;
+  let p = Leaf.perm region leaf0 in
+  let r = Leaf.find region leaf0 ~hi:start_hi ~lo:start_lo ~keylen:target_klen in
+  entries leaf0 (if r >= 0 then r else lnot r) (Permutation.count p) p
 
 let fold_from t ~start ~f =
   ignore (scan_layer t t.root ~prefix:"" ~local_start:(Some start) ~f)
@@ -664,7 +714,7 @@ let cardinal t =
   let n = ref 0 in
   (* Count without materialising values. *)
   let rec count_layer root =
-    let leaf0 = descend_leaf t root 0L in
+    let leaf0 = leaf_for t root ~hi:0 ~lo:0 in
     let rec walk leaf =
       if leaf <> 0 then begin
         t.hooks.Hooks.on_leaf_access ~leaf;
@@ -708,6 +758,15 @@ let iter_nodes t ~leaf ~internal =
 let validate t =
   let region = t.region in
   let fail fmt = Printf.ksprintf failwith fmt in
+  (* Packed slices: validation is off the op path. *)
+  let leaf_key n ~slot =
+    let lo = Leaf.key region n ~slot in
+    Key.of_halves ~hi:(Nvm.Region.hi32 region) ~lo
+  in
+  let sep n ~i =
+    let lo = Internal.key region n ~i in
+    Key.of_halves ~hi:(Nvm.Region.hi32 region) ~lo
+  in
   (* Returns the in-order list of leaves of one layer's B+ tree. *)
   let rec check_layer root ~depth =
     let leaves = ref [] in
@@ -726,7 +785,7 @@ let validate t =
         let c = Permutation.count p in
         for r = 0 to c - 1 do
           let slot = Permutation.slot_at_rank p r in
-          let s = Leaf.key region n ~slot in
+          let s = leaf_key n ~slot in
           let kl = Leaf.keylen region n ~slot in
           if kl > 8 && kl <> Key.layer_link_len && kl <> Key.suffix_len_marker
           then fail "validate: leaf %d slot %d has keylen %d" n slot kl;
@@ -741,7 +800,7 @@ let validate t =
           if r > 0 then begin
             let ps = Permutation.slot_at_rank p (r - 1) in
             if
-              Key.compare_entry (Leaf.key region n ~slot:ps)
+              Key.compare_entry (leaf_key n ~slot:ps)
                 (Leaf.keylen region n ~slot:ps)
                 s kl
               >= 0
@@ -762,23 +821,23 @@ let validate t =
           if i > 0 then begin
             if
               Key.compare_slices
-                (Internal.key region n ~i:(i - 1))
-                (Internal.key region n ~i)
+                (sep n ~i:(i - 1))
+                (sep n ~i)
               >= 0
             then fail "validate: internal %d keys not ascending" n
           end;
           (match lo with
-          | Some l when Key.compare_slices (Internal.key region n ~i) l < 0 ->
+          | Some l when Key.compare_slices (sep n ~i) l < 0 ->
               fail "validate: internal %d key below bound" n
           | _ -> ());
           (match hi with
-          | Some h when Key.compare_slices (Internal.key region n ~i) h > 0 ->
+          | Some h when Key.compare_slices (sep n ~i) h > 0 ->
               fail "validate: internal %d key above bound" n
           | _ -> ())
         done;
         for i = 0 to k do
-          let lo' = if i = 0 then lo else Some (Internal.key region n ~i:(i - 1)) in
-          let hi' = if i = k then hi else Some (Internal.key region n ~i) in
+          let lo' = if i = 0 then lo else Some (sep n ~i:(i - 1)) in
+          let hi' = if i = k then hi else Some (sep n ~i) in
           node (Internal.child region n ~i) ~lo:lo' ~hi:hi'
         done
       end

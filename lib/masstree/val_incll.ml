@@ -1,24 +1,13 @@
-type decoded = { ptr : int; idx : int; low_epoch : int }
-
 let invalid_idx = 15
 
-let pack ~ptr ~idx ~low_epoch =
-  if ptr land 15 <> 0 then invalid_arg "Val_incll.pack: unaligned pointer";
-  if idx < 0 || idx > 15 then invalid_arg "Val_incll.pack: bad idx";
-  let open Int64 in
-  logor
-    (of_int (idx land 0xf))
-    (logor
-       (shift_left (of_int (ptr lsr 4)) 4)
-       (shift_left (of_int (low_epoch land 0xffff)) 48))
+let[@inline] idx ~lo = lo land 0xf
+let[@inline] ptr ~hi ~lo = ((hi land 0xffff) lsl 32) lor (lo land 0xffff_fff0)
+let[@inline] low_epoch ~hi = hi lsr 16
 
-let unpack w =
-  {
-    idx = Util.Bits.get_int w ~lo:0 ~width:4;
-    ptr = Util.Bits.get_int w ~lo:4 ~width:44 lsl 4;
-    low_epoch = Util.Bits.get_int w ~lo:48 ~width:16;
-  }
+let[@inline] hi ~ptr ~low_epoch =
+  ((low_epoch land 0xffff) lsl 16) lor ((ptr lsr 32) land 0xffff)
 
-let invalid ~low_epoch = pack ~ptr:0 ~idx:invalid_idx ~low_epoch
-
-let is_invalid w = (unpack w).idx = invalid_idx
+let[@inline] lo ~ptr ~idx =
+  if ptr land 15 <> 0 then invalid_arg "Val_incll: unaligned pointer";
+  if idx < 0 || idx > 15 then invalid_arg "Val_incll: bad idx";
+  (ptr land 0xffff_fff0) lor idx

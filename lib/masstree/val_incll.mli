@@ -12,16 +12,19 @@
     16-byte aligned and far below 2^48, so the same packing applies. [idx]
     identifies which of the seven value slots sharing the cache line was
     logged; 15 ([invalid_idx]) means "unused". The 16 epoch bits combine
-    with the high bits of the node's [nodeEpoch] (§4.1.3). *)
+    with the high bits of the node's [nodeEpoch] (§4.1.3).
 
-type decoded = { ptr : int; idx : int; low_epoch : int }
+    Like {!Epoch_word}, the word is coded as its unsigned 32-bit halves
+    [hi] (bits 32..63) and [lo] (bits 0..31). *)
 
 val invalid_idx : int
 
-val pack : ptr:int -> idx:int -> low_epoch:int -> int64
-val unpack : int64 -> decoded
+val idx : lo:int -> int
+val ptr : hi:int -> lo:int -> int
+val low_epoch : hi:int -> int
 
-val invalid : low_epoch:int -> int64
-(** An unused InCLL stamped with the epoch's low bits. *)
-
-val is_invalid : int64 -> bool
+val hi : ptr:int -> low_epoch:int -> int
+val lo : ptr:int -> idx:int -> int
+(** The halves of the word logging [ptr] (16-byte aligned, below 2^48)
+    for slot [idx] (0..15) in the epoch whose low bits are [low_epoch].
+    Raise [Invalid_argument] on an unaligned [ptr] or a bad [idx]. *)

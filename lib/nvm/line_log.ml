@@ -96,7 +96,10 @@ let append t ~line ~off ~src ~src_pos ~len =
   t.lines.(i) <- meta + 1 + (len lsl bytes_shift);
   t.entries.(t.n) <- (line lsl line_shift) lor (off lsl off_shift) lor len;
   t.n <- t.n + 1;
-  Bytes.blit src src_pos t.payload t.payload_len len;
+  (* Word stores, the common case, skip [Bytes.blit]'s C call. *)
+  if len = 8 then
+    Bytes.set_int64_ne t.payload t.payload_len (Bytes.get_int64_ne src src_pos)
+  else Bytes.blit src src_pos t.payload t.payload_len len;
   t.payload_len <- t.payload_len + len;
   t.live <- t.live + 1;
   t.live_bytes <- t.live_bytes + len

@@ -45,20 +45,28 @@ type t = {
      cross-process analogue of NVM outliving a power failure. Only the
      persisted image is mirrored, and only at the instants it changes, so
      the file always holds exactly what a crash would leave behind. *)
+  mutable hi32 : int;  (* high half of the word [read_u64] last loaded *)
   mutable mirror :
     (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
     option;
 }
 
-let line_of_addr addr = addr lsr Config.line_shift
+(* The line geometry as literals: dune's dev profile compiles every
+   module [-opaque], so [Config]'s constants would be loaded from memory
+   on every access. *)
+let line_shift = 6
+let line_size = 64
+let () = assert (line_shift = Config.line_shift && line_size = Config.line_size)
+
+let line_of_addr addr = addr lsr line_shift
 let same_line a b = line_of_addr a = line_of_addr b
 
 let precise t = t.is_precise
 
 let create (cfg : Config.t) =
-  if cfg.size_bytes <= 0 || cfg.size_bytes land (Config.line_size - 1) <> 0
+  if cfg.size_bytes <= 0 || cfg.size_bytes land (line_size - 1) <> 0
   then invalid_arg "Region.create: size must be a positive multiple of 64";
-  let nlines = cfg.size_bytes / Config.line_size in
+  let nlines = cfg.size_bytes / line_size in
   let metrics = Obs.Registry.create () in
   let stats = Stats.create () in
   let trace = Obs.Trace.create ~capacity:cfg.trace_capacity () in
@@ -107,6 +115,7 @@ let create (cfg : Config.t) =
     (* 2^18 slots x 64 B = a 16 MiB simulated LLC. *)
     llc_tags = Array.make 262144 0;
     llc_mask = 262143;
+    hi32 = 0;
     mirror = None;
   }
 
@@ -116,8 +125,8 @@ let mirror_line t line =
   match t.mirror with
   | None -> ()
   | Some m ->
-      let pos = line * Config.line_size in
-      for i = 0 to Config.line_size - 1 do
+      let pos = line * line_size in
+      for i = 0 to line_size - 1 do
         Bigarray.Array1.unsafe_set m (pos + i)
           (Bytes.unsafe_get t.persisted (pos + i))
       done
@@ -138,7 +147,10 @@ let trace t = t.trace
 let spans t = t.spans
 
 let trace_event t payload =
-  Obs.Trace.record t.trace ~ts_ns:(Stats.sim_ns t.stats) payload
+  if Obs.Trace.enabled t.trace then
+    Obs.Trace.record t.trace ~ts_ns:t.stats.Stats.clock.Stats.ns payload
+
+let tracing t = Obs.Trace.enabled t.trace
 
 let series t name =
   match Hashtbl.find_opt t.series_tbl name with
@@ -160,8 +172,8 @@ let is_dirty_line t line = Bytes.unsafe_get t.dirty line <> '\000'
 let commit_line t line =
   if Bytes.unsafe_get t.dirty line = '\001' then begin
     if precise t then begin
-      let pos = line * Config.line_size in
-      Bytes.blit t.volatile pos t.persisted pos Config.line_size;
+      let pos = line * line_size in
+      Bytes.blit t.volatile pos t.persisted pos line_size;
       mirror_line t line;
       Line_log.commit t.log line
     end;
@@ -192,7 +204,7 @@ let evict_some t =
     done
   end
 
-let mark_dirty t line =
+let[@inline] mark_dirty t line =
   if Bytes.unsafe_get t.dirty line = '\000' then begin
     Bytes.unsafe_set t.dirty line '\001';
     t.dirty_pos.(line) <- Util.Ivec.length t.dirty_list;
@@ -216,7 +228,7 @@ let check_range t addr len =
       (Printf.sprintf "Region: address range [%d, %d) out of bounds" addr
          (addr + len))
 
-let touch_llc t line =
+let[@inline] touch_llc t line =
   let slot = line land t.llc_mask in
   let tag = line + 1 in
   if Array.unsafe_get t.llc_tags slot <> tag then begin
@@ -232,12 +244,12 @@ let touch_llc t line =
    [sim_ns] is bit-identical. Logging reads the store's bytes back out of
    the volatile image itself, which lets every caller skip the scratch
    staging buffer (fast paths write their payload directly). *)
-let store_committed t addr len =
-  let line = addr lsr Config.line_shift in
+let[@inline] store_committed t addr len =
+  let line = addr lsr line_shift in
   touch_llc t line;
   if t.is_precise then
     record_store t line
-      ~off:(addr land (Config.line_size - 1))
+      ~off:(addr land (line_size - 1))
       ~src:t.volatile ~src_pos:addr ~len;
   mark_dirty t line;
   let st = t.stats in
@@ -249,29 +261,41 @@ let store_committed t addr len =
 
 (* Fused read accounting: counter bump, clock charge and LLC probe of the
    line containing [addr], with no intermediate calls. *)
-let charge_read t addr =
+let[@inline] charge_read t addr =
   let st = t.stats in
   st.Stats.reads <- st.Stats.reads + 1;
   st.Stats.clock.Stats.ns <- st.Stats.clock.Stats.ns +. t.read_ns;
-  touch_llc t (addr lsr Config.line_shift)
+  touch_llc t (addr lsr line_shift)
 
 (* Read side of a multi-byte access: one read + LLC probe per touched
    line (mirrors how the store side splits spans per line). *)
 let charge_read_span t addr len =
   if len > 0 then begin
     let st = t.stats in
-    let last = (addr + len - 1) lsr Config.line_shift in
-    for line = addr lsr Config.line_shift to last do
+    let last = (addr + len - 1) lsr line_shift in
+    for line = addr lsr line_shift to last do
       st.Stats.reads <- st.Stats.reads + 1;
       st.Stats.clock.Stats.ns <- st.Stats.clock.Stats.ns +. t.read_ns;
       touch_llc t line
     done
   end
 
+(* Unchecked little-endian word access, for callers that have already
+   range-checked [addr]. *)
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external swap64 : int64 -> int64 = "%bswap_int64"
+
+let[@inline] load64 b i =
+  if Sys.big_endian then swap64 (get64u b i) else get64u b i
+
+let[@inline] store64 b i v =
+  if Sys.big_endian then set64u b i (swap64 v) else set64u b i v
+
 let read_i64 t addr =
   if addr < 0 || addr > t.size_bytes - 8 then check_range t addr 8;
   charge_read t addr;
-  Bytes.get_int64_le t.volatile addr
+  load64 t.volatile addr
 
 (* Unsigned comparison of the stored word at [addr] against the probe
    whose 32-bit unsigned halves are [hi] and [lo]. Charges exactly like
@@ -281,15 +305,11 @@ let read_i64 t addr =
 let compare_u64 t addr ~hi ~lo =
   if addr < 0 || addr > t.size_bytes - 8 then check_range t addr 8;
   charge_read t addr;
-  let b = t.volatile in
-  let whi =
-    Bytes.get_uint16_le b (addr + 4) lor (Bytes.get_uint16_le b (addr + 6) lsl 16)
-  in
+  let w = load64 t.volatile addr in
+  let whi = Int64.to_int (Int64.shift_right_logical w 32) in
   if whi <> hi then (if whi < hi then -1 else 1)
   else begin
-    let wlo =
-      Bytes.get_uint16_le b addr lor (Bytes.get_uint16_le b (addr + 2) lsl 16)
-    in
+    let wlo = Int64.to_int w land 0xffff_ffff in
     if wlo = lo then 0 else if wlo < lo then -1 else 1
   end
 
@@ -300,24 +320,16 @@ let write_i64 t addr v =
     check_range t addr 8;
     invalid_arg "Region.write_i64: unaligned"
   end;
-  Bytes.set_int64_le t.volatile addr v;
+  store64 t.volatile addr v;
   store_committed t addr 8
 
 (* Tagged-int word accessors: same bytes, same charges as {!read_i64} /
-   {!write_i64} composed with [Int64.to_int] / [Int64.of_int], but built
-   from 16-bit accesses so no boxed [Int64] is ever allocated (bit 63 is
-   truncated exactly as [Int64.to_int] truncates it). *)
-let get_int_le b i =
-  Bytes.get_uint16_le b i
-  lor (Bytes.get_uint16_le b (i + 2) lsl 16)
-  lor (Bytes.get_uint16_le b (i + 4) lsl 32)
-  lor (Bytes.get_uint16_le b (i + 6) lsl 48)
-
-let set_int_le b i v =
-  Bytes.set_uint16_le b i (v land 0xffff);
-  Bytes.set_uint16_le b (i + 2) ((v lsr 16) land 0xffff);
-  Bytes.set_uint16_le b (i + 4) ((v lsr 32) land 0xffff);
-  Bytes.set_uint16_le b (i + 6) ((v asr 48) land 0xffff)
+   {!write_i64} composed with [Int64.to_int] / [Int64.of_int]. The int64
+   never leaves the expression, so it stays unboxed: one 8-byte load or
+   store, nothing allocated (bit 63 is truncated exactly as
+   [Int64.to_int] truncates it). *)
+let get_int_le b i = Int64.to_int (load64 b i)
+let set_int_le b i v = store64 b i (Int64.of_int v)
 
 let read_int t addr =
   if addr < 0 || addr > t.size_bytes - 8 then check_range t addr 8;
@@ -330,6 +342,30 @@ let write_int t addr v =
     invalid_arg "Region.write_int: unaligned"
   end;
   set_int_le t.volatile addr v;
+  store_committed t addr 8
+
+(* Exact 64-bit words as two unsigned 32-bit halves, for the NVM words
+   that use bit 63 (epoch word, value InCLL, chunk header): one charged
+   load returns the low half and parks the high half in [hi32], so a
+   decode reads each word once and boxes nothing. *)
+let read_u64 t addr =
+  if addr < 0 || addr > t.size_bytes - 8 then check_range t addr 8;
+  charge_read t addr;
+  let w = load64 t.volatile addr in
+  t.hi32 <- Int64.to_int (Int64.shift_right_logical w 32);
+  Int64.to_int w land 0xffff_ffff
+
+let hi32 t = t.hi32
+
+let write_u64 t addr ~hi ~lo =
+  if addr land 7 <> 0 || addr < 0 || addr > t.size_bytes - 8 then begin
+    check_range t addr 8;
+    invalid_arg "Region.write_u64: unaligned"
+  end;
+  store64 t.volatile addr
+    (Int64.logor
+       (Int64.shift_left (Int64.of_int hi) 32)
+       (Int64.of_int (lo land 0xffff_ffff)));
   store_committed t addr 8
 
 let read_u8 t addr =
@@ -348,7 +384,7 @@ let write_u8 t addr v =
    image itself) so none of them allocates. *)
 let rec write_span t addr src src_pos len =
   if len > 0 then begin
-    let line_end = (addr lor (Config.line_size - 1)) + 1 in
+    let line_end = (addr lor (line_size - 1)) + 1 in
     let chunk = min len (line_end - addr) in
     Bytes.blit src src_pos t.volatile addr chunk;
     store_committed t addr chunk;
@@ -362,7 +398,7 @@ let write_bytes t addr b =
 
 let rec string_span t addr s pos len =
   if len > 0 then begin
-    let line_end = (addr lor (Config.line_size - 1)) + 1 in
+    let line_end = (addr lor (line_size - 1)) + 1 in
     let chunk = min len (line_end - addr) in
     Bytes.blit_string s pos t.volatile addr chunk;
     store_committed t addr chunk;
@@ -394,7 +430,7 @@ let blit_within t ~src ~dst ~len =
        cannot alias). *)
     let rec loop dst src len =
       if len > 0 then begin
-        let line_end = (dst lor (Config.line_size - 1)) + 1 in
+        let line_end = (dst lor (line_size - 1)) + 1 in
         let chunk = min len (line_end - dst) in
         Bytes.blit t.volatile src t.volatile dst chunk;
         store_committed t dst chunk;
@@ -416,9 +452,9 @@ let pending_wb_count t = Util.Ivec.length t.pending_wb
 (* Forget the pending write-back set without committing anything (the
    lines were either just committed or just lost to a crash/flush). *)
 let clear_pending_wb t =
-  Util.Ivec.iter
-    (fun line -> Bytes.unsafe_set t.wb_pending line '\000')
-    t.pending_wb;
+  for i = 0 to Util.Ivec.length t.pending_wb - 1 do
+    Bytes.unsafe_set t.wb_pending (Util.Ivec.get t.pending_wb i) '\000'
+  done;
   Util.Ivec.clear t.pending_wb
 
 let clwb t addr =
@@ -432,7 +468,7 @@ let clwb t addr =
   end;
   t.stats.Stats.clwb <- t.stats.Stats.clwb + 1;
   Stats.add_ns t.stats t.clwb_ns;
-  trace_event t (Obs.Trace.Clwb { line })
+  if tracing t then trace_event t (Obs.Trace.Clwb { line })
 
 let sfence t =
   (* Fault-injection hook: an armed chaos plan can kill the process at
@@ -440,7 +476,9 @@ let sfence t =
      nothing yet guaranteed persistent. *)
   Chaos.Plan.fire Chaos.Site.Sfence;
   let drained = Util.Ivec.length t.pending_wb in
-  Util.Ivec.iter (fun line -> commit_line t line) t.pending_wb;
+  for i = 0 to drained - 1 do
+    commit_line t (Util.Ivec.get t.pending_wb i)
+  done;
   clear_pending_wb t;
   t.stats.Stats.sfence <- t.stats.Stats.sfence + 1;
   let c = t.cfg.Config.cost in
@@ -452,7 +490,7 @@ let sfence t =
   Obs.Stall.leaf t.stalls Obs.Stall.Clwb_sweep
     ~start_ns:(Stats.sim_ns t.stats -. cost)
     ~dur_ns:cost;
-  trace_event t (Obs.Trace.Sfence { drained; dur_ns = cost })
+  if tracing t then trace_event t (Obs.Trace.Sfence { drained; dur_ns = cost })
 
 let release_fence t =
   (* Same-line ordering is already program order in this simulator; the

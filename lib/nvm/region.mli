@@ -53,6 +53,10 @@ val trace : t -> Obs.Trace.t
 val trace_event : t -> Obs.Trace.payload -> unit
 (** Record an event stamped with the current simulated time. *)
 
+val tracing : t -> bool
+(** Whether {!trace} records events: callers on the op path test it
+    before building a payload. *)
+
 val spans : t -> Obs.Span.t
 (** The region's span profiler, clocked by the simulated clock (wall
     clock secondary). Ended spans feed ["span.<name>_ns"] histograms in
@@ -92,6 +96,20 @@ val compare_u64 : t -> addr -> hi:int -> lo:int -> int
     [Int64.unsigned_compare (read_i64 t addr) probe]. Charges exactly
     like {!read_i64} and never allocates — the hot comparison of
     index-structure searches. *)
+
+val read_u64 : t -> addr -> int
+(** [read_u64 t addr] loads the 64-bit word at [addr] with exactly the
+    charges of {!read_i64} and returns its low 32 bits, unsigned; its high
+    32 bits are then {!hi32} until the next [read_u64] on [t]. Together
+    they decode a word that uses bit 63 exactly, without boxing. *)
+
+val hi32 : t -> int
+(** High 32 bits (unsigned) of the word the last {!read_u64} loaded. *)
+
+val write_u64 : t -> addr -> hi:int -> lo:int -> unit
+(** Store the word whose unsigned 32-bit halves are [hi] and [lo] (higher
+    bits of each are ignored): byte-for-byte and charge-for-charge
+    {!write_i64}. [addr] must be 8-byte aligned. *)
 
 val read_u8 : t -> addr -> int
 val write_u8 : t -> addr -> int -> unit

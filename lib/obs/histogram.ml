@@ -5,33 +5,33 @@ let subs = 8
 let octaves = 64
 let nbuckets = 1 + (octaves * subs)
 
-type t = {
-  buckets : int array;
-  mutable count : int;
-  mutable sum : float;
-  mutable min_v : float;
-  mutable max_v : float;
-}
+(* The running float statistics live in their own all-float record, which
+   is flat: as fields of [t] each update would box a fresh float. *)
+type acc = { mutable sum : float; mutable min_v : float; mutable max_v : float }
+
+type t = { buckets : int array; mutable count : int; a : acc }
 
 let create () =
   {
     buckets = Array.make nbuckets 0;
     count = 0;
-    sum = 0.0;
-    min_v = infinity;
-    max_v = neg_infinity;
+    a = { sum = 0.0; min_v = infinity; max_v = neg_infinity };
   }
 
+(* From the float's bits, with no [frexp] tuple per sample: for [v >= 1]
+   the octave is the unbiased exponent and the sub-bucket the top three
+   mantissa bits. Infinity and NaN have no bucket (as before, when their
+   [frexp]-derived index fell outside the array). *)
 let index_of v =
   if v < 1.0 then 0
   else begin
-    let m, e = Float.frexp v in
-    (* v = m * 2^e with m in [0.5,1), so v lies in octave e-1. *)
-    let octave = min (octaves - 1) (e - 1) in
-    let sub =
-      min (subs - 1) (int_of_float ((m *. 2.0 -. 1.0) *. float_of_int subs))
-    in
-    1 + (octave * subs) + sub
+    let bits = Int64.bits_of_float v in
+    let biased = Int64.to_int (Int64.shift_right_logical bits 52) land 0x7ff in
+    if biased = 0x7ff then invalid_arg "Histogram.record: non-finite sample"
+    else
+      1
+      + (min (octaves - 1) (biased - 1023) * subs)
+      + (Int64.to_int (Int64.shift_right_logical bits 49) land 7)
   end
 
 (* Inclusive-lower bounds of bucket [i] (see the table at the top). *)
@@ -53,23 +53,24 @@ let bucket_hi i =
 
 let record t v =
   let v = if v < 0.0 then 0.0 else v in
-  t.buckets.(index_of v) <- t.buckets.(index_of v) + 1;
+  let i = index_of v in
+  t.buckets.(i) <- t.buckets.(i) + 1;
   t.count <- t.count + 1;
-  t.sum <- t.sum +. v;
-  if v < t.min_v then t.min_v <- v;
-  if v > t.max_v then t.max_v <- v
+  t.a.sum <- t.a.sum +. v;
+  if v < t.a.min_v then t.a.min_v <- v;
+  if v > t.a.max_v then t.a.max_v <- v
 
 let count t = t.count
-let sum t = t.sum
-let min_value t = if t.count <= 0 || t.min_v = infinity then 0.0 else t.min_v
+let sum t = t.a.sum
+let min_value t = if t.count <= 0 || t.a.min_v = infinity then 0.0 else t.a.min_v
 
 let max_value t =
-  if t.count <= 0 || t.max_v = neg_infinity then 0.0 else t.max_v
+  if t.count <= 0 || t.a.max_v = neg_infinity then 0.0 else t.a.max_v
 
-let mean t = if t.count <= 0 then 0.0 else t.sum /. float_of_int t.count
+let mean t = if t.count <= 0 then 0.0 else t.a.sum /. float_of_int t.count
 
 let percentile t q =
-  if t.count <= 0 || t.min_v = infinity then 0.0
+  if t.count <= 0 || t.a.min_v = infinity then 0.0
   else begin
     let q = Float.min 1.0 (Float.max 0.0 q) in
     let rank = max 1 (int_of_float (ceil (q *. float_of_int t.count))) in
@@ -91,41 +92,39 @@ let percentile t q =
     let frac =
       if n <= 0 then 1.0 else float_of_int (rank - !seen) /. float_of_int n
     in
-    Float.min t.max_v (Float.max t.min_v (lo +. ((hi -. lo) *. frac)))
+    Float.min t.a.max_v (Float.max t.a.min_v (lo +. ((hi -. lo) *. frac)))
   end
 
 let merge_into ~into src =
   Array.iteri (fun i n -> into.buckets.(i) <- into.buckets.(i) + n) src.buckets;
   into.count <- into.count + src.count;
-  into.sum <- into.sum +. src.sum;
-  if src.min_v < into.min_v then into.min_v <- src.min_v;
-  if src.max_v > into.max_v then into.max_v <- src.max_v
+  into.a.sum <- into.a.sum +. src.a.sum;
+  if src.a.min_v < into.a.min_v then into.a.min_v <- src.a.min_v;
+  if src.a.max_v > into.a.max_v then into.a.max_v <- src.a.max_v
 
 let copy t =
   {
     buckets = Array.copy t.buckets;
     count = t.count;
-    sum = t.sum;
-    min_v = t.min_v;
-    max_v = t.max_v;
+    a = { sum = t.a.sum; min_v = t.a.min_v; max_v = t.a.max_v };
   }
 
 let diff ~after ~before =
   let d = copy after in
   Array.iteri (fun i n -> d.buckets.(i) <- d.buckets.(i) - n) before.buckets;
   d.count <- after.count - before.count;
-  d.sum <- after.sum -. before.sum;
+  d.a.sum <- after.a.sum -. before.a.sum;
   (* [after]'s running min/max span its whole lifetime; the window's
      extremes must come from the window's own occupied buckets. Bucket
      bounds are the tightest available estimate (exact values are not
      retained per bucket). *)
-  d.min_v <- infinity;
-  d.max_v <- neg_infinity;
+  d.a.min_v <- infinity;
+  d.a.max_v <- neg_infinity;
   Array.iteri
     (fun i n ->
       if n > 0 then begin
-        if d.min_v = infinity then d.min_v <- bucket_lo i;
-        d.max_v <- bucket_hi i
+        if d.a.min_v = infinity then d.a.min_v <- bucket_lo i;
+        d.a.max_v <- bucket_hi i
       end)
     d.buckets;
   d
@@ -134,7 +133,7 @@ let to_json t =
   Json.Obj
     [
       ("count", Json.Int t.count);
-      ("sum", Json.Float t.sum);
+      ("sum", Json.Float t.a.sum);
       ("mean", Json.Float (mean t));
       ("min", Json.Float (min_value t));
       ("max", Json.Float (max_value t));

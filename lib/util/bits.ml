@@ -1,20 +1,16 @@
-let mask w =
+let[@inline] mask w =
   if w < 0 || w > 64 then invalid_arg "Bits.mask";
   if w = 64 then -1L else Int64.sub (Int64.shift_left 1L w) 1L
 
-let get x ~lo ~width =
+let[@inline] get x ~lo ~width =
   Int64.logand (Int64.shift_right_logical x lo) (mask width)
 
-let set x ~lo ~width v =
+let[@inline] set x ~lo ~width v =
   let m = Int64.shift_left (mask width) lo in
   let v = Int64.shift_left (Int64.logand v (mask width)) lo in
   Int64.logor (Int64.logand x (Int64.lognot m)) v
 
-let get_int x ~lo ~width =
-  if width > 62 then invalid_arg "Bits.get_int: width too large";
-  Int64.to_int (get x ~lo ~width)
-
-let set_int x ~lo ~width v = set x ~lo ~width (Int64.of_int v)
+let[@inline] field x ~lo ~width = (x lsr lo) land ((1 lsl width) - 1)
 
 let popcount x =
   let rec loop x acc =

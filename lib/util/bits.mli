@@ -15,11 +15,10 @@ val set : int64 -> lo:int -> width:int -> int64 -> int64
 (** [set x ~lo ~width v] returns [x] with bits [lo .. lo+width-1] replaced by
     the low [width] bits of [v]. *)
 
-val get_int : int64 -> lo:int -> width:int -> int
-(** Like {!get} but returns an [int]; [width] must be at most 62. *)
-
-val set_int : int64 -> lo:int -> width:int -> int -> int64
-(** Like {!set} with an [int] payload. *)
+val field : int -> lo:int -> width:int -> int
+(** Like {!get} over a tagged [int] (a word read with
+    [Nvm.Region.read_int], or one 32-bit half of a word): nothing boxed.
+    [lo + width] must be at most 62. *)
 
 val popcount : int64 -> int
 (** Number of set bits. *)

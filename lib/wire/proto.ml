@@ -99,16 +99,22 @@ let status_of_code = function
   | 5 -> Shutting_down
   | c -> malformed "unknown status code %d" c
 
-let frame body =
-  let n = Buffer.length body in
+(* A frame is built in one buffer: [frame_buffer] reserves the length
+   prefix, [frame] fills it in place once the body is written. *)
+let frame_buffer () =
+  let b = Buffer.create 64 in
+  put_u32 b 0;
+  b
+
+let frame b =
+  let n = Buffer.length b - 4 in
   if n > max_frame then malformed "frame of %d bytes exceeds max_frame" n;
-  let b = Buffer.create (n + 4) in
-  put_u32 b n;
-  Buffer.add_buffer b body;
-  Buffer.contents b
+  let f = Buffer.to_bytes b in
+  Bytes.set_int32_be f 0 (Int32.of_int n);
+  Bytes.unsafe_to_string f
 
 let frame_of_request { id; op; sess } =
-  let b = Buffer.create 64 in
+  let b = frame_buffer () in
   put_u32 b id;
   put_u8 b (opcode op);
   (match op with
@@ -144,7 +150,7 @@ let frame_of_request { id; op; sess } =
   frame b
 
 let frame_of_reply { id; status; queue_ns; cause; payload } =
-  let b = Buffer.create 64 in
+  let b = frame_buffer () in
   put_u32 b id;
   put_u8 b (status_code status);
   put_i64 b queue_ns;
@@ -296,28 +302,36 @@ let reply_of_payload s =
 (* ------------------------------------------------------------- decoder *)
 
 module Decoder = struct
+  (* Buffered bytes are [buf.[start .. start + len)]: [next] only moves
+     the read cursor, and [feed] compacts to the front when the tail has
+     no room, so each byte is moved at most once per [feed] instead of
+     once per decoded frame. *)
   type t = {
     mutable buf : Bytes.t;
-    mutable len : int;  (* valid bytes in [buf] *)
+    mutable start : int;
+    mutable len : int;
     max_frame : int;
   }
 
   let create ?max_frame:(mf = max_frame) () =
-    { buf = Bytes.create 4096; len = 0; max_frame = mf }
+    { buf = Bytes.create 4096; start = 0; len = 0; max_frame = mf }
 
   let feed t b pos n =
     if n < 0 || pos < 0 || pos + n > Bytes.length b then
       invalid_arg "Decoder.feed";
-    if t.len + n > Bytes.length t.buf then begin
+    if t.start + t.len + n > Bytes.length t.buf then begin
       let cap = ref (Bytes.length t.buf) in
       while t.len + n > !cap do
         cap := !cap * 2
       done;
-      let nb = Bytes.create !cap in
-      Bytes.blit t.buf 0 nb 0 t.len;
-      t.buf <- nb
+      let nb =
+        if !cap = Bytes.length t.buf then t.buf else Bytes.create !cap
+      in
+      Bytes.blit t.buf t.start nb 0 t.len;
+      t.buf <- nb;
+      t.start <- 0
     end;
-    Bytes.blit b pos t.buf t.len n;
+    Bytes.blit b pos t.buf (t.start + t.len) n;
     t.len <- t.len + n
 
   let buffered t = t.len
@@ -325,19 +339,15 @@ module Decoder = struct
   let next t =
     if t.len < 4 then None
     else begin
-      let declared =
-        let g i = Char.code (Bytes.get t.buf i) in
-        (g 0 lsl 24) lor (g 1 lsl 16) lor (g 2 lsl 8) lor g 3
-      in
+      let declared = Int32.to_int (Bytes.get_int32_be t.buf t.start) land 0xffff_ffff in
       if declared > t.max_frame then
         malformed "declared frame length %d exceeds the %d-byte cap" declared
           t.max_frame;
       if t.len < 4 + declared then None
       else begin
-        let payload = Bytes.sub_string t.buf 4 declared in
-        let rest = t.len - 4 - declared in
-        Bytes.blit t.buf (4 + declared) t.buf 0 rest;
-        t.len <- rest;
+        let payload = Bytes.sub_string t.buf (t.start + 4) declared in
+        t.len <- t.len - 4 - declared;
+        t.start <- (if t.len = 0 then 0 else t.start + 4 + declared);
         Some payload
       end
     end

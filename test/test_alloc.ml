@@ -52,23 +52,24 @@ let header_roundtrip () =
   ignore em;
   let chunk = 64 * 1024 in
   Alloc.Chunk_header.init r ~chunk ~epoch:0xABCD1234 ~cls:9;
-  let d = Alloc.Chunk_header.read r ~chunk in
-  check_int "next" 0 d.Alloc.Chunk_header.next;
-  check_int "epoch" 0xABCD1234 d.Alloc.Chunk_header.epoch;
-  check_int "class" 9 d.Alloc.Chunk_header.size_class;
-  check "ctr matches" true d.Alloc.Chunk_header.ctr_matches
+  check_int "next" 0 (Alloc.Chunk_header.read_next r ~chunk);
+  check_int "epoch (ctrs match)" 0xABCD1234 (Alloc.Chunk_header.read_epoch r ~chunk);
+  check_int "class" 9 (Alloc.Chunk_header.read_class r ~chunk)
+
+(* word1's pointer: [nextInCLL]. *)
+let next_incll r ~chunk =
+  let lo = Nvm.Region.read_u64 r (chunk + 8) in
+  Alloc.Chunk_header.ptr ~hi:(Nvm.Region.hi32 r) ~lo
 
 let header_first_touch_bumps_counter () =
   let r, _ = mk_em () in
   let chunk = 64 * 1024 in
   Alloc.Chunk_header.init r ~chunk ~epoch:5 ~cls:2;
   Alloc.Chunk_header.write_next r ~chunk ~next:(64 * 2048);
-  Alloc.Chunk_header.write_first_touch r ~chunk ~current_next:(64 * 2048)
-    ~epoch:6 ~cls:2;
-  let d = Alloc.Chunk_header.read r ~chunk in
-  check_int "incll copies next" (64 * 2048) d.Alloc.Chunk_header.next_incll;
-  check_int "epoch updated" 6 d.Alloc.Chunk_header.epoch;
-  check "ctrs match" true d.Alloc.Chunk_header.ctr_matches
+  Alloc.Chunk_header.first_touch r ~chunk ~epoch:6;
+  check_int "incll copies next" (64 * 2048) (next_incll r ~chunk);
+  check_int "epoch updated (ctrs match)" 6 (Alloc.Chunk_header.read_epoch r ~chunk);
+  check_int "next kept" (64 * 2048) (Alloc.Chunk_header.read_next r ~chunk)
 
 let header_torn_write_detected () =
   (* Crash between the two first-touch stores: word1 (new ctr) persists,
@@ -77,16 +78,14 @@ let header_torn_write_detected () =
   let chunk = 64 * 1024 in
   Alloc.Chunk_header.init r ~chunk ~epoch:5 ~cls:2;
   Nvm.Region.wbinvd r;
-  Alloc.Chunk_header.write_first_touch r ~chunk ~current_next:0 ~epoch:6 ~cls:2;
+  Alloc.Chunk_header.first_touch r ~chunk ~epoch:6;
   Nvm.Region.crash_with r ~choose:(fun ~line ~nwrites:_ ->
       if line = chunk / 64 then 1 (* only word1's store *) else 0);
-  let d = Alloc.Chunk_header.read r ~chunk in
-  check "torn detected" false d.Alloc.Chunk_header.ctr_matches;
+  check_int "torn detected" (-1) (Alloc.Chunk_header.read_epoch r ~chunk);
   Alloc.Chunk_header.restore r ~chunk ~marker_epoch:7;
-  let d = Alloc.Chunk_header.read r ~chunk in
-  check "restored consistent" true d.Alloc.Chunk_header.ctr_matches;
-  check_int "next from incll" 0 d.Alloc.Chunk_header.next;
-  check_int "class preserved" 2 d.Alloc.Chunk_header.size_class
+  check_int "restored consistent" 7 (Alloc.Chunk_header.read_epoch r ~chunk);
+  check_int "next from incll" 0 (Alloc.Chunk_header.read_next r ~chunk);
+  check_int "class preserved" 2 (Alloc.Chunk_header.read_class r ~chunk)
 
 let header_encoding_property =
   QCheck.Test.make ~name:"chunk header packs epoch and class" ~count:500
@@ -96,12 +95,12 @@ let header_encoding_property =
       let chunk = 64 * 512 in
       let ptr = ptr16 * 16 in
       Alloc.Chunk_header.init region ~chunk ~epoch ~cls;
-      Alloc.Chunk_header.write_first_touch region ~chunk ~current_next:ptr
-        ~epoch ~cls;
-      let d = Alloc.Chunk_header.read region ~chunk in
-      d.Alloc.Chunk_header.next = ptr
-      && d.Alloc.Chunk_header.epoch = epoch land 0xFFFFFFFF
-      && d.Alloc.Chunk_header.size_class = cls)
+      Alloc.Chunk_header.write_next region ~chunk ~next:ptr;
+      Alloc.Chunk_header.first_touch region ~chunk ~epoch:(epoch + 1);
+      Alloc.Chunk_header.read_next region ~chunk = ptr
+      && next_incll region ~chunk = ptr
+      && Alloc.Chunk_header.read_epoch region ~chunk = epoch + 1
+      && Alloc.Chunk_header.read_class region ~chunk = cls)
 
 (* --- meta lines --------------------------------------------------------- *)
 

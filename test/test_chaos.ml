@@ -162,14 +162,13 @@ let torn_restore_is_visible () =
   (* Adversarial crash: persist exactly the first pending store of every
      dirty line — for the header line that is word1 alone. *)
   Nvm.Region.crash_with r ~choose:(fun ~line:_ ~nwrites:_ -> 1);
-  let d = Alloc.Chunk_header.read r ~chunk in
-  check "torn restore reads as mismatch" false d.Alloc.Chunk_header.ctr_matches;
+  check "torn restore reads as mismatch" true
+    (Alloc.Chunk_header.read_epoch r ~chunk < 0);
   (* Re-running restore (what recovery does on a mismatch) converges. *)
   Alloc.Chunk_header.restore r ~chunk ~marker_epoch:7;
   Nvm.Region.crash_persist_all r;
-  let d = Alloc.Chunk_header.read r ~chunk in
-  check "restore idempotent" true d.Alloc.Chunk_header.ctr_matches;
-  check_int "epoch restamped" 7 d.Alloc.Chunk_header.epoch
+  check_int "restore idempotent, epoch restamped" 7
+    (Alloc.Chunk_header.read_epoch r ~chunk)
 
 (* --- oracle ------------------------------------------------------------ *)
 

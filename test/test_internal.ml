@@ -28,7 +28,7 @@ let create_basics () =
   check "not full" false (I.is_full r n)
 
 let build r n keys children =
-  List.iteri (fun i k -> I.set_key r n ~i (Int64.of_int k)) keys;
+  List.iteri (fun i k -> I.set_key r n ~i ~hi:0 ~lo:k) keys;
   List.iteri (fun i c -> I.set_child r n ~i c) children;
   I.set_nkeys r n (List.length keys)
 
@@ -36,21 +36,21 @@ let search_child_routing () =
   let r, a = mk () in
   let n = I.create a r ~layer:0 in
   build r n [ 10; 20; 30 ] [ 100; 101; 102; 103 ];
-  check_int "below first" 0 (I.search_child r n ~slice:5L);
+  check_int "below first" 0 (I.search_child r n ~hi:0 ~lo:5);
   (* Separator semantics: keys >= sep go right. *)
-  check_int "equal first" 1 (I.search_child r n ~slice:10L);
-  check_int "between" 1 (I.search_child r n ~slice:15L);
-  check_int "equal middle" 2 (I.search_child r n ~slice:20L);
-  check_int "above last" 3 (I.search_child r n ~slice:35L)
+  check_int "equal first" 1 (I.search_child r n ~hi:0 ~lo:10);
+  check_int "between" 1 (I.search_child r n ~hi:0 ~lo:15);
+  check_int "equal middle" 2 (I.search_child r n ~hi:0 ~lo:20);
+  check_int "above last" 3 (I.search_child r n ~hi:0 ~lo:35)
 
 let insert_separator_shifts () =
   let r, a = mk () in
   let n = I.create a r ~layer:0 in
   build r n [ 10; 30 ] [ 100; 101; 102 ];
-  I.insert_separator r n ~at:1 ~sep:20L ~right:999;
+  I.insert_separator r n ~at:1 ~hi:0 ~lo:20 ~right:999;
   check_int "three keys" 3 (I.nkeys r n);
-  Alcotest.(check (list int64)) "keys"
-    [ 10L; 20L; 30L ]
+  Alcotest.(check (list int)) "keys (low halves)"
+    [ 10; 20; 30 ]
     (List.init 3 (fun i -> I.key r n ~i));
   Alcotest.(check (list int)) "children"
     [ 100; 101; 999; 102 ]
@@ -60,10 +60,10 @@ let insert_separator_at_ends () =
   let r, a = mk () in
   let n = I.create a r ~layer:0 in
   build r n [ 20 ] [ 100; 101 ];
-  I.insert_separator r n ~at:0 ~sep:10L ~right:200;
-  I.insert_separator r n ~at:2 ~sep:30L ~right:300;
-  Alcotest.(check (list int64)) "keys"
-    [ 10L; 20L; 30L ]
+  I.insert_separator r n ~at:0 ~hi:0 ~lo:10 ~right:200;
+  I.insert_separator r n ~at:2 ~hi:0 ~lo:30 ~right:300;
+  Alcotest.(check (list int)) "keys (low halves)"
+    [ 10; 20; 30 ]
     (List.init 3 (fun i -> I.key r n ~i));
   Alcotest.(check (list int)) "children"
     [ 100; 200; 101; 300 ]
@@ -78,7 +78,7 @@ let full_rejects_insert () =
   check "full" true (I.is_full r n);
   check "raises" true
     (try
-       I.insert_separator r n ~at:0 ~sep:5L ~right:1;
+       I.insert_separator r n ~at:0 ~hi:0 ~lo:5 ~right:1;
        false
      with Invalid_argument _ -> true)
 

@@ -59,19 +59,19 @@ let create_initialises () =
   check "is leaf" true (L.is_leaf_node r leaf);
   check_int "layer" 3 (L.layer r leaf);
   check_int "empty" 0 (L.entry_count r leaf);
-  let ew = L.epoch_word r leaf in
-  check_int "epoch" 7 ew.EW.epoch;
-  check "insAllowed" true ew.EW.ins_allowed;
-  check "not logged" false ew.EW.logged;
-  check "incll1 invalid" true (V.is_invalid (L.incll_by_index r leaf ~which:0));
-  check "incll2 invalid" true (V.is_invalid (L.incll_by_index r leaf ~which:1));
+  check_int "epoch" 7 (L.epoch_word r leaf);
+  check "insAllowed" true (L.ins_allowed r);
+  check "not logged" false (L.logged r);
+  check "incll1 invalid" true (V.idx ~lo:(L.incll r leaf ~which:0) = V.invalid_idx);
+  check "incll2 invalid" true (V.idx ~lo:(L.incll r leaf ~which:1) = V.invalid_idx);
   check_int "next null" 0 (L.next r leaf)
 
 let field_accessors_roundtrip () =
   let r, a = mk () in
   let leaf = L.create a r ~layer:0 ~epoch:2 in
-  L.set_key r leaf ~slot:5 0xDEADBEEFL;
-  Alcotest.(check int64) "key" 0xDEADBEEFL (L.key r leaf ~slot:5);
+  L.set_key r leaf ~slot:5 ~hi:0xFEEDF00D ~lo:0xDEADBEEF;
+  check_int "key low half" 0xDEADBEEF (L.key r leaf ~slot:5);
+  check_int "key high half" 0xFEEDF00D (Nvm.Region.hi32 r);
   L.set_keylen r leaf ~slot:5 8;
   check_int "keylen" 8 (L.keylen r leaf ~slot:5);
   L.set_value r leaf ~slot:5 4096;
@@ -88,16 +88,19 @@ let val_incll_roundtrip =
     QCheck.(triple (int_bound 1_000_000) (int_bound 14) (int_bound 0xffff))
     (fun (p16, idx, low) ->
       let ptr = p16 * 16 in
-      let d = V.unpack (V.pack ~ptr ~idx ~low_epoch:low) in
-      d.V.ptr = ptr && d.V.idx = idx && d.V.low_epoch = low)
+      let hi = V.hi ~ptr ~low_epoch:low and lo = V.lo ~ptr ~idx in
+      V.ptr ~hi ~lo = ptr && V.idx ~lo = idx && V.low_epoch ~hi = low)
 
 let val_incll_invalid () =
-  let w = V.invalid ~low_epoch:0x1234 in
-  check "invalid" true (V.is_invalid w);
-  check_int "keeps epoch" 0x1234 (V.unpack w).V.low_epoch;
+  let r, a = mk () in
+  let leaf = L.create a r ~layer:0 ~epoch:2 in
+  L.set_incll_invalid r leaf ~which:1 ~low_epoch:0x1234;
+  let lo = L.incll r leaf ~which:1 in
+  check "invalid" true (V.idx ~lo = V.invalid_idx);
+  check_int "keeps epoch" 0x1234 (V.low_epoch ~hi:(Nvm.Region.hi32 r));
   check "unaligned ptr rejected" true
     (try
-       ignore (V.pack ~ptr:7 ~idx:0 ~low_epoch:0);
+       ignore (V.lo ~ptr:7 ~idx:0);
        false
      with Invalid_argument _ -> true)
 
@@ -105,8 +108,8 @@ let epoch_word_roundtrip =
   QCheck.Test.make ~name:"epoch word pack/unpack" ~count:1000
     QCheck.(triple (int_bound 0x3FFFFFFF) bool bool)
     (fun (epoch, ins, logged) ->
-      let d = EW.unpack (EW.pack ~epoch ~ins_allowed:ins ~logged) in
-      d.EW.epoch = epoch && d.EW.ins_allowed = ins && d.EW.logged = logged)
+      let hi = EW.hi ~epoch ~ins_allowed:ins ~logged and lo = EW.lo ~epoch in
+      EW.epoch ~hi ~lo = epoch && EW.ins_allowed ~hi = ins && EW.logged ~hi = logged)
 
 (* --- search -------------------------------------------------------------- *)
 
@@ -119,27 +122,18 @@ let find_in_sorted_leaf () =
     (fun i v ->
       let p', slot = Masstree.Permutation.insert !p ~rank:i in
       p := p';
-      L.set_key r leaf ~slot (Int64.of_int v);
+      L.set_key r leaf ~slot ~hi:0 ~lo:v;
       L.set_keylen r leaf ~slot 8;
       L.set_value r leaf ~slot (v * 16))
     [ 10; 20; 30 ];
   L.set_perm r leaf !p;
-  (match L.find r leaf ~slice:20L ~keylen:8 with
-  | L.Found rank -> check_int "found at rank 1" 1 rank
-  | L.Insert_before _ -> Alcotest.fail "should find 20");
-  (match L.find r leaf ~slice:25L ~keylen:8 with
-  | L.Insert_before rank -> check_int "between 20 and 30" 2 rank
-  | L.Found _ -> Alcotest.fail "25 absent");
-  (match L.find r leaf ~slice:5L ~keylen:8 with
-  | L.Insert_before rank -> check_int "before all" 0 rank
-  | L.Found _ -> Alcotest.fail "5 absent");
-  (match L.find r leaf ~slice:40L ~keylen:8 with
-  | L.Insert_before rank -> check_int "after all" 3 rank
-  | L.Found _ -> Alcotest.fail "40 absent");
+  let find lo ~keylen = L.find r leaf ~hi:0 ~lo ~keylen in
+  check_int "20 found at rank 1" 1 (find 20 ~keylen:8);
+  check_int "25 absent, between 20 and 30" (lnot 2) (find 25 ~keylen:8);
+  check_int "5 absent, before all" (lnot 0) (find 5 ~keylen:8);
+  check_int "40 absent, after all" (lnot 3) (find 40 ~keylen:8);
   (* Same slice, different keylen is a distinct entry. *)
-  match L.find r leaf ~slice:20L ~keylen:4 with
-  | L.Insert_before rank -> check_int "shorter sorts before" 1 rank
-  | L.Found _ -> Alcotest.fail "(20,4) absent"
+  check_int "(20,4) absent, shorter sorts before" (lnot 1) (find 20 ~keylen:4)
 
 let tests =
   ( "leaf",

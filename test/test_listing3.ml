@@ -7,7 +7,6 @@
 
 module L = Masstree.Leaf
 module V = Masstree.Val_incll
-module EW = Masstree.Epoch_word
 module Sys_ = Incll.System
 
 let check_int = Alcotest.(check int)
@@ -70,7 +69,7 @@ let fresh_leaf s =
   done;
   L.set_perm region leaf !p;
   for slot = 0 to 9 do
-    L.set_key region leaf ~slot (Int64.of_int (100 + slot));
+    L.set_key region leaf ~slot ~hi:0 ~lo:(100 + slot);
     L.set_keylen region leaf ~slot 8;
     L.set_value region leaf ~slot (Alloc.Durable.alloc dalloc ~size:32)
   done;
@@ -83,18 +82,16 @@ let install_state s leaf ~rel ~logged ~ins_allowed ~incll1_idx =
   let e =
     match rel with Same -> g | Prev -> g - 1 | Prev_window -> g - 65_536
   in
-  L.set_epoch_word region leaf { EW.epoch = e; ins_allowed; logged };
+  L.set_epoch_word region leaf ~epoch:e ~ins_allowed ~logged;
   L.set_perm_incll region leaf (L.perm region leaf);
-  let w =
-    match incll1_idx with
-    | None -> V.invalid ~low_epoch:(Epoch.Manager.lower16 e)
-    | Some idx ->
-        V.pack ~ptr:(L.value region leaf ~slot:idx) ~idx
-          ~low_epoch:(Epoch.Manager.lower16 e)
-  in
-  L.set_incll_by_index region leaf ~which:0 w;
-  L.set_incll_by_index region leaf ~which:1
-    (V.invalid ~low_epoch:(Epoch.Manager.lower16 e))
+  let low_epoch = Epoch.Manager.lower16 e in
+  (match incll1_idx with
+  | None -> L.set_incll_invalid region leaf ~which:0 ~low_epoch
+  | Some idx ->
+      let ptr = L.value region leaf ~slot:idx in
+      L.set_incll region leaf ~which:0 ~hi:(V.hi ~ptr ~low_epoch)
+        ~lo:(V.lo ~ptr ~idx));
+  L.set_incll_invalid region leaf ~which:1 ~low_epoch
 
 (* Observe which action one hook call takes. *)
 let observe s (f : Masstree.Hooks.t -> unit) =

@@ -3,7 +3,6 @@
    arguments of §4.1.2. *)
 
 module L = Masstree.Leaf
-module EW = Masstree.Epoch_word
 module Sys_ = Incll.System
 
 let check = Alcotest.(check bool)

@@ -126,6 +126,36 @@ let truncated_frames_rejected () =
   check "incomplete frame yields nothing" true (P.Decoder.next dec = None);
   check_int "bytes held" (String.length frame - 1) (P.Decoder.buffered dec)
 
+(* 50k reply frames fed in one piece decode in order and leave nothing
+   behind; the cursor-based decoder moves no bytes per frame, so this
+   stays linear (the old per-frame compaction made it quadratic). Then a
+   split frame across two feeds still reassembles after the drain. *)
+let bulk_feed_decodes_in_order () =
+  let n = 50_000 in
+  let reply id =
+    { P.id; status = P.Ok; queue_ns = 0.0; cause = P.no_cause;
+      payload = P.Value (string_of_int id) }
+  in
+  let stream = String.concat "" (List.init n (fun id -> P.frame_of_reply (reply id))) in
+  let dec = P.Decoder.create () in
+  P.Decoder.feed dec (Bytes.of_string stream) 0 (String.length stream);
+  for id = 0 to n - 1 do
+    match P.Decoder.next dec with
+    | Some p ->
+        if P.reply_of_payload p <> reply id then
+          Alcotest.failf "frame %d decoded out of order" id
+    | None -> Alcotest.failf "frame %d missing" id
+  done;
+  check "drained" true (P.Decoder.next dec = None);
+  check_int "buffered = 0" 0 (P.Decoder.buffered dec);
+  let f = Bytes.of_string (P.frame_of_reply (reply 7)) in
+  P.Decoder.feed dec f 0 3;
+  check "partial header waits" true (P.Decoder.next dec = None);
+  P.Decoder.feed dec f 3 (Bytes.length f - 3);
+  check "split frame reassembles" true
+    (Option.map P.reply_of_payload (P.Decoder.next dec) = Some (reply 7));
+  check_int "buffered = 0 again" 0 (P.Decoder.buffered dec)
+
 let oversized_frame_rejected () =
   let dec = P.Decoder.create () in
   let header = Bytes.create 4 in
@@ -814,4 +844,6 @@ let tests =
         refuses_unselectable_fds;
       Alcotest.test_case "differential oracle: wire = in-process" `Slow
         differential_oracle;
+      Alcotest.test_case "50k frames from one feed decode in order" `Quick
+        bulk_feed_decodes_in_order;
     ] )
