@@ -478,6 +478,9 @@ let recovery () =
           "replay sim ms"; "replay wall ms";
         ]
   in
+  let phases =
+    Util.Table.create ~columns:[ "variant"; "phase"; "sim ms"; "wall ms" ]
+  in
   List.iter
     (fun variant ->
       let s = Sys_.create ~config:cfg variant in
@@ -507,10 +510,25 @@ let recovery () =
               Util.Table.cell_int st.Sys_.replayed_entries;
               Util.Table.cell_float (st.Sys_.recovery_sim_ns /. 1e6);
               Util.Table.cell_float (st.Sys_.recovery_wall_ns /. 1e6);
-            ]
+            ];
+          List.iter
+            (fun (name, sim_ns) ->
+              let wall_ns =
+                Option.value ~default:0.0 (List.assoc_opt name st.Sys_.wall_phases)
+              in
+              Util.Table.add_row phases
+                [
+                  Sys_.variant_name variant;
+                  name;
+                  Util.Table.cell_float (sim_ns /. 1e6);
+                  Util.Table.cell_float (wall_ns /. 1e6);
+                ])
+            st.Sys_.phases
       | None -> ())
     [ Sys_.Incll; Sys_.Logging ];
-  emit "recovery" t
+  emit "recovery" t;
+  line "    per recovery phase:";
+  emit "recovery_phases" phases
 
 (* ------------------------------------------------------------- ablations *)
 

@@ -20,6 +20,10 @@
      --json FILE   write a machine-readable report
      --min-mops F  exit 1 if the YCSB-A wall-clock Mops falls below F
                    (0 = report only; used by the CI smoke gate)
+     --max-host-bytes N
+                   exit 1 if the Precise region's host bytes beyond its
+                   volatile image and LLC tags, after a fixed store
+                   sequence, exceed N (0 = report only)
 
    The simulated counters (writes/reads/clwb/sfence/sim_ns) of the
    YCSB-A section are included in the report: two builds that disagree
@@ -37,6 +41,7 @@ type opts = {
   mutable seed : int;
   mutable json_file : string option;
   mutable min_mops : float;
+  mutable max_host_bytes : int;
 }
 
 let opts =
@@ -49,12 +54,14 @@ let opts =
     seed = 1;
     json_file = None;
     min_mops = 0.0;
+    max_host_bytes = 0;
   }
 
 let usage () =
   print_endline
     "usage: microbench [--stores N] [--spans N] [--keys N] [--ops N]\n\
-     \                  [--threads N] [--seed N] [--json FILE] [--min-mops F]";
+     \                  [--threads N] [--seed N] [--json FILE] [--min-mops F]\n\
+     \                  [--max-host-bytes N]";
   exit 2
 
 let positive flag v =
@@ -90,6 +97,9 @@ let parse_args () =
         go rest
     | "--min-mops" :: v :: rest ->
         opts.min_mops <- float_of_string v;
+        go rest
+    | "--max-host-bytes" :: v :: rest ->
+        opts.max_host_bytes <- positive "--max-host-bytes" v;
         go rest
     | ("--help" | "-h") :: _ -> usage ()
     | x :: _ ->
@@ -234,6 +244,54 @@ let raw_benches () =
   store_rows ~prefix:"precise " ~epoch:precise_epoch
     (fresh_region Nvm.Config.Precise)
 
+(* Word stores to random lines of the region, from a fixed seed. *)
+let random_stores region rng n =
+  let words = region_mb * 1024 * 1024 / 8 in
+  for _ = 1 to n do
+    Nvm.Region.write_int region (8 * Util.Rng.int rng words) 0x5eed
+  done
+
+let wbinvd_ns_per_line = ref 0.0
+let host_bytes = ref 0
+
+(* The commit path on its own: each round dirties lines with
+   [--stores]/4 random word stores, as one epoch of a uniform workload
+   would, and only the wbinvd that writes them all back is timed. *)
+let precise_wbinvd () =
+  let region = fresh_region Nvm.Config.Precise in
+  let rng = Util.Rng.create ~seed:opts.seed in
+  let ns = ref 0.0 and lines = ref 0 in
+  for round = 0 to 5 do
+    random_stores region rng (max 1 (opts.stores / 4));
+    let n = Nvm.Region.dirty_line_count region in
+    let t0 = Unix.gettimeofday () in
+    Nvm.Region.wbinvd region;
+    let dt = Unix.gettimeofday () -. t0 in
+    (* Round 0 warms the journal's storage up. *)
+    if round > 0 then begin
+      ns := !ns +. (dt *. 1e9);
+      lines := !lines + n
+    end
+  done;
+  wbinvd_ns_per_line := !ns /. float_of_int (max 1 !lines);
+  Printf.printf "  %-24s %9.2f ns/line (%d lines per wbinvd)\n%!"
+    "precise wbinvd" !wbinvd_ns_per_line (!lines / 5)
+
+(* What crash support holds on the host beyond the volatile image the
+   loads read: the per-line records, the dirty list and the journal of
+   pending stores. A fixed sequence (20,000 random word stores, no
+   write-back), so the count is the same on every host and option set. *)
+let precise_host_bytes () =
+  let region = fresh_region Nvm.Config.Precise in
+  random_stores region (Util.Rng.create ~seed:1) 20_000;
+  host_bytes := Nvm.Region.host_bytes region;
+  let nlines = region_mb * 1024 * 1024 / Nvm.Config.line_size in
+  Printf.printf
+    "  %-24s %9d bytes (%.1f per line; %d dirty lines)\n%!"
+    "precise host bytes" !host_bytes
+    (float_of_int !host_bytes /. float_of_int nlines)
+    (Nvm.Region.dirty_line_count region)
+
 (* -------------------------------------------------------------- ycsb-a *)
 
 let ycsb_counters = ref []
@@ -306,6 +364,12 @@ let write_json path ~ycsb_mops =
         ( "benches",
           Obs.Json.Obj
             (List.rev_map (fun s -> (s.bench, sample_json s)) !results) );
+        ( "precise",
+          Obs.Json.Obj
+            [
+              ("wbinvd_ns_per_line", Obs.Json.Float !wbinvd_ns_per_line);
+              ("host_bytes", Obs.Json.Int !host_bytes);
+            ] );
         ("ycsb_counters", Obs.Json.Obj !ycsb_counters);
         ("ycsb_mops_wall", Obs.Json.Float ycsb_mops);
       ]
@@ -320,6 +384,8 @@ let () =
   parse_args ();
   print_endline "NVM simulator wall-clock microbenchmark";
   raw_benches ();
+  precise_wbinvd ();
+  precise_host_bytes ();
   let ycsb_mops = ycsb_bench () in
   (match opts.json_file with
   | Some path -> write_json path ~ycsb_mops
@@ -328,5 +394,12 @@ let () =
     Printf.eprintf
       "microbench: YCSB-A wall-clock %.2f Mops below the --min-mops %.2f gate\n"
       ycsb_mops opts.min_mops;
+    exit 1
+  end;
+  if opts.max_host_bytes > 0 && !host_bytes > opts.max_host_bytes then begin
+    Printf.eprintf
+      "microbench: Precise region holds %d host bytes beyond its image, \
+       above the --max-host-bytes %d ceiling\n"
+      !host_bytes opts.max_host_bytes;
     exit 1
   end

@@ -63,7 +63,7 @@ let key_of i = Masstree.Key.of_int64 (Util.Scramble.fmix64 (Int64.of_int i))
 
 (* The epoch the persisted image says was running — the epoch recovery
    will invalidate. Read it *after* the crash, when the volatile image
-   has been reloaded from the persisted one, so a durable-epoch store
+   holds the persisted view, so a durable-epoch store
    whose fence the crash interrupted is accounted the way recovery will
    see it. *)
 let persisted_epoch region =

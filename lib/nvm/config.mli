@@ -47,8 +47,9 @@ val default_cost_model : cost_model
 type crash_support =
   | Counting  (** Track dirty lines and statistics only; crashes disallowed.
                   Fast mode for pure-throughput benchmarks. *)
-  | Precise  (** Additionally keep per-line pending-write logs and a
-                 persisted image, enabling PCSO-faithful crash injection. *)
+  | Precise  (** Additionally journal each dirty line's pending stores
+                 with the bytes they overwrote, which derives the persisted
+                 view and enables PCSO-faithful crash injection. *)
 
 (** Checkpoint-scheduling policy (DESIGN.md §15). Selects how the epoch
     manager drains the dirty set at a checkpoint and when it decides to

@@ -3,8 +3,7 @@
 
     [save] serialises the {e persisted} view of a region (what a power
     failure would leave behind) to a file; [load] reconstructs a region
-    whose persisted and volatile images both equal the file contents, with
-    nothing dirty — exactly the state recovery code faces after a reboot.
+    whose image is the file contents, with nothing dirty — exactly the state recovery code faces after a reboot.
     This lets examples and the CLI demonstrate real restart-across-process
     durability rather than only in-process crash simulation.
 

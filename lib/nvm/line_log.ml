@@ -1,30 +1,46 @@
-(* Entries pack (line | off:6 bits | len:7 bits) into one int; payloads are
-   stored back to back in one byte buffer, in entry order. Per line, two
-   adjacent ints of [lines]: [since] (index of the line's first live entry)
-   and [meta] = count lor (bytes lsl 32), so one store bumps both with a
-   single add. A zero [meta] means the line has nothing pending. *)
+(* Per line, two adjacent ints of [lines] (see line_log.mli for the bit
+   layout): word 0 carries the owner's dirty-list position and write-back
+   flag plus the pending-store count; word 1 = since lor (pending bytes
+   lsl 42), [since] being the index of the line's first live entry.
+   Entries pack (line | off:6 bits | len:7 bits) into one int; the bytes
+   each store overwrote are stored back to back in one byte buffer, in
+   entry order. *)
+
+let owner_mask = (1 lsl 33) - 1
+let count_shift = 33
+let since_mask = (1 lsl 42) - 1
+let bytes_shift = 42
+let max_line_log_bytes = (1 lsl 21) - 1 - 64
 
 let off_shift = 7
 let line_shift = 13
 let len_mask = 0x7f
 let off_mask = 0x3f
-let count_mask = 0xffff_ffff
-let bytes_shift = 32
+let line_size = 64  (* a literal: [Config] is compiled -opaque *)
+let () = assert (line_size = Config.line_size)
+
+(* Off the OCaml heap, so the major GC never scans it, and malloc'd, so
+   its 16-byte records never straddle a host cache line. *)
+type record =
+  (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type t = {
-  lines : int array;  (* [2l] = since, [2l+1] = meta *)
+  lines : record;  (* [2l], [2l+1]: the per-line record *)
   mutable entries : int array;
   mutable n : int;
   mutable payload : Bytes.t;
   mutable payload_len : int;
-  mutable pending_lines : int;  (* lines with a non-zero meta *)
+  mutable pending_lines : int;  (* lines with a non-zero count *)
   mutable live : int;  (* sum of the pending counts *)
   mutable live_bytes : int;  (* sum of the pending payload bytes *)
 }
 
 let create ~nlines =
   {
-    lines = Array.make (2 * nlines) 0;
+    lines =
+      (let a = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (2 * nlines) in
+       Bigarray.Array1.fill a 0;
+       a);
     entries = Array.make 1024 0;
     n = 0;
     payload = Bytes.create 8192;
@@ -34,12 +50,17 @@ let create ~nlines =
     live_bytes = 0;
   }
 
-let count t line = t.lines.((2 * line) + 1) land count_mask
-let payload_bytes t line = t.lines.((2 * line) + 1) lsr bytes_shift
+let lines t = t.lines
+let count t line = t.lines.{2 * line} lsr count_shift
 
 let reset t =
   t.n <- 0;
   t.payload_len <- 0
+
+(* Whether entry [i], of [line], is live. *)
+let[@inline] live (lines : record) line i =
+  lines.{2 * line} lsr count_shift <> 0
+  && i >= lines.{(2 * line) + 1} land since_mask
 
 (* Slide the live entries and their payloads to the front, in order. The
    first live entry of a line sits exactly at its [since], so moving that
@@ -50,9 +71,9 @@ let compact t =
   for i = 0 to t.n - 1 do
     let e = entries.(i) in
     let line = e lsr line_shift and len = e land len_mask in
-    let since = lines.(2 * line) in
-    if lines.((2 * line) + 1) <> 0 && i >= since then begin
-      if i = since then lines.(2 * line) <- !w;
+    if live lines line i then begin
+      let j = (2 * line) + 1 in
+      if i = lines.{j} land since_mask then lines.{j} <- lines.{j} - i + !w;
       entries.(!w) <- e;
       Bytes.blit payload !rpos payload !wpos len;
       incr w;
@@ -83,17 +104,18 @@ let make_room t len =
   end
 
 let append t ~line ~off ~src ~src_pos ~len =
-  if off < 0 || len <= 0 || off + len > Config.line_size then
+  if off < 0 || len <= 0 || off + len > line_size then
     invalid_arg "Line_log.append: write does not fit in a line";
   if t.n = Array.length t.entries || t.payload_len + len > Bytes.length t.payload
   then make_room t len;
-  let i = (2 * line) + 1 in
-  let meta = t.lines.(i) in
-  if meta = 0 then begin
-    t.lines.(2 * line) <- t.n;
+  let i = 2 * line in
+  let w0 = t.lines.{i} in
+  if w0 lsr count_shift = 0 then begin
+    t.lines.{i + 1} <- t.n;
     t.pending_lines <- t.pending_lines + 1
   end;
-  t.lines.(i) <- meta + 1 + (len lsl bytes_shift);
+  t.lines.{i} <- w0 + (1 lsl count_shift);
+  t.lines.{i + 1} <- t.lines.{i + 1} + (len lsl bytes_shift);
   t.entries.(t.n) <- (line lsl line_shift) lor (off lsl off_shift) lor len;
   t.n <- t.n + 1;
   (* Word stores, the common case, skip [Bytes.blit]'s C call. *)
@@ -105,42 +127,63 @@ let append t ~line ~off ~src ~src_pos ~len =
   t.live_bytes <- t.live_bytes + len
 
 let commit t line =
-  let i = (2 * line) + 1 in
-  let meta = t.lines.(i) in
-  if meta <> 0 then begin
-    t.lines.(i) <- 0;
-    t.live <- t.live - (meta land count_mask);
-    t.live_bytes <- t.live_bytes - (meta lsr bytes_shift);
+  let i = 2 * line in
+  let w0 = t.lines.{i} in
+  if w0 lsr count_shift <> 0 then begin
+    t.lines.{i} <- w0 land owner_mask;
+    t.live <- t.live - (w0 lsr count_shift);
+    t.live_bytes <- t.live_bytes - (t.lines.{i + 1} lsr bytes_shift);
+    t.lines.{i + 1} <- 0;
     t.pending_lines <- t.pending_lines - 1;
     if t.pending_lines = 0 then reset t
   end
 
-(* While a crash is applied, a pending line's payload-bytes field holds how
-   many of its stores still have to persist. *)
+(* Walk the journal newest entry first, calling [f e pos] on each live
+   entry [e] whose payload starts at [pos]. *)
+let iter_live_rev t f =
+  let pos = ref t.payload_len in
+  for i = t.n - 1 downto 0 do
+    let e = t.entries.(i) in
+    pos := !pos - (e land len_mask);
+    if live t.lines (e lsr line_shift) i then f e !pos
+  done
+
+let undo_into t ~dst ~addr =
+  let stop = addr + Bytes.length dst in
+  iter_live_rev t (fun e pos ->
+      let a =
+        ((e lsr line_shift) * line_size) + ((e lsr off_shift) land off_mask)
+      in
+      let lo = max a addr and hi = min (a + (e land len_mask)) stop in
+      if lo < hi then Bytes.blit t.payload (pos + lo - a) dst (lo - addr) (hi - lo))
+
+(* While a crash is applied, a pending line's count field holds the
+   ordinal of its newest store not yet visited, and its payload-bytes
+   field how many of its stores persist. *)
 let crash t ~lines:pending ~choose ~dst =
   let lines = t.lines in
   for j = Util.Ivec.length pending - 1 downto 0 do
     let line = Util.Ivec.get pending j in
-    let meta = lines.((2 * line) + 1) in
-    let n = meta land count_mask in
+    let n = lines.{2 * line} lsr count_shift in
     let k = choose ~line ~nwrites:n in
     if k < 0 || k > n then invalid_arg "Region.crash_with: bad prefix";
-    lines.((2 * line) + 1) <- n lor (k lsl bytes_shift)
+    let i = (2 * line) + 1 in
+    lines.{i} <- (lines.{i} land since_mask) lor (k lsl bytes_shift)
   done;
-  let pos = ref 0 in
+  iter_live_rev t (fun e pos ->
+      let line = e lsr line_shift in
+      if lines.{2 * line} lsr count_shift > lines.{(2 * line) + 1} lsr bytes_shift
+      then begin
+        let off = (e lsr off_shift) land off_mask in
+        Bytes.blit t.payload pos dst ((line * line_size) + off) (e land len_mask)
+      end;
+      (* Past the line's oldest live store the count is 0, so its stale
+         entries read as dead. *)
+      lines.{2 * line} <- lines.{2 * line} - (1 lsl count_shift));
   for i = 0 to t.n - 1 do
-    let e = t.entries.(i) in
-    let line = e lsr line_shift and len = e land len_mask in
-    let meta = lines.((2 * line) + 1) in
-    if meta lsr bytes_shift > 0 && i >= lines.(2 * line) then begin
-      let off = (e lsr off_shift) land off_mask in
-      Bytes.blit t.payload !pos dst ((line * Config.line_size) + off) len;
-      lines.((2 * line) + 1) <- meta - (1 lsl bytes_shift)
-    end;
-    pos := !pos + len
-  done;
-  for i = 0 to t.n - 1 do
-    lines.((2 * (t.entries.(i) lsr line_shift)) + 1) <- 0
+    let line = t.entries.(i) lsr line_shift in
+    lines.{2 * line} <- lines.{2 * line} land owner_mask;
+    lines.{(2 * line) + 1} <- 0
   done;
   t.pending_lines <- 0;
   t.live <- 0;
@@ -161,3 +204,6 @@ let footprint t =
     live_bytes = t.live_bytes;
     payload_slots = Bytes.length t.payload;
   }
+
+let host_bytes t =
+  (8 * (Bigarray.Array1.dim t.lines + Array.length t.entries)) + Bytes.length t.payload

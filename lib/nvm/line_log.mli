@@ -1,20 +1,35 @@
-(** Region-wide journal of pending stores (Precise crash support).
+(** Region-wide journal of the dirty lines' pending stores (Precise crash
+    support), and the per-line record it shares with {!Region}.
 
     PCSO (§2.1) guarantees that two writes to the same cache line reach NVM
-    in program order. The simulator realises this by recording, for every
-    dirty line, the program-ordered sequence of stores since the line was
-    last written back. On a crash, an arbitrary {e prefix} of that sequence
-    is applied to the line's persisted image — independently per line, which
-    is exactly the PCSO granularity guarantee and nothing stronger.
+    in program order. So a crashed line holds its last write-back plus a
+    program-order {e prefix} of the stores made since — independently per
+    line, which is exactly the PCSO granularity guarantee and nothing
+    stronger. The simulator therefore keeps no second image of the region:
+    a clean line's durable content is its volatile line, and a dirty line's
+    is its {e base}, the line as it was just before the store that dirtied
+    it. The journal keeps each base piecewise: every pending store is
+    recorded with the bytes it overwrote (its undo image), so undoing a
+    line's stores newest first turns its volatile line back into its base,
+    and undoing all but the first [k] leaves base plus a [k]-store prefix.
 
     All lines share one flat journal, so the simulator holds no heap block
     per cache line and no pointer per store:
     - each store is one packed int (line, in-line offset, length) in a
-      growable int array, and its bytes are appended to one growable
-      buffer; a store's payload position is the running sum of the lengths
-      before it, so every reader walks the journal in order;
-    - per line, two ints record the first live entry ([since]) and the
-      pending count and payload bytes.
+      growable int array, and its undo image is appended to one growable
+      byte buffer; a store's payload position is the running sum of the
+      lengths before it, so every walk reads the journal in order (or in
+      reverse);
+    - per line, the record below holds the index of the line's first live
+      entry ([since]) and the pending count and payload bytes.
+
+    {b Per-line record.} Two ints per line, words [2l] and [2l+1] of
+    {!lines} (16 bytes, so one host cache miss reaches all of it):
+    - word 0, bits 0–32 ({!owner_mask}): the owner's, untouched here (the
+      region keeps its dirty-list position + 1 and its pending-write-back
+      flag there);
+    - word 0, bits 33–62: the pending-store count;
+    - word 1: [since] lor (pending payload bytes lsl {!bytes_shift}).
 
     {b Live entries.} An entry is live iff its line has a non-zero pending
     count and the entry's index is at least the line's [since]. Committing
@@ -28,22 +43,42 @@
 
 type t
 
+type record =
+  (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+(** The per-line record array. *)
+
+val owner_mask : int
+(** The bits of word 0 the journal never changes. *)
+
+val bytes_shift : int
+(** Word 1 holds the pending payload bytes from this bit up (the owner's
+    eviction bound reads them). *)
+
+val max_line_log_bytes : int
+(** Largest [Config.max_line_log_bytes] the record can count. *)
+
 val create : nlines:int -> t
-(** An empty journal for a region of [nlines] cache lines. *)
+(** An empty journal, and an all-zero record, for a region of [nlines]
+    cache lines. *)
+
+val lines : t -> record
+(** The per-line record ([2 * nlines] ints), shared with the owner. *)
 
 val count : t -> int -> int
 (** Pending stores of a line. *)
 
-val payload_bytes : t -> int -> int
-(** Payload bytes pending on a line (bounds memory via eviction). *)
-
 val append :
   t -> line:int -> off:int -> src:Bytes.t -> src_pos:int -> len:int -> unit
-(** Record a store of [len] bytes at offset [off] of [line] whose value is
-    [src\[src_pos .. src_pos+len-1\]]. *)
+(** Record a store of [len] bytes at offset [off] of [line] whose undo
+    image (the bytes it overwrote) is [src\[src_pos .. src_pos+len-1\]]. *)
 
 val commit : t -> int -> unit
 (** Drop every pending store of a line (it was written back). *)
+
+val undo_into : t -> dst:Bytes.t -> addr:int -> unit
+(** [dst] holds the volatile bytes of the region at [addr ..
+    addr + length dst - 1]; apply to it, newest first, the undo images of
+    every pending store, so it holds the persisted view of that range. *)
 
 val crash :
   t ->
@@ -51,12 +86,13 @@ val crash :
   choose:(line:int -> nwrites:int -> int) ->
   dst:Bytes.t ->
   unit
-(** Power failure. [lines] must hold exactly the pending lines. Walking it
-    from the back, call [choose ~line ~nwrites] once per line; then apply,
-    in one in-order pass, the first [k] pending stores of each line to its
-    image at [dst] (line [l] starts at [l * line_size]), and empty the
-    journal. Raises [Invalid_argument] if [choose] returns a [k] outside
-    [0 .. nwrites]. *)
+(** Power failure. [lines] must hold exactly the pending lines, and
+    [dst] the volatile image (line [l] starts at [l * line_size]).
+    Walking [lines] from the back, call [choose ~line ~nwrites] once per
+    line; then, in one pass over the journal newest first, undo every
+    pending store of each line but its first [k], so each line holds its
+    base plus a [k]-store prefix, and empty the journal. Raises [Invalid_argument] if
+    [choose] returns a [k] outside [0 .. nwrites]. *)
 
 type footprint = {
   live_entries : int;  (** pending stores *)
@@ -67,3 +103,6 @@ type footprint = {
 
 val footprint : t -> footprint
 (** Live content against allocated storage (for memory-bound tests). *)
+
+val host_bytes : t -> int
+(** Host bytes held by the record array and the journal's storage. *)

@@ -17,13 +17,14 @@ type t = {
   mem_miss_ns : float;
   clwb_ns : float;
   volatile : Bytes.t;
-  persisted : Bytes.t;  (* unused (length 0) in Counting mode *)
-  dirty : Bytes.t;  (* one byte per line: 0 clean, 1 dirty *)
+  (* The per-line record, two ints per line (Line_log's layout). Word 0
+     bits 0-31 hold the line's index in [dirty_list] + 1 (0: clean), bit
+     32 whether it is in [pending_wb]; the rest is the journal's. *)
+  lines : Line_log.record;
   dirty_list : Util.Ivec.t;  (* line ids, unordered *)
-  dirty_pos : int array;  (* line -> index in dirty_list, -1 if clean *)
-  log : Line_log.t;  (* Precise mode: pending stores of the dirty lines *)
+  log : Line_log.t;  (* Precise mode: pending stores *)
+  undo : Bytes.t;  (* the bytes the store in progress overwrites *)
   pending_wb : Util.Ivec.t;  (* lines clwb'd since the last sfence *)
-  wb_pending : Bytes.t;  (* one byte per line: 1 iff in pending_wb *)
   evict_rng : Util.Rng.t;
   stats : Stats.t;
   metrics : Obs.Registry.t;
@@ -39,11 +40,11 @@ type t = {
      price. Tag slots hold line ids (+1; 0 = empty). *)
   llc_tags : int array;
   llc_mask : int;
-  (* Optional file-backed shadow of the persisted image (a shared mmap).
+  (* Optional file-backed shadow of the persisted view (a shared mmap).
      Because the mapping is MAP_SHARED, bytes written here live in the
      kernel page cache and survive the process being SIGKILLed — the
      cross-process analogue of NVM outliving a power failure. Only the
-     persisted image is mirrored, and only at the instants it changes, so
+     persisted view is mirrored, and only at the instants it changes, so
      the file always holds exactly what a crash would leave behind. *)
   mutable hi32 : int;  (* high half of the word [read_u64] last loaded *)
   mutable mirror :
@@ -58,6 +59,15 @@ let line_shift = 6
 let line_size = 64
 let () = assert (line_shift = Config.line_shift && line_size = Config.line_size)
 
+(* The region's bits of a line's record word 0, and where word 1 keeps
+   the pending payload bytes (as literals, like the geometry). *)
+let pos_mask = 0xffff_ffff
+let wb_bit = 1 lsl 32
+let bytes_shift = 42
+let () =
+  assert (pos_mask lor wb_bit = Line_log.owner_mask);
+  assert (bytes_shift = Line_log.bytes_shift)
+
 let line_of_addr addr = addr lsr line_shift
 let same_line a b = line_of_addr a = line_of_addr b
 
@@ -67,6 +77,10 @@ let create (cfg : Config.t) =
   if cfg.size_bytes <= 0 || cfg.size_bytes land (line_size - 1) <> 0
   then invalid_arg "Region.create: size must be a positive multiple of 64";
   let nlines = cfg.size_bytes / line_size in
+  if nlines >= pos_mask then invalid_arg "Region.create: region too large";
+  if cfg.max_line_log_bytes > Line_log.max_line_log_bytes then
+    invalid_arg "Region.create: max_line_log_bytes too large";
+  let log = Line_log.create ~nlines in
   let metrics = Obs.Registry.create () in
   let stats = Stats.create () in
   let trace = Obs.Trace.create ~capacity:cfg.trace_capacity () in
@@ -89,18 +103,11 @@ let create (cfg : Config.t) =
     mem_miss_ns = cfg.cost.Config.mem_miss_ns;
     clwb_ns = cfg.cost.Config.clwb_ns;
     volatile = Bytes.make cfg.size_bytes '\000';
-    persisted =
-      (match cfg.crash_support with
-      | Config.Precise -> Bytes.make cfg.size_bytes '\000'
-      | Config.Counting -> Bytes.create 0);
-    dirty = Bytes.make nlines '\000';
+    lines = Line_log.lines log;
     dirty_list = Util.Ivec.create ~capacity:1024 ();
-    dirty_pos = Array.make nlines (-1);
-    log =
-      Line_log.create
-        ~nlines:(if cfg.crash_support = Config.Precise then nlines else 0);
+    log;
+    undo = Bytes.create line_size;
     pending_wb = Util.Ivec.create ~capacity:64 ();
-    wb_pending = Bytes.make nlines '\000';
     evict_rng = Util.Rng.create ~seed:0x5eed_ca5e;
     stats;
     metrics;
@@ -119,25 +126,46 @@ let create (cfg : Config.t) =
     mirror = None;
   }
 
-(* --- persisted-image mirror ------------------------------------------- *)
+(* --- persisted-view mirror --------------------------------------------- *)
 
+(* Unchecked native-endian word access to the volatile image and the
+   mirror: copies between them move 8 bytes per load/store pair. *)
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+type bigstring =
+  (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+external big_get64u : bigstring -> int -> int64 = "%caml_bigstring_get64u"
+external big_set64u : bigstring -> int -> int64 -> unit
+  = "%caml_bigstring_set64u"
+
+let mirror_words m ~dst src ~src_pos ~len =
+  for w = 0 to (len / 8) - 1 do
+    big_set64u m (dst + (8 * w)) (get64u src (src_pos + (8 * w)))
+  done
+
+(* A line's durable content is its volatile line while it is clean. *)
 let mirror_line t line =
   match t.mirror with
   | None -> ()
   | Some m ->
       let pos = line * line_size in
-      for i = 0 to line_size - 1 do
-        Bigarray.Array1.unsafe_set m (pos + i)
-          (Bytes.unsafe_get t.persisted (pos + i))
-      done
+      mirror_words m ~dst:pos t.volatile ~src_pos:pos ~len:line_size
 
 let mirror_all t =
   match t.mirror with
   | None -> ()
   | Some m ->
-      for i = 0 to Bytes.length t.persisted - 1 do
-        Bigarray.Array1.unsafe_set m i (Bytes.unsafe_get t.persisted i)
-      done
+      let img =
+        if Util.Ivec.length t.dirty_list = 0 then t.volatile
+        else begin
+          let b = Bytes.copy t.volatile in
+          Line_log.undo_into t.log ~dst:b ~addr:0;
+          b
+        end
+      in
+      mirror_words m ~dst:0 img ~src_pos:0 ~len:t.size_bytes
 
 let config t = t.cfg
 let stats t = t.stats
@@ -165,23 +193,25 @@ let all_series t =
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 let size t = t.cfg.Config.size_bytes
 let dirty_line_count t = Util.Ivec.length t.dirty_list
-let is_dirty_line t line = Bytes.unsafe_get t.dirty line <> '\000'
+let is_dirty_line t line = t.lines.{2 * line} land pos_mask <> 0
 
 (* --- dirty tracking ------------------------------------------------- *)
 
+(* Write a dirty line back. In Precise mode its durable content becomes
+   its volatile line: its pending stores are dropped, nothing is copied
+   but the mirror's line. *)
 let commit_line t line =
-  if Bytes.unsafe_get t.dirty line = '\001' then begin
-    if precise t then begin
-      let pos = line * line_size in
-      Bytes.blit t.volatile pos t.persisted pos line_size;
+  let i = 2 * line in
+  let pos = t.lines.{i} land pos_mask in
+  if pos <> 0 then begin
+    if t.is_precise then begin
       mirror_line t line;
       Line_log.commit t.log line
     end;
-    Bytes.unsafe_set t.dirty line '\000';
-    let idx = t.dirty_pos.(line) in
-    let moved = Util.Ivec.swap_remove t.dirty_list idx in
-    if moved >= 0 then t.dirty_pos.(moved) <- idx;
-    t.dirty_pos.(line) <- -1;
+    t.lines.{i} <- t.lines.{i} land lnot pos_mask;
+    let moved = Util.Ivec.swap_remove t.dirty_list (pos - 1) in
+    if moved >= 0 then
+      t.lines.{2 * moved} <- (t.lines.{2 * moved} land lnot pos_mask) lor pos;
     t.stats.Stats.lines_committed <- t.stats.Stats.lines_committed + 1
   end
 
@@ -204,23 +234,38 @@ let evict_some t =
     done
   end
 
+(* [line] is in range: its address was checked. *)
 let[@inline] mark_dirty t line =
-  if Bytes.unsafe_get t.dirty line = '\000' then begin
-    Bytes.unsafe_set t.dirty line '\001';
-    t.dirty_pos.(line) <- Util.Ivec.length t.dirty_list;
+  let i = 2 * line in
+  let w0 = Bigarray.Array1.unsafe_get t.lines i in
+  if w0 land pos_mask = 0 then begin
+    Bigarray.Array1.unsafe_set t.lines i (w0 lor (Util.Ivec.length t.dirty_list + 1));
     Util.Ivec.push t.dirty_list line;
     if Util.Ivec.length t.dirty_list > t.max_dirty then evict_some t
   end
 
+(* Precise mode, before a store of [len] bytes at [addr] (within one
+   line) changes the volatile image: keep the bytes it overwrites, the
+   undo image [record_store] journals. *)
+let[@inline] save_undo t addr len =
+  if t.is_precise then
+    if len = 8 then set64u t.undo 0 (get64u t.volatile addr)
+    else Bytes.blit t.volatile addr t.undo 0 len
+
 (* Record one intra-line store in Precise mode, evicting the line first if
    its pending stores outgrew the configured bound (a legal cache
-   behaviour that keeps simulator memory bounded). *)
-let record_store t line ~off ~src ~src_pos ~len =
-  if Line_log.payload_bytes t.log line > t.max_line_log_bytes then begin
+   behaviour that keeps simulator memory bounded). The store is already in
+   the volatile image, so that write-back persists it too: undoing it must
+   then leave it in place, and its undo image is what it wrote. *)
+let record_store t line ~off ~src_pos ~len =
+  if Bigarray.Array1.unsafe_get t.lines ((2 * line) + 1) lsr bytes_shift
+     > t.max_line_log_bytes
+  then begin
     commit_line t line;
-    t.stats.Stats.evictions <- t.stats.Stats.evictions + 1
-  end;
-  Line_log.append t.log ~line ~off ~src ~src_pos ~len
+    t.stats.Stats.evictions <- t.stats.Stats.evictions + 1;
+    Line_log.append t.log ~line ~off ~src:t.volatile ~src_pos ~len
+  end
+  else Line_log.append t.log ~line ~off ~src:t.undo ~src_pos:0 ~len
 
 let check_range t addr len =
   if addr < 0 || len < 0 || addr + len > t.size_bytes then
@@ -238,19 +283,18 @@ let[@inline] touch_llc t line =
   end
 
 (* Accounting for a store whose [len] bytes are already in the volatile
-   image at [addr] (and stay within one line): LLC probe, Precise-mode
-   logging, dirty tracking, and the stats/clock charges — in the same
-   order as the historical blit-from-scratch path, so the charged
-   [sim_ns] is bit-identical. Logging reads the store's bytes back out of
-   the volatile image itself, which lets every caller skip the scratch
+   image at [addr] (and stay within one line), and whose overwritten bytes
+   [save_undo] kept: LLC probe, Precise-mode logging, dirty
+   tracking, and the stats/clock charges — in the same order as the
+   historical blit-from-scratch path, so the charged [sim_ns] is
+   bit-identical. Logging reads the store's bytes back out of the
+   volatile image itself, which lets every caller skip the scratch
    staging buffer (fast paths write their payload directly). *)
 let[@inline] store_committed t addr len =
   let line = addr lsr line_shift in
   touch_llc t line;
   if t.is_precise then
-    record_store t line
-      ~off:(addr land (line_size - 1))
-      ~src:t.volatile ~src_pos:addr ~len;
+    record_store t line ~off:(addr land (line_size - 1)) ~src_pos:addr ~len;
   mark_dirty t line;
   let st = t.stats in
   st.Stats.writes <- st.Stats.writes + 1;
@@ -282,8 +326,6 @@ let charge_read_span t addr len =
 
 (* Unchecked little-endian word access, for callers that have already
    range-checked [addr]. *)
-external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
-external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 external swap64 : int64 -> int64 = "%bswap_int64"
 
 let[@inline] load64 b i =
@@ -320,6 +362,7 @@ let write_i64 t addr v =
     check_range t addr 8;
     invalid_arg "Region.write_i64: unaligned"
   end;
+  save_undo t addr 8;
   store64 t.volatile addr v;
   store_committed t addr 8
 
@@ -341,6 +384,7 @@ let write_int t addr v =
     check_range t addr 8;
     invalid_arg "Region.write_int: unaligned"
   end;
+  save_undo t addr 8;
   set_int_le t.volatile addr v;
   store_committed t addr 8
 
@@ -362,6 +406,7 @@ let write_u64 t addr ~hi ~lo =
     check_range t addr 8;
     invalid_arg "Region.write_u64: unaligned"
   end;
+  save_undo t addr 8;
   store64 t.volatile addr
     (Int64.logor
        (Int64.shift_left (Int64.of_int hi) 32)
@@ -375,6 +420,7 @@ let read_u8 t addr =
 
 let write_u8 t addr v =
   if addr < 0 || addr >= t.size_bytes then check_range t addr 1;
+  save_undo t addr 1;
   Bytes.unsafe_set t.volatile addr (Char.unsafe_chr (v land 0xff));
   store_committed t addr 1
 
@@ -386,6 +432,7 @@ let rec write_span t addr src src_pos len =
   if len > 0 then begin
     let line_end = (addr lor (line_size - 1)) + 1 in
     let chunk = min len (line_end - addr) in
+    save_undo t addr chunk;
     Bytes.blit src src_pos t.volatile addr chunk;
     store_committed t addr chunk;
     write_span t (addr + chunk) src (src_pos + chunk) (len - chunk)
@@ -400,6 +447,7 @@ let rec string_span t addr s pos len =
   if len > 0 then begin
     let line_end = (addr lor (line_size - 1)) + 1 in
     let chunk = min len (line_end - addr) in
+    save_undo t addr chunk;
     Bytes.blit_string s pos t.volatile addr chunk;
     store_committed t addr chunk;
     string_span t (addr + chunk) s (pos + chunk) (len - chunk)
@@ -432,6 +480,7 @@ let blit_within t ~src ~dst ~len =
       if len > 0 then begin
         let line_end = (dst lor (line_size - 1)) + 1 in
         let chunk = min len (line_end - dst) in
+        save_undo t dst chunk;
         Bytes.blit t.volatile src t.volatile dst chunk;
         store_committed t dst chunk;
         loop (dst + chunk) (src + chunk) (len - chunk)
@@ -453,7 +502,8 @@ let pending_wb_count t = Util.Ivec.length t.pending_wb
    lines were either just committed or just lost to a crash/flush). *)
 let clear_pending_wb t =
   for i = 0 to Util.Ivec.length t.pending_wb - 1 do
-    Bytes.unsafe_set t.wb_pending (Util.Ivec.get t.pending_wb i) '\000'
+    let w = 2 * Util.Ivec.get t.pending_wb i in
+    t.lines.{w} <- t.lines.{w} land lnot wb_bit
   done;
   Util.Ivec.clear t.pending_wb
 
@@ -462,8 +512,9 @@ let clwb t addr =
   let line = line_of_addr addr in
   (* Re-flushing an already-pending line is a no-op at the next fence;
      pushing it again would grow the vector and re-commit redundantly. *)
-  if Bytes.unsafe_get t.wb_pending line = '\000' then begin
-    Bytes.unsafe_set t.wb_pending line '\001';
+  let w0 = t.lines.{2 * line} in
+  if w0 land wb_bit = 0 then begin
+    t.lines.{2 * line} <- w0 lor wb_bit;
     Util.Ivec.push t.pending_wb line
   end;
   t.stats.Stats.clwb <- t.stats.Stats.clwb + 1;
@@ -576,20 +627,20 @@ let advance_clock t ns = Stats.add_ns t.stats ns
 let crash_with t ~choose =
   if not (precise t) then
     failwith "Region.crash: region was created in Counting mode";
-  Line_log.crash t.log ~lines:t.dirty_list ~choose ~dst:t.persisted;
-  (* Empty the dirty set without committing volatile content. *)
+  (* Each dirty line's stores past the chosen prefix are undone in the
+     volatile image; clean lines already hold their durable content.
+     Then the dirty set empties without a write-back. *)
+  Line_log.crash t.log ~lines:t.dirty_list ~choose ~dst:t.volatile;
   Util.Ivec.iter
     (fun line ->
-      Bytes.unsafe_set t.dirty line '\000';
-      t.dirty_pos.(line) <- -1)
+      t.lines.{2 * line} <- t.lines.{2 * line} land lnot pos_mask;
+      mirror_line t line)
     t.dirty_list;
   Util.Ivec.clear t.dirty_list;
   clear_pending_wb t;
   (* Power is gone: the LLC is cold. Without this, post-crash recovery
      reads of pre-crash-hot lines were never charged [mem_miss_ns]. *)
   Array.fill t.llc_tags 0 (Array.length t.llc_tags) 0;
-  mirror_all t;
-  Bytes.blit t.persisted 0 t.volatile 0 (Bytes.length t.persisted);
   t.stats.Stats.crashes <- t.stats.Stats.crashes + 1;
   trace_event t Obs.Trace.Crash
 
@@ -599,14 +650,15 @@ let crash t rng =
 let crash_persist_none t = crash_with t ~choose:(fun ~line:_ ~nwrites:_ -> 0)
 let crash_persist_all t = crash_with t ~choose:(fun ~line:_ ~nwrites -> nwrites)
 
-(* Install a reboot image: both views equal [image], cache empty. Used by
-   Image.load; not part of the simulated instruction set. *)
+(* Install a reboot image: the image is the region's content, durable
+   and volatile alike, cache empty. Used by Image.load; not part of the
+   simulated instruction set. *)
 let install_image t image =
   if not (precise t) then failwith "Region.install_image: Counting mode";
   let n = Bytes.length image in
-  if n > Bytes.length t.volatile then invalid_arg "Region.install_image";
+  if n > Bytes.length t.volatile || dirty_line_count t > 0 then
+    invalid_arg "Region.install_image";
   Bytes.blit image 0 t.volatile 0 n;
-  Bytes.blit image 0 t.persisted 0 n;
   mirror_all t;
   Array.fill t.llc_tags 0 (Array.length t.llc_tags) 0
 
@@ -621,10 +673,19 @@ let pending_writes t =
 
 let journal_footprint t = Line_log.footprint t.log
 
+let host_bytes t =
+  Line_log.host_bytes t.log
+  + (8 * (Util.Ivec.capacity t.dirty_list + Util.Ivec.capacity t.pending_wb))
+
+let read_persisted t addr ~len =
+  if not (precise t) then failwith "Region.read_persisted: Counting mode";
+  check_range t addr len;
+  let b = Bytes.sub t.volatile addr len in
+  Line_log.undo_into t.log ~dst:b ~addr;
+  b
+
 let read_persisted_i64 t addr =
-  if not (precise t) then
-    failwith "Region.read_persisted_i64: Counting mode";
-  Bytes.get_int64_le t.persisted addr
+  Bytes.get_int64_le (read_persisted t addr ~len:8) 0
 
 (* --- cross-process mirror attach/load --------------------------------- *)
 
@@ -656,11 +717,10 @@ let load_mirror (cfg : Config.t) ~path =
         (fun () -> map_mirror_fd fd cfg.size_bytes)
     in
     let t = create cfg in
-    let img = Bytes.create cfg.size_bytes in
-    for i = 0 to cfg.size_bytes - 1 do
-      Bytes.unsafe_set img i (Bigarray.Array1.unsafe_get m i)
+    (* Nothing is dirty after a reboot: the mirror is the volatile image. *)
+    for w = 0 to (cfg.size_bytes / 8) - 1 do
+      set64u t.volatile (8 * w) (big_get64u m (8 * w))
     done;
-    install_image t img;
     t.mirror <- Some m;
     Some t
   end

@@ -1,15 +1,18 @@
 (** The simulated persistent region: a byte-addressable NVM address space
     behind a write-back CPU cache.
 
-    Two images are maintained: the {e volatile} image (what loads observe —
-    cache plus memory, i.e. the most recent stores) and the {e persisted}
-    image (what would survive a power failure). Stores update the volatile
-    image and dirty the containing 64-byte line; a line's content reaches
-    the persisted image when it is written back — by [clwb]+[sfence], by a
-    capacity eviction, or by the global [wbinvd] flush. On a {!crash}, each
-    dirty line persists an arbitrary program-order prefix of its pending
-    stores (the PCSO model, §2.1), the volatile image is discarded, and
-    execution must recover from the persisted image alone.
+    The region holds one image, the {e volatile} one (what loads observe —
+    cache plus memory, i.e. the most recent stores). Stores update it and
+    dirty the containing 64-byte line; a line's content becomes durable
+    when it is written back — by [clwb]+[sfence], by a capacity eviction,
+    or by the global [wbinvd] flush. The {e persisted} view (what would
+    survive a power failure) is derived: a clean line's durable content is
+    its volatile line, a dirty line's is its base, the line before the
+    store that dirtied it, which the Precise-mode journal ({!Line_log})
+    keeps as the bytes each pending store overwrote. On a {!crash}, each dirty line persists an
+    arbitrary program-order prefix of its pending stores (the PCSO model,
+    §2.1), every other volatile byte is lost, and execution must recover
+    from the persisted view alone.
 
     Addresses are byte offsets into the region; offset 0 plays the role of
     the null pointer and is never handed out by allocators. A region is
@@ -22,7 +25,9 @@ type addr = int
 (** Byte offset into the region. *)
 
 val create : Config.t -> t
-(** Fresh region, zero-filled, both images identical, nothing dirty. *)
+(** Fresh region, zero-filled, nothing dirty. Raises [Invalid_argument]
+    if the size is not a positive multiple of 64, exceeds 2{^32}-1 lines,
+    or [max_line_log_bytes] exceeds {!Line_log.max_line_log_bytes}. *)
 
 val config : t -> Config.t
 val stats : t -> Stats.t
@@ -139,7 +144,7 @@ val clwb : t -> addr -> unit
 
 val sfence : t -> unit
 (** Drain: every line [clwb]'d since the previous fence is committed to the
-    persisted image. Expensive — a full NVM round trip (plus the emulated
+    persisted view. Expensive — a full NVM round trip (plus the emulated
     extra latency of Figures 3/8). *)
 
 val pending_wb_count : t -> int
@@ -185,9 +190,9 @@ val advance_clock : t -> float -> unit
 
 val crash : t -> Util.Rng.t -> unit
 (** Power failure: for each dirty line, an independently chosen uniform
-    prefix of its pending stores is applied to the persisted image; then
-    the volatile image is reloaded from the persisted one and all cache
-    state is lost. *)
+    prefix of its pending stores persists — the stores after it are
+    undone in the volatile image, which leaves the line's base plus the
+    prefix; all cache state is lost. *)
 
 val crash_with : t -> choose:(line:int -> nwrites:int -> int) -> unit
 (** Adversarial crash: [choose ~line ~nwrites] picks how many of the
@@ -201,8 +206,9 @@ val crash_persist_all : t -> unit
     flush followed by a clean restart). *)
 
 val install_image : t -> Bytes.t -> unit
-(** Used by {!Image.load}: set both views to a reboot image with a cold
-    cache. Precise mode only. *)
+(** Used by {!Image.load}: make a reboot image the region's content,
+    durable and volatile alike, with a cold cache. Precise mode only, on a
+    region with no dirty line. *)
 
 val pending_writes : t -> (int * int) list
 (** Dirty lines and their pending-store counts, sorted by line id (drives
@@ -212,10 +218,16 @@ val journal_footprint : t -> Line_log.footprint
 (** Live content and allocated storage of the pending-store journal
     (white-box memory-bound testing). *)
 
+val host_bytes : t -> int
+(** Host memory the region holds beyond its volatile image and its LLC
+    tag array: the per-line records, the dirty and write-back lists and
+    the journal's storage. A function of the store sequence alone, so a
+    ceiling on it catches a second image coming back. *)
+
 (** {1 Cross-process persistence (Precise mode only)}
 
-    A file-backed shared mmap shadowing the persisted image, updated at
-    every instant the persisted image changes (line commit, simulated
+    A file-backed shared mmap shadowing the persisted view, updated at
+    every instant the persisted view changes (line commit, simulated
     crash, image install). Because the mapping is [MAP_SHARED], the bytes
     survive the process being SIGKILLed — the cross-process analogue of
     NVM outliving a power failure. The file deliberately holds {e only}
@@ -224,15 +236,21 @@ val journal_footprint : t -> Line_log.footprint
 
 val attach_mirror : t -> path:string -> unit
 (** Create (or truncate) [path] at the region's size, mmap it shared,
-    dump the current persisted image into it, and keep it in sync from
+    dump the current persisted view into it, and keep it in sync from
     now on. *)
 
 val load_mirror : Config.t -> path:string -> t option
 (** Rebuild a region from a mirror file left behind by a previous
-    process: both views are set to the mirrored persisted image (cold
+    process: the mirrored persisted view becomes the volatile image (cold
     cache, nothing dirty) and the mapping is re-attached for future
     updates. [None] if the file does not exist or its size does not
     match [cfg.size_bytes] — callers fall back to a fresh region. *)
 
+val read_persisted : t -> addr -> len:int -> Bytes.t
+(** A copy of [len] bytes of the persisted view at [addr], uncharged: the
+    volatile bytes with every pending store undone ({!Image.save} reads
+    the whole region this way). Precise mode only. *)
+
 val read_persisted_i64 : t -> addr -> int64
-(** Inspect the persisted image (white-box testing only). *)
+(** The little-endian word at [addr] of the persisted view, uncharged
+    (white-box testing). *)

@@ -22,7 +22,7 @@ type t = {
   mutable wbinvd : int;  (** Global cache flushes (one per epoch). *)
   mutable wbinvd_lines : int;  (** Dirty lines written back by those flushes. *)
   mutable lines_committed : int;
-      (** Lines whose volatile content reached the persisted image, for any
+      (** Lines whose volatile content became durable, for any
           reason (clwb+sfence, eviction, wbinvd, incremental sweep). *)
   mutable sweep_quanta : int;
       (** Bounded incremental-sweep quanta ({!Region.flush_some} calls that

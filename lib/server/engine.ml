@@ -54,6 +54,13 @@ type t = {
   listen_fd : Unix.file_descr;
   bound : Wire.Client.addr;
   mutable accepted : int;  (* round-robin cursor, domain 0 only *)
+  (* Out of descriptors, accept fails while the listener stays readable.
+     Domain 0 then leaves the listener out of its select until a
+     connection closes ([closes] moves past [paused_closes]) or
+     [paused_until] (Unix seconds; 0 when not paused) passes. *)
+  mutable paused_until : float;
+  mutable paused_closes : int;
+  closes : int Atomic.t;  (* connections closed, every domain *)
   c_refused : int ref;  (* "server.conn_refused", domain 0 only *)
   stop_flag : bool Atomic.t;
   accepting : bool Atomic.t;  (* false once domain 0 closed the listener *)
@@ -427,12 +434,19 @@ let sweep t i buf conn =
   done;
   conn.reading <- false
 
+let accept_pause_s = 0.05
+
 (* Accept one pending connection on domain 0 and hand it to the next
-   domain round-robin; [false] when none is pending. A descriptor that
-   select cannot watch (>= FD_SETSIZE) is closed at once: its peer sees
-   EOF, and everything else keeps being served. *)
+   domain round-robin; [false] when none is pending or none can be
+   accepted now. A descriptor that select cannot watch (>= FD_SETSIZE) is
+   closed at once: its peer sees EOF, and everything else keeps being
+   served. *)
 let accept_one t =
   match restart_eintr (fun () -> Unix.accept ~cloexec:true t.listen_fd) with
+  | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
+      t.paused_until <- Unix.gettimeofday () +. accept_pause_s;
+      t.paused_closes <- Atomic.get t.closes;
+      false
   | exception Unix.Unix_error _ -> false
   | fd, _ ->
       (match Unix.select [] [ fd ] [] 0.0 with
@@ -452,6 +466,19 @@ let accept_one t =
           incr t.c_refused;
           Unix.close fd);
       true
+
+(* Domain 0: whether the listener belongs in the select set, and the
+   select timeout that ends a pause. *)
+let listener_wanted t =
+  if t.paused_until = 0.0 then (true, -1.0)
+  else begin
+    let left = t.paused_until -. Unix.gettimeofday () in
+    if left <= 0.0 || Atomic.get t.closes <> t.paused_closes then begin
+      t.paused_until <- 0.0;
+      (true, -1.0)
+    end
+    else (false, left)
+  end
 
 (* Shard domain [i]: one select over its job queue's wake fd and the
    connections it owns (on domain 0, also the listener). *)
@@ -491,6 +518,8 @@ let shard_loop t i =
           t.conns.(i)
       in
       List.iter (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ()) finished;
+      if finished <> [] then
+        ignore (Atomic.fetch_and_add t.closes (List.length finished));
       t.conns.(i) <- live;
       if settled && live = [] && not !reported then begin
         reported := true;
@@ -498,11 +527,13 @@ let shard_loop t i =
           Array.iter Bqueue.close t.queues
       end;
       let fds keep = List.filter_map (fun c -> if keep c then Some c.fd else None) live in
-      let listening = i = 0 && not !stopping in
+      let listening, timeout =
+        if i = 0 && not !stopping then listener_wanted t else (false, -1.0)
+      in
       let rd = fds (fun c -> c.reading && Buffer.length c.out <= out_cap) in
       let rd = Bqueue.wake_fd q :: (if listening then t.listen_fd :: rd else rd) in
       let wr = fds (fun c -> Buffer.length c.out > 0) in
-      let r, _, _ = restart_eintr (fun () -> Unix.select rd wr [] (-1.0)) in
+      let r, _, _ = restart_eintr (fun () -> Unix.select rd wr [] timeout) in
       if listening && List.mem t.listen_fd r then while accept_one t do () done;
       List.iter
         (fun c ->
@@ -547,6 +578,9 @@ let start ?config ?(queue_capacity = 1024) ?(batch = 64) ?on_dequeue ?store
       listen_fd;
       bound;
       accepted = 0;
+      paused_until = 0.0;
+      paused_closes = 0;
+      closes = Atomic.make 0;
       c_refused =
         Obs.Registry.counter
           (Incll.System.metrics (Store.Sharded.shard store 0))

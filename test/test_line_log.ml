@@ -14,10 +14,16 @@
    are on, multi-line stores are issued one line at a time, and where they
    are off, through one [write_bytes] that splits them itself.
 
-   After every step [pending_writes] must equal the reference's counts.
-   Each run ends in a crash through [crash_with] with a seeded random
-   prefix per line; the region's persisted image must then equal the
-   reference's with the same prefixes applied. *)
+   After every step [pending_writes] must equal the reference's counts,
+   and the region's persisted view over the window ([read_persisted],
+   which undoes the pending stores) and its mirror file must equal the
+   reference's persisted image. That covers the two stores that commit
+   the line they are recording: a log-size eviction, which re-dirties
+   the line mid-store with the store itself already persisted, and a
+   capacity eviction that picks the line just stored. Each run ends in a
+   crash through [crash_with] with a seeded random prefix per line; the
+   region's image and its mirror must then equal the reference's with the
+   same prefixes applied. *)
 
 module Region = Nvm.Region
 
@@ -137,8 +143,25 @@ let ref_counts rf =
   Hashtbl.fold (fun line l acc -> (line, List.length l) :: acc) rf.pending []
   |> List.sort compare
 
+
+(* Unbuffered reads: an in_channel would serve a seek back into its
+   buffer from the buffer, not from the file. *)
+let mirror_window fd =
+  let b = Bytes.create window in
+  let rec go pos =
+    if pos < window then
+      go (pos + Unix.read fd b pos (window - pos))
+  in
+  ignore (Unix.lseek fd lo Unix.SEEK_SET);
+  go 0;
+  Bytes.to_string b
+
 let run ?(wbinvd = true) ~max_dirty_lines ~max_line_log_bytes ~steps ~seed () =
   let r = Region.create (cfg ~max_dirty_lines ~max_line_log_bytes) in
+  let mirror = Filename.temp_file "line_log" ".nvm" in
+  Region.attach_mirror r ~path:mirror;
+  let fd = Unix.openfile mirror [ Unix.O_RDONLY ] 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd; Sys.remove mirror) @@ fun () ->
   let rf =
     {
       persisted = Bytes.make size_bytes '\000';
@@ -152,7 +175,17 @@ let run ?(wbinvd = true) ~max_dirty_lines ~max_line_log_bytes ~steps ~seed () =
   for i = 1 to steps do
     step ~split ~wbinvd rng r rf;
     Alcotest.(check (list (pair int int)))
-      (at i ^ ": pending_writes") (ref_counts rf) (Region.pending_writes r)
+      (at i ^ ": pending_writes") (ref_counts rf) (Region.pending_writes r);
+    let expect = Bytes.sub_string rf.persisted lo window in
+    Alcotest.(check string)
+      (at i ^ ": persisted view") expect
+      (Bytes.to_string (Region.read_persisted r lo ~len:window));
+    let w = lo + (8 * (i * 37 mod (window / 8))) in
+    Alcotest.(check int64)
+      (at i ^ ": persisted word")
+      (Bytes.get_int64_le rf.persisted w)
+      (Region.read_persisted_i64 r w);
+    Alcotest.(check string) (at i ^ ": mirror") expect (mirror_window fd)
   done;
   let crng = Util.Rng.create ~seed:(seed + 1000) in
   let chosen = Hashtbl.create 64 in
@@ -174,6 +207,14 @@ let run ?(wbinvd = true) ~max_dirty_lines ~max_line_log_bytes ~steps ~seed () =
     (at steps ^ ": persisted image after crash")
     true
     (Bytes.equal rf.persisted (Region.read_bytes r 0 ~len:size_bytes));
+  Alcotest.(check bool)
+    (at steps ^ ": persisted view after crash")
+    true
+    (Bytes.equal rf.persisted (Region.read_persisted r 0 ~len:size_bytes));
+  Alcotest.(check string)
+    (at steps ^ ": mirror after crash")
+    (Bytes.sub_string rf.persisted lo window)
+    (mirror_window fd);
   Alcotest.(check (list (pair int int))) "nothing pending after crash" []
     (Region.pending_writes r)
 

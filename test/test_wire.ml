@@ -809,6 +809,79 @@ let differential_oracle () =
     (fun seed -> List.iter (fun shards -> oracle_one ~seed ~shards) [ 1; 4 ])
     [ 3; 5; 7; 11 ]
 
+(* Utime + stime of [pid] in seconds (/proc/<pid>/stat fields 14 and
+   15, in USER_HZ = 100 ticks). *)
+let cpu_s pid =
+  let ic = open_in (Printf.sprintf "/proc/%d/stat" pid) in
+  let line = Fun.protect ~finally:(fun () -> close_in ic) (fun () -> input_line ic) in
+  let rest = String.sub line (String.rindex line ')' + 2)
+      (String.length line - String.rindex line ')' - 2) in
+  let f = Array.of_list (String.split_on_char ' ' rest) in
+  float_of_string (f.(11)) /. 100.0 +. float_of_string (f.(12)) /. 100.0
+
+(* Out of descriptors, accept fails with EMFILE while the listener stays
+   readable. A server limited to 32 descriptors and holding more
+   connections than it can accept must idle (not spin on the listener),
+   and serve the connections that waited once others close. *)
+let emfile_does_not_spin () =
+  let exe =
+    Filename.concat (Filename.dirname Sys.executable_name)
+      "../bin/incll_server.exe"
+  in
+  let path = Filename.temp_file "incll_emfile" ".sock" in
+  Sys.remove path;
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Unix.create_process "/bin/sh"
+      [| "/bin/sh"; "-c"; "ulimit -n 32; exec \"$0\" --listen \"unix:$1\" --shards 1";
+         exe; path |]
+      Unix.stdin null null
+  in
+  Unix.close null;
+  let fds = ref [] in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter Unix.close !fds;
+      Unix.kill pid Sys.sigkill;
+      ignore (Unix.waitpid [] pid);
+      if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      let rec wait k =
+        if not (Sys.file_exists path) && k > 0 then begin
+          Unix.sleepf 0.05;
+          wait (k - 1)
+        end
+      in
+      wait 200;
+      let connect () =
+        let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Unix.connect fd (Unix.ADDR_UNIX path);
+        fds := fd :: !fds;
+        fd
+      in
+      (* More than 32 connections: the later ones wait in the backlog. *)
+      let conns = List.init 40 (fun _ -> connect ()) in
+      Unix.sleepf 0.3;
+      let c0 = cpu_s pid in
+      Unix.sleepf 1.0;
+      let idle = cpu_s pid -. c0 in
+      check (Printf.sprintf "idle second costs %.2f s CPU, < 0.1 s" idle) true
+        (idle < 0.1);
+      (* Closing the first half frees more descriptors than connections
+         wait, so the last connection gets accepted and served. *)
+      List.iteri
+        (fun i fd ->
+          if i < 20 then begin
+            fds := List.filter (fun f -> f <> fd) !fds;
+            Unix.close fd
+          end)
+        conns;
+      let last = List.nth conns 39 in
+      check "waiting connection served after closes" true
+        (match raw_get last "k" with
+        | Some { P.status = P.Not_found; _ } -> true
+        | _ -> false))
+
 let tests =
   ( "wire",
     [
@@ -840,6 +913,8 @@ let tests =
         many_sessions;
       Alcotest.test_case "pipelined commit then GET" `Quick
         pipelined_commit_then_get;
+      Alcotest.test_case "idles while out of descriptors" `Quick
+        emfile_does_not_spin;
       Alcotest.test_case "refuses fds select cannot watch" `Quick
         refuses_unselectable_fds;
       Alcotest.test_case "differential oracle: wire = in-process" `Slow
