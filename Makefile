@@ -116,14 +116,12 @@ latency-improve: latency-throughput latency-latency
 
 latency: latency-throughput latency-latency latency-rto latency-improve
 
-# --max-host-bytes: what a Precise 8 MiB region holds beyond its volatile
-# image after a fixed store sequence (2,884,096 bytes: 16-byte per-line
-# records, the dirty list and the pending-store journal). A second full
-# image (8 MiB) or a wider per-line record (1 MiB per 8 bytes) fails it.
+# Also fails if Precise crash support holds more host bytes than its
+# committed ceiling (Bench_harness.Host_footprint).
 microbench:
 	dune exec bin/microbench.exe -- --stores 200000 --spans 50000 \
 	  --keys 2000 --ops 2000 --threads 2 --min-mops 0.005 \
-	  --max-host-bytes 3145728 --json _build/microbench_check.json
+	  --json _build/microbench_check.json
 
 # Serving-layer gate: start a real bin/incll_server.exe process on a
 # unix socket, drive it with the remote open-loop bench, SIGTERM it and

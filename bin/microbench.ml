@@ -20,10 +20,11 @@
      --json FILE   write a machine-readable report
      --min-mops F  exit 1 if the YCSB-A wall-clock Mops falls below F
                    (0 = report only; used by the CI smoke gate)
-     --max-host-bytes N
-                   exit 1 if the Precise region's host bytes beyond its
-                   volatile image and LLC tags, after a fixed store
-                   sequence, exceed N (0 = report only)
+
+   It also exits 1 if the host bytes Precise crash support holds after a
+   fixed store sequence exceed their committed ceiling
+   (Bench_harness.Host_footprint), so a second full image cannot return
+   unnoticed.
 
    The simulated counters (writes/reads/clwb/sfence/sim_ns) of the
    YCSB-A section are included in the report: two builds that disagree
@@ -41,7 +42,6 @@ type opts = {
   mutable seed : int;
   mutable json_file : string option;
   mutable min_mops : float;
-  mutable max_host_bytes : int;
 }
 
 let opts =
@@ -54,14 +54,12 @@ let opts =
     seed = 1;
     json_file = None;
     min_mops = 0.0;
-    max_host_bytes = 0;
   }
 
 let usage () =
   print_endline
     "usage: microbench [--stores N] [--spans N] [--keys N] [--ops N]\n\
-     \                  [--threads N] [--seed N] [--json FILE] [--min-mops F]\n\
-     \                  [--max-host-bytes N]";
+     \                  [--threads N] [--seed N] [--json FILE] [--min-mops F]";
   exit 2
 
 let positive flag v =
@@ -97,9 +95,6 @@ let parse_args () =
         go rest
     | "--min-mops" :: v :: rest ->
         opts.min_mops <- float_of_string v;
-        go rest
-    | "--max-host-bytes" :: v :: rest ->
-        opts.max_host_bytes <- positive "--max-host-bytes" v;
         go rest
     | ("--help" | "-h") :: _ -> usage ()
     | x :: _ ->
@@ -277,20 +272,17 @@ let precise_wbinvd () =
   Printf.printf "  %-24s %9.2f ns/line (%d lines per wbinvd)\n%!"
     "precise wbinvd" !wbinvd_ns_per_line (!lines / 5)
 
-(* What crash support holds on the host beyond the volatile image the
-   loads read: the per-line records, the dirty list and the journal of
-   pending stores. A fixed sequence (20,000 random word stores, no
-   write-back), so the count is the same on every host and option set. *)
+(* What Precise crash support holds on the host after a fixed store
+   sequence: the per-line records and the journal of pending stores (see
+   Bench_harness.Host_footprint). *)
 let precise_host_bytes () =
-  let region = fresh_region Nvm.Config.Precise in
-  random_stores region (Util.Rng.create ~seed:1) 20_000;
-  host_bytes := Nvm.Region.host_bytes region;
-  let nlines = region_mb * 1024 * 1024 / Nvm.Config.line_size in
-  Printf.printf
-    "  %-24s %9d bytes (%.1f per line; %d dirty lines)\n%!"
+  let module F = Bench_harness.Host_footprint in
+  host_bytes := F.precise_extra_bytes ();
+  let nlines = F.region_mb * 1024 * 1024 / Nvm.Config.line_size in
+  Printf.printf "  %-24s %9d bytes (%.1f per line; ceiling %d)\n%!"
     "precise host bytes" !host_bytes
     (float_of_int !host_bytes /. float_of_int nlines)
-    (Nvm.Region.dirty_line_count region)
+    F.ceiling
 
 (* -------------------------------------------------------------- ycsb-a *)
 
@@ -396,10 +388,10 @@ let () =
       ycsb_mops opts.min_mops;
     exit 1
   end;
-  if opts.max_host_bytes > 0 && !host_bytes > opts.max_host_bytes then begin
+  if !host_bytes > Bench_harness.Host_footprint.ceiling then begin
     Printf.eprintf
-      "microbench: Precise region holds %d host bytes beyond its image, \
-       above the --max-host-bytes %d ceiling\n"
-      !host_bytes opts.max_host_bytes;
+      "microbench: Precise crash support holds %d host bytes, above its \
+       %d-byte ceiling\n"
+      !host_bytes Bench_harness.Host_footprint.ceiling;
     exit 1
   end

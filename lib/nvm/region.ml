@@ -1,5 +1,22 @@
 type addr = int
 
+(* The per-line record array: off the OCaml heap, so the major GC never
+   scans it, and malloc'd, so its 16-byte records never straddle a host
+   cache line. *)
+type record = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+(* Precise mode: the dirty lines' pending stores (see "pending-store
+   journal" below). *)
+type journal = {
+  mutable entries : int array;
+  mutable n : int;
+  mutable payload : Bytes.t;
+  mutable payload_len : int;
+  mutable pending_lines : int;  (* lines with a non-zero count *)
+  mutable live : int;  (* sum of the pending counts *)
+  mutable live_bytes : int;  (* sum of the pending payload bytes *)
+}
+
 type t = {
   cfg : Config.t;
   nlines : int;
@@ -17,12 +34,10 @@ type t = {
   mem_miss_ns : float;
   clwb_ns : float;
   volatile : Bytes.t;
-  (* The per-line record, two ints per line (Line_log's layout). Word 0
-     bits 0-31 hold the line's index in [dirty_list] + 1 (0: clean), bit
-     32 whether it is in [pending_wb]; the rest is the journal's. *)
-  lines : Line_log.record;
+  lines : record;  (* one record per line, laid out below *)
+  rec_shift : int;  (* log2 of the ints per record: 1 Precise, 0 Counting *)
   dirty_list : Util.Ivec.t;  (* line ids, unordered *)
-  log : Line_log.t;  (* Precise mode: pending stores *)
+  log : journal;
   undo : Bytes.t;  (* the bytes the store in progress overwrites *)
   pending_wb : Util.Ivec.t;  (* lines clwb'd since the last sfence *)
   evict_rng : Util.Rng.t;
@@ -59,14 +74,27 @@ let line_shift = 6
 let line_size = 64
 let () = assert (line_shift = Config.line_shift && line_size = Config.line_size)
 
-(* The region's bits of a line's record word 0, and where word 1 keeps
-   the pending payload bytes (as literals, like the geometry). *)
+(* The per-line record: in Precise mode words [2l] and [2l+1] of
+   [lines], 16 bytes, so one host cache miss reaches all of a line's
+   bookkeeping; in Counting mode word 0 alone, at [l].
+   - word 0, bits 0-31 ([pos_mask]): the line's index in [dirty_list] + 1
+     (0: clean); bit 32 ([wb_bit]): whether it is in [pending_wb]; bits
+     33-62: its pending-store count (Precise mode);
+   - word 1: [since], the index of the line's first live journal entry
+     (bits 0-41), lor its pending payload bytes lsl [bytes_shift]. *)
 let pos_mask = 0xffff_ffff
 let wb_bit = 1 lsl 32
+let flags_mask = pos_mask lor wb_bit
+let count_shift = 33
+let since_mask = (1 lsl 42) - 1
 let bytes_shift = 42
-let () =
-  assert (pos_mask lor wb_bit = Line_log.owner_mask);
-  assert (bytes_shift = Line_log.bytes_shift)
+
+(* Largest [max_line_log_bytes] the bytes field can count: the bound may
+   be exceeded by one store of at most a line. *)
+let max_line_log_bytes = (1 lsl 21) - 1 - line_size
+
+(* Index of word 0 of [line]'s record in [lines]. *)
+let[@inline] ix t line = line lsl t.rec_shift
 
 let line_of_addr addr = addr lsr line_shift
 let same_line a b = line_of_addr a = line_of_addr b
@@ -77,10 +105,10 @@ let create (cfg : Config.t) =
   if cfg.size_bytes <= 0 || cfg.size_bytes land (line_size - 1) <> 0
   then invalid_arg "Region.create: size must be a positive multiple of 64";
   let nlines = cfg.size_bytes / line_size in
+  let rec_shift = if cfg.crash_support = Config.Precise then 1 else 0 in
   if nlines >= pos_mask then invalid_arg "Region.create: region too large";
-  if cfg.max_line_log_bytes > Line_log.max_line_log_bytes then
+  if cfg.max_line_log_bytes > max_line_log_bytes then
     invalid_arg "Region.create: max_line_log_bytes too large";
-  let log = Line_log.create ~nlines in
   let metrics = Obs.Registry.create () in
   let stats = Stats.create () in
   let trace = Obs.Trace.create ~capacity:cfg.trace_capacity () in
@@ -103,9 +131,25 @@ let create (cfg : Config.t) =
     mem_miss_ns = cfg.cost.Config.mem_miss_ns;
     clwb_ns = cfg.cost.Config.clwb_ns;
     volatile = Bytes.make cfg.size_bytes '\000';
-    lines = Line_log.lines log;
+    lines =
+      (let a =
+         Bigarray.Array1.create Bigarray.int Bigarray.c_layout
+           (nlines lsl rec_shift)
+       in
+       Bigarray.Array1.fill a 0;
+       a);
+    rec_shift;
     dirty_list = Util.Ivec.create ~capacity:1024 ();
-    log;
+    log =
+      {
+        entries = Array.make 1024 0;
+        n = 0;
+        payload = Bytes.create 8192;
+        payload_len = 0;
+        pending_lines = 0;
+        live = 0;
+        live_bytes = 0;
+      };
     undo = Bytes.create line_size;
     pending_wb = Util.Ivec.create ~capacity:64 ();
     evict_rng = Util.Rng.create ~seed:0x5eed_ca5e;
@@ -126,12 +170,209 @@ let create (cfg : Config.t) =
     mirror = None;
   }
 
-(* --- persisted-view mirror --------------------------------------------- *)
+(* --- pending-store journal (Precise mode) ------------------------------ *)
 
-(* Unchecked native-endian word access to the volatile image and the
-   mirror: copies between them move 8 bytes per load/store pair. *)
+(* PCSO (§2.1) guarantees that two writes to the same cache line reach NVM
+   in program order, so a crashed line holds its last write-back plus a
+   program-order prefix of the stores made since, independently per
+   line. The region therefore keeps no second image: a clean line's
+   durable content is its volatile line, and a dirty line's is its base,
+   the line just before the store that dirtied it. The journal keeps each
+   base piecewise: every pending store is recorded with the bytes it
+   overwrote (its undo image), so undoing a line's stores newest first
+   turns its volatile line back into its base, and undoing all but the
+   first [k] leaves base plus a [k]-store prefix.
+
+   All lines share one flat journal, so the simulator holds no heap block
+   per cache line and no pointer per store: each store is one packed int
+   (line | off:6 bits | len:7 bits) in [entries], and its undo image is
+   appended to [payload]; a store's payload position is the running sum
+   of the lengths before it, so every walk reads the journal in order (or
+   in reverse). An entry is live iff its line has a non-zero pending count
+   and the entry's index is at least the line's [since]; committing a
+   line zeroes its count in O(1) and leaves its old entries stale.
+
+   When the last pending line is committed the journal is reset to empty.
+   When it is full it is compacted in place if fewer than half of the
+   full resource (entries or payload bytes) is live, and grown otherwise,
+   so its storage stays within a constant factor of the peak live content
+   even when the dirty set never drains. *)
+
+(* Unchecked native-endian word access: copies move 8 bytes per
+   load/store pair. *)
 external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+(* Copy [len] bytes, at most a line, from [src] at [spos] to [dst] at
+   [dpos] (ranges already checked): 8 bytes a step, then the tail, with
+   no C call, since [Bytes.blit]'s costs more than the copy. *)
+let[@inline] copy_small src spos dst dpos len =
+  let words = len land lnot 7 in
+  let i = ref 0 in
+  while !i < words do
+    set64u dst (dpos + !i) (get64u src (spos + !i));
+    i := !i + 8
+  done;
+  for k = words to len - 1 do
+    Bytes.unsafe_set dst (dpos + k) (Bytes.unsafe_get src (spos + k))
+  done
+
+let off_shift = 7
+let entry_line_shift = 13
+let len_mask = 0x7f
+let off_mask = 0x3f
+
+let pending_count t line = t.lines.{ix t line} lsr count_shift
+
+let journal_reset j =
+  j.n <- 0;
+  j.payload_len <- 0
+
+(* Whether entry [i], of [line], is live. *)
+let[@inline] entry_live t line i =
+  let k = ix t line in
+  t.lines.{k} lsr count_shift <> 0 && i >= t.lines.{k + 1} land since_mask
+
+(* Slide the live entries and their payloads to the front, in order. The
+   first live entry of a line sits exactly at its [since], so moving that
+   one entry re-anchors the line; its later entries all stay live. *)
+let compact t =
+  let j = t.log and lines = t.lines in
+  let entries = j.entries and payload = j.payload in
+  let w = ref 0 and wpos = ref 0 and rpos = ref 0 in
+  for i = 0 to j.n - 1 do
+    let e = entries.(i) in
+    let line = e lsr entry_line_shift and len = e land len_mask in
+    if entry_live t line i then begin
+      let k = ix t line + 1 in
+      if i = lines.{k} land since_mask then lines.{k} <- lines.{k} - i + !w;
+      entries.(!w) <- e;
+      Bytes.blit payload !rpos payload !wpos len;
+      incr w;
+      wpos := !wpos + len
+    end;
+    rpos := !rpos + len
+  done;
+  j.n <- !w;
+  j.payload_len <- !wpos
+
+let make_room t len =
+  let j = t.log in
+  let entries_full = j.n = Array.length j.entries in
+  let payload_full = j.payload_len + len > Bytes.length j.payload in
+  if
+    (entries_full && 2 * j.live < j.n)
+    || (payload_full && 2 * j.live_bytes < j.payload_len)
+  then compact t;
+  if j.n = Array.length j.entries then begin
+    let entries = Array.make (2 * j.n) 0 in
+    Array.blit j.entries 0 entries 0 j.n;
+    j.entries <- entries
+  end;
+  let needed = j.payload_len + len in
+  if needed > Bytes.length j.payload then begin
+    let payload = Bytes.create (max needed (2 * Bytes.length j.payload)) in
+    Bytes.blit j.payload 0 payload 0 j.payload_len;
+    j.payload <- payload
+  end
+
+(* Journal a store of [len] bytes at offset [off] of [line] whose undo
+   image is [src\[src_pos .. src_pos+len-1\]]. *)
+let journal_append t ~line ~off ~src ~src_pos ~len =
+  let j = t.log in
+  if j.n = Array.length j.entries || j.payload_len + len > Bytes.length j.payload
+  then make_room t len;
+  let i = ix t line in
+  let w0 = t.lines.{i} in
+  if w0 lsr count_shift = 0 then begin
+    t.lines.{i + 1} <- j.n;
+    j.pending_lines <- j.pending_lines + 1
+  end;
+  t.lines.{i} <- w0 + (1 lsl count_shift);
+  t.lines.{i + 1} <- t.lines.{i + 1} + (len lsl bytes_shift);
+  j.entries.(j.n) <- (line lsl entry_line_shift) lor (off lsl off_shift) lor len;
+  j.n <- j.n + 1;
+  copy_small src src_pos j.payload j.payload_len len;
+  j.payload_len <- j.payload_len + len;
+  j.live <- j.live + 1;
+  j.live_bytes <- j.live_bytes + len
+
+(* Drop every pending store of a line (it was written back). *)
+let journal_commit t line =
+  let j = t.log and i = ix t line in
+  let w0 = t.lines.{i} in
+  if w0 lsr count_shift <> 0 then begin
+    t.lines.{i} <- w0 land flags_mask;
+    j.live <- j.live - (w0 lsr count_shift);
+    j.live_bytes <- j.live_bytes - (t.lines.{i + 1} lsr bytes_shift);
+    t.lines.{i + 1} <- 0;
+    j.pending_lines <- j.pending_lines - 1;
+    if j.pending_lines = 0 then journal_reset j
+  end
+
+(* Walk the journal newest entry first, calling [f e pos] on each live
+   entry [e] whose payload starts at [pos]. *)
+let iter_live_rev t f =
+  let j = t.log in
+  let pos = ref j.payload_len in
+  for i = j.n - 1 downto 0 do
+    let e = j.entries.(i) in
+    pos := !pos - (e land len_mask);
+    if entry_live t (e lsr entry_line_shift) i then f e !pos
+  done
+
+(* [dst] holds the volatile bytes at [addr .. addr + length dst - 1]:
+   undo into it, newest first, every pending store, so it holds the
+   persisted view of that range. *)
+let undo_into t ~dst ~addr =
+  let stop = addr + Bytes.length dst in
+  iter_live_rev t (fun e pos ->
+      let a =
+        ((e lsr entry_line_shift) * line_size)
+        + ((e lsr off_shift) land off_mask)
+      in
+      let lo = max a addr and hi = min (a + (e land len_mask)) stop in
+      if lo < hi then
+        Bytes.blit t.log.payload (pos + lo - a) dst (lo - addr) (hi - lo))
+
+(* Power failure on the journal: walking [dirty_list] from the back, call
+   [choose] once per pending line; then, in one pass newest first, undo
+   in the volatile image every pending store of each line but its first
+   [k], and empty the journal. While this runs, a pending line's count
+   field holds the ordinal of its newest store not yet visited, and its
+   payload-bytes field how many of its stores persist. *)
+let journal_crash t ~choose =
+  let lines = t.lines and j = t.log in
+  for d = Util.Ivec.length t.dirty_list - 1 downto 0 do
+    let line = Util.Ivec.get t.dirty_list d in
+    let i = ix t line in
+    let n = lines.{i} lsr count_shift in
+    let k = choose ~line ~nwrites:n in
+    if k < 0 || k > n then invalid_arg "Region.crash_with: bad prefix";
+    lines.{i + 1} <- (lines.{i + 1} land since_mask) lor (k lsl bytes_shift)
+  done;
+  iter_live_rev t (fun e pos ->
+      let line = e lsr entry_line_shift in
+      let i = ix t line in
+      if lines.{i} lsr count_shift > lines.{i + 1} lsr bytes_shift then begin
+        let off = (e lsr off_shift) land off_mask in
+        Bytes.blit j.payload pos t.volatile ((line * line_size) + off)
+          (e land len_mask)
+      end;
+      (* Past the line's oldest live store the count is 0, so its stale
+         entries read as dead. *)
+      lines.{i} <- lines.{i} - (1 lsl count_shift));
+  for i = 0 to j.n - 1 do
+    let k = ix t (j.entries.(i) lsr entry_line_shift) in
+    lines.{k} <- lines.{k} land flags_mask;
+    lines.{k + 1} <- 0
+  done;
+  j.pending_lines <- 0;
+  j.live <- 0;
+  j.live_bytes <- 0;
+  journal_reset j
+
+(* --- persisted-view mirror --------------------------------------------- *)
 
 type bigstring =
   (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -161,7 +402,7 @@ let mirror_all t =
         if Util.Ivec.length t.dirty_list = 0 then t.volatile
         else begin
           let b = Bytes.copy t.volatile in
-          Line_log.undo_into t.log ~dst:b ~addr:0;
+          undo_into t ~dst:b ~addr:0;
           b
         end
       in
@@ -193,7 +434,7 @@ let all_series t =
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 let size t = t.cfg.Config.size_bytes
 let dirty_line_count t = Util.Ivec.length t.dirty_list
-let is_dirty_line t line = t.lines.{2 * line} land pos_mask <> 0
+let is_dirty_line t line = t.lines.{ix t line} land pos_mask <> 0
 
 (* --- dirty tracking ------------------------------------------------- *)
 
@@ -201,17 +442,19 @@ let is_dirty_line t line = t.lines.{2 * line} land pos_mask <> 0
    its volatile line: its pending stores are dropped, nothing is copied
    but the mirror's line. *)
 let commit_line t line =
-  let i = 2 * line in
+  let i = ix t line in
   let pos = t.lines.{i} land pos_mask in
   if pos <> 0 then begin
     if t.is_precise then begin
       mirror_line t line;
-      Line_log.commit t.log line
+      journal_commit t line
     end;
     t.lines.{i} <- t.lines.{i} land lnot pos_mask;
     let moved = Util.Ivec.swap_remove t.dirty_list (pos - 1) in
-    if moved >= 0 then
-      t.lines.{2 * moved} <- (t.lines.{2 * moved} land lnot pos_mask) lor pos;
+    if moved >= 0 then begin
+      let m = ix t moved in
+      t.lines.{m} <- (t.lines.{m} land lnot pos_mask) lor pos
+    end;
     t.stats.Stats.lines_committed <- t.stats.Stats.lines_committed + 1
   end
 
@@ -236,7 +479,7 @@ let evict_some t =
 
 (* [line] is in range: its address was checked. *)
 let[@inline] mark_dirty t line =
-  let i = 2 * line in
+  let i = ix t line in
   let w0 = Bigarray.Array1.unsafe_get t.lines i in
   if w0 land pos_mask = 0 then begin
     Bigarray.Array1.unsafe_set t.lines i (w0 lor (Util.Ivec.length t.dirty_list + 1));
@@ -248,9 +491,7 @@ let[@inline] mark_dirty t line =
    line) changes the volatile image: keep the bytes it overwrites, the
    undo image [record_store] journals. *)
 let[@inline] save_undo t addr len =
-  if t.is_precise then
-    if len = 8 then set64u t.undo 0 (get64u t.volatile addr)
-    else Bytes.blit t.volatile addr t.undo 0 len
+  if t.is_precise then copy_small t.volatile addr t.undo 0 len
 
 (* Record one intra-line store in Precise mode, evicting the line first if
    its pending stores outgrew the configured bound (a legal cache
@@ -258,14 +499,14 @@ let[@inline] save_undo t addr len =
    the volatile image, so that write-back persists it too: undoing it must
    then leave it in place, and its undo image is what it wrote. *)
 let record_store t line ~off ~src_pos ~len =
-  if Bigarray.Array1.unsafe_get t.lines ((2 * line) + 1) lsr bytes_shift
+  if Bigarray.Array1.unsafe_get t.lines (ix t line + 1) lsr bytes_shift
      > t.max_line_log_bytes
   then begin
     commit_line t line;
     t.stats.Stats.evictions <- t.stats.Stats.evictions + 1;
-    Line_log.append t.log ~line ~off ~src:t.volatile ~src_pos ~len
+    journal_append t ~line ~off ~src:t.volatile ~src_pos ~len
   end
-  else Line_log.append t.log ~line ~off ~src:t.undo ~src_pos:0 ~len
+  else journal_append t ~line ~off ~src:t.undo ~src_pos:0 ~len
 
 let check_range t addr len =
   if addr < 0 || len < 0 || addr + len > t.size_bytes then
@@ -287,9 +528,8 @@ let[@inline] touch_llc t line =
    [save_undo] kept: LLC probe, Precise-mode logging, dirty
    tracking, and the stats/clock charges — in the same order as the
    historical blit-from-scratch path, so the charged [sim_ns] is
-   bit-identical. Logging reads the store's bytes back out of the
-   volatile image itself, which lets every caller skip the scratch
-   staging buffer (fast paths write their payload directly). *)
+   bit-identical. Callers write their payload straight into the volatile
+   image, with no scratch staging buffer. *)
 let[@inline] store_committed t addr len =
   let line = addr lsr line_shift in
   touch_llc t line;
@@ -502,7 +742,7 @@ let pending_wb_count t = Util.Ivec.length t.pending_wb
    lines were either just committed or just lost to a crash/flush). *)
 let clear_pending_wb t =
   for i = 0 to Util.Ivec.length t.pending_wb - 1 do
-    let w = 2 * Util.Ivec.get t.pending_wb i in
+    let w = ix t (Util.Ivec.get t.pending_wb i) in
     t.lines.{w} <- t.lines.{w} land lnot wb_bit
   done;
   Util.Ivec.clear t.pending_wb
@@ -512,9 +752,10 @@ let clwb t addr =
   let line = line_of_addr addr in
   (* Re-flushing an already-pending line is a no-op at the next fence;
      pushing it again would grow the vector and re-commit redundantly. *)
-  let w0 = t.lines.{2 * line} in
+  let i = ix t line in
+  let w0 = t.lines.{i} in
   if w0 land wb_bit = 0 then begin
-    t.lines.{2 * line} <- w0 lor wb_bit;
+    t.lines.{i} <- w0 lor wb_bit;
     Util.Ivec.push t.pending_wb line
   end;
   t.stats.Stats.clwb <- t.stats.Stats.clwb + 1;
@@ -630,10 +871,11 @@ let crash_with t ~choose =
   (* Each dirty line's stores past the chosen prefix are undone in the
      volatile image; clean lines already hold their durable content.
      Then the dirty set empties without a write-back. *)
-  Line_log.crash t.log ~lines:t.dirty_list ~choose ~dst:t.volatile;
+  journal_crash t ~choose;
   Util.Ivec.iter
     (fun line ->
-      t.lines.{2 * line} <- t.lines.{2 * line} land lnot pos_mask;
+      let i = ix t line in
+      t.lines.{i} <- t.lines.{i} land lnot pos_mask;
       mirror_line t line)
     t.dirty_list;
   Util.Ivec.clear t.dirty_list;
@@ -667,21 +909,32 @@ let pending_writes t =
   let acc = ref [] in
   Util.Ivec.iter
     (fun line ->
-      acc := (line, Line_log.count t.log line) :: !acc)
+      acc := (line, pending_count t line) :: !acc)
     t.dirty_list;
   List.sort compare !acc
 
-let journal_footprint t = Line_log.footprint t.log
+type journal_footprint = {
+  live_entries : int;
+  entry_slots : int;
+  live_bytes : int;
+  payload_slots : int;
+}
 
-let host_bytes t =
-  Line_log.host_bytes t.log
-  + (8 * (Util.Ivec.capacity t.dirty_list + Util.Ivec.capacity t.pending_wb))
+let journal_footprint t =
+  {
+    live_entries = t.log.live;
+    entry_slots = Array.length t.log.entries;
+    live_bytes = t.log.live_bytes;
+    payload_slots = Bytes.length t.log.payload;
+  }
+
+let record_bytes t = 8 * Bigarray.Array1.dim t.lines
 
 let read_persisted t addr ~len =
   if not (precise t) then failwith "Region.read_persisted: Counting mode";
   check_range t addr len;
   let b = Bytes.sub t.volatile addr len in
-  Line_log.undo_into t.log ~dst:b ~addr;
+  undo_into t ~dst:b ~addr;
   b
 
 let read_persisted_i64 t addr =

@@ -8,11 +8,11 @@
     or by the global [wbinvd] flush. The {e persisted} view (what would
     survive a power failure) is derived: a clean line's durable content is
     its volatile line, a dirty line's is its base, the line before the
-    store that dirtied it, which the Precise-mode journal ({!Line_log})
-    keeps as the bytes each pending store overwrote. On a {!crash}, each dirty line persists an
-    arbitrary program-order prefix of its pending stores (the PCSO model,
-    §2.1), every other volatile byte is lost, and execution must recover
-    from the persisted view alone.
+    store that dirtied it, which the Precise-mode journal keeps as the
+    bytes each pending store overwrote. On a {!crash}, each dirty line
+    persists an arbitrary program-order prefix of its pending stores (the
+    PCSO model, §2.1), every other volatile byte is lost, and execution
+    must recover from the persisted view alone.
 
     Addresses are byte offsets into the region; offset 0 plays the role of
     the null pointer and is never handed out by allocators. A region is
@@ -27,7 +27,8 @@ type addr = int
 val create : Config.t -> t
 (** Fresh region, zero-filled, nothing dirty. Raises [Invalid_argument]
     if the size is not a positive multiple of 64, exceeds 2{^32}-1 lines,
-    or [max_line_log_bytes] exceeds {!Line_log.max_line_log_bytes}. *)
+    or [max_line_log_bytes] exceeds 2 MiB - 65 (the per-line record
+    counts a line's pending bytes in 21 bits). *)
 
 val config : t -> Config.t
 val stats : t -> Stats.t
@@ -214,15 +215,21 @@ val pending_writes : t -> (int * int) list
 (** Dirty lines and their pending-store counts, sorted by line id (drives
     the systematic crash-state enumeration in the tests). *)
 
-val journal_footprint : t -> Line_log.footprint
+type journal_footprint = {
+  live_entries : int;  (** pending stores *)
+  entry_slots : int;  (** entry slots allocated *)
+  live_bytes : int;  (** undo-image bytes of the pending stores *)
+  payload_slots : int;  (** undo-image bytes allocated *)
+}
+
+val journal_footprint : t -> journal_footprint
 (** Live content and allocated storage of the pending-store journal
     (white-box memory-bound testing). *)
 
-val host_bytes : t -> int
-(** Host memory the region holds beyond its volatile image and its LLC
-    tag array: the per-line records, the dirty and write-back lists and
-    the journal's storage. A function of the store sequence alone, so a
-    ceiling on it catches a second image coming back. *)
+val record_bytes : t -> int
+(** Host bytes of the per-line record array (16 per line in Precise
+    mode, 8 in Counting mode). It lives off the OCaml heap, so
+    [Obj.reachable_words] does not count it. *)
 
 (** {1 Cross-process persistence (Precise mode only)}
 

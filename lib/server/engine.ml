@@ -55,12 +55,9 @@ type t = {
   bound : Wire.Client.addr;
   mutable accepted : int;  (* round-robin cursor, domain 0 only *)
   (* Out of descriptors, accept fails while the listener stays readable.
-     Domain 0 then leaves the listener out of its select until a
-     connection closes ([closes] moves past [paused_closes]) or
+     Domain 0 then leaves the listener out of its select until
      [paused_until] (Unix seconds; 0 when not paused) passes. *)
   mutable paused_until : float;
-  mutable paused_closes : int;
-  closes : int Atomic.t;  (* connections closed, every domain *)
   c_refused : int ref;  (* "server.conn_refused", domain 0 only *)
   stop_flag : bool Atomic.t;
   accepting : bool Atomic.t;  (* false once domain 0 closed the listener *)
@@ -445,7 +442,6 @@ let accept_one t =
   match restart_eintr (fun () -> Unix.accept ~cloexec:true t.listen_fd) with
   | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
       t.paused_until <- Unix.gettimeofday () +. accept_pause_s;
-      t.paused_closes <- Atomic.get t.closes;
       false
   | exception Unix.Unix_error _ -> false
   | fd, _ ->
@@ -473,7 +469,7 @@ let listener_wanted t =
   if t.paused_until = 0.0 then (true, -1.0)
   else begin
     let left = t.paused_until -. Unix.gettimeofday () in
-    if left <= 0.0 || Atomic.get t.closes <> t.paused_closes then begin
+    if left <= 0.0 then begin
       t.paused_until <- 0.0;
       (true, -1.0)
     end
@@ -518,8 +514,6 @@ let shard_loop t i =
           t.conns.(i)
       in
       List.iter (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ()) finished;
-      if finished <> [] then
-        ignore (Atomic.fetch_and_add t.closes (List.length finished));
       t.conns.(i) <- live;
       if settled && live = [] && not !reported then begin
         reported := true;
@@ -579,8 +573,6 @@ let start ?config ?(queue_capacity = 1024) ?(batch = 64) ?on_dequeue ?store
       bound;
       accepted = 0;
       paused_until = 0.0;
-      paused_closes = 0;
-      closes = Atomic.make 0;
       c_refused =
         Obs.Registry.counter
           (Incll.System.metrics (Store.Sharded.shard store 0))

@@ -3,7 +3,6 @@ type t = { mutable data : int array; mutable len : int }
 let create ?(capacity = 8) () = { data = Array.make (max capacity 1) 0; len = 0 }
 
 let length t = t.len
-let capacity t = Array.length t.data
 
 let get t i =
   if i < 0 || i >= t.len then invalid_arg "Ivec.get";

@@ -7,10 +7,6 @@ type t
 
 val create : ?capacity:int -> unit -> t
 val length : t -> int
-
-val capacity : t -> int
-(** Elements the vector holds before it next grows. *)
-
 val get : t -> int -> int
 val set : t -> int -> int -> unit
 val push : t -> int -> unit

@@ -268,8 +268,8 @@ let bounded_when_never_drained () =
       Region.write_i64 r addr 0x0123_4567_89ab_cdefL;
       incr appended;
       let f = Region.journal_footprint r in
-      peak_entries := max !peak_entries f.Nvm.Line_log.live_entries;
-      peak_bytes := max !peak_bytes f.Nvm.Line_log.live_bytes
+      peak_entries := max !peak_entries f.Nvm.Region.live_entries;
+      peak_bytes := max !peak_bytes f.Nvm.Region.live_bytes
     done;
     ignore (Region.flush_some r ~budget_lines:2);
     Alcotest.(check bool) "dirty set never drains" true
@@ -277,19 +277,30 @@ let bounded_when_never_drained () =
     let f = Region.journal_footprint r in
     Alcotest.(check bool)
       (Printf.sprintf "entry slots %d within 4x peak live %d"
-         f.Nvm.Line_log.entry_slots !peak_entries)
+         f.Nvm.Region.entry_slots !peak_entries)
       true
-      (f.Nvm.Line_log.entry_slots <= max 1024 (4 * !peak_entries));
+      (f.Nvm.Region.entry_slots <= max 1024 (4 * !peak_entries));
     Alcotest.(check bool)
       (Printf.sprintf "payload bytes %d within 4x peak live %d"
-         f.Nvm.Line_log.payload_slots !peak_bytes)
+         f.Nvm.Region.payload_slots !peak_bytes)
       true
-      (f.Nvm.Line_log.payload_slots <= max 8192 ((4 * !peak_bytes) + 128))
+      (f.Nvm.Region.payload_slots <= max 8192 ((4 * !peak_bytes) + 128))
   done;
   (* Far more stores went through than the journal ever held. *)
   let f = Region.journal_footprint r in
   Alcotest.(check bool) "stale entries were reclaimed" true
-    (f.Nvm.Line_log.entry_slots * 8 < !appended)
+    (f.Nvm.Region.entry_slots * 8 < !appended)
+
+(* The persisted view is derived from the one volatile image: what
+   Precise crash support holds on the host, per-line records and journal
+   together, stays under the committed ceiling that make microbench also
+   checks. A second full image or a wider per-line record exceeds it. *)
+let host_bytes_under_ceiling () =
+  let module F = Bench_harness.Host_footprint in
+  let n = F.precise_extra_bytes () in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d host bytes <= %d" n F.ceiling)
+    true (n <= F.ceiling)
 
 let tests =
   ( "line_log",
@@ -303,4 +314,6 @@ let tests =
         compacted;
       Alcotest.test_case "bounded when the dirty set never drains" `Quick
         bounded_when_never_drained;
+      Alcotest.test_case "crash support under its host-byte ceiling" `Quick
+        host_bytes_under_ceiling;
     ] )
