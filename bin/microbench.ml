@@ -3,7 +3,8 @@
    Unlike bench/main.exe (which reports *simulated*-clock throughput),
    this tool measures how fast the simulator itself runs on the host:
    stores/s and loads/s against a raw region (and the store loops again
-   on a Precise region, whose pending-store journal only a crash reads),
+   on a Precise region, whose pending-store journal only a crash reads;
+   random loads on a 96 MiB Counting one),
    put/get Mops through the full YCSB-A stack, and the minor-heap words
    each loop allocates per op (for YCSB-A, counted inside each worker
    domain around its op loop only). It exists so that wall-clock regressions of the
@@ -239,6 +240,38 @@ let raw_benches () =
   store_rows ~prefix:"precise " ~epoch:precise_epoch
     (fresh_region Nvm.Config.Precise)
 
+(* Word loads at random addresses of a Counting region the size of the
+   kv_e_uniform store, far larger than the simulated LLC and the host's
+   caches: the row prices the LLC tag probe and a host miss on the
+   image, the two costs of a long leaf walk. *)
+let random_load_mb = 96
+
+let random_loads () =
+  Printf.printf "raw region (Counting mode, %d MiB):\n" random_load_mb;
+  let region =
+    Nvm.Region.create
+      {
+        Nvm.Config.default with
+        Nvm.Config.size_bytes = random_load_mb * 1024 * 1024;
+        extlog_bytes = 1024 * 1024;
+        crash_support = Nvm.Config.Counting;
+      }
+  in
+  let sim_of () = Nvm.Stats.sim_ns (Nvm.Region.stats region) in
+  let words = random_load_mb * 1024 * 1024 / 8 in
+  (* An LCG on tagged ints, not [Util.Rng] (which boxes an [Int64] per
+     draw), so the row times the load rather than the generator. *)
+  let x = ref opts.seed in
+  time ~bench:"load_i64 rand" ~iters:opts.stores ~sim_of (fun n ->
+      let acc = ref 0L in
+      for _ = 1 to n do
+        x := (!x * 0x2545F4914F6CDD1D) + 1442695040888963407;
+        acc :=
+          Int64.add !acc
+            (Nvm.Region.read_i64 region (8 * ((!x lsr 20) mod words)))
+      done;
+      ignore (Sys.opaque_identity !acc))
+
 (* Word stores to random lines of the region, from a fixed seed. *)
 let random_stores region rng n =
   let words = region_mb * 1024 * 1024 / 8 in
@@ -376,6 +409,7 @@ let () =
   parse_args ();
   print_endline "NVM simulator wall-clock microbenchmark";
   raw_benches ();
+  random_loads ();
   precise_wbinvd ();
   precise_host_bytes ();
   let ycsb_mops = ycsb_bench () in

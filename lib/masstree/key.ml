@@ -56,14 +56,31 @@ let[@inline] slice_byte ~hi ~lo i =
   if i < 4 then (hi lsr (24 - (8 * i))) land 0xff
   else (lo lsr (56 - (8 * i))) land 0xff
 
+external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+external swap32 : int32 -> int32 = "%bswap_int32"
+
+let[@inline] set32_be b i v =
+  let v = Int32.of_int v in
+  set32u b i (if Sys.big_endian then v else swap32 v)
+
 let of_slice ~prefix ~hi ~lo ~len =
   let plen = String.length prefix in
-  let b = Bytes.create (plen + len) in
-  Bytes.unsafe_blit_string prefix 0 b 0 plen;
-  for i = 0 to len - 1 do
-    Bytes.unsafe_set b (plen + i) (Char.unsafe_chr (slice_byte ~hi ~lo i))
-  done;
-  Bytes.unsafe_to_string b
+  if plen = 0 && len = 8 then begin
+    (* A whole slice with no prefix (every 8-byte key of a scan): two
+       32-bit stores, no byte loop and no C call. *)
+    let b = Bytes.create 8 in
+    set32_be b 0 hi;
+    set32_be b 4 lo;
+    Bytes.unsafe_to_string b
+  end
+  else begin
+    let b = Bytes.create (plen + len) in
+    Bytes.unsafe_blit_string prefix 0 b 0 plen;
+    for i = 0 to len - 1 do
+      Bytes.unsafe_set b (plen + i) (Char.unsafe_chr (slice_byte ~hi ~lo i))
+    done;
+    Bytes.unsafe_to_string b
+  end
 
 let of_int64 v = of_slice ~prefix:"" ~hi:(hi32 v) ~lo:(lo32 v) ~len:8
 

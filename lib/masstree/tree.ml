@@ -111,9 +111,7 @@ let write_value t v =
   if len > 0 then Nvm.Region.write_string t.region (buf + 8) v;
   buf
 
-let read_value t buf =
-  let len = Nvm.Region.read_int t.region buf in
-  Nvm.Region.read_string t.region (buf + 8) ~len
+let read_value t buf = Nvm.Region.read_prefixed_string t.region buf
 
 (* Suffix entries (Masstree's ksuf): the key bytes past the 8-byte slice
    live in the entry's buffer, in front of the value:
@@ -134,14 +132,11 @@ let write_suffix_value t ~suffix ~value =
     Nvm.Region.write_string t.region (buf + 16 + pad8 slen) value;
   buf
 
-let read_suffix t buf =
-  let slen = Nvm.Region.read_int t.region buf in
-  Nvm.Region.read_string t.region (buf + 8) ~len:slen
+let read_suffix t buf = Nvm.Region.read_prefixed_string t.region buf
 
 let read_suffix_value t buf =
   let slen = Nvm.Region.read_int t.region buf in
-  let vlen = Nvm.Region.read_int t.region (buf + 8 + pad8 slen) in
-  Nvm.Region.read_string t.region (buf + 16 + pad8 slen) ~len:vlen
+  Nvm.Region.read_prefixed_string t.region (buf + 8 + pad8 slen)
 
 (* --- descent ----------------------------------------------------------- *)
 

@@ -51,10 +51,10 @@ type t = {
   h_wbinvd : Obs.Histogram.t;  (* per-wbinvd latency, ns *)
   h_sweep : Obs.Histogram.t;  (* per-sweep-quantum latency, ns *)
   mutable sfence_extra_ns : float;  (* runtime-adjustable emulated latency *)
-  (* Direct-mapped LLC tag array: models capacity misses so locality has a
-     price. Tag slots hold line ids (+1; 0 = empty). *)
-  llc_tags : int array;
-  llc_mask : int;
+  (* Direct-mapped LLC: models capacity misses so locality has a price.
+     Slot [line land llc_mask] holds a 16-bit partial tag (see
+     [touch_llc]); 512 KiB, so the tags stay in a host L2. *)
+  llc_tags : Bytes.t;
   (* Optional file-backed shadow of the persisted view (a shared mmap).
      Because the mapping is MAP_SHARED, bytes written here live in the
      kernel page cache and survive the process being SIGKILLed — the
@@ -101,6 +101,23 @@ let same_line a b = line_of_addr a = line_of_addr b
 
 let precise t = t.is_precise
 
+(* 2^18 slots x 64 B = a 16 MiB simulated LLC. *)
+let llc_bits = 18
+let llc_slots = 1 lsl llc_bits
+let llc_mask = llc_slots - 1
+
+external madvise_hugepage : Bytes.t -> unit = "incll_madvise_hugepage"
+  [@@noalloc]
+
+(* The volatile image, zero-filled. Advised to use transparent huge pages
+   before the fill first touches it, so a random access over a large image
+   walks fewer host TLB entries; wall time only, nothing simulated. *)
+let fresh_image size =
+  let b = Bytes.create size in
+  madvise_hugepage b;
+  Bytes.fill b 0 size '\000';
+  b
+
 let create (cfg : Config.t) =
   if cfg.size_bytes <= 0 || cfg.size_bytes land (line_size - 1) <> 0
   then invalid_arg "Region.create: size must be a positive multiple of 64";
@@ -130,7 +147,7 @@ let create (cfg : Config.t) =
     read_ns = cfg.cost.Config.read_ns;
     mem_miss_ns = cfg.cost.Config.mem_miss_ns;
     clwb_ns = cfg.cost.Config.clwb_ns;
-    volatile = Bytes.make cfg.size_bytes '\000';
+    volatile = fresh_image cfg.size_bytes;
     lines =
       (let a =
          Bigarray.Array1.create Bigarray.int Bigarray.c_layout
@@ -163,9 +180,7 @@ let create (cfg : Config.t) =
     h_wbinvd = Obs.Registry.histogram metrics "nvm.wbinvd_ns";
     h_sweep = Obs.Registry.histogram metrics "nvm.sweep_ns";
     sfence_extra_ns = cfg.cost.Config.sfence_extra_ns;
-    (* 2^18 slots x 64 B = a 16 MiB simulated LLC. *)
-    llc_tags = Array.make 262144 0;
-    llc_mask = 262143;
+    llc_tags = Bytes.make (2 * llc_slots) '\000';
     hi32 = 0;
     mirror = None;
   }
@@ -508,17 +523,25 @@ let record_store t line ~off ~src_pos ~len =
   end
   else journal_append t ~line ~off ~src:t.undo ~src_pos:0 ~len
 
+(* [len > size - addr], not [addr + len > size]: a length word near
+   [max_int] read from a damaged image would wrap the sum. *)
 let check_range t addr len =
-  if addr < 0 || len < 0 || addr + len > t.size_bytes then
+  if addr < 0 || len < 0 || len > t.size_bytes - addr then
     invalid_arg
       (Printf.sprintf "Region: address range [%d, %d) out of bounds" addr
          (addr + len))
 
+external get16u : Bytes.t -> int -> int = "%caml_bytes_get16u"
+external set16u : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
+
+(* The slot fixes a line's low [llc_bits] bits, so its tag is the rest,
+   plus one (0: empty). [create] keeps lines below 2^32, so a tag fits in
+   16 bits and hits and misses are exactly those of full line-id tags. *)
 let[@inline] touch_llc t line =
-  let slot = line land t.llc_mask in
-  let tag = line + 1 in
-  if Array.unsafe_get t.llc_tags slot <> tag then begin
-    Array.unsafe_set t.llc_tags slot tag;
+  let pos = (line land llc_mask) lsl 1 in
+  let tag = (line lsr llc_bits) + 1 in
+  if get16u t.llc_tags pos <> tag then begin
+    set16u t.llc_tags pos tag;
     let st = t.stats in
     st.Stats.clock.Stats.ns <- st.Stats.clock.Stats.ns +. t.mem_miss_ns
   end
@@ -708,6 +731,14 @@ let read_string t addr ~len =
   charge_read_span t addr len;
   Bytes.sub_string t.volatile addr len
 
+let read_prefixed_string t addr =
+  if addr < 0 || addr > t.size_bytes - 8 then check_range t addr 8;
+  charge_read t addr;
+  let len = get_int_le t.volatile addr in
+  check_range t (addr + 8) len;
+  charge_read_span t (addr + 8) len;
+  Bytes.sub_string t.volatile (addr + 8) len
+
 let blit_within t ~src ~dst ~len =
   check_range t src len;
   check_range t dst len;
@@ -882,7 +913,7 @@ let crash_with t ~choose =
   clear_pending_wb t;
   (* Power is gone: the LLC is cold. Without this, post-crash recovery
      reads of pre-crash-hot lines were never charged [mem_miss_ns]. *)
-  Array.fill t.llc_tags 0 (Array.length t.llc_tags) 0;
+  Bytes.fill t.llc_tags 0 (Bytes.length t.llc_tags) '\000';
   t.stats.Stats.crashes <- t.stats.Stats.crashes + 1;
   trace_event t Obs.Trace.Crash
 
@@ -902,7 +933,7 @@ let install_image t image =
     invalid_arg "Region.install_image";
   Bytes.blit image 0 t.volatile 0 n;
   mirror_all t;
-  Array.fill t.llc_tags 0 (Array.length t.llc_tags) 0
+  Bytes.fill t.llc_tags 0 (Bytes.length t.llc_tags) '\000'
 
 let pending_writes t =
   if not (precise t) then failwith "Region.pending_writes: Counting mode";

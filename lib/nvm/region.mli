@@ -131,7 +131,15 @@ val read_string : t -> addr -> len:int -> string
 val write_string : t -> addr -> string -> unit
 (** Like {!read_bytes} / {!write_bytes} but for [string] payloads, with
     no intermediate [Bytes.t] copy (one allocation for the result of
-    {!read_string}, none for {!write_string}). *)
+    {!read_string}, none for {!write_string}). Every access raises
+    [Invalid_argument] at once when its range leaves the region, whatever
+    the length (no overflowing bound). *)
+
+val read_prefixed_string : t -> addr -> string
+(** [read_prefixed_string t addr] is [read_string t (addr + 8) ~len]
+    where [len] is [read_int t addr]: one call, with the same range checks
+    (and exceptions), the same charges in the same order and the same
+    result as the two calls made in turn. Reads a value buffer. *)
 
 val blit_within : t -> src:addr -> dst:addr -> len:int -> unit
 (** Volatile-image copy, recorded as stores to the destination lines and

@@ -71,6 +71,37 @@ let int64_order_preserved =
       let ka = K.of_int64 a and kb = K.of_int64 b in
       compare ka kb = Int64.unsigned_compare a b)
 
+(* [of_slice] builds a whole unprefixed slice with two 32-bit stores; it
+   must equal the byte-at-a-time builder it replaced, here kept as the
+   reference, on halves of every magnitude (bit 31 set included). *)
+let of_slice_reference ~prefix ~hi ~lo ~len =
+  prefix
+  ^ String.init len (fun i ->
+        Char.chr
+          (if i < 4 then (hi lsr (24 - (8 * i))) land 0xff
+           else (lo lsr (56 - (8 * i))) land 0xff))
+
+let half_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        int_bound 0xffff_ffff;
+        map (fun x -> x lor 0x8000_0000) (int_bound 0xffff_ffff);
+        oneofl [ 0; 1; 0x7fff_ffff; 0x8000_0000; 0xffff_ffff ];
+      ])
+
+let of_slice_fast_path =
+  QCheck.Test.make ~name:"of_slice 8-byte fast path = byte loop" ~count:2000
+    QCheck.(make Gen.(pair half_gen half_gen))
+    (fun (hi, lo) ->
+      K.of_slice ~prefix:"" ~hi ~lo ~len:8
+      = of_slice_reference ~prefix:"" ~hi ~lo ~len:8
+      (* The other shapes still take the loop: same answer. *)
+      && K.of_slice ~prefix:"ab" ~hi ~lo ~len:8
+         = of_slice_reference ~prefix:"ab" ~hi ~lo ~len:8
+      && K.of_slice ~prefix:"" ~hi ~lo ~len:7
+         = of_slice_reference ~prefix:"" ~hi ~lo ~len:7)
+
 let tests =
   ( "key",
     [
@@ -83,4 +114,5 @@ let tests =
       QCheck_alcotest.to_alcotest bytes_roundtrip;
       QCheck_alcotest.to_alcotest int64_roundtrip;
       QCheck_alcotest.to_alcotest int64_order_preserved;
+      QCheck_alcotest.to_alcotest of_slice_fast_path;
     ] )

@@ -43,6 +43,25 @@ let out_of_bounds_rejected () =
        false
      with Invalid_argument _ -> true)
 
+let overlong_length_rejected_at_once () =
+  (* Regression: [addr + len] wrapped for a length near [max_int] (a
+     damaged length word), so the bounds check passed and the read
+     charged ~2^56 lines before failing. *)
+  let r = mk () in
+  let reads0 = (Nvm.Region.stats r).Nvm.Stats.reads in
+  let rejected name f =
+    check name true
+      (try
+         ignore (f ());
+         false
+       with Invalid_argument m ->
+         String.starts_with ~prefix:"Region: address range" m)
+  in
+  let len = max_int - 500 in
+  rejected "read_string" (fun () -> Nvm.Region.read_string r 1000 ~len);
+  rejected "read_bytes" (fun () -> Nvm.Region.read_bytes r 1000 ~len);
+  check_int "nothing charged" reads0 (Nvm.Region.stats r).Nvm.Stats.reads
+
 let blit_within_copies () =
   let r = mk () in
   Nvm.Region.write_bytes r 4096 (Bytes.of_string "abcdefgh12345678");
@@ -291,6 +310,84 @@ let llc_rewards_locality () =
   in
   check "locality is cheaper" true (run true < run false /. 2.0)
 
+(* A region four times the simulated LLC (2^18 lines of 64 B), so line
+   ids use the bits above the slot index that the tags keep. *)
+let llc_slots = 1 lsl 18
+let big_cfg () =
+  {
+    Nvm.Config.default with
+    Nvm.Config.size_bytes = 64 * 1024 * 1024;
+    extlog_bytes = 64 * 1024;
+    crash_support = Nvm.Config.Counting;
+  }
+
+let llc_aliases_evict_each_other () =
+  let cfg = big_cfg () in
+  let r = Nvm.Region.create cfg in
+  let c = cfg.Nvm.Config.cost in
+  let miss = c.Nvm.Config.read_ns +. c.Nvm.Config.mem_miss_ns in
+  let a = 4096 and b = 4096 + (llc_slots * 64) and d = 4096 + (3 * llc_slots * 64) in
+  let charge addr =
+    let t0 = Nvm.Stats.sim_ns (Nvm.Region.stats r) in
+    ignore (Nvm.Region.read_i64 r addr);
+    Nvm.Stats.sim_ns (Nvm.Region.stats r) -. t0
+  in
+  ignore (charge a);
+  Alcotest.(check (float 0.001)) "a hits" c.Nvm.Config.read_ns (charge a);
+  List.iter
+    (fun (name, addr) -> Alcotest.(check (float 0.001)) name miss (charge addr))
+    [ ("b evicts a", b); ("a evicts b", a); ("d evicts a", d); ("b evicts d", b) ]
+
+(* The LLC as a full-tag direct-mapped cache, kept here: every access of a
+   seeded stream must charge what this model charges, bit for bit. *)
+let llc_matches_full_tag_model () =
+  let cfg = big_cfg () in
+  let r = Nvm.Region.create cfg in
+  let c = cfg.Nvm.Config.cost in
+  let tags = Array.make llc_slots (-1) in
+  let clock = ref (Nvm.Stats.sim_ns (Nvm.Region.stats r)) in
+  let touch line =
+    let slot = line land (llc_slots - 1) in
+    if tags.(slot) <> line then begin
+      tags.(slot) <- line;
+      clock := !clock +. c.Nvm.Config.mem_miss_ns
+    end
+  in
+  let rng = Util.Rng.create ~seed:23 in
+  let nlines = cfg.Nvm.Config.size_bytes / 64 in
+  (* Half the accesses go to four aliases of 64 hot slots, so hits and
+     conflict misses are both common; the rest are uniform. *)
+  let hot = Array.init 64 (fun _ -> Util.Rng.int rng llc_slots) in
+  let line () =
+    if Util.Rng.bool rng then
+      hot.(Util.Rng.int rng 64) + (llc_slots * Util.Rng.int rng (nlines / llc_slots))
+    else Util.Rng.int rng nlines
+  in
+  for step = 1 to 50_000 do
+    let addr = (64 * line ()) + (8 * Util.Rng.int rng 8) in
+    (match Util.Rng.int rng 3 with
+    | 0 ->
+        ignore (Nvm.Region.read_i64 r addr);
+        clock := !clock +. c.Nvm.Config.read_ns;
+        touch (addr / 64)
+    | 1 ->
+        Nvm.Region.write_i64 r addr (Int64.of_int step);
+        touch (addr / 64);
+        clock := !clock +. c.Nvm.Config.write_ns
+    | _ ->
+        let len = 1 + Util.Rng.int rng 160 in
+        let addr = min addr (cfg.Nvm.Config.size_bytes - len) in
+        ignore (Nvm.Region.read_string r addr ~len);
+        for l = addr / 64 to (addr + len - 1) / 64 do
+          clock := !clock +. c.Nvm.Config.read_ns;
+          touch l
+        done);
+    if Nvm.Stats.sim_ns (Nvm.Region.stats r) <> !clock then
+      Alcotest.failf "step %d: charged %.17g, full-tag model %.17g" step
+        (Nvm.Stats.sim_ns (Nvm.Region.stats r))
+        !clock
+  done
+
 let counting_mode_rejects_crash () =
   let r = mk ~crash_support:Nvm.Config.Counting () in
   Nvm.Region.write_i64 r 4096 1L;
@@ -420,6 +517,8 @@ let tests =
       Alcotest.test_case "read/write roundtrip" `Quick rw_roundtrip;
       Alcotest.test_case "unaligned i64 rejected" `Quick unaligned_i64_rejected;
       Alcotest.test_case "out of bounds rejected" `Quick out_of_bounds_rejected;
+      Alcotest.test_case "overlong length rejected at once" `Quick
+        overlong_length_rejected_at_once;
       Alcotest.test_case "blit within" `Quick blit_within_copies;
       Alcotest.test_case "crash loses unflushed data" `Quick crash_without_flush_loses_data;
       Alcotest.test_case "clwb+sfence persists" `Quick clwb_sfence_persists;
@@ -439,6 +538,10 @@ let tests =
       Alcotest.test_case "sfence extra latency" `Quick sfence_extra_latency_charged;
       Alcotest.test_case "LLC misses priced once" `Quick llc_misses_priced_once;
       Alcotest.test_case "LLC rewards locality" `Quick llc_rewards_locality;
+      Alcotest.test_case "LLC aliases evict each other" `Quick
+        llc_aliases_evict_each_other;
+      Alcotest.test_case "LLC = full-tag model on 64 MiB" `Quick
+        llc_matches_full_tag_model;
       Alcotest.test_case "counting mode rejects crash" `Quick counting_mode_rejects_crash;
       Alcotest.test_case "crash leaves LLC cold" `Quick crash_leaves_llc_cold;
       Alcotest.test_case "clwb dedups pending write-backs" `Quick clwb_dedups_pending_writebacks;

@@ -170,6 +170,71 @@ let fastpath_more_seeds () =
       run_differential Nvm.Config.Counting ~steps:800 ~seed)
     [ 1; 2; 3; 42 ]
 
+(* The one-call value read against the two calls it replaces. Length
+   words are written unaligned, as value buffers are, and range from empty
+   through multi-line to ones that leave the region, are negative or are
+   near [max_int] (a damaged image): both sides must return the same
+   string or raise the same exception, after the same charges. *)
+let value_read_differential crash_support ~seed =
+  let f = Region.create (cfg crash_support) in
+  let g = Region.create (cfg crash_support) in
+  let rng = Util.Rng.create ~seed in
+  let both op = op f; op g in
+  let outcome read =
+    match read () with
+    | s -> Ok s
+    | exception Invalid_argument m -> Error m
+  in
+  for i = 1 to 3000 do
+    let addr =
+      match Util.Rng.int rng 8 with
+      | 0 -> size_bytes - Util.Rng.int rng 200
+      | 1 -> -Util.Rng.int rng 16
+      | _ -> byte_addr rng
+    in
+    let len =
+      match Util.Rng.int rng 10 with
+      | 0 -> -1 - Util.Rng.int rng 1000
+      | 1 -> max_int - Util.Rng.int rng 1000
+      | 2 -> size_bytes - addr - 8 + Util.Rng.int rng 3 - 1
+      | _ -> Util.Rng.int rng 200
+    in
+    if addr >= 0 && addr <= size_bytes - 8 then begin
+      both (fun r -> Region.write_bytes r addr (le8 (Int64.of_int len)));
+      let n = min (max len 0) (min 200 (size_bytes - addr - 8)) in
+      let s = String.init n (fun _ -> Char.chr (Util.Rng.int rng 256)) in
+      both (fun r -> Region.write_string r (addr + 8) s)
+    end;
+    let got = outcome (fun () -> Region.read_prefixed_string f addr) in
+    let want =
+      outcome (fun () ->
+          let len = Region.read_int g addr in
+          Region.read_string g (addr + 8) ~len)
+    in
+    if got <> want then Alcotest.failf "step %d: results differ" i;
+    if
+      Nvm.Stats.int_fields (Region.stats f)
+      <> Nvm.Stats.int_fields (Region.stats g)
+      || Nvm.Stats.sim_ns (Region.stats f) <> Nvm.Stats.sim_ns (Region.stats g)
+    then assert_same ~at:(Printf.sprintf "step %d" i) f g;
+    if Util.Rng.int rng 16 = 0 then begin
+      let line = byte_addr rng in
+      both (fun r -> Region.clwb r line);
+      both Region.sfence
+    end
+  done;
+  assert_same ~at:"after value reads" f g;
+  if crash_support = Nvm.Config.Precise then begin
+    both Region.crash_persist_none;
+    assert_same ~at:"after crash" f g
+  end
+
+let value_read_precise () =
+  value_read_differential Nvm.Config.Precise ~seed:5
+
+let value_read_counting () =
+  value_read_differential Nvm.Config.Counting ~seed:6
+
 let tests =
   ( "region_fastpath",
     [
@@ -178,4 +243,8 @@ let tests =
       Alcotest.test_case "fast paths = generic path (Counting)" `Quick
         fastpath_counting;
       Alcotest.test_case "differential, more seeds" `Quick fastpath_more_seeds;
+      Alcotest.test_case "value read = read_int + read_string (Precise)"
+        `Quick value_read_precise;
+      Alcotest.test_case "value read = read_int + read_string (Counting)"
+        `Quick value_read_counting;
     ] )
