@@ -5,7 +5,7 @@ BENCH_THRESHOLD ?= 0.10
 
 .PHONY: all build test check chaos chaos-txn chaos-net bench bench-gate \
   latency latency-throughput latency-latency latency-rto latency-improve \
-  microbench serve clean
+  microbench serve perfbench-smoke clean
 
 # Chaos-run shape: the four historically-bad seeds (the limbo-chain bug,
 # now fixed and regression-gated here) plus four fresh ones.
@@ -28,8 +28,9 @@ test:
 # --min-mops gate plumbing; the bar is deliberately tiny — real
 # comparisons are two --json reports on the same machine) + the
 # serving-layer gate (a real server process driven over the wire) + the
-# crash-restart/network-fault torture (chaos-net).
-check: build test bench-gate latency microbench serve chaos-net
+# crash-restart/network-fault torture (chaos-net) + the repository
+# benchmark's smoke test (perfbench-smoke).
+check: build test bench-gate latency microbench serve chaos-net perfbench-smoke
 
 # Crash-chaos gate: random-crash torture over the known-bad + fresh seed
 # matrix, a deterministic schedule that crashes inside recovery at three
@@ -170,6 +171,15 @@ CHAOS_NET_SEEDS ?= 8
 chaos-net: build
 	./_build/default/bin/chaos_net.exe --seeds $(CHAOS_NET_SEEDS) \
 	  --json _build/chaos_net.json
+
+# Smoke test of the repository benchmark (BENCHMARK.json): every
+# workload for one second at tiny size, untraced and traced. Each run
+# must report correct with 0 failed, so each workload's own output
+# checks run too (every scan's order, length and values; the served
+# session's replay oracle), and every metric must be present with its
+# unit and a finite value.
+perfbench-smoke: build
+	python3 perfbench/smoke.py
 
 bench:
 	dune exec bench/main.exe -- --scale 0.001 --threads 2 --ops 5000

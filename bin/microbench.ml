@@ -5,7 +5,8 @@
    stores/s and loads/s against a raw region (and the store loops again
    on a Precise region, whose pending-store journal only a crash reads;
    random loads on a 96 MiB Counting one),
-   put/get Mops through the full YCSB-A stack, and the minor-heap words
+   put/get Mops through the full YCSB-A stack, ns per returned pair of
+   YCSB-E-sized scans on one store, and the minor-heap words
    each loop allocates per op (for YCSB-A, counted inside each worker
    domain around its op loop only). It exists so that wall-clock regressions of the
    simulator are visible next to the simulated-throughput gate of
@@ -14,8 +15,9 @@
    Usage: microbench [options]
      --stores N    raw store/load iterations          (default 2_000_000)
      --spans N     16-byte unaligned span stores      (default 500_000)
-     --keys N      YCSB-A key-space size              (default 20_000)
-     --ops N       YCSB-A operations per thread       (default 20_000)
+     --keys N      YCSB-A and scan key-space size     (default 20_000)
+     --ops N       YCSB-A operations per thread, and
+                   scans of 1-100 pairs               (default 20_000)
      --threads N   YCSB-A worker domains / shards     (default 2)
      --seed N      workload seed                      (default 1)
      --json FILE   write a machine-readable report
@@ -259,8 +261,9 @@ let random_loads () =
   in
   let sim_of () = Nvm.Stats.sim_ns (Nvm.Region.stats region) in
   let words = random_load_mb * 1024 * 1024 / 8 in
-  (* An LCG on tagged ints, not [Util.Rng] (which boxes an [Int64] per
-     draw), so the row times the load rather than the generator. *)
+  (* An LCG on tagged ints, not [Util.Rng] (whose rejection sampling
+     divides per draw), so the row times the load rather than the
+     generator. *)
   let x = ref opts.seed in
   time ~bench:"load_i64 rand" ~iters:opts.stores ~sim_of (fun n ->
       let acc = ref 0L in
@@ -356,6 +359,50 @@ let ycsb_bench () =
     ];
   mops s
 
+(* ---------------------------------------------------------------- scan *)
+
+(* YCSB-E's scans on their own: scans of 1 to [Y.max_scan_length] pairs
+   from uniform random starts on one INCLL store of [--keys] keys, one
+   per [--ops]; the row reports ns and minor words per returned pair
+   (the loop is run once to warm up, then timed). *)
+let scan_bench () =
+  Printf.printf
+    "SCAN through the INCLL stack (%d keys, %d scans of 1-%d pairs), per pair:\n"
+    opts.keys opts.ops Y.max_scan_length;
+  let config = R.config_for ~nkeys_per_shard:opts.keys () in
+  let sys = Incll.System.create ~config Incll.System.Incll in
+  let keys = Array.init opts.keys Y.key_of_rank in
+  Array.iter (fun key -> Incll.System.put sys ~key ~value:(Y.value_for key)) keys;
+  let rng = Util.Rng.create ~seed:opts.seed in
+  let starts = Array.init opts.ops (fun _ -> keys.(Util.Rng.int rng opts.keys)) in
+  let lens =
+    Array.init opts.ops (fun _ -> 1 + Util.Rng.int rng Y.max_scan_length)
+  in
+  let scans () =
+    let pairs = ref 0 in
+    Array.iteri
+      (fun i start ->
+        pairs := !pairs + List.length (Incll.System.scan sys ~start ~n:lens.(i)))
+      starts;
+    !pairs
+  in
+  ignore (scans () : int);
+  let sim_of () = Nvm.Stats.sim_ns (Nvm.Region.stats (Incll.System.region sys)) in
+  let sim0 = sim_of () in
+  let a0 = Gc.minor_words () in
+  let t0 = Unix.gettimeofday () in
+  let pairs = scans () in
+  let t1 = Unix.gettimeofday () in
+  let a1 = Gc.minor_words () in
+  report
+    {
+      bench = "scan";
+      iters = max 1 pairs;
+      wall_s = Float.max (t1 -. t0) 1e-9;
+      alloc_words = a1 -. a0;
+      sim_ns = sim_of () -. sim0;
+    }
+
 (* ---------------------------------------------------------------- json *)
 
 let write_json path ~ycsb_mops =
@@ -412,6 +459,7 @@ let () =
   random_loads ();
   precise_wbinvd ();
   precise_host_bytes ();
+  scan_bench ();
   let ycsb_mops = ycsb_bench () in
   (match opts.json_file with
   | Some path -> write_json path ~ycsb_mops

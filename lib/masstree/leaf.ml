@@ -34,6 +34,11 @@ let () =
   done;
   for s = 7 to 13 do
     assert (val_off s / 64 = incll2_off / 64)
+  done;
+  (* A scan hints every value word of a leaf in one call, slot [s] being
+     word [s] from [val_off 0]. *)
+  for s = 0 to width - 1 do
+    assert (val_off s = val_off 0 + (8 * s))
   done
 
 let flag_leaf = 1

@@ -15,6 +15,12 @@ let[@inline] slot_at_rank p rank = get_nibble p (rank + 1)
 let[@inline] set_rank p rank slot = set_nibble p (rank + 1) slot
 let[@inline] with_count p c = set_nibble p 0 c
 
+let rec slots_loop p rank n mask =
+  if rank >= n then mask
+  else slots_loop p (rank + 1) n (mask lor (1 lsl slot_at_rank p rank))
+
+let slots_from_rank p ~rank = slots_loop p rank (count p) 0
+
 let empty =
   let rec fill p i = if i >= width then p else fill (set_rank p i i) (i + 1) in
   fill 0 0

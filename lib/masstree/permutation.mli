@@ -33,6 +33,10 @@ val slot_at_rank : t -> int -> int
 (** Slot index stored at sorted rank [i] ([0 <= i < width]; ranks at or
     beyond [count] are free slots). *)
 
+val slots_from_rank : t -> rank:int -> int
+(** The active slots at sorted ranks [rank] and above, as a bit mask (bit
+    [s] for slot [s]): the value words a scan starting at [rank] reads. *)
+
 val is_full : t -> bool
 
 val insert : t -> rank:int -> t * int

@@ -739,6 +739,31 @@ let read_prefixed_string t addr =
   charge_read_span t (addr + 8) len;
   Bytes.sub_string t.volatile (addr + 8) len
 
+(* Host prefetch hints: one C call per hint, nothing charged or counted,
+   no LLC tag or image byte changed. The stubs clip their range to the
+   image, and [prefetch_deref] reads its address word there itself:
+   the only uncharged image read outside the persisted-view accessors.
+   They take both lengths from the block headers, which is exact because
+   both are multiples of 8 ([create]). *)
+external prefetch_stub :
+  Bytes.t -> Bytes.t -> (int[@untagged]) -> (int[@untagged]) -> unit
+  = "incll_prefetch_byte" "incll_prefetch"
+  [@@noalloc]
+
+external prefetch_deref_stub :
+  Bytes.t ->
+  Bytes.t ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  unit = "incll_prefetch_deref_byte" "incll_prefetch_deref"
+  [@@noalloc]
+
+let prefetch t addr ~lines = prefetch_stub t.volatile t.llc_tags addr lines
+
+let prefetch_deref t addr ~words ~lines =
+  prefetch_deref_stub t.volatile t.llc_tags addr words lines
+
 let blit_within t ~src ~dst ~len =
   check_range t src len;
   check_range t dst len;

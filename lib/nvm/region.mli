@@ -141,6 +141,28 @@ val read_prefixed_string : t -> addr -> string
     (and exceptions), the same charges in the same order and the same
     result as the two calls made in turn. Reads a value buffer. *)
 
+(** {1 Host prefetch hints}
+
+    Wall-clock hints with no simulated effect: they charge nothing, count
+    nothing, probe no LLC tag and change no image byte, so every later
+    charge, counter and image is what it would have been without them.
+    They let the host load lines the caller is about to read in parallel
+    instead of one miss at a time. Neither raises: any part of the range
+    outside the region is ignored. *)
+
+val prefetch : t -> addr -> lines:int -> unit
+(** [prefetch t addr ~lines] asks the host to load the [lines] image
+    lines from the one holding [addr], and the LLC tag slot of each. *)
+
+val prefetch_deref : t -> addr -> words:int -> lines:int -> unit
+(** [prefetch_deref t at ~words ~lines] does [prefetch t a ~lines] for
+    each bit [i] set in [words] (bit 0 lowest), where [a] is the 8-byte
+    word at [at + 8 * i], read host-side without any charge (as
+    {!read_int} would decode it). A word outside the region, or one that
+    is no address in it, prefetches nothing. One call covers a node's
+    value words: a call per word cost a scan over a cached store twice
+    the overhead per pair. *)
+
 val blit_within : t -> src:addr -> dst:addr -> len:int -> unit
 (** Volatile-image copy, recorded as stores to the destination lines and
     reads of the source lines. *)

@@ -23,7 +23,8 @@ val next64 : t -> int64
 (** Next 64 uniformly random bits. *)
 
 val int : t -> int -> int
-(** [int t bound] is uniform in [\[0, bound)]. [bound] must be positive. *)
+(** [int t bound] is uniform in [\[0, bound)]. [bound] must be positive.
+    Allocates nothing, nor does {!bool}. *)
 
 val float : t -> float
 (** Uniform float in [\[0, 1)]. *)

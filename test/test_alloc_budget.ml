@@ -117,10 +117,28 @@ let scan () =
     ~got:w
     ~ceiling:((16.0 *. float_of_int !pairs) +. (32.0 *. float_of_int calls))
 
+(* [Util.Rng.int] is drawn for every victim of [Nvm.Region.evict_some]
+   and [Nvm.Region.crash] and by the workload generators: a draw must
+   allocate nothing, whatever the bound (the [3 lsl 60] draws reject a
+   quarter of their candidates). *)
+let rng_int () =
+  let r = Util.Rng.create ~seed:5 in
+  let n = 100_000 in
+  let acc = ref 0 in
+  let w =
+    words (fun () ->
+        for i = 1 to n do
+          acc := !acc + Util.Rng.int r (if i land 7 = 0 then 3 lsl 60 else i)
+        done)
+  in
+  ignore (Sys.opaque_identity !acc);
+  check_budget "Rng.int per draw" ~got:(per_op w n) ~ceiling:0.01
+
 let tests =
   ( "alloc_budget",
     [
       Alcotest.test_case "GET hit allocates only its result" `Quick get_hit;
       Alcotest.test_case "update PUT allocates almost nothing" `Quick update_put;
       Alcotest.test_case "SCAN allocates only its pairs" `Quick scan;
+      Alcotest.test_case "Rng.int allocates nothing" `Quick rng_int;
     ] )

@@ -82,7 +82,15 @@ let model_property =
             model := List.filteri (fun i _ -> i <> rank) !model
           end)
         ops;
-      P.is_valid !p && P.active_slots !p = !model)
+      let mask_from rank =
+        List.fold_left (fun m s -> m lor (1 lsl s)) 0
+          (List.filteri (fun i _ -> i >= rank) !model)
+      in
+      P.is_valid !p
+      && P.active_slots !p = !model
+      && List.for_all
+           (fun rank -> P.slots_from_rank !p ~rank = mask_from rank)
+           (List.init (List.length !model + 2) Fun.id))
 
 let single_word_undo_property =
   (* The InCLLp argument (Â§4.1.1): restoring the one permutation word

@@ -235,6 +235,93 @@ let value_read_precise () =
 let value_read_counting () =
   value_read_differential Nvm.Config.Counting ~seed:6
 
+(* Host prefetch hints have no simulated effect. Twin regions take one
+   random op stream ([step] above); before every op, [h] also takes
+   [prefetch] and [prefetch_deref] hints from a second generator, at
+   addresses in range, negative, straddling or past the end, with any
+   line count and word mask, and through words that hold pointers or
+   garbage ([max_int], [min_int], negative values, the region size).
+   No hint may raise, and after every op the two regions must agree on
+   every counter and on the clock bit for bit, so every read was charged
+   alike; at the end they must agree on the volatile and persisted
+   images, and again after a crash. *)
+let hint_addr rng ~recent =
+  match Util.Rng.int rng 8 with
+  | 0 -> -1 - Util.Rng.int rng 4096
+  | 1 -> min_int
+  | 2 -> size_bytes + Util.Rng.int rng 4096
+  | 3 -> max_int
+  | 4 -> size_bytes - 1 - Util.Rng.int rng 8
+  | 5 -> recent - (8 * Util.Rng.int rng 4)
+  | _ -> word_addr rng
+
+let hint_lines rng =
+  match Util.Rng.int rng 6 with
+  | 0 -> 0
+  | 1 -> -1 - Util.Rng.int rng 100
+  | 2 -> max_int
+  | _ -> 1 + Util.Rng.int rng 8
+
+let hint_words rng =
+  match Util.Rng.int rng 6 with
+  | 0 -> 0
+  | 1 -> -1
+  | 2 -> min_int
+  | 3 -> 1
+  | _ -> Util.Rng.int rng (1 lsl 20)
+
+let pointer_or_garbage rng =
+  match Util.Rng.int rng 7 with
+  | 0 -> max_int
+  | 1 -> min_int
+  | 2 -> -1 - Util.Rng.int rng 1_000_000
+  | 3 -> size_bytes
+  | 4 -> size_bytes - 8
+  | _ -> Util.Rng.int rng size_bytes
+
+let hints_change_nothing crash_support ~seed =
+  let p = Region.create (cfg crash_support) in
+  let h = Region.create (cfg crash_support) in
+  let rng = Util.Rng.create ~seed and hint_rng = Util.Rng.create ~seed:(seed + 1) in
+  let same_charges i =
+    if
+      Nvm.Stats.int_fields (Region.stats p)
+      <> Nvm.Stats.int_fields (Region.stats h)
+      || Nvm.Stats.sim_ns (Region.stats p) <> Nvm.Stats.sim_ns (Region.stats h)
+    then assert_same ~at:(Printf.sprintf "step %d" i) p h
+  in
+  (* The last word given a pointer or garbage, for [prefetch_deref]. *)
+  let recent = ref lo in
+  for i = 1 to 3000 do
+    if Util.Rng.int rng 4 = 0 then begin
+      let addr = word_addr rng and v = pointer_or_garbage rng in
+      Region.write_int p addr v;
+      Region.write_int h addr v;
+      recent := addr
+    end;
+    for _ = 1 to 4 do
+      let recent = !recent in
+      Region.prefetch h (hint_addr hint_rng ~recent) ~lines:(hint_lines hint_rng);
+      Region.prefetch_deref h (hint_addr hint_rng ~recent)
+        ~words:(hint_words hint_rng) ~lines:(hint_lines hint_rng)
+    done;
+    step rng p h;
+    same_charges i
+  done;
+  assert_same ~at:"after ops" p h;
+  if crash_support = Nvm.Config.Precise then begin
+    check "persisted image" true
+      (Region.read_persisted p 0 ~len:size_bytes
+      = Region.read_persisted h 0 ~len:size_bytes);
+    let choose ~line ~nwrites = (line * 7 + nwrites) mod (nwrites + 1) in
+    Region.crash_with p ~choose;
+    Region.crash_with h ~choose;
+    assert_same ~at:"after crash" p h
+  end
+
+let hints_precise () = hints_change_nothing Nvm.Config.Precise ~seed:17
+let hints_counting () = hints_change_nothing Nvm.Config.Counting ~seed:19
+
 let tests =
   ( "region_fastpath",
     [
@@ -247,4 +334,8 @@ let tests =
         `Quick value_read_precise;
       Alcotest.test_case "value read = read_int + read_string (Counting)"
         `Quick value_read_counting;
+      Alcotest.test_case "prefetch hints change nothing (Precise)" `Quick
+        hints_precise;
+      Alcotest.test_case "prefetch hints change nothing (Counting)" `Quick
+        hints_counting;
     ] )

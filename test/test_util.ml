@@ -51,6 +51,70 @@ let rng_shuffle_permutes () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "still a permutation" (Array.init 50 (fun i -> i)) sorted
 
+(* Golden streams: the MD5 of the first 1,000 outputs of each generator
+   function, per seed, recorded from the boxed-[Int64] implementation
+   the current one replaced. Every seeded experiment, crash and eviction
+   depends on these sequences, so a change of representation must leave
+   them bit-identical. The [int] bounds cycle from 1 to [max_int],
+   including [3 lsl 60], which rejects a quarter of its draws. *)
+let golden_seeds = [ 0; 1; 7; 42; 0x5eed_ca5e; -1 ]
+
+let golden_bounds =
+  [| 1; 2; 3; 7; 100; 1 lsl 20; (1 lsl 40) + 1; 3 lsl 60; max_int |]
+
+let golden_stream name seed =
+  let r = Util.Rng.create ~seed in
+  let b = Buffer.create 16_384 in
+  for i = 0 to 999 do
+    (match name with
+    | "next64" -> Printf.bprintf b "%Ld\n" (Util.Rng.next64 r)
+    | "int" ->
+        let bound = golden_bounds.(i mod Array.length golden_bounds) in
+        Printf.bprintf b "%d\n" (Util.Rng.int r bound)
+    | "float" -> Printf.bprintf b "%h\n" (Util.Rng.float r)
+    | _ -> Printf.bprintf b "%b\n" (Util.Rng.bool r))
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let golden =
+  [
+    ( "next64",
+      [
+        "a02aaac158c072099299c7eef736b28d"; "5b68724cc1e8c849e6864a83aa960a86";
+        "31672caaf78f44d508bdd08d321bb1b3"; "e1e9640bafcca84f37dad8338067d177";
+        "25b381229d83dfb981ffdb61ce03ec1d"; "f02767b22cdd32522bce2ad7b328b52f";
+      ] );
+    ( "int",
+      [
+        "193513729ee47a801feea78f15fb270f"; "13e30087f92b9033c39e913b940eaf91";
+        "2486096aaa16279e6791ec4d43bff580"; "35787ff667995e55c5f2800e7c8c8d0c";
+        "25deeb2db7cbdee3220e761c0741c740"; "b1275b70a0fafc68dd02169c0afca542";
+      ] );
+    ( "float",
+      [
+        "220615eb6248f9345af78b995f403186"; "4116fd30593dd15355697b4ed979a423";
+        "0a87a2a9067ebc3aada15d625fefe41a"; "5eb145e04ef094842f3ca50595575165";
+        "189a178ce2082c0142d47ea09789041c"; "d56b6ccaced0dfc158e9f203ee7b2c04";
+      ] );
+    ( "bool",
+      [
+        "11692d5e7c8b73464e9758159d68e401"; "82862c4837b7f20b28ee554e487b3a66";
+        "faf96b7c494bfb6704fb9c4022d80346"; "3349e9f64aeac9cfaf8e506595af09a3";
+        "3839d73c0c5b09cb99e851628ce817e6"; "eb4574a96be729c05f3959822e5f9a86";
+      ] );
+  ]
+
+let rng_golden_streams () =
+  List.iter
+    (fun (name, digests) ->
+      List.iter2
+        (fun seed want ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s seed %d" name seed)
+            want (golden_stream name seed))
+        golden_seeds digests)
+    golden
+
 (* --- Zipf -------------------------------------------------------------- *)
 
 let zipf_bounds () =
@@ -176,6 +240,7 @@ let tests =
       Alcotest.test_case "rng float unit interval" `Quick rng_float_unit_interval;
       Alcotest.test_case "rng copy independent" `Quick rng_copy_independent;
       Alcotest.test_case "rng shuffle permutes" `Quick rng_shuffle_permutes;
+      Alcotest.test_case "rng golden streams" `Quick rng_golden_streams;
       Alcotest.test_case "zipf bounds" `Quick zipf_bounds;
       Alcotest.test_case "zipf skew" `Quick zipf_skew;
       Alcotest.test_case "zipf popularity order" `Quick zipf_monotone_popularity;
