@@ -5,7 +5,7 @@ BENCH_THRESHOLD ?= 0.10
 
 .PHONY: all build test check chaos chaos-txn chaos-net bench bench-gate \
   latency latency-throughput latency-latency latency-rto latency-improve \
-  microbench serve perfbench-smoke clean
+  microbench serve perfbench-smoke trace-smoke clean
 
 # Chaos-run shape: the four historically-bad seeds (the limbo-chain bug,
 # now fixed and regression-gated here) plus four fresh ones.
@@ -29,8 +29,10 @@ test:
 # comparisons are two --json reports on the same machine) + the
 # serving-layer gate (a real server process driven over the wire) + the
 # crash-restart/network-fault torture (chaos-net) + the repository
-# benchmark's smoke test (perfbench-smoke).
-check: build test bench-gate latency microbench serve chaos-net perfbench-smoke
+# benchmark's smoke test (perfbench-smoke) + the timeline export smoke
+# test (trace-smoke).
+check: build test bench-gate latency microbench serve chaos-net perfbench-smoke \
+  trace-smoke
 
 # Crash-chaos gate: random-crash torture over the known-bad + fresh seed
 # matrix, a deterministic schedule that crashes inside recovery at three
@@ -180,6 +182,17 @@ chaos-net: build
 # unit and a finite value.
 perfbench-smoke: build
 	python3 perfbench/smoke.py
+
+# Timeline export smoke test: a traced run must write a Chrome/Perfetto
+# trace that parses as JSON and holds a non-empty traceEvents list.
+trace-smoke: build
+	dune exec bench/main.exe -- --only fig4 --scale 0.001 --threads 2 \
+	  --ops 2000 --trace _build/trace.json
+	python3 -c "import json, sys; \
+	  d = json.load(open('_build/trace.json')); \
+	  ev = d.get('traceEvents') if isinstance(d, dict) else None; \
+	  sys.exit(0 if isinstance(ev, list) and ev else \
+	    '_build/trace.json: no traceEvents')"
 
 bench:
 	dune exec bench/main.exe -- --scale 0.001 --threads 2 --ops 5000

@@ -127,6 +127,9 @@ let run ?(seed = opts.seed) ?threads ?keys ?sfence_extra_ns ?val_incll ?policy
        ~latency_threshold_ns:opts.latency_threshold_ns ~variant ~mix ~dist
        ~nkeys:keys ())
 
+(* A counter of the run's measured-phase registry delta. *)
+let count r name = Obs.Registry.counter_value r.R.metrics name
+
 (* Repeated runs with distinct workload seeds; returns (mean Mops,
    relative stdev). The paper averages 10 runs and reports 0.03-0.08%
    standard deviation (§6). *)
@@ -369,8 +372,11 @@ let fig7 () =
     (fun keys ->
       List.iter
         (fun dist ->
-          let lg = (run ~keys Sys_.Logging Y.A dist).R.nodes_logged in
-          let inc = (run ~keys Sys_.Incll Y.A dist).R.nodes_logged in
+          let logged variant =
+            count (run ~keys variant Y.A dist) "extlog.nodes_logged"
+          in
+          let lg = logged Sys_.Logging in
+          let inc = logged Sys_.Incll in
           Util.Table.add_row t
             [
               Util.Table.cell_int keys;
@@ -451,25 +457,40 @@ let flushcost () =
 
 (* ------------------------------------------------------------- recovery *)
 
+(* Load [keys] keys into a fresh Precise-mode store on [nvm] (sized
+   here), optionally checkpoint the load, run a mixed put/get tail of
+   [keys / 2] ops so the crash lands mid-epoch, crash and recover.
+   Returns the nodes the tail logged and the recovery's statistics. *)
+let crash_mid_epoch ?(checkpoint_load = false) variant ~keys ~epoch_len_ns nvm =
+  let nvm =
+    {
+      nvm with
+      Nvm.Config.size_bytes = (keys * 400) + (48 * 1024 * 1024);
+      crash_support = Nvm.Config.Precise;
+    }
+  in
+  let config = { Sys_.nvm; epoch_len_ns; val_incll = true } in
+  let s = Sys_.create ~config variant in
+  let rng = Util.Rng.create ~seed:opts.seed in
+  for i = 0 to keys - 1 do
+    Sys_.put s ~key:(Y.key_of_rank i) ~value:"12345678"
+  done;
+  if checkpoint_load then Sys_.advance_epoch s;
+  let logged0 = Sys_.nodes_logged s in
+  for _ = 1 to keys / 2 do
+    let k = Y.key_of_rank (Util.Rng.int rng keys) in
+    if Util.Rng.bool rng then Sys_.put s ~key:k ~value:"abcdefgh"
+    else ignore (Sys_.get s ~key:k : string option)
+  done;
+  let logged = Sys_.nodes_logged s - logged0 in
+  Sys_.crash s rng;
+  (logged, Option.get (Sys_.last_recover_stats (Sys_.recover s)))
+
 let recovery () =
   line "";
   line "=== §6.3: recovery time (worst case: crash at the end of an epoch) ===";
   line "    paper: 84K logged nodes in the epoch; ~15 ms to apply the log";
   let keys = max 10_000 (nkeys () / 2) in
-  let cfg =
-    {
-      Sys_.nvm =
-        {
-          Nvm.Config.default with
-          Nvm.Config.size_bytes = (keys * 400) + (48 * 1024 * 1024);
-          extlog_bytes = 32 * 1024 * 1024;
-          crash_support = Nvm.Config.Precise;
-        };
-      (* Manual epochs: crash lands just before the checkpoint. *)
-      epoch_len_ns = 1.0e15;
-      val_incll = true;
-    }
-  in
   let t =
     Util.Table.create
       ~columns:
@@ -483,48 +504,35 @@ let recovery () =
   in
   List.iter
     (fun variant ->
-      let s = Sys_.create ~config:cfg variant in
-      let rng = Util.Rng.create ~seed:opts.seed in
-      for i = 0 to keys - 1 do
-        Sys_.put s ~key:(Y.key_of_rank i) ~value:"12345678"
-      done;
-      Sys_.advance_epoch s;
-      let logged0 = Sys_.nodes_logged s in
-      let epoch_ops = keys / 2 in
-      for _ = 1 to epoch_ops do
-        let k = Y.key_of_rank (Util.Rng.int rng keys) in
-        if Util.Rng.bool rng then Sys_.put s ~key:k ~value:"abcdefgh"
-        else ignore (Sys_.get s ~key:k)
-      done;
-      let logged = Sys_.nodes_logged s - logged0 in
-      Sys_.crash s rng;
-      let s = Sys_.recover s in
-      match Sys_.last_recover_stats s with
-      | Some st ->
-          Util.Table.add_row t
+      (* Manual epochs: the crash lands just before the checkpoint. *)
+      let logged, st =
+        crash_mid_epoch variant ~keys ~checkpoint_load:true
+          ~epoch_len_ns:1.0e15
+          { Nvm.Config.default with extlog_bytes = 32 * 1024 * 1024 }
+      in
+      Util.Table.add_row t
+        [
+          Sys_.variant_name variant;
+          Util.Table.cell_int keys;
+          Util.Table.cell_int (keys / 2);
+          Util.Table.cell_int logged;
+          Util.Table.cell_int st.Sys_.replayed_entries;
+          Util.Table.cell_float (st.Sys_.recovery_sim_ns /. 1e6);
+          Util.Table.cell_float (st.Sys_.recovery_wall_ns /. 1e6);
+        ];
+      List.iter
+        (fun (name, sim_ns) ->
+          let wall_ns =
+            Option.value ~default:0.0 (List.assoc_opt name st.Sys_.wall_phases)
+          in
+          Util.Table.add_row phases
             [
               Sys_.variant_name variant;
-              Util.Table.cell_int keys;
-              Util.Table.cell_int epoch_ops;
-              Util.Table.cell_int logged;
-              Util.Table.cell_int st.Sys_.replayed_entries;
-              Util.Table.cell_float (st.Sys_.recovery_sim_ns /. 1e6);
-              Util.Table.cell_float (st.Sys_.recovery_wall_ns /. 1e6);
-            ];
-          List.iter
-            (fun (name, sim_ns) ->
-              let wall_ns =
-                Option.value ~default:0.0 (List.assoc_opt name st.Sys_.wall_phases)
-              in
-              Util.Table.add_row phases
-                [
-                  Sys_.variant_name variant;
-                  name;
-                  Util.Table.cell_float (sim_ns /. 1e6);
-                  Util.Table.cell_float (wall_ns /. 1e6);
-                ])
-            st.Sys_.phases
-      | None -> ())
+              name;
+              Util.Table.cell_float (sim_ns /. 1e6);
+              Util.Table.cell_float (wall_ns /. 1e6);
+            ])
+        st.Sys_.phases)
     [ Sys_.Incll; Sys_.Logging ];
   emit "recovery" t;
   line "    per recovery phase:";
@@ -550,7 +558,7 @@ let ablation_epoch () =
           Util.Table.cell_float ms;
           Util.Table.cell_float r.R.mops_sim;
           Util.Table.cell_int r.R.epochs;
-          Util.Table.cell_int r.R.nodes_logged;
+          Util.Table.cell_int (count r "extlog.nodes_logged");
           Util.Table.cell_int r.R.wbinvds;
         ])
     [ 1.0; 2.0; 4.0; 8.0; 16.0; 32.0; 64.0 ];
@@ -575,7 +583,7 @@ let ablation_valincll () =
               name;
               Y.dist_name dist;
               Util.Table.cell_float r.R.mops_sim;
-              Util.Table.cell_int r.R.nodes_logged;
+              Util.Table.cell_int (count r "extlog.nodes_logged");
               Util.Table.cell_int r.R.sfences;
             ])
         [
@@ -594,9 +602,9 @@ let ablation_internal () =
     "keys=%s ops=%s: nodes logged=%s | leaf first-touches=%s | value-InCLL uses=%s"
     (Util.Table.cell_int (nkeys ()))
     (Util.Table.cell_int r.R.ops)
-    (Util.Table.cell_int r.R.nodes_logged)
-    (Util.Table.cell_int r.R.incll_first_touches)
-    (Util.Table.cell_int r.R.incll_val_uses);
+    (Util.Table.cell_int (count r "extlog.nodes_logged"))
+    (Util.Table.cell_int (count r "incll_first_touch"))
+    (Util.Table.cell_int (count r "incll.val_use"));
   line
     "Leaf first-touches dominate by orders of magnitude; widening internal nodes";
   line
@@ -687,39 +695,12 @@ let policies () =
       (* Recovery window: load, run a mixed tail so the crash lands
          mid-epoch, crash, recover. RTO-style policies checkpoint more
          often, so less work sits in the failed epoch. *)
-      let rkeys = max 2_000 (keys / 4) in
-      let cfg =
-        {
-          Sys_.nvm =
-            Nvm.Config.with_policy
-              {
-                Nvm.Config.default with
-                Nvm.Config.size_bytes = (rkeys * 400) + (48 * 1024 * 1024);
-                extlog_bytes = 8 * 1024 * 1024;
-                crash_support = Nvm.Config.Precise;
-              }
-              policy;
-          epoch_len_ns = opts.epoch_ms *. 1e6;
-          val_incll = true;
-        }
-      in
-      let s = Sys_.create ~config:cfg Sys_.Incll in
-      let rng = Util.Rng.create ~seed:opts.seed in
-      for i = 0 to rkeys - 1 do
-        Sys_.put s ~key:(Y.key_of_rank i) ~value:"12345678"
-      done;
-      for _ = 1 to rkeys / 2 do
-        let k = Y.key_of_rank (Util.Rng.int rng rkeys) in
-        if Util.Rng.bool rng then Sys_.put s ~key:k ~value:"abcdefgh"
-        else ignore (Sys_.get s ~key:k : string option)
-      done;
-      Sys_.crash s rng;
-      let s = Sys_.recover s in
-      let replayed, rec_ms =
-        match Sys_.last_recover_stats s with
-        | Some st ->
-            (st.Sys_.replayed_entries, st.Sys_.recovery_sim_ns /. 1e6)
-        | None -> (0, 0.0)
+      let _, st =
+        crash_mid_epoch Sys_.Incll ~keys:(max 2_000 (keys / 4))
+          ~epoch_len_ns:(opts.epoch_ms *. 1e6)
+          (Nvm.Config.with_policy
+             { Nvm.Config.default with extlog_bytes = 8 * 1024 * 1024 }
+             policy)
       in
       Util.Table.add_row t
         [
@@ -730,8 +711,8 @@ let policies () =
           Util.Table.cell_float (stall Obs.Stall.Epoch_advance);
           Util.Table.cell_float (stall Obs.Stall.Clwb_sweep);
           Util.Table.cell_int open_.R.epochs;
-          Util.Table.cell_int replayed;
-          Util.Table.cell_float rec_ms;
+          Util.Table.cell_int st.Sys_.replayed_entries;
+          Util.Table.cell_float (st.Sys_.recovery_sim_ns /. 1e6);
         ])
     [ Nvm.Config.Throughput; Nvm.Config.Latency; Nvm.Config.Rto ];
   emit "policies" t

@@ -33,14 +33,16 @@ let () =
   Printf.printf "NVM events : %s stores, %s loads\n"
     (Util.Table.cell_int r.R.writes)
     (Util.Table.cell_int r.R.reads);
+  let count name = Obs.Registry.counter_value r.R.metrics name in
+  let logged = count "extlog.nodes_logged" in
   Printf.printf "persistence: %s sfences, %s clwbs, %s nodes externally logged\n"
     (Util.Table.cell_int r.R.sfences)
     (Util.Table.cell_int r.R.clwbs)
-    (Util.Table.cell_int r.R.nodes_logged);
+    (Util.Table.cell_int logged);
   Printf.printf "InCLL      : %s first-touches, %s value-InCLL uses\n"
-    (Util.Table.cell_int r.R.incll_first_touches)
-    (Util.Table.cell_int r.R.incll_val_uses);
-  if r.R.sfences > 0 || r.R.nodes_logged > 0 then
+    (Util.Table.cell_int (count "incll_first_touch"))
+    (Util.Table.cell_int (count "incll.val_use"));
+  if r.R.sfences > 0 || logged > 0 then
     Printf.printf "=> %.4f draining fences per operation\n"
       (float_of_int r.R.sfences /. float_of_int r.R.ops)
   else

@@ -13,17 +13,11 @@ type t = {
       (* chain-walk cycle guard: one bit per 64-byte heap slot, all clear
          between walks; allocated by the first walk *)
   marked : Util.Ivec.t;  (* the chunks the current walk has marked *)
-  mutable allocs : int;
-  mutable deallocs : int;
-  mutable freelist_allocs : int;
-  mutable quarantined : int;
-  c_quarantined : int ref;  (* "alloc.quarantined_chains" registry counter *)
+  (* Counters of the region's metric registry: *)
+  c_allocs : int ref;  (* "alloc.allocs" *)
+  c_freelist_allocs : int ref;  (* "alloc.freelist_allocs" *)
+  c_quarantined : int ref;  (* "alloc.quarantined_chains" *)
 }
-
-let allocs t = t.allocs
-let deallocs t = t.deallocs
-let freelist_allocs t = t.freelist_allocs
-let quarantined t = t.quarantined
 
 let corrupt ~head ~at ~steps reason =
   raise (Corrupt_chain { head; at; steps; reason })
@@ -72,8 +66,8 @@ let set_meta_head t ~line v =
 (* Quarantine (leak-don't-crash degradation): when a chain walk proves
    the chain corrupt, unlink the whole chain by zeroing its head. Every
    block on it leaks, but the allocator and the store stay usable; the
-   count is surfaced through [quarantined] / recover_stats and the
-   "alloc.quarantined_chains" counter so CI can fail red on it. *)
+   count is surfaced through the "alloc.quarantined_chains" counter (and
+   so recover_stats) so CI can fail red on it. *)
 let quarantine_chain t ~line exn =
   (match exn with
   | Corrupt_chain { head; at; steps; reason } ->
@@ -82,7 +76,6 @@ let quarantine_chain t ~line exn =
       ignore (at, steps, reason)
   | _ -> ());
   set_meta_head t ~line 0;
-  t.quarantined <- t.quarantined + 1;
   incr t.c_quarantined
 
 (* Cycle guard of the chain walks: chunks are 64-aligned heap addresses
@@ -172,6 +165,7 @@ let merge_limbo t () =
 
 let make region em =
   let cfg = Nvm.Region.config region in
+  let m = Nvm.Region.metrics region in
   {
     region;
     em;
@@ -180,13 +174,9 @@ let make region em =
     limbo_tails = Array.make Size_class.count 0;
     visited = Bytes.empty;
     marked = Util.Ivec.create ();
-    allocs = 0;
-    deallocs = 0;
-    freelist_allocs = 0;
-    quarantined = 0;
-    c_quarantined =
-      Obs.Registry.counter (Nvm.Region.metrics region)
-        "alloc.quarantined_chains";
+    c_allocs = Obs.Registry.counter m "alloc.allocs";
+    c_freelist_allocs = Obs.Registry.counter m "alloc.freelist_allocs";
+    c_quarantined = Obs.Registry.counter m "alloc.quarantined_chains";
   }
 
 let create em =
@@ -222,13 +212,13 @@ let alloc ?(aligned = false) t ~size =
     else Size_class.class_of_payload size
   in
   let head = Meta_line.head t.region ~line:(free_line cls) in
-  t.allocs <- t.allocs + 1;
+  incr t.c_allocs;
   if head <> 0 then begin
     (* Pop: only the head moves; the chunk's own header is untouched, so
        rollback of this epoch re-links the chunk exactly as it was. *)
     let next = chunk_next t head in
     set_meta_head t ~line:(free_line cls) next;
-    t.freelist_allocs <- t.freelist_allocs + 1;
+    incr t.c_freelist_allocs;
     Size_class.payload_of_chunk ~chunk:head ~aligned
   end
   else begin
@@ -256,8 +246,7 @@ let dealloc t payload =
   touch_chunk t chunk;
   Chunk_header.write_next t.region ~chunk ~next:lhead;
   set_meta_head t ~line:(limbo_line cls) chunk;
-  if lhead = 0 then t.limbo_tails.(cls) <- chunk;
-  t.deallocs <- t.deallocs + 1
+  if lhead = 0 then t.limbo_tails.(cls) <- chunk
 
 let payload_capacity_of t payload =
   let chunk = Size_class.chunk_of_payload payload in

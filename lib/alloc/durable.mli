@@ -26,7 +26,7 @@ exception
     [head] is the chain's head chunk, [at] the chunk whose [next] was
     bad, [steps] how many links had been followed. Walks raise this
     instead of hanging; the recovery path converts it into a chain
-    quarantine (see {!quarantined}). *)
+    quarantine (counted in ["alloc.quarantined_chains"]). *)
 
 val create : Epoch.Manager.t -> t
 (** Initialise allocator metadata on a fresh region (after
@@ -58,15 +58,13 @@ val check_chains : t -> unit
 (** Walk every free and limbo list and validate chunk headers; raises
     [Failure] on corruption (testing aid). *)
 
-(** {1 Corruption handling} *)
+(** {1 Corruption handling}
 
-val quarantined : t -> int
-(** Chains quarantined since this handle was opened: a walk raised
-    {!Corrupt_chain} during the limbo merge or {!recover_all_chains},
-    and the whole chain was unlinked (its blocks leak) so the store
-    could keep running. Mirrored in the ["alloc.quarantined_chains"]
-    registry counter. Always 0 in a healthy store — CI fails red when a
-    chaos run reports otherwise. *)
+    A walk that raises {!Corrupt_chain} during the limbo merge or
+    {!recover_all_chains} unlinks the whole chain (its blocks leak) so the
+    store can keep running, and bumps the region's
+    ["alloc.quarantined_chains"] counter. It stays 0 in a healthy store:
+    CI fails red when a chaos run reports otherwise. *)
 
 type chain_error = { cls : int; kind : string; head : int; detail : string }
 (** One invariant violation: [kind] is ["free"] or ["limbo"]. *)
@@ -89,11 +87,11 @@ val forget_limbo_tails : t -> unit
     re-walk each chain as it must after a crash (testing aid for the
     walk's cycle guard). *)
 
-(** {1 Statistics} *)
+(** {1 Statistics}
 
-val allocs : t -> int
-val deallocs : t -> int
-val freelist_allocs : t -> int
+    Allocations are counted in the region's ["alloc.allocs"] counter,
+    those served from a free list in ["alloc.freelist_allocs"]. *)
+
 val bump_position : t -> int
 val free_count : t -> cls:int -> int
 (** Length of a class's free list (walks it; testing aid). *)

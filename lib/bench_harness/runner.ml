@@ -7,7 +7,6 @@ type result = {
   sim_total_s : float;
   mops_sim : float;
   mops_wall : float;
-  nodes_logged : int;
   minor_words : float;
   sfences : int;
   clwbs : int;
@@ -16,8 +15,6 @@ type result = {
   writes : int;
   reads : int;
   epochs : int;
-  incll_first_touches : int;
-  incll_val_uses : int;
   metrics : Obs.Registry.t;
   stalls : (string * Obs.Stall.t) list;
   latency : LR.t;
@@ -186,13 +183,6 @@ let epochs_of store i =
   | Some em -> Epoch.Manager.epochs_elapsed em
   | None -> 0
 
-let counters_of store i =
-  match Incll.System.ctx (Store.Sharded.shard store i) with
-  | Some c ->
-      ( c.Incll.Ctx.counters.Incll.Ctx.first_touches,
-        c.Incll.Ctx.counters.Incll.Ctx.val_incll_uses )
-  | None -> (0, 0)
-
 type prepared = {
   store : Store.Sharded.t;
   threads : int;
@@ -295,11 +285,6 @@ let measure
   in
   let before = Array.init threads (snapshot_shard store) in
   let epochs_before = Array.init threads (epochs_of store) in
-  let counters_before = Array.init threads (counters_of store) in
-  let logged_before =
-    Array.init threads (fun i ->
-        Incll.System.nodes_logged (Store.Sharded.shard store i))
-  in
   let wall0 = Unix.gettimeofday () in
   (* [Gc.minor_words] is per domain: each worker counts its own op loop. *)
   let per_shard =
@@ -334,22 +319,6 @@ let measure
   let epochs =
     Array.fold_left ( + ) 0 (Array.init threads (epochs_of store))
     - Array.fold_left ( + ) 0 epochs_before
-  in
-  let ft, vu =
-    let now = Array.init threads (counters_of store) in
-    let f = ref 0 and v = ref 0 in
-    for i = 0 to threads - 1 do
-      let f1, v1 = now.(i) and f0, v0 = counters_before.(i) in
-      f := !f + f1 - f0;
-      v := !v + v1 - v0
-    done;
-    (!f, !v)
-  in
-  let nodes_logged =
-    Array.fold_left ( + ) 0
-      (Array.init threads (fun i ->
-           Incll.System.nodes_logged (Store.Sharded.shard store i)
-           - logged_before.(i)))
   in
   let metrics =
     Obs.Registry.diff ~after:(Store.Sharded.metrics store)
@@ -407,7 +376,6 @@ let measure
     mops_sim = (if sim_s > 0.0 then float_of_int ops /. sim_s /. 1e6 else 0.0);
     mops_wall =
       (if wall_s > 0.0 then float_of_int ops /. wall_s /. 1e6 else 0.0);
-    nodes_logged;
     minor_words = Array.fold_left (fun a (_, w) -> a +. w) 0.0 per_shard;
     sfences = sum (fun d -> d.Nvm.Stats.sfence);
     clwbs = sum (fun d -> d.Nvm.Stats.clwb);
@@ -416,8 +384,6 @@ let measure
     writes = sum (fun d -> d.Nvm.Stats.writes);
     reads = sum (fun d -> d.Nvm.Stats.reads);
     epochs;
-    incll_first_touches = ft;
-    incll_val_uses = vu;
     metrics;
     stalls =
       Array.to_list

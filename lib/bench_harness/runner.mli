@@ -15,7 +15,6 @@ type result = {
   sim_total_s : float;  (** Summed over shards. *)
   mops_sim : float;
   mops_wall : float;
-  nodes_logged : int;  (** External-log appends during the measured phase. *)
   minor_words : float;
       (** Minor-heap words the op loops allocated, measured inside each
           worker domain around its loop and summed over shards. *)
@@ -26,13 +25,13 @@ type result = {
   writes : int;
   reads : int;
   epochs : int;  (** Checkpoints taken during the measured phase. *)
-  incll_first_touches : int;
-  incll_val_uses : int;
   metrics : Obs.Registry.t;
       (** Merged-over-shards registry delta for the measured phase:
           sfence/wbinvd latency histograms, epoch length and dirty-line
-          distributions, external-log counters, the
-          [incll_hit]/[incll_fallback] split (Figure 7's quantity), the
+          distributions, external-log counters (Figure 7's
+          [extlog.nodes_logged]), the [incll_hit]/[incll_fallback] split
+          and its [incll_first_touch], [incll.val_use] and
+          [incll.fallback.<cause>] parts, the
           per-op [op.latency_ns] / [op.latency_wall_ns] histograms, the
           [stall.<cause>_ns] histograms and the
           [latency.attributed.<cause>] counters. *)

@@ -1,53 +1,52 @@
-type counters = {
-  mutable first_touches : int;
-  mutable val_incll_uses : int;
-  mutable val_incll_hits : int;
-  mutable ext_fallback_mixed : int;
-  mutable ext_fallback_update : int;
-  mutable ext_fallback_epoch : int;
-  mutable ext_structural : int;
-  mutable lazy_recoveries : int;
-}
-
 type t = {
   region : Nvm.Region.t;
   em : Epoch.Manager.t;
   log : Extlog.Log.t;
-  counters : counters;
-  (* Registry mirrors of the Figure-7 split: every modification the InCLL
-     machinery absorbs bumps [m_incll_hit]; every one that falls back on
-     the external log bumps [m_incll_fallback]. *)
+  (* The Figure-7 split: every modification the InCLL machinery absorbs
+     bumps [m_incll_hit]; every node that falls back on the external log
+     bumps [m_incll_fallback]. Each also bumps the counter of its kind. *)
   m_incll_hit : int ref;
   m_incll_fallback : int ref;
   m_first_touch : int ref;
+  m_val_use : int ref;
+  m_val_hit : int ref;
+  m_fallback : int ref array;
+  m_lazy_recovery : int ref;
 }
 
-let fresh_counters () =
-  {
-    first_touches = 0;
-    val_incll_uses = 0;
-    val_incll_hits = 0;
-    ext_fallback_mixed = 0;
-    ext_fallback_update = 0;
-    ext_fallback_epoch = 0;
-    ext_structural = 0;
-    lazy_recoveries = 0;
-  }
+type fallback = Mixed | Update | Epoch_distance | Structural
+
+let fallback_name = function
+  | Mixed -> "mixed"
+  | Update -> "update"
+  | Epoch_distance -> "epoch_distance"
+  | Structural -> "structural"
+
+let fallback_index = function
+  | Mixed -> 0
+  | Update -> 1
+  | Epoch_distance -> 2
+  | Structural -> 3
 
 let make em log =
   let region = Epoch.Manager.region em in
   let m = Nvm.Region.metrics region in
+  let c = Obs.Registry.counter m in
   {
     region;
     em;
     log;
-    counters = fresh_counters ();
-    m_incll_hit = Obs.Registry.counter m "incll_hit";
-    m_incll_fallback = Obs.Registry.counter m "incll_fallback";
-    m_first_touch = Obs.Registry.counter m "incll_first_touch";
+    m_incll_hit = c "incll_hit";
+    m_incll_fallback = c "incll_fallback";
+    m_first_touch = c "incll_first_touch";
+    m_val_use = c "incll.val_use";
+    m_val_hit = c "incll.val_hit";
+    m_fallback =
+      Array.map
+        (fun f -> c ("incll.fallback." ^ fallback_name f))
+        [| Mixed; Update; Epoch_distance; Structural |];
+    m_lazy_recovery = c "incll.lazy_recovery";
   }
-
-let note_incll_hit t = incr t.m_incll_hit
 
 (* The trace payloads are built only while tracing, so the op path
    allocates nothing for them. *)
@@ -57,10 +56,21 @@ let note_first_touch t ~leaf =
   if Nvm.Region.tracing t.region then
     Nvm.Region.trace_event t.region (Obs.Trace.Incll_first_touch { leaf })
 
-let note_fallback t ~leaf =
+let note_val_use t =
+  incr t.m_incll_hit;
+  incr t.m_val_use
+
+let note_val_hit t =
+  incr t.m_incll_hit;
+  incr t.m_val_hit
+
+let note_fallback t cause ~leaf =
   incr t.m_incll_fallback;
+  incr (Array.unsafe_get t.m_fallback (fallback_index cause));
   if Nvm.Region.tracing t.region then
     Nvm.Region.trace_event t.region (Obs.Trace.Incll_fallback { leaf })
+
+let note_lazy_recovery t = incr t.m_lazy_recovery
 
 let current t = Epoch.Manager.current t.em
 let lower16 = Epoch.Manager.lower16

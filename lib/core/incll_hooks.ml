@@ -36,9 +36,7 @@ let first_touch ctx leaf ~slot =
   if Ctx.higher g <> Ctx.higher (L.epoch_word region leaf) then begin
     (* 16 bits cannot encode the epoch distance for the value InCLLs:
        fall back on the external log (§4.1.3; ~once an hour). *)
-    ctx.Ctx.counters.Ctx.ext_fallback_epoch <-
-      ctx.Ctx.counters.Ctx.ext_fallback_epoch + 1;
-    Ctx.note_fallback ctx ~leaf;
+    Ctx.note_fallback ctx Ctx.Epoch_distance ~leaf;
     log_leaf ctx leaf
   end
   else begin
@@ -55,8 +53,6 @@ let first_touch ctx leaf ~slot =
     done;
     Nvm.Region.release_fence region;
     L.set_epoch_word region leaf ~epoch:g ~ins_allowed:true ~logged:false;
-    ctx.Ctx.counters.Ctx.first_touches <-
-      ctx.Ctx.counters.Ctx.first_touches + 1;
     Ctx.note_first_touch ctx ~leaf
   end
 
@@ -68,9 +64,7 @@ let pre_insert ctx ~leaf =
   else if (not logged) && not ins_allowed then begin
     (* A slot freed by a same-epoch delete could be re-populated,
        destroying the key/value pair a rollback must restore (§4.1.1). *)
-    ctx.Ctx.counters.Ctx.ext_fallback_mixed <-
-      ctx.Ctx.counters.Ctx.ext_fallback_mixed + 1;
-    Ctx.note_fallback ctx ~leaf;
+    Ctx.note_fallback ctx Ctx.Mixed ~leaf;
     log_leaf ctx leaf
   end
 
@@ -92,9 +86,7 @@ let pre_update ctx ~val_incll ~leaf ~slot =
     (* Ablation: InCLLp only — updates always use the external log. *)
     let e = L.epoch_word region leaf in
     if not (L.logged region && e = Ctx.current ctx) then begin
-      ctx.Ctx.counters.Ctx.ext_fallback_update <-
-        ctx.Ctx.counters.Ctx.ext_fallback_update + 1;
-      Ctx.note_fallback ctx ~leaf;
+      Ctx.note_fallback ctx Ctx.Update ~leaf;
       log_leaf ctx leaf
     end
   end
@@ -109,11 +101,7 @@ let pre_update ctx ~val_incll ~leaf ~slot =
       (* first_touch may have chosen the external log instead; only count
          an InCLL use when it did not. *)
       ignore (L.epoch_word region leaf : int);
-      if not (L.logged region) then begin
-        ctx.Ctx.counters.Ctx.val_incll_uses <-
-          ctx.Ctx.counters.Ctx.val_incll_uses + 1;
-        Ctx.note_incll_hit ctx
-      end
+      if not (L.logged region) then Ctx.note_val_use ctx
     end
     else if logged then ()
     else begin
@@ -122,9 +110,7 @@ let pre_update ctx ~val_incll ~leaf ~slot =
       if idx = slot then
         (* The epoch-start value of this slot is already logged; further
            overwrites need nothing (valuable under skew, §4.1.3). *)
-        (ctx.Ctx.counters.Ctx.val_incll_hits <-
-           ctx.Ctx.counters.Ctx.val_incll_hits + 1;
-         Ctx.note_incll_hit ctx)
+        Ctx.note_val_hit ctx
       else if idx = V.invalid_idx then begin
         (* This line's InCLL is still free this epoch: claim it. Same
            cache line as the value slot, so no fence is needed before the
@@ -136,15 +122,11 @@ let pre_update ctx ~val_incll ~leaf ~slot =
           ~ptr:(L.value region leaf ~slot)
           ~low_epoch:(Ctx.lower16 g);
         Nvm.Region.release_fence region;
-        ctx.Ctx.counters.Ctx.val_incll_uses <-
-          ctx.Ctx.counters.Ctx.val_incll_uses + 1;
-        Ctx.note_incll_hit ctx
+        Ctx.note_val_use ctx
       end
       else begin
         (* Two hot slots share the line: external log (§4.1.3). *)
-        ctx.Ctx.counters.Ctx.ext_fallback_update <-
-          ctx.Ctx.counters.Ctx.ext_fallback_update + 1;
-        Ctx.note_fallback ctx ~leaf;
+        Ctx.note_fallback ctx Ctx.Update ~leaf;
         log_leaf ctx leaf
       end
     end
@@ -163,9 +145,7 @@ let pre_structural ctx nodes =
         if Nvm.Region.read_int region Nvm.Layout.off_root_meta <> e0 then begin
           Ctx.log_node ctx ~addr ~size;
           Nvm.Region.write_int region Nvm.Layout.off_root_meta e0;
-          ctx.Ctx.counters.Ctx.ext_structural <-
-            ctx.Ctx.counters.Ctx.ext_structural + 1;
-          Ctx.note_fallback ctx ~leaf:addr
+          Ctx.note_fallback ctx Ctx.Structural ~leaf:addr
         end
       end
       else if L.is_leaf_node region addr then begin
@@ -180,9 +160,7 @@ let pre_structural ctx nodes =
         if not (L.logged region && e = e0) then begin
           Ctx.log_node ctx ~addr ~size:L.node_bytes;
           stamp_logged ctx addr;
-          ctx.Ctx.counters.Ctx.ext_structural <-
-            ctx.Ctx.counters.Ctx.ext_structural + 1;
-          Ctx.note_fallback ctx ~leaf:addr
+          Ctx.note_fallback ctx Ctx.Structural ~leaf:addr
         end
       end
       else if I.logged_epoch region addr <> e0 then begin
@@ -190,9 +168,7 @@ let pre_structural ctx nodes =
            at-most-once per epoch (§4.2). *)
         Ctx.log_node ctx ~addr ~size:I.node_bytes;
         I.set_logged_epoch region addr e0;
-        ctx.Ctx.counters.Ctx.ext_structural <-
-          ctx.Ctx.counters.Ctx.ext_structural + 1;
-        Ctx.note_fallback ctx ~leaf:addr
+        Ctx.note_fallback ctx Ctx.Structural ~leaf:addr
       end
     in
     List.iter log_one nodes;

@@ -34,8 +34,7 @@ let lazy_leaf_recovery ctx ~leaf =
     (* basenode::initlock() — the lock word is transient state that "might
        be in a bad state after crash" (Listing 4). *)
     L.set_version region leaf 0;
-    ctx.Ctx.counters.Ctx.lazy_recoveries <-
-      ctx.Ctx.counters.Ctx.lazy_recoveries + 1
+    Ctx.note_lazy_recovery ctx
   end
 
 let eager_sweep ctx tree dalloc =

@@ -62,7 +62,7 @@ let durable_alloc t = t.dalloc
 let last_recover_stats t = t.last_recover_stats
 
 let nodes_logged t =
-  match t.ctx with Some c -> Extlog.Log.nodes_logged c.Ctx.log | None -> 0
+  Obs.Registry.counter_value (metrics t) "extlog.nodes_logged"
 
 let hooks_for variant config ctx =
   match variant with
@@ -218,6 +218,11 @@ let recover_region ?txn_probe ~variant ~config region =
   let wall0 = Unix.gettimeofday () in
   let sim_now () = Nvm.Stats.sim_ns (Nvm.Region.stats region) in
   let sim0 = sim_now () in
+  let quarantined () =
+    Obs.Registry.counter_value (Nvm.Region.metrics region)
+      "alloc.quarantined_chains"
+  in
+  let quarantined0 = quarantined () in
   (* Per-phase profiling: each [phase] is a named span on the region's
      simulated clock. Phase durations are measured mark-to-mark (the time
      since the previous phase ended), so they telescope: their sum is
@@ -343,7 +348,7 @@ let recover_region ?txn_probe ~variant ~config region =
           replayed_entries = replayed;
           recovery_sim_ns = sim1 -. sim0;
           recovery_wall_ns = (wall1 -. wall0) *. 1e9;
-          quarantined_chains = Alloc.Durable.quarantined dalloc;
+          quarantined_chains = quarantined () - quarantined0;
           txns_redone;
           txns_aborted;
           sessions_recovered = List.length recovered_sessions;

@@ -41,7 +41,9 @@ val region : t -> Nvm.Region.t
 
 val metrics : t -> Obs.Registry.t
 (** The region's metric registry: the NVM substrate's latency histograms
-    plus the epoch, external-log and InCLL counters layered onto it. *)
+    plus the epoch, external-log, allocator, tree and InCLL counters
+    layered onto it (DESIGN.md §10 lists them). Every event is counted
+    here once; the counters live as long as the region. *)
 
 val tree : t -> Masstree.Tree.t
 val epoch_manager : t -> Epoch.Manager.t option
@@ -156,4 +158,6 @@ val recovered_sessions : t -> (int * int * int) list
     freshly created system. *)
 
 val nodes_logged : t -> int
-(** External-log appends so far (Figure 7's metric). *)
+(** External-log node appends over the region's life (Figure 7's metric):
+    the ["extlog.nodes_logged"] counter of {!metrics}, which survives
+    {!recover}; take a difference for a window. *)

@@ -27,9 +27,8 @@ type t = {
   off : int;  (* first byte of the log slice *)
   len : int;
   mutable tail : int;  (* transient append cursor, relative to [off] *)
-  mutable nodes_logged : int;
-  mutable bytes_logged : int;
   c_appends : int ref;  (* "extlog.appends" registry counter *)
+  c_nodes : int ref;  (* "extlog.nodes_logged" registry counter *)
   c_replayed : int ref;  (* "extlog.replayed" registry counter *)
   h_append_bytes : Obs.Histogram.t;  (* payload size per append *)
   s_used : Obs.Series.t;  (* log bytes at each truncation (epoch boundary) *)
@@ -43,9 +42,8 @@ let attach region =
     off = Nvm.Layout.extlog_off + log_header_bytes;
     len = cfg.Nvm.Config.extlog_bytes - log_header_bytes;
     tail = 0;
-    nodes_logged = 0;
-    bytes_logged = 0;
     c_appends = Obs.Registry.counter m "extlog.appends";
+    c_nodes = Obs.Registry.counter m "extlog.nodes_logged";
     c_replayed = Obs.Registry.counter m "extlog.replayed";
     h_append_bytes = Obs.Registry.histogram m "extlog.append_bytes";
     s_used = Nvm.Region.series region "extlog.used_bytes";
@@ -53,8 +51,7 @@ let attach region =
 
 let capacity t = t.len
 let used t = t.tail
-let nodes_logged t = t.nodes_logged
-let bytes_logged t = t.bytes_logged
+let nodes_logged t = !(t.c_nodes)
 
 let truncation_epoch t =
   Int64.to_int (Nvm.Region.read_i64 t.region Nvm.Layout.extlog_off)
@@ -119,7 +116,6 @@ let seal_entry t ~entry ~kind ~epoch ~addr ~size =
   done;
   Nvm.Region.sfence t.region;
   t.tail <- t.tail + total;
-  t.bytes_logged <- t.bytes_logged + size;
   incr t.c_appends;
   Obs.Histogram.record t.h_append_bytes (float_of_int size);
   if Nvm.Region.tracing t.region then
@@ -140,7 +136,7 @@ let append t ~epoch ~addr ~size =
   Nvm.Region.blit_within t.region ~src:addr ~dst:(entry + header_bytes)
     ~len:size;
   seal_entry t ~entry ~kind:kind_node ~epoch ~addr ~size;
-  t.nodes_logged <- t.nodes_logged + 1;
+  incr t.c_nodes;
   Obs.Stall.exit stalls ~now:(Nvm.Stats.sim_ns (Nvm.Region.stats t.region))
 
 (* Size an [append_record] call will consume, so a commit sequence can

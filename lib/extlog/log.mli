@@ -97,8 +97,11 @@ val scan_entries :
 (** {1 Statistics (Figure 7 measures logged-node counts)} *)
 
 val nodes_logged : t -> int
-(** Successful node-image appends since [attach] (txn records excluded). *)
+(** Successful node-image appends (txn records excluded): the region's
+    ["extlog.nodes_logged"] counter, which lives as long as the region, so
+    it spans recoveries. Every append, records included, also counts in
+    ["extlog.appends"] and records its payload bytes in the
+    ["extlog.append_bytes"] histogram. *)
 
-val bytes_logged : t -> int
 val capacity : t -> int
 val used : t -> int

@@ -1,20 +1,3 @@
-type op_stats = {
-  mutable puts : int;
-  mutable inserts : int;
-  mutable updates : int;
-  mutable gets : int;
-  mutable removes : int;
-  mutable scans : int;
-  mutable leaf_splits : int;
-  mutable internal_splits : int;
-  mutable root_splits : int;
-  mutable layer_creations : int;
-  mutable leaf_removals : int;
-  mutable internal_splices : int;
-  mutable root_collapses : int;
-  mutable layer_prunes : int;
-}
-
 type t = {
   region : Nvm.Region.t;
   alloc : Alloc.Api.t;
@@ -24,7 +7,15 @@ type t = {
   mutable path : int array;
       (* the last descent's (internal, child index) pairs, root first *)
   mutable depth : int;  (* ints of [path] in use *)
-  stats : op_stats;
+  (* Registry counters ["tree.<name>"] of the region's metrics. *)
+  c_updates : int ref;
+  c_leaf_splits : int ref;
+  c_root_splits : int ref;
+  c_layer_creations : int ref;
+  c_leaf_removals : int ref;
+  c_internal_splices : int ref;
+  c_root_collapses : int ref;
+  c_layer_prunes : int ref;
 }
 
 (* Where does the current layer's root pointer live? Layer 0: the
@@ -40,42 +31,33 @@ let max_value_bytes =
 
 let region t = t.region
 let root t = t.root
-let stats t = t.stats
-
-let fresh_stats () =
-  {
-    puts = 0;
-    inserts = 0;
-    updates = 0;
-    gets = 0;
-    removes = 0;
-    scans = 0;
-    leaf_splits = 0;
-    internal_splits = 0;
-    root_splits = 0;
-    layer_creations = 0;
-    leaf_removals = 0;
-    internal_splices = 0;
-    root_collapses = 0;
-    layer_prunes = 0;
-  }
 
 let read_root region =
   Nvm.Region.read_int region Nvm.Layout.off_root
 
+let make region alloc hooks ~current_epoch =
+  let m = Nvm.Region.metrics region in
+  let c name = Obs.Registry.counter m ("tree." ^ name) in
+  {
+    region;
+    alloc;
+    hooks;
+    current_epoch;
+    root = 0;
+    path = Array.make 32 0;
+    depth = 0;
+    c_updates = c "updates";
+    c_leaf_splits = c "leaf_splits";
+    c_root_splits = c "root_splits";
+    c_layer_creations = c "layer_creations";
+    c_leaf_removals = c "leaf_removals";
+    c_internal_splices = c "internal_splices";
+    c_root_collapses = c "root_collapses";
+    c_layer_prunes = c "layer_prunes";
+  }
+
 let create region alloc hooks ~current_epoch =
-  let t =
-    {
-      region;
-      alloc;
-      hooks;
-      current_epoch;
-      root = 0;
-      path = Array.make 32 0;
-      depth = 0;
-      stats = fresh_stats ();
-    }
-  in
+  let t = make region alloc hooks ~current_epoch in
   let leaf = Leaf.create alloc region ~layer:0 ~epoch:(current_epoch ()) in
   Nvm.Region.write_int region Nvm.Layout.off_root leaf;
   (* The initial root must survive even a crash in the first epoch. *)
@@ -85,18 +67,7 @@ let create region alloc hooks ~current_epoch =
   t
 
 let open_existing region alloc hooks ~current_epoch =
-  let t =
-    {
-      region;
-      alloc;
-      hooks;
-      current_epoch;
-      root = 0;
-      path = Array.make 32 0;
-      depth = 0;
-      stats = fresh_stats ();
-    }
-  in
+  let t = make region alloc hooks ~current_epoch in
   t.root <- read_root region;
   if t.root = 0 then failwith "Tree.open_existing: no root recorded";
   t
@@ -290,7 +261,7 @@ let split_leaf t leaf ~layer =
   Leaf.set_prev t.region right leaf;
   if old_next <> 0 then Leaf.set_prev t.region old_next right;
   Leaf.set_next t.region leaf right;
-  t.stats.leaf_splits <- t.stats.leaf_splits + 1;
+  incr t.c_leaf_splits;
   let lo = Leaf.key t.region right ~slot:0 in
   (right, Nvm.Region.hi32 t.region, lo)
 
@@ -313,7 +284,6 @@ let split_internal t node ~layer =
   done;
   Internal.set_nkeys region right (n - mid - 1);
   Internal.set_nkeys region node mid;
-  t.stats.internal_splits <- t.stats.internal_splits + 1;
   (right, up_hi, up_lo)
 
 (* Unsigned order of two slices given by their halves. *)
@@ -329,7 +299,7 @@ let rec insert_into_parent t rr ~layer stack ~left ~hi ~lo ~right =
       Internal.set_child t.region nroot ~i:1 right;
       Internal.set_nkeys t.region nroot 1;
       set_root t rr nroot;
-      t.stats.root_splits <- t.stats.root_splits + 1
+      incr t.c_root_splits
   | (node, _) :: rest ->
       if Internal.is_full t.region node then begin
         let right2, up_hi, up_lo = split_internal t node ~layer in
@@ -399,12 +369,11 @@ let rec put_rec t rr root ~key ~layer ~value =
       let new_buf = write_value t value in
       Leaf.set_value t.region leaf ~slot new_buf;
       t.alloc.Alloc.Api.dealloc old_buf;
-      t.stats.updates <- t.stats.updates + 1
+      incr t.c_updates
     end
     else begin
       insert_entry t rr ~layer leaf (lnot r) ~hi ~lo ~klen
-        ~make_v:(fun () -> write_value t value);
-      t.stats.inserts <- t.stats.inserts + 1
+        ~make_v:(fun () -> write_value t value)
     end
   end
   else begin
@@ -428,7 +397,7 @@ let rec put_rec t rr root ~key ~layer ~value =
           let new_buf = write_suffix_value t ~suffix:suff ~value in
           Leaf.set_value t.region leaf ~slot new_buf;
           t.alloc.Alloc.Api.dealloc buf;
-          t.stats.updates <- t.stats.updates + 1
+          incr t.c_updates
         end
         else begin
           (* Two long keys share the slice: convert the suffix entry
@@ -442,7 +411,7 @@ let rec put_rec t rr root ~key ~layer ~value =
           in
           Leaf.set_keylen t.region leaf ~slot Key.layer_link_len;
           Leaf.set_value t.region leaf ~slot sub;
-          t.stats.layer_creations <- t.stats.layer_creations + 1;
+          incr t.c_layer_creations;
           let old_value = read_suffix_value t buf in
           (* Re-insert the displaced key: only its bytes past this
              layer matter, so a zero-padded synthetic prefix works. *)
@@ -458,14 +427,12 @@ let rec put_rec t rr root ~key ~layer ~value =
       else begin
         insert_entry t rr ~layer leaf (lnot r) ~hi ~lo
           ~klen:Key.suffix_len_marker
-          ~make_v:(fun () -> write_suffix_value t ~suffix:suff ~value);
-        t.stats.inserts <- t.stats.inserts + 1
+          ~make_v:(fun () -> write_suffix_value t ~suffix:suff ~value)
       end
     end
   end
 
 let put t ~key ~value =
-  t.stats.puts <- t.stats.puts + 1;
   put_rec t Top t.root ~key ~layer:0 ~value
 
 let rec get_rec t root ~key ~layer =
@@ -497,7 +464,6 @@ let rec get_rec t root ~key ~layer =
   end
 
 let get t ~key =
-  t.stats.gets <- t.stats.gets + 1;
   get_rec t t.root ~key ~layer:0
 
 let mem t ~key = Option.is_some (get t ~key)
@@ -540,13 +506,13 @@ let remove_empty_leaf t rr stack leaf =
     | (gp, gidx) :: _ -> Internal.set_child region gp ~i:gidx keep
     | [] ->
         set_root t rr keep;
-        t.stats.root_collapses <- t.stats.root_collapses + 1);
+        incr t.c_root_collapses);
     t.alloc.Alloc.Api.dealloc parent;
-    t.stats.internal_splices <- t.stats.internal_splices + 1
+    incr t.c_internal_splices
   end
   else Internal.remove_child region parent ~i:pidx;
   t.alloc.Alloc.Api.dealloc leaf;
-  t.stats.leaf_removals <- t.stats.leaf_removals + 1
+  incr t.c_leaf_removals
 
 (* Remove the entry at [rank]. Returns the entry's value pointer (the
    caller deallocates it — a value buffer or a pruned layer root). *)
@@ -600,7 +566,7 @@ let rec remove_rec t rr root ~key ~layer =
          then begin
            ignore (remove_entry t rr stack leaf r : int);
            t.alloc.Alloc.Api.dealloc sub2;
-           t.stats.layer_prunes <- t.stats.layer_prunes + 1
+           incr t.c_layer_prunes
          end
        end);
       removed
@@ -620,15 +586,15 @@ let rec remove_rec t rr root ~key ~layer =
   end
 
 let remove t ~key =
-  t.stats.removes <- t.stats.removes + 1;
   remove_rec t Top t.root ~key ~layer:0
 
 (* --- range scans -------------------------------------------------------- *)
 
 (* [local_start]: the residual start key, expressed relative to this
-   layer (i.e. with the covering 8-byte prefixes stripped). Returns false
-   when [f] asked to stop. *)
-let rec scan_layer t root ~prefix ~local_start ~f =
+   layer (i.e. with the covering 8-byte prefixes stripped). [left]: the
+   pairs the caller still wants, which [f] counts down; it only bounds
+   the host hints. Returns false when [f] asked to stop. *)
+let rec scan_layer t root ~prefix ~local_start ~left ~f =
   let region = t.region in
   let start_hi, start_lo, target_klen =
     match local_start with
@@ -663,7 +629,7 @@ let rec scan_layer t root ~prefix ~local_start ~f =
           scan_layer t
             (Leaf.value region leaf ~slot)
             ~prefix:(Key.of_slice ~prefix ~hi ~lo ~len:8)
-            ~local_start:sub_start ~f
+            ~local_start:sub_start ~left ~f
         end
         else if kl = Key.suffix_len_marker then begin
           let buf = Leaf.value region leaf ~slot in
@@ -696,14 +662,22 @@ let rec scan_layer t root ~prefix ~local_start ~f =
      overlap instead of queueing. Each target gets its line and the next:
      in a standalone scan benchmark that measured faster per pair than
      the target's line alone, which was slower than no value hints
-     (EXPERIMENTS.md). *)
+     (EXPERIMENTS.md). Only the ranks the caller still wants are hinted,
+     and the next leaf only when the scan will reach it. *)
   and enter leaf from_rank p =
-    Nvm.Region.prefetch_deref region (leaf + Leaf.val_off 0)
-      ~words:(Permutation.slots_from_rank p ~rank:from_rank)
-      ~lines:2;
-    Nvm.Region.prefetch_deref region (leaf + Leaf.off_next) ~words:1
-      ~lines:node_lines;
-    entries leaf from_rank (Permutation.count p) p
+    let n = Permutation.count p in
+    let past_leaf = !left > n - from_rank in
+    let words = Permutation.slots_from_rank p ~rank:from_rank in
+    let words =
+      if past_leaf then words
+      else
+        words land lnot (Permutation.slots_from_rank p ~rank:(from_rank + !left))
+    in
+    Nvm.Region.prefetch_deref region (leaf + Leaf.val_off 0) ~words ~lines:2;
+    if past_leaf then
+      Nvm.Region.prefetch_deref region (leaf + Leaf.off_next) ~words:1
+        ~lines:node_lines;
+    entries leaf from_rank n p
   in
   t.hooks.Hooks.on_leaf_access ~leaf:leaf0;
   let p = Leaf.perm region leaf0 in
@@ -711,18 +685,21 @@ let rec scan_layer t root ~prefix ~local_start ~f =
   enter leaf0 (if r >= 0 then r else lnot r) p
 
 let fold_from t ~start ~f =
-  ignore (scan_layer t t.root ~prefix:"" ~local_start:(Some start) ~f)
+  ignore
+    (scan_layer t t.root ~prefix:"" ~local_start:(Some start)
+       ~left:(ref max_int) ~f)
 
 let scan t ~start ~n =
-  t.stats.scans <- t.stats.scans + 1;
   if n <= 0 then []
   else begin
     let acc = ref [] in
-    let count = ref 0 in
-    fold_from t ~start ~f:(fun k v ->
-        acc := (k, v) :: !acc;
-        incr count;
-        !count < n);
+    let left = ref n in
+    ignore
+      (scan_layer t t.root ~prefix:"" ~local_start:(Some start) ~left
+         ~f:(fun k v ->
+           acc := (k, v) :: !acc;
+           decr left;
+           !left > 0));
     List.rev !acc
   end
 

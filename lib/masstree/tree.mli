@@ -32,7 +32,13 @@ val create :
   current_epoch:(unit -> int) ->
   t
 (** Build an empty tree on a formatted region: allocates the root leaf and
-    durably records it in the superblock root line. *)
+    durably records it in the superblock root line.
+
+    A tree counts its updates and structural changes in the region's
+    metric registry: ["tree.updates"], ["tree.leaf_splits"],
+    ["tree.root_splits"], ["tree.layer_creations"],
+    ["tree.leaf_removals"], ["tree.internal_splices"],
+    ["tree.root_collapses"] and ["tree.layer_prunes"]. *)
 
 val open_existing :
   Nvm.Region.t ->
@@ -77,21 +83,3 @@ val iter_nodes : t -> leaf:(int -> unit) -> internal:(int -> unit) -> unit
 (** Visit every node of every layer (used by the eager recovery sweep).
     Does {e not} run access hooks. *)
 
-type op_stats = {
-  mutable puts : int;
-  mutable inserts : int;
-  mutable updates : int;
-  mutable gets : int;
-  mutable removes : int;
-  mutable scans : int;
-  mutable leaf_splits : int;
-  mutable internal_splits : int;
-  mutable root_splits : int;
-  mutable layer_creations : int;
-  mutable leaf_removals : int;
-  mutable internal_splices : int;
-  mutable root_collapses : int;
-  mutable layer_prunes : int;
-}
-
-val stats : t -> op_stats

@@ -130,9 +130,13 @@ let meta_line_no_rollback_when_epoch_completed () =
 
 (* --- durable allocator -------------------------------------------------- *)
 
+(* A counter of the region's metric registry (it spans crashes). *)
+let count r name = Obs.Registry.counter_value (Nvm.Region.metrics r) name
+
 let alloc_basic () =
-  let _, em = mk_em () in
+  let r, em = mk_em () in
   let a = Alloc.Durable.create em in
+  let allocs0 = count r "alloc.allocs" in
   let p1 = Alloc.Durable.alloc a ~size:32 in
   let p2 = Alloc.Durable.alloc a ~size:32 in
   check "aligned 16" true (p1 land 15 = 0);
@@ -140,7 +144,7 @@ let alloc_basic () =
   check "capacity" true (Alloc.Durable.payload_capacity_of a p1 >= 32);
   let n = Alloc.Durable.alloc ~aligned:true a ~size:384 in
   check "node aligned 64" true (n land 63 = 0);
-  check_int "three allocs" 3 (Alloc.Durable.allocs a)
+  check_int "three allocs" 3 (count r "alloc.allocs" - allocs0)
 
 let dealloc_reuses_after_epoch () =
   let _, em = mk_em () in
@@ -219,9 +223,11 @@ let free_list_survives_completed_epochs () =
   Epoch.Manager.advance em2;
   check_int "free list intact" 20 (Alloc.Durable.free_count a2 ~cls);
   (* And all 20 chunks can be re-allocated. *)
+  let pops0 = count r "alloc.freelist_allocs" in
   let qs = List.init 20 (fun _ -> Alloc.Durable.alloc a2 ~size:32) in
   check_int "no bump needed" 20 (List.length (List.sort_uniq compare qs));
-  check_int "popped from free list" 20 (Alloc.Durable.freelist_allocs a2)
+  check_int "popped from free list" 20
+    (count r "alloc.freelist_allocs" - pops0)
 
 let limbo_merge_after_crash_rebuilds_tail () =
   (* Crash with a non-empty limbo whose transient tail is lost; the next

@@ -26,8 +26,8 @@ let cfg =
 
 let mk ?(variant = Sys_.Incll) () = Sys_.create ~config:cfg variant
 
-let counters s =
-  match Sys_.ctx s with Some c -> c.Incll.Ctx.counters | None -> assert false
+(* A counter of the store's metric registry. *)
+let count s name = Obs.Registry.counter_value (Sys_.metrics s) name
 
 (* Locate the leaf currently holding [key] (single-layer trees). *)
 let leaf_of s key =
@@ -60,6 +60,7 @@ let first_touch_saves_permutation () =
   let region = Sys_.region s in
   let perm_before = L.perm region leaf in
   let logged_before = Sys_.nodes_logged s in
+  let ft0 = count s "incll_first_touch" in
   Sys_.put s ~key:k ~value:"new-val!";
   (* fresh insert *)
   check "permutationInCLL holds pre-image" true
@@ -72,7 +73,7 @@ let first_touch_saves_permutation () =
     | None -> false);
   check_int "no external logging" logged_before (Sys_.nodes_logged s);
   check "no draining fence on the leaf path" true
-    ((counters s).Incll.Ctx.first_touches > 0)
+    (count s "incll_first_touch" > ft0)
 
 let repeat_inserts_free () =
   let s = mk () in
@@ -106,13 +107,13 @@ let emptying_remove_unlinks_and_logs () =
   let s = mk () in
   populate s 200;
   let t = Sys_.tree s in
-  let before = (Masstree.Tree.stats t).Masstree.Tree.leaf_removals in
+  let before = count s "tree.leaf_removals" in
   let logged0 = Sys_.nodes_logged s in
   for i = 0 to 199 do
     ignore (Sys_.remove s ~key:(key8 i))
   done;
   check "leaves were unlinked" true
-    ((Masstree.Tree.stats t).Masstree.Tree.leaf_removals > before + 5);
+    (count s "tree.leaf_removals" > before + 5);
   check "unlinking logged structurally" true (Sys_.nodes_logged s > logged0);
   check_int "tree empty" 0 (Masstree.Tree.cardinal t);
   Masstree.Tree.validate t;
@@ -131,11 +132,11 @@ let mixed_remove_insert_logs () =
   let region = Sys_.region s in
   ignore (L.epoch_word region leaf : int);
   check "insAllowed cleared" false (L.ins_allowed region);
-  let before = (counters s).Incll.Ctx.ext_fallback_mixed in
+  let before = count s "incll.fallback.mixed" in
   (* Re-insert a key that lands in the same leaf. *)
   Sys_.put s ~key:k ~value:"back-in!";
   check "mixed fallback logged" true
-    ((counters s).Incll.Ctx.ext_fallback_mixed > before);
+    (count s "incll.fallback.mixed" > before);
   ignore (L.epoch_word region leaf : int);
   check "node marked logged" true (L.logged region)
 
@@ -192,12 +193,12 @@ let repeated_update_same_key_free () =
   let k = key8 7 in
   Sys_.put s ~key:k ~value:"u1u1u1u1";
   let before = Sys_.nodes_logged s in
-  let hits0 = (counters s).Incll.Ctx.val_incll_hits in
+  let hits0 = count s "incll.val_hit" in
   for _ = 1 to 10 do
     Sys_.put s ~key:k ~value:"u2u2u2u2"
   done;
   check_int "skewed updates free (§4.1.3)" before (Sys_.nodes_logged s);
-  check "hits counted" true ((counters s).Incll.Ctx.val_incll_hits >= hits0 + 10)
+  check "hits counted" true (count s "incll.val_hit" >= hits0 + 10)
 
 let two_hot_slots_same_line_log () =
   (* Find two keys in the same value cache line of one leaf and update
@@ -233,11 +234,11 @@ let two_hot_slots_same_line_log () =
   match !found with
   | None -> Alcotest.fail "no leaf with two low-line entries"
   | Some (k1, k2) ->
-      let before = (counters s).Incll.Ctx.ext_fallback_update in
+      let before = count s "incll.fallback.update" in
       Sys_.put s ~key:k1 ~value:"hot1hot1";
       Sys_.put s ~key:k2 ~value:"hot2hot2";
       check "second hot slot forced the log" true
-        ((counters s).Incll.Ctx.ext_fallback_update > before)
+        (count s "incll.fallback.update" > before)
 
 let updates_in_different_lines_both_incll () =
   let s = mk () in
@@ -276,26 +277,27 @@ let updates_in_different_lines_both_incll () =
 
 (* --- epoch-distance fallback (§4.1.3) ------------------------------------ *)
 
+(* Move the epoch counter past what 16 bits encode, so every leaf's next
+   first touch is an epoch-distance fallback. *)
+let jump_epochs s =
+  match Sys_.epoch_manager s with
+  | Some em ->
+      let target = Epoch.Manager.current em + 66_004 in
+      while Epoch.Manager.current em < target do
+        Epoch.Manager.advance em
+      done
+  | None -> ()
+
 let epoch_overflow_forces_log () =
   (* A node whose last touch is >= 2^16 epochs old cannot encode the
      distance in 16 bits: its next first-touch must externally log. *)
   let s = mk () in
   populate s 30;
-  (match Sys_.epoch_manager s with
-  | Some em ->
-      (* Jump the epoch counter far ahead (cheaper than 65k advances). *)
-      for _ = 1 to 4 do
-        Epoch.Manager.advance em
-      done;
-      let target = Epoch.Manager.current em + 66_000 in
-      while Epoch.Manager.current em < target do
-        Epoch.Manager.advance em
-      done
-  | None -> ());
-  let before = (counters s).Incll.Ctx.ext_fallback_epoch in
+  jump_epochs s;
+  let before = count s "incll.fallback.epoch_distance" in
   Sys_.put s ~key:(key8 3) ~value:"newepoch";
   check "epoch-distance fallback" true
-    ((counters s).Incll.Ctx.ext_fallback_epoch > before)
+    (count s "incll.fallback.epoch_distance" > before)
 
 (* --- ablation: InCLLp only ----------------------------------------------- *)
 
@@ -310,14 +312,89 @@ let val_incll_ablation_logs_updates () =
     (Sys_.nodes_logged s > before);
   (* But inserts still ride on InCLLp: no insert/remove fallback counters
      move (splits may still log structurally). *)
-  let c = counters s in
-  let mixed0 = c.Incll.Ctx.ext_fallback_mixed in
-  let upd0 = c.Incll.Ctx.ext_fallback_update in
+  let mixed0 = count s "incll.fallback.mixed" in
+  let upd0 = count s "incll.fallback.update" in
   for i = 900 to 940 do
     Sys_.put s ~key:(key8 i) ~value:"freshkey"
   done;
-  check_int "no mixed fallback" mixed0 c.Incll.Ctx.ext_fallback_mixed;
-  check_int "no update fallback" upd0 c.Incll.Ctx.ext_fallback_update
+  check_int "no mixed fallback" mixed0 (count s "incll.fallback.mixed");
+  check_int "no update fallback" upd0 (count s "incll.fallback.update")
+
+(* --- each event counted once ---------------------------------------------- *)
+
+(* The aggregates are the sums of their parts, and each fallback logged
+   exactly one node (no transaction or session records here). *)
+let check_counted_once s =
+  let c = count s in
+  check_int "incll_hit = first touches + value-InCLL uses + hits"
+    (c "incll_first_touch" + c "incll.val_use" + c "incll.val_hit")
+    (c "incll_hit");
+  check_int "incll_fallback = sum of its causes"
+    (List.fold_left
+       (fun a cause -> a + c ("incll.fallback." ^ cause))
+       0
+       [ "mixed"; "update"; "epoch_distance"; "structural" ])
+    (c "incll_fallback");
+  check_int "one logged node per fallback" (c "incll_fallback")
+    (c "extlog.nodes_logged");
+  check_int "every append is a node" (c "extlog.nodes_logged")
+    (c "extlog.appends")
+
+let every_event_counted_once () =
+  let s = mk () in
+  (* Splits log structurally; fresh inserts are first touches. *)
+  populate s 400;
+  (* One key updated twice: a value-InCLL use, then a hit. *)
+  Sys_.put s ~key:(key8 7) ~value:"updated!";
+  Sys_.put s ~key:(key8 7) ~value:"again!!!";
+  (* Every key updated in one epoch: update fallbacks where two updated
+     slots share a line. *)
+  for i = 0 to 399 do
+    Sys_.put s ~key:(key8 i) ~value:"updated!"
+  done;
+  (* Delete then insert in one leaf (§4.1.1). *)
+  Sys_.advance_epoch s;
+  ignore (Sys_.remove s ~key:(key8 5));
+  Sys_.put s ~key:(key8 5) ~value:"back-in!";
+  jump_epochs s;
+  Sys_.put s ~key:(key8 3) ~value:"newepoch";
+  List.iter
+    (fun name -> check (name ^ " counted") true (count s name > 0))
+    [
+      "incll_first_touch"; "incll.val_use"; "incll.val_hit";
+      "incll.fallback.mixed"; "incll.fallback.update";
+      "incll.fallback.epoch_distance"; "incll.fallback.structural";
+    ];
+  check_counted_once s;
+  (* Recovery appends nothing and the counters survive it. *)
+  Sys_.crash s (Util.Rng.create ~seed:5);
+  let s = Sys_.recover s in
+  for i = 0 to 99 do
+    Sys_.put s ~key:(key8 i) ~value:"recover!"
+  done;
+  check "lazy recoveries counted" true (count s "incll.lazy_recovery" > 0);
+  check_counted_once s
+
+let logging_counts_no_incll_event () =
+  let s = mk ~variant:Sys_.Logging () in
+  populate s 200;
+  for i = 0 to 199 do
+    if i mod 3 = 0 then ignore (Sys_.remove s ~key:(key8 i))
+    else Sys_.put s ~key:(key8 i) ~value:"updated!"
+  done;
+  Sys_.crash s (Util.Rng.create ~seed:6);
+  let s = Sys_.recover s in
+  for i = 0 to 199 do
+    Sys_.put s ~key:(key8 i) ~value:"again!!!"
+  done;
+  check "nodes logged" true (count s "extlog.nodes_logged" > 0);
+  let incll =
+    List.filter
+      (fun (name, _) -> String.starts_with ~prefix:"incll" name)
+      (Obs.Registry.counters (Sys_.metrics s))
+  in
+  check "InCLL counters registered" true (List.mem_assoc "incll_hit" incll);
+  List.iter (fun (name, v) -> check_int (name ^ " stays 0") 0 v) incll
 
 (* --- LOGGING variant ------------------------------------------------------ *)
 
@@ -351,4 +428,6 @@ let tests =
       Alcotest.test_case "epoch-distance fallback" `Slow epoch_overflow_forces_log;
       Alcotest.test_case "ablation: InCLLp only" `Quick val_incll_ablation_logs_updates;
       Alcotest.test_case "LOGGING logs first touches" `Quick logging_variant_logs_every_first_touch;
+      Alcotest.test_case "each event counted once" `Quick every_event_counted_once;
+      Alcotest.test_case "LOGGING counts no InCLL event" `Quick logging_counts_no_incll_event;
     ] )

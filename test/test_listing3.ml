@@ -98,12 +98,12 @@ let observe s (f : Masstree.Hooks.t -> unit) =
   let ctx = Option.get (Sys_.ctx s) in
   let hooks = Incll.Incll_hooks.make ctx in
   let logged0 = Extlog.Log.nodes_logged ctx.Incll.Ctx.log in
-  let ft0 = ctx.Incll.Ctx.counters.Incll.Ctx.first_touches in
-  let vu0 = ctx.Incll.Ctx.counters.Incll.Ctx.val_incll_uses in
+  let ft0 = !(ctx.Incll.Ctx.m_first_touch) in
+  let vu0 = !(ctx.Incll.Ctx.m_val_use) in
   f hooks;
   let logged1 = Extlog.Log.nodes_logged ctx.Incll.Ctx.log in
-  let ft1 = ctx.Incll.Ctx.counters.Incll.Ctx.first_touches in
-  let vu1 = ctx.Incll.Ctx.counters.Incll.Ctx.val_incll_uses in
+  let ft1 = !(ctx.Incll.Ctx.m_first_touch) in
+  let vu1 = !(ctx.Incll.Ctx.m_val_use) in
   if logged1 > logged0 then Ext_log
   else if ft1 > ft0 || vu1 > vu0 then Incll_write
   else Nothing

@@ -24,6 +24,9 @@ let cfg =
 
 let mk ?(variant = Sys_.Incll) () = Sys_.create ~config:cfg variant
 
+(* A counter of the store's metric registry (it spans recoveries). *)
+let count s name = Obs.Registry.counter_value (Sys_.metrics s) name
+
 let populate s n =
   for i = 0 to n - 1 do
     Sys_.put s ~key:(key8 i) ~value:(Printf.sprintf "orig-%03d" i)
@@ -76,11 +79,12 @@ let split_rolls_back () =
   let s = mk () in
   populate s 100;
   let before = Masstree.Tree.cardinal (Sys_.tree s) in
+  let splits0 = count s "tree.leaf_splits" in
   (* Enough inserts to force splits in the dirty epoch. *)
   for i = 1000 to 1399 do
     Sys_.put s ~key:(key8 i) ~value:"splitter"
   done;
-  check "splits occurred" true ((Masstree.Tree.stats (Sys_.tree s)).Masstree.Tree.leaf_splits > 0);
+  check "splits occurred" true (count s "tree.leaf_splits" > splits0);
   Sys_.crash s (Util.Rng.create ~seed:4);
   let s = Sys_.recover s in
   check_int "cardinal restored" before (Masstree.Tree.cardinal (Sys_.tree s));
@@ -93,11 +97,11 @@ let node_removal_rolls_back () =
   let s = mk () in
   populate s 400;
   let t0 = Masstree.Tree.cardinal (Sys_.tree s) in
+  let removals0 = count s "tree.leaf_removals" in
   for i = 0 to 299 do
     ignore (Sys_.remove s ~key:(key8 i))
   done;
-  check "unlinks happened" true
-    ((Masstree.Tree.stats (Sys_.tree s)).Masstree.Tree.leaf_removals > 0);
+  check "unlinks happened" true (count s "tree.leaf_removals" > removals0);
   Sys_.crash s (Util.Rng.create ~seed:21);
   let s = Sys_.recover s in
   check_int "all keys back" t0 (Masstree.Tree.cardinal (Sys_.tree s));
@@ -376,26 +380,13 @@ let lazy_recovery_is_lazy () =
   done;
   Sys_.crash s (Util.Rng.create ~seed:10);
   let s = Sys_.recover s in
-  let lazy0 =
-    match Sys_.ctx s with
-    | Some c -> c.Incll.Ctx.counters.Incll.Ctx.lazy_recoveries
-    | None -> 0
-  in
+  let lazy0 = count s "incll.lazy_recovery" in
   ignore (Sys_.get s ~key:(key8 0));
-  let lazy1 =
-    match Sys_.ctx s with
-    | Some c -> c.Incll.Ctx.counters.Incll.Ctx.lazy_recoveries
-    | None -> 0
-  in
+  let lazy1 = count s "incll.lazy_recovery" in
   check "first access recovered nodes" true (lazy1 > lazy0);
   (* Touching the same key again does no further recovery work. *)
   ignore (Sys_.get s ~key:(key8 0));
-  let lazy2 =
-    match Sys_.ctx s with
-    | Some c -> c.Incll.Ctx.counters.Incll.Ctx.lazy_recoveries
-    | None -> 0
-  in
-  check_int "idempotent per node" lazy1 lazy2
+  check_int "idempotent per node" lazy1 (count s "incll.lazy_recovery")
 
 let logging_variant_recovers_too () =
   let s = mk ~variant:Sys_.Logging () in

@@ -22,6 +22,10 @@ let mk ?(size = 8 * 1024 * 1024) () =
   let a = Alloc.Api.of_transient (Alloc.Transient.create Alloc.Transient.Pool r) in
   T.create r a Masstree.Hooks.transient ~current_epoch:(fun () -> 2)
 
+(* A ["tree.<name>"] counter of the tree's (fresh) region. *)
+let stat t name =
+  Obs.Registry.counter_value (Nvm.Region.metrics (T.region t)) ("tree." ^ name)
+
 let key8 i = Masstree.Key.of_int64 (Util.Scramble.fmix64 (Int64.of_int i))
 
 let empty_tree () =
@@ -45,7 +49,7 @@ let put_overwrites () =
   T.put t ~key:"k" ~value:"v2";
   check "updated" true (T.get t ~key:"k" = Some "v2");
   check_int "still one" 1 (T.cardinal t);
-  check_int "one update" 1 (T.stats t).T.updates
+  check_int "one update" 1 (stat t "updates")
 
 let remove_works () =
   let t = mk () in
@@ -63,8 +67,8 @@ let splits_preserve_contents () =
     T.put t ~key:(key8 i) ~value:(string_of_int i)
   done;
   T.validate t;
-  check "splits happened" true ((T.stats t).T.leaf_splits > 100);
-  check "tree has internals" true ((T.stats t).T.root_splits >= 1);
+  check "splits happened" true (stat t "leaf_splits" > 100);
+  check "tree has internals" true (stat t "root_splits" >= 1);
   for i = 0 to n - 1 do
     check "all present" true (T.get t ~key:(key8 i) = Some (string_of_int i))
   done;
@@ -103,7 +107,7 @@ let long_keys_build_layers () =
     ]
   in
   List.iter (fun k -> T.put t ~key:k ~value:("v:" ^ k)) keys;
-  check "layers created" true ((T.stats t).T.layer_creations >= 2);
+  check "layers created" true (stat t "layer_creations" >= 2);
   List.iter
     (fun k -> check ("get " ^ String.escaped k) true (T.get t ~key:k = Some ("v:" ^ k)))
     keys;
@@ -271,10 +275,9 @@ let remove_all_collapses_tree () =
   done;
   check_int "empty" 0 (T.cardinal t);
   T.validate t;
-  let st = T.stats t in
-  check "leaves unlinked" true (st.T.leaf_removals > 100);
-  check "internals spliced" true (st.T.internal_splices > 0);
-  check "root collapsed" true (st.T.root_collapses > 0);
+  check "leaves unlinked" true (stat t "leaf_removals" > 100);
+  check "internals spliced" true (stat t "internal_splices" > 0);
+  check "root collapsed" true (stat t "root_collapses" > 0);
   (* And the structure is reusable. *)
   for i = 0 to 499 do
     T.put t ~key:(key8 i) ~value:"again"
@@ -305,11 +308,11 @@ let empty_layer_is_pruned () =
   (* Two keys sharing an 8-byte prefix force a nested layer... *)
   T.put t ~key:"sameprefA" ~value:"1";
   T.put t ~key:"sameprefB" ~value:"2";
-  check "layer created" true ((T.stats t).T.layer_creations >= 1);
+  check "layer created" true (stat t "layer_creations" >= 1);
   (* ...removing both leaves an empty layer, which must be pruned. *)
   check "rm A" true (T.remove t ~key:"sameprefA");
   check "rm B" true (T.remove t ~key:"sameprefB");
-  check "layer pruned" true ((T.stats t).T.layer_prunes >= 1);
+  check "layer pruned" true (stat t "layer_prunes" >= 1);
   check_int "empty" 0 (T.cardinal t);
   T.validate t;
   (* The prefix is insertable again from scratch. *)
@@ -360,7 +363,7 @@ let tests = (fst tests, snd tests @ removal_tests)
 let single_long_key_needs_no_layer () =
   let t = mk () in
   T.put t ~key:"a-very-long-key-without-collisions" ~value:"v";
-  check_int "no layer created" 0 (T.stats t).T.layer_creations;
+  check_int "no layer created" 0 (stat t "layer_creations");
   check "get" true (T.get t ~key:"a-very-long-key-without-collisions" = Some "v");
   (* Prefix lookups must not match the suffix entry. *)
   check "prefix absent" true (T.get t ~key:"a-very-lo" = None);
@@ -374,8 +377,8 @@ let suffix_entry_update_and_remove () =
   T.put t ~key:k ~value:"v1";
   T.put t ~key:k ~value:"v2";
   check "updated in place" true (T.get t ~key:k = Some "v2");
-  check_int "still no layer" 0 (T.stats t).T.layer_creations;
-  check_int "update counted" 1 (T.stats t).T.updates;
+  check_int "still no layer" 0 (stat t "layer_creations");
+  check_int "update counted" 1 (stat t "updates");
   check "removed" true (T.remove t ~key:k);
   check "gone" true (T.get t ~key:k = None);
   check_int "empty" 0 (T.cardinal t)
@@ -383,9 +386,9 @@ let suffix_entry_update_and_remove () =
 let collision_converts_to_layer () =
   let t = mk () in
   T.put t ~key:"shared!!suffix-one" ~value:"1";
-  check_int "first long key: no layer" 0 (T.stats t).T.layer_creations;
+  check_int "first long key: no layer" 0 (stat t "layer_creations");
   T.put t ~key:"shared!!suffix-two" ~value:"2";
-  check "conversion created a layer" true ((T.stats t).T.layer_creations >= 1);
+  check "conversion created a layer" true (stat t "layer_creations" >= 1);
   check "one" true (T.get t ~key:"shared!!suffix-one" = Some "1");
   check "two" true (T.get t ~key:"shared!!suffix-two" = Some "2");
   T.validate t;
@@ -399,7 +402,7 @@ let deep_collision_cascades () =
   T.put t ~key:"shared!!shared!!A" ~value:"a";
   T.put t ~key:"shared!!shared!!B" ~value:"b";
   check "two layers (cascading conversion)" true
-    ((T.stats t).T.layer_creations >= 2);
+    (stat t "layer_creations" >= 2);
   check "a" true (T.get t ~key:"shared!!shared!!A" = Some "a");
   check "b" true (T.get t ~key:"shared!!shared!!B" = Some "b");
   T.validate t

@@ -562,7 +562,33 @@ let stats_over_the_wire () =
                i + String.length sub <= String.length prom
                && (String.sub prom i (String.length sub) = sub || find (i + 1))
              in
-             find 0)))
+             find 0);
+          (* Every event counter of the store rides along: the tree's,
+             the allocator's and InCLL's per-cause fallbacks, with the
+             same value in both expositions (no op ran in between). *)
+          let prom_lines = String.split_on_char '\n' prom in
+          List.iter
+            (fun (name, at_least) ->
+              let v =
+                match Obs.Json.find_path json [ "counters"; name ] with
+                | Some n -> (
+                    match Obs.Json.to_float_opt n with
+                    | Some f -> int_of_float f
+                    | None -> Alcotest.fail (name ^ " not a number"))
+                | None -> Alcotest.fail (name ^ " missing from STATS")
+              in
+              check (name ^ " counted") true (v >= at_least);
+              let line =
+                "incll_"
+                ^ String.map (function '.' -> '_' | ch -> ch) name
+                ^ " " ^ string_of_int v
+              in
+              check (name ^ " in prometheus") true (List.mem line prom_lines))
+            [
+              ("tree.leaf_splits", 1);
+              ("alloc.allocs", 100);
+              ("incll.fallback.update", 0);
+            ]))
 
 (* --- connection scaling ------------------------------------------------- *)
 
