@@ -183,16 +183,17 @@ chaos-net: build
 perfbench-smoke: build
 	python3 perfbench/smoke.py
 
-# Timeline export smoke test: a traced run must write a Chrome/Perfetto
-# trace that parses as JSON and holds a non-empty traceEvents list.
+# Timeline content smoke test: the latency run (LATENCY_FLAGS, ~0.3 s,
+# deterministic) and the recovery run each write a Chrome/Perfetto trace,
+# and bench/trace_check.py checks what they hold: per shard, checkpoint,
+# sfence and wbinvd slices on the op track and one epoch_advance slice
+# per checkpoint on the stall track (both describe the measured window);
+# a recover slice enclosing its recover.* phase slices.
 trace-smoke: build
-	dune exec bench/main.exe -- --only fig4 --scale 0.001 --threads 2 \
-	  --ops 2000 --trace _build/trace.json
-	python3 -c "import json, sys; \
-	  d = json.load(open('_build/trace.json')); \
-	  ev = d.get('traceEvents') if isinstance(d, dict) else None; \
-	  sys.exit(0 if isinstance(ev, list) and ev else \
-	    '_build/trace.json: no traceEvents')"
+	dune exec bench/main.exe -- $(LATENCY_FLAGS) --trace _build/trace.json
+	dune exec bench/main.exe -- --only recovery --scale 0.001 \
+	  --trace _build/trace_recovery.json
+	python3 bench/trace_check.py _build/trace.json _build/trace_recovery.json
 
 bench:
 	dune exec bench/main.exe -- --scale 0.001 --threads 2 --ops 5000

@@ -65,18 +65,18 @@ let global_metrics = Obs.Registry.create ()
 (* With --trace, every measured run rewrites the timeline file, so the
    file that remains describes the last run of the invocation (narrow the
    selection with --only to profile one run). *)
-let maybe_write_trace (r : R.result) =
+let write_trace ?series ~stalls ~tracks () =
   match opts.trace_file with
   | None -> ()
   | Some path ->
-      let json =
-        Obs.Perfetto.export ~series:r.R.series ~stalls:r.R.stalls
-          ~tracks:r.R.traces ()
-      in
+      let json = Obs.Perfetto.export ?series ~stalls ~tracks () in
       let oc = open_out path in
       output_string oc (Obs.Json.to_string_pretty json);
       output_char oc '\n';
       close_out oc
+
+let maybe_write_trace (r : R.result) =
+  write_trace ~series:r.R.series ~stalls:r.R.stalls ~tracks:r.R.traces ()
 
 let note_metrics (r : R.result) =
   Obs.Registry.merge_into ~into:global_metrics r.R.metrics;
@@ -460,13 +460,16 @@ let flushcost () =
 (* Load [keys] keys into a fresh Precise-mode store on [nvm] (sized
    here), optionally checkpoint the load, run a mixed put/get tail of
    [keys / 2] ops so the crash lands mid-epoch, crash and recover.
-   Returns the nodes the tail logged and the recovery's statistics. *)
+   Returns the nodes the tail logged and the recovery's statistics. With
+   --trace, the timeline of the crash and the recovery is written. *)
 let crash_mid_epoch ?(checkpoint_load = false) variant ~keys ~epoch_len_ns nvm =
   let nvm =
     {
       nvm with
       Nvm.Config.size_bytes = (keys * 400) + (48 * 1024 * 1024);
       crash_support = Nvm.Config.Precise;
+      trace_capacity =
+        (if tracing () then 1 lsl 16 else nvm.Nvm.Config.trace_capacity);
     }
   in
   let config = { Sys_.nvm; epoch_len_ns; val_incll = true } in
@@ -483,8 +486,16 @@ let crash_mid_epoch ?(checkpoint_load = false) variant ~keys ~epoch_len_ns nvm =
     else ignore (Sys_.get s ~key:k : string option)
   done;
   let logged = Sys_.nodes_logged s - logged0 in
+  let region = Sys_.region s in
+  Obs.Stall.clear (Nvm.Region.stalls region);
+  Obs.Trace.set_enabled (Nvm.Region.trace region) (tracing ());
   Sys_.crash s rng;
-  (logged, Option.get (Sys_.last_recover_stats (Sys_.recover s)))
+  let s = Sys_.recover s in
+  write_trace
+    ~stalls:[ ("shard0", Nvm.Region.stalls region) ]
+    ~tracks:[ ("shard0", Nvm.Region.trace region) ]
+    ();
+  (logged, Option.get (Sys_.last_recover_stats s))
 
 let recovery () =
   line "";
@@ -865,8 +876,9 @@ let usage () =
      \                 incll_hit vs incll_fallback counters, ...). Compare two\n\
      \                 reports with bin/bench_compare.exe.\n\
      \  --trace FILE   write a Chrome trace_event timeline (open in Perfetto or\n\
-     \                 chrome://tracing) of the last measured run: span slices,\n\
-     \                 sfence/wbinvd durations, epoch intervals, counter tracks\n\
+     \                 chrome://tracing) of the last measured run or recovery:\n\
+     \                 checkpoint/recovery/fence slices, stall tracks, epoch\n\
+     \                 intervals, counter tracks\n\
      \  --date STR     date string recorded in the --json metadata (defaults to\n\
      \                 today; pass explicitly for reproducible reports)";
   exit 0

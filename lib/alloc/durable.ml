@@ -138,8 +138,7 @@ let merge_limbo t () =
     let lhead = Meta_line.head t.region ~line:(limbo_line cls) in
     if lhead <> 0 then begin
       Chaos.Plan.fire Chaos.Site.Merge_limbo;
-      Obs.Stall.enter stalls Obs.Stall.Limbo_merge
-        ~now:(Nvm.Stats.sim_ns (Nvm.Region.stats t.region));
+      Obs.Stall.enter stalls Obs.Stall.Limbo_merge;
       (match
          if t.limbo_tails.(cls) <> 0 then Ok t.limbo_tails.(cls)
          else
@@ -158,7 +157,6 @@ let merge_limbo t () =
           set_meta_head t ~line:(limbo_line cls) 0
       | Error e -> quarantine_chain t ~line:(limbo_line cls) e);
       Obs.Stall.exit stalls
-        ~now:(Nvm.Stats.sim_ns (Nvm.Region.stats t.region))
     end;
     t.limbo_tails.(cls) <- 0
   done
@@ -228,11 +226,10 @@ let alloc ?(aligned = false) t ~size =
     (* Bump slow path: carving and initializing a fresh chunk header is
        first-touch logged, markedly slower than the freelist pop. *)
     let stalls = Nvm.Region.stalls t.region in
-    Obs.Stall.enter stalls Obs.Stall.Alloc_slow
-      ~now:(Nvm.Stats.sim_ns (Nvm.Region.stats t.region));
+    Obs.Stall.enter stalls Obs.Stall.Alloc_slow;
     set_meta_head t ~line:bump_line (bump + sz);
     Chunk_header.init t.region ~chunk:bump ~epoch:(current t) ~cls;
-    Obs.Stall.exit stalls ~now:(Nvm.Stats.sim_ns (Nvm.Region.stats t.region));
+    Obs.Stall.exit stalls;
     Size_class.payload_of_chunk ~chunk:bump ~aligned
   end
 

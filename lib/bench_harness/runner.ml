@@ -270,9 +270,11 @@ let measure
     Array.init threads (fun i ->
         Incll.System.region (Store.Sharded.shard store i))
   in
-  (* Fresh stall ledgers for the measured window (populate-phase stalls
-     must not attract attributions), filtered so per-op fences cannot
-     wrap the interesting entries out of the ring. *)
+  (* Fresh stall rings and trace rings for the measured window
+     (populate-phase stalls must not attract attributions, and the
+     timeline's op and stall tracks describe the same window), the stall
+     rings filtered so per-op fences cannot wrap the interesting entries
+     out. *)
   Array.iter
     (fun r ->
       let s = Nvm.Region.stalls r in
@@ -354,13 +356,12 @@ let measure
       stall_totals =
         List.map
           (fun c ->
-            ( Obs.Stall.cause_name c,
-              ( Array.fold_left
-                  (fun a l -> a + List.assoc c (Obs.Stall.counts l))
-                  0 ledgers,
-                Array.fold_left
-                  (fun a l -> a +. List.assoc c (Obs.Stall.totals_ns l))
-                  0.0 ledgers ) ))
+            let name = Obs.Stall.cause_name c in
+            let h = "stall." ^ name ^ "_ns" in
+            ( name,
+              match Obs.Registry.find_histogram metrics h with
+              | Some h -> (Obs.Histogram.count h, Obs.Histogram.sum h)
+              | None -> (0, 0.0) ))
           Obs.Stall.all_causes;
       (* Per-shard lists in shard order: ties go to the lower shard, then
          the earlier op. *)

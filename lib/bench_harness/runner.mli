@@ -42,11 +42,12 @@ type result = {
   latency : Latency_report.t;
       (** The measured phase's latency report: the merged
           [op.latency_ns] histogram (CO-corrected in open loop), the
-          over-threshold attribution, the ledgers' per-cause stall totals
-          and the top-k slowest ops across shards with the ledger entries
-          that overlapped them. *)
+          over-threshold attribution, the per-cause stall totals (the
+          window's [stall.<cause>_ns] histograms) and the top-k slowest
+          ops across shards with the ledger entries that overlapped them. *)
   traces : (string * Obs.Trace.t) list;
-      (** Each shard's live event ring, labelled ["shard<i>"]. Empty
+      (** Each shard's live event ring (cleared with its stall ledger at
+          the start of the measured phase), labelled ["shard<i>"]. Empty
           rings unless the run was prepared with [~trace:true]. Feed to
           {!Obs.Perfetto.export} as the [tracks]. *)
   series : (string * Obs.Series.t) list;

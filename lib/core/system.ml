@@ -215,28 +215,17 @@ let recover_region ?txn_probe ~variant ~config region =
   | Mt | Mt_plus ->
       failwith "System.recover: transient variants are not recoverable");
   Nvm.Superblock.check region;
-  let wall0 = Unix.gettimeofday () in
-  let sim_now () = Nvm.Stats.sim_ns (Nvm.Region.stats region) in
-  let sim0 = sim_now () in
   let quarantined () =
     Obs.Registry.counter_value (Nvm.Region.metrics region)
       "alloc.quarantined_chains"
   in
   let quarantined0 = quarantined () in
-  (* Per-phase profiling: each [phase] is a named span on the region's
-     simulated clock. Phase durations are measured mark-to-mark (the time
-     since the previous phase ended), so they telescope: their sum is
-     exactly the whole recovery's simulated time, glue work included. *)
-  let spans = Nvm.Region.spans region in
-  Obs.Span.begin_ spans "recover";
-  (* One Recovery-cause stall spanning every phase: the outermost-wins
-     scope swallows the nested epoch-open fences, replay appends and the
-     final checkpoint so post-crash downtime reads as a single entry. *)
-  let stalls = Nvm.Region.stalls region in
-  Obs.Stall.enter stalls Obs.Stall.Recovery ~now:sim0;
-  let phases = ref [] in
-  let wall_phases = ref [] in
-  let last_mark = ref sim0 in
+  (* One named interval with a named interval per phase; it is also one
+     Recovery-cause stall: the outermost-wins scope swallows the nested
+     epoch-open fences, replay appends and the final checkpoint so
+     post-crash downtime reads as a single entry. *)
+  let recorder = Nvm.Region.stalls region in
+  Obs.Stall.begin_ recorder ~cause:Obs.Stall.Recovery "recover";
   let phase name f =
     (* Fault-injection hook: every phase boundary is a chaos site, so a
        crash inside recovery (which must re-enter recovery cleanly) can
@@ -244,16 +233,7 @@ let recover_region ?txn_probe ~variant ~config region =
     (match Chaos.Site.of_phase name with
     | Some site -> Chaos.Plan.fire site
     | None -> ());
-    Obs.Span.begin_ spans name;
-    let w0 = Unix.gettimeofday () in
-    let r = f () in
-    let w1 = Unix.gettimeofday () in
-    ignore (Obs.Span.end_ spans name : float);
-    let now = sim_now () in
-    phases := (name, now -. !last_mark) :: !phases;
-    wall_phases := (name, (w1 -. w0) *. 1e9) :: !wall_phases;
-    last_mark := now;
-    r
+    Obs.Stall.with_ recorder name f
   in
   (* Re-enter epoch machinery: load + extend the durable failed set and
      durably enter the recovery-marker epoch. *)
@@ -329,11 +309,18 @@ let recover_region ?txn_probe ~variant ~config region =
   (* Execution resumes in a fresh epoch; the checkpoint persists all
      recovery writes and truncates the log. *)
   phase "recover.checkpoint" (fun () -> Epoch.Manager.advance em);
-  Obs.Stall.exit stalls ~now:(sim_now ());
-  ignore (Obs.Span.end_ spans "recover" : float);
-  let wall1 = Unix.gettimeofday () in
-  let sim1 = sim_now () in
-  Nvm.Region.trace_event region (Obs.Trace.Recover { replayed });
+  let iv = Obs.Stall.end_ recorder ~arg:("replayed", replayed) "recover" in
+  (* The phase table is a view of the recorded intervals. Phases are
+     measured mark-to-mark (from the previous phase's end), so they
+     telescope: their sum is exactly the whole recovery's simulated
+     time, glue work included. *)
+  let phases =
+    snd
+      (List.fold_left_map
+         (fun mark (p : Obs.Stall.interval) ->
+           (p.end_ns, (p.name, p.end_ns -. mark)))
+         iv.start_ns iv.children)
+  in
   {
     variant;
     config;
@@ -346,14 +333,17 @@ let recover_region ?txn_probe ~variant ~config region =
       Some
         {
           replayed_entries = replayed;
-          recovery_sim_ns = sim1 -. sim0;
-          recovery_wall_ns = (wall1 -. wall0) *. 1e9;
+          recovery_sim_ns = iv.end_ns -. iv.start_ns;
+          recovery_wall_ns = iv.wall_ns;
           quarantined_chains = quarantined () - quarantined0;
           txns_redone;
           txns_aborted;
           sessions_recovered = List.length recovered_sessions;
-          phases = List.rev !phases;
-          wall_phases = List.rev !wall_phases;
+          phases;
+          wall_phases =
+            List.map
+              (fun (p : Obs.Stall.interval) -> (p.name, p.wall_ns))
+              iv.children;
         };
     recovered_sessions;
   }

@@ -128,9 +128,11 @@ type recover_stats = {
           [recover.txn_resolve] (in-doubt transaction redo/rollback),
           [recover.eager_sweep] (only when the failed set was compacted)
           and [recover.checkpoint]. Durations are mark-to-mark, so they
-          sum exactly to [recovery_sim_ns]. Each phase is also a
-          {!Obs.Span} — its latency histogram lands in {!metrics} and its
-          begin/end events in the region's trace ring. *)
+          sum exactly to [recovery_sim_ns]. The table is a view of the
+          named intervals the region's {!Obs.Stall} recorder kept for the
+          recovery and its phases, which also feed the
+          ["span.recover*_ns"] histograms in {!metrics} and the region's
+          trace ring. *)
   wall_phases : (string * float) list;
       (** The same phases in the same order, in wall-clock ns of each
           phase's own body. The glue between phases is left out, so they

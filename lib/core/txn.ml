@@ -116,13 +116,12 @@ let watermark region =
 let advance_watermark region ~txn_id =
   Chaos.Plan.fire Chaos.Site.Txn_commit_record;
   let stalls = Nvm.Region.stalls region in
-  Obs.Stall.enter stalls Obs.Stall.Txn_fence
-    ~now:(Nvm.Stats.sim_ns (Nvm.Region.stats region));
+  Obs.Stall.enter stalls Obs.Stall.Txn_fence;
   Nvm.Region.write_i64 region Nvm.Layout.off_txn_watermark
     (Int64.of_int txn_id);
   Nvm.Region.clwb region Nvm.Layout.off_txn_watermark;
   Nvm.Region.sfence region;
-  Obs.Stall.exit stalls ~now:(Nvm.Stats.sim_ns (Nvm.Region.stats region))
+  Obs.Stall.exit stalls
 
 (* {1 Commit-window log appends} *)
 
@@ -132,25 +131,18 @@ let advance_watermark region ~txn_id =
 (* A checkpoint forced by log pressure is an extlog-wrap stall, not an
    ordinary periodic epoch advance; scope it so attribution says why. *)
 let wrap_advance ctx =
-  let region = ctx.Ctx.region in
-  let stalls = Nvm.Region.stalls region in
-  Obs.Stall.enter stalls Obs.Stall.Extlog
-    ~now:(Nvm.Stats.sim_ns (Nvm.Region.stats region));
+  let stalls = Nvm.Region.stalls ctx.Ctx.region in
+  Obs.Stall.enter stalls Obs.Stall.Extlog;
   Epoch.Manager.advance ctx.Ctx.em;
-  Obs.Stall.exit stalls ~now:(Nvm.Stats.sim_ns (Nvm.Region.stats region))
+  Obs.Stall.exit stalls
 
 (* Txn-fence scope around a protocol step: swallows the nested extlog
    append / watermark fence so the whole step is one attributed stall. *)
 let txn_scope ctx f =
   let region = ctx.Ctx.region in
   let stalls = Nvm.Region.stalls region in
-  Obs.Stall.enter stalls Obs.Stall.Txn_fence
-    ~now:(Nvm.Stats.sim_ns (Nvm.Region.stats region));
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.Stall.exit stalls
-        ~now:(Nvm.Stats.sim_ns (Nvm.Region.stats region)))
-    f
+  Obs.Stall.enter stalls Obs.Stall.Txn_fence;
+  Fun.protect ~finally:(fun () -> Obs.Stall.exit stalls) f
 
 let reserve ctx ~bytes =
   if bytes > Extlog.Log.capacity ctx.Ctx.log then

@@ -253,7 +253,7 @@ let open_after_crash ?(epoch_len_ns = default_epoch_len_ns) region =
   t
 
 (* Record the epoch boundary: fault hook, boundary observability, the
-   open "checkpoint" span. Under the stop-the-world scheduler this is
+   open "checkpoint" interval. Under the stop-the-world scheduler this is
    immediately followed by [finalize]; under the incremental sweep it
    starts the sweep window and quanta run between ops until the dirty
    set is drained. *)
@@ -275,9 +275,7 @@ let record_boundary t =
   Obs.Series.sample t.s_pending ~ts_ns:now
     ~value:(float_of_int (Nvm.Region.pending_wb_count t.region));
   incr t.c_advances;
-  Nvm.Region.trace_event t.region
-    (Obs.Trace.Epoch_advance { epoch = t.current + 1 });
-  Obs.Span.begin_ (Nvm.Region.spans t.region) "checkpoint"
+  Obs.Stall.begin_ (Nvm.Region.stalls t.region) "checkpoint"
 
 (* Complete the checkpoint whose boundary [record_boundary] recorded.
 
@@ -297,13 +295,12 @@ let finalize t =
   let stalls = Nvm.Region.stalls t.region in
   (* The stop-the-world remainder: every in-flight op waits for the
      drain and the durable-epoch fence. The scope swallows the
-     wbinvd/sweep/sfence leaf recordings; subscribers (limbo merge, log
+     wbinvd/sweep/sfence points; subscribers (limbo merge, log
      truncation) run in the new epoch and attribute their own stalls.
      Under the incremental sweep only the final drain remainder (usually
      zero lines) and the epoch-word fence land here — the bulk of the
      flush was already attributed to [clwb_sweep] quanta. *)
-  Obs.Stall.enter stalls Obs.Stall.Epoch_advance
-    ~now:(Nvm.Stats.sim_ns (Nvm.Region.stats t.region));
+  Obs.Stall.stall stalls "checkpoint" Obs.Stall.Epoch_advance;
   let budget_lines = t.schedule.sweep_budget in
   if budget_lines > 0 then begin
     while Nvm.Region.dirty_line_count t.region > 0 do
@@ -320,8 +317,9 @@ let finalize t =
   end
   else Nvm.Region.wbinvd t.region;
   write_durable_epoch t (t.current + 1);
-  Obs.Stall.exit stalls ~now:(Nvm.Stats.sim_ns (Nvm.Region.stats t.region));
-  ignore (Obs.Span.end_ (Nvm.Region.spans t.region) "checkpoint" : float);
+  ignore
+    (Obs.Stall.end_ stalls ~arg:("epoch", t.current + 1) "checkpoint"
+      : Obs.Stall.interval);
   t.sweeping <- false;
   t.current <- t.current + 1;
   t.advances <- t.advances + 1;

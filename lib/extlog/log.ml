@@ -64,12 +64,12 @@ let truncate t ~epoch =
   let now = Nvm.Stats.sim_ns (Nvm.Region.stats t.region) in
   Obs.Series.sample t.s_used ~ts_ns:now ~value:(float_of_int t.tail);
   let stalls = Nvm.Region.stalls t.region in
-  Obs.Stall.enter stalls Obs.Stall.Extlog ~now;
+  Obs.Stall.enter stalls Obs.Stall.Extlog;
   t.tail <- 0;
   Nvm.Region.write_i64 t.region Nvm.Layout.extlog_off (Int64.of_int epoch);
   Nvm.Region.clwb t.region Nvm.Layout.extlog_off;
   Nvm.Region.sfence t.region;
-  Obs.Stall.exit stalls ~now:(Nvm.Stats.sim_ns (Nvm.Region.stats t.region))
+  Obs.Stall.exit stalls
 
 (* Checksum: xor of the payload words folded with the header fields, so a
    torn entry (header persisted, payload not, or vice versa) is detected. *)
@@ -128,8 +128,7 @@ let append t ~epoch ~addr ~size =
   let total = header_bytes + size in
   if t.tail + total > t.len then raise Log_full;
   let stalls = Nvm.Region.stalls t.region in
-  Obs.Stall.enter stalls Obs.Stall.Extlog
-    ~now:(Nvm.Stats.sim_ns (Nvm.Region.stats t.region));
+  Obs.Stall.enter stalls Obs.Stall.Extlog;
   let entry = t.off + t.tail in
   (* Payload first, then the header that makes the entry meaningful; the
      checksum validates the pair, so one fence suffices. *)
@@ -137,7 +136,7 @@ let append t ~epoch ~addr ~size =
     ~len:size;
   seal_entry t ~entry ~kind:kind_node ~epoch ~addr ~size;
   incr t.c_nodes;
-  Obs.Stall.exit stalls ~now:(Nvm.Stats.sim_ns (Nvm.Region.stats t.region))
+  Obs.Stall.exit stalls
 
 (* Size an [append_record] call will consume, so a commit sequence can
    reserve headroom up front and never hit [Log_full] mid-protocol. *)
@@ -159,8 +158,7 @@ let append_record t ~kind ~epoch ~txn_id ~payload =
   let total = header_bytes + size in
   if t.tail + total > t.len then raise Log_full;
   let stalls = Nvm.Region.stalls t.region in
-  Obs.Stall.enter stalls Obs.Stall.Extlog
-    ~now:(Nvm.Stats.sim_ns (Nvm.Region.stats t.region));
+  Obs.Stall.enter stalls Obs.Stall.Extlog;
   let entry = t.off + t.tail in
   let padded =
     if size = String.length payload then payload
@@ -168,7 +166,7 @@ let append_record t ~kind ~epoch ~txn_id ~payload =
   in
   Nvm.Region.write_string t.region (entry + header_bytes) padded;
   seal_entry t ~entry ~kind ~epoch ~addr:txn_id ~size;
-  Obs.Stall.exit stalls ~now:(Nvm.Stats.sim_ns (Nvm.Region.stats t.region))
+  Obs.Stall.exit stalls
 
 (* Walk the intact-entry prefix, calling [f] on each entry. *)
 let fold_entries t f =

@@ -44,12 +44,11 @@ type t = {
   stats : Stats.t;
   metrics : Obs.Registry.t;
   trace : Obs.Trace.t;
-  spans : Obs.Span.t;
   series_tbl : (string, Obs.Series.t) Hashtbl.t;
-  stalls : Obs.Stall.t;  (* attributed stall intervals, simulated clock *)
-  h_sfence : Obs.Histogram.t;  (* per-sfence latency, ns *)
-  h_wbinvd : Obs.Histogram.t;  (* per-wbinvd latency, ns *)
-  h_sweep : Obs.Histogram.t;  (* per-sweep-quantum latency, ns *)
+  stalls : Obs.Stall.t;  (* the interval recorder, simulated clock *)
+  p_sfence : Obs.Stall.point;
+  p_wbinvd : Obs.Stall.point;
+  p_sweep : Obs.Stall.point;  (* one incremental-sweep quantum *)
   mutable sfence_extra_ns : float;  (* runtime-adjustable emulated latency *)
   (* Direct-mapped LLC: models capacity misses so locality has a price.
      Slot [line land llc_mask] holds a 16-bit partial tag (see
@@ -129,11 +128,17 @@ let create (cfg : Config.t) =
   let metrics = Obs.Registry.create () in
   let stats = Stats.create () in
   let trace = Obs.Trace.create ~capacity:cfg.trace_capacity () in
-  let spans =
-    Obs.Span.create ~registry:metrics ~trace
+  let stalls =
+    Obs.Stall.create ~registry:metrics ~trace
       ~wall_clock:(fun () -> Unix.gettimeofday () *. 1e9)
       ~clock:(fun () -> Stats.sim_ns stats)
       ()
+  in
+  (* A fence outside every coarser scope (epoch flush, extlog seal, txn
+     fence) is a clwb-sweep stall, and so is a sweep quantum; a bare
+     wbinvd is an epoch-advance stall. *)
+  let point name label cause =
+    Obs.Stall.point stalls ~name ~histogram:("nvm." ^ name ^ "_ns") ~label cause
   in
   {
     cfg;
@@ -173,12 +178,11 @@ let create (cfg : Config.t) =
     stats;
     metrics;
     trace;
-    spans;
     series_tbl = Hashtbl.create 8;
-    stalls = Obs.Stall.create ~registry:metrics ();
-    h_sfence = Obs.Registry.histogram metrics "nvm.sfence_ns";
-    h_wbinvd = Obs.Registry.histogram metrics "nvm.wbinvd_ns";
-    h_sweep = Obs.Registry.histogram metrics "nvm.sweep_ns";
+    stalls;
+    p_sfence = point "sfence" "drained" Obs.Stall.Clwb_sweep;
+    p_wbinvd = point "wbinvd" "lines" Obs.Stall.Epoch_advance;
+    p_sweep = point "sweep" "lines" Obs.Stall.Clwb_sweep;
     sfence_extra_ns = cfg.cost.Config.sfence_extra_ns;
     llc_tags = Bytes.make (2 * llc_slots) '\000';
     hi32 = 0;
@@ -428,7 +432,6 @@ let stats t = t.stats
 let metrics t = t.metrics
 let stalls t = t.stalls
 let trace t = t.trace
-let spans t = t.spans
 
 let trace_event t payload =
   if Obs.Trace.enabled t.trace then
@@ -832,13 +835,7 @@ let sfence t =
   let c = t.cfg.Config.cost in
   let cost = c.Config.sfence_ns +. t.sfence_extra_ns in
   Stats.add_ns t.stats cost;
-  Obs.Histogram.record t.h_sfence cost;
-  (* A free-standing fence is a clwb-sweep stall; inside a coarser scope
-     (epoch flush, extlog seal, txn fence) the scope owns this time. *)
-  Obs.Stall.leaf t.stalls Obs.Stall.Clwb_sweep
-    ~start_ns:(Stats.sim_ns t.stats -. cost)
-    ~dur_ns:cost;
-  if tracing t then trace_event t (Obs.Trace.Sfence { drained; dur_ns = cost })
+  Obs.Stall.leaf t.stalls t.p_sfence ~dur_ns:cost ~arg:drained
 
 let release_fence t =
   (* Same-line ordering is already program order in this simulator; the
@@ -866,11 +863,7 @@ let wbinvd t =
     +. (float_of_int ndirty *. c.Config.wbinvd_per_line_ns)
   in
   Stats.add_ns t.stats cost;
-  Obs.Histogram.record t.h_wbinvd cost;
-  Obs.Stall.leaf t.stalls Obs.Stall.Epoch_advance
-    ~start_ns:(Stats.sim_ns t.stats -. cost)
-    ~dur_ns:cost;
-  trace_event t (Obs.Trace.Wbinvd { lines = ndirty; dur_ns = cost })
+  Obs.Stall.leaf t.stalls t.p_wbinvd ~dur_ns:cost ~arg:ndirty
 
 (* One bounded quantum of the incremental epoch flush (DESIGN.md §15):
    commit up to [budget_lines] dirty lines via clwb and drain them with
@@ -901,14 +894,9 @@ let flush_some t ~budget_lines =
       (float_of_int n *. t.clwb_ns) +. c.Config.sfence_ns +. t.sfence_extra_ns
     in
     Stats.add_ns t.stats cost;
-    Obs.Histogram.record t.h_sweep cost;
-    (* The quantum is the clwb-sweep stall the cause enum reserved; when a
-       forced synchronous advance drains inside the Epoch_advance scope,
-       the leaf is suppressed and the scope owns the time. *)
-    Obs.Stall.leaf t.stalls Obs.Stall.Clwb_sweep
-      ~start_ns:(Stats.sim_ns t.stats -. cost)
-      ~dur_ns:cost;
-    trace_event t (Obs.Trace.Sweep { lines = n; dur_ns = cost });
+    (* When a forced synchronous advance drains inside the Epoch_advance
+       scope, the scope owns this time. *)
+    Obs.Stall.leaf t.stalls t.p_sweep ~dur_ns:cost ~arg:n;
     dirty_line_count t
   end
 
@@ -940,6 +928,8 @@ let crash_with t ~choose =
      reads of pre-crash-hot lines were never charged [mem_miss_ns]. *)
   Bytes.fill t.llc_tags 0 (Bytes.length t.llc_tags) '\000';
   t.stats.Stats.crashes <- t.stats.Stats.crashes + 1;
+  (* Whatever interval was open died with the power. *)
+  Obs.Stall.abandon t.stalls;
   trace_event t Obs.Trace.Crash
 
 let crash t rng =

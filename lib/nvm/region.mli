@@ -35,26 +35,26 @@ val stats : t -> Stats.t
 val size : t -> int
 
 val metrics : t -> Obs.Registry.t
-(** The region's metric registry. The region itself feeds the
-    ["nvm.sfence_ns"] and ["nvm.wbinvd_ns"] latency histograms; upper
-    layers (epoch manager, external log, InCLL hooks) register their own
-    counters and histograms here, so one registry describes the shard. *)
+(** The region's metric registry. Upper layers (epoch manager, external
+    log, InCLL hooks) register their own counters and histograms here,
+    so one registry describes the shard. *)
 
 val stalls : t -> Obs.Stall.t
-(** The region's stall ledger (simulated clock). The region itself
-    records {!Obs.Stall.Clwb_sweep} leaves for free-standing sfences and
-    an {!Obs.Stall.Epoch_advance} leaf for a bare [wbinvd]; upper layers
-    open outermost-wins scopes around their own stalls (epoch advance,
-    extlog append/wrap, limbo merge, txn fences, recovery) so each
-    stalled interval lands under exactly one cause. *)
+(** The region's interval recorder, on the simulated clock (wall clock
+    for named intervals). The region itself records every sfence, wbinvd
+    and sweep quantum as a point (["nvm.sfence_ns"], ["nvm.wbinvd_ns"],
+    ["nvm.sweep_ns"]; a clwb-sweep stall, an epoch-advance stall and a
+    clwb-sweep stall outside every scope). Upper layers open named
+    intervals (checkpoint, recovery and its phases) and outermost-wins
+    stall scopes (epoch advance, extlog append/wrap, limbo merge, txn
+    fences, recovery), so each stalled interval lands under exactly one
+    cause. A {!crash} abandons whatever is open. *)
 
 val trace : t -> Obs.Trace.t
 (** The region's bounded event ring (disabled by default; capacity from
-    [Config.trace_capacity]). The region records {!Obs.Trace.Clwb},
-    {!Obs.Trace.Sfence}, {!Obs.Trace.Wbinvd} (both with their charged
-    cost, so the Perfetto exporter can draw them as duration slices) and
-    {!Obs.Trace.Crash}; upper layers add their events via
-    {!trace_event}. *)
+    [Config.trace_capacity]). The region records {!Obs.Trace.Clwb} and
+    {!Obs.Trace.Crash} instants, and {!stalls} its closed intervals as
+    slices; upper layers add their instants via {!trace_event}. *)
 
 val trace_event : t -> Obs.Trace.payload -> unit
 (** Record an event stamped with the current simulated time. *)
@@ -62,11 +62,6 @@ val trace_event : t -> Obs.Trace.payload -> unit
 val tracing : t -> bool
 (** Whether {!trace} records events: callers on the op path test it
     before building a payload. *)
-
-val spans : t -> Obs.Span.t
-(** The region's span profiler, clocked by the simulated clock (wall
-    clock secondary). Ended spans feed ["span.<name>_ns"] histograms in
-    {!metrics} and begin/end events into {!trace}. *)
 
 val series : t -> string -> Obs.Series.t
 (** Get or create the named bounded time-series sampler. The epoch

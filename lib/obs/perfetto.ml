@@ -37,82 +37,52 @@ let thread_name ~pid ~tid name =
       ("args", Json.Obj [ ("name", Json.String name) ]);
     ]
 
-(* One trace ring -> events on one tid. Epoch_advance markers are folded
-   into synthesized "epoch N" slices spanning consecutive boundaries, so
-   an epoch's life (dirty buildup, flush burst, extlog appends) reads as
-   one box in the timeline. *)
+(* Category and argument name of an event. *)
+let meta = function
+  | Trace.Clwb _ -> ("persist", "line")
+  | Trace.Crash -> ("crash", "")
+  | Trace.Extlog_append _ -> ("extlog", "bytes")
+  | Trace.Extlog_replay _ -> ("extlog", "entries")
+  | Trace.Incll_first_touch _ | Trace.Incll_fallback _ -> ("incll", "leaf")
+  | Trace.Custom _ -> ("custom", "arg")
+  | Trace.Slice { label; _ } -> ("interval", label)
+
+(* One trace ring -> events on one tid. A checkpoint slice starts at the
+   boundary of the epoch it enters, so consecutive checkpoints frame
+   synthesized "epoch N" slices: an epoch's life (dirty buildup, flush
+   burst, extlog appends) reads as one box in the timeline. *)
 let events_of_trace ~pid ~tid trace =
   let out = ref [] in
   let push j = out := j :: !out in
   let open_epoch = ref None in
+  let close_epoch ts =
+    match !open_epoch with
+    | Some (e0, t0) when ts > t0 ->
+        push
+          (complete ~name:(Printf.sprintf "epoch %d" e0) ~cat:"epoch" ~ts
+             ~dur_ns:(ts -. t0) ~pid ~tid [ ("epoch", Json.Int e0) ])
+    | _ -> ()
+  in
   let last_ts = ref 0.0 in
   List.iter
     (fun { Trace.ts_ns = ts; payload } ->
       last_ts := ts;
+      let cat, label = meta payload in
+      let args =
+        if label = "" then [] else [ (label, Json.Int (Trace.arg payload)) ]
+      in
+      let name = Trace.kind payload in
       match payload with
-      | Trace.Span_begin { name } ->
-          push (ev ~name ~cat:"span" ~ph:"B" ~ts ~pid ~tid [])
-      | Trace.Span_end { name; _ } ->
-          push (ev ~name ~cat:"span" ~ph:"E" ~ts ~pid ~tid [])
-      | Trace.Sfence { drained; dur_ns } ->
-          push
-            (complete ~name:"sfence" ~cat:"persist" ~ts ~dur_ns ~pid ~tid
-               [ ("drained", Json.Int drained) ])
-      | Trace.Wbinvd { lines; dur_ns } ->
-          push
-            (complete ~name:"wbinvd" ~cat:"persist" ~ts ~dur_ns ~pid ~tid
-               [ ("lines", Json.Int lines) ])
-      | Trace.Sweep { lines; dur_ns } ->
-          push
-            (complete ~name:"sweep" ~cat:"persist" ~ts ~dur_ns ~pid ~tid
-               [ ("lines", Json.Int lines) ])
-      | Trace.Epoch_advance { epoch } ->
-          (match !open_epoch with
-          | Some (e0, t0) when ts > t0 ->
-              push
-                (complete ~name:(Printf.sprintf "epoch %d" e0) ~cat:"epoch"
-                   ~ts ~dur_ns:(ts -. t0) ~pid ~tid
-                   [ ("epoch", Json.Int e0) ])
-          | _ -> ());
-          open_epoch := Some (epoch, ts);
-          push
-            (instant ~name:"epoch_advance" ~cat:"epoch" ~ts ~pid ~tid
-               [ ("epoch", Json.Int epoch) ])
-      | Trace.Clwb { line } ->
-          push (instant ~name:"clwb" ~cat:"persist" ~ts ~pid ~tid
-                  [ ("line", Json.Int line) ])
-      | Trace.Crash -> push (instant ~name:"crash" ~cat:"crash" ~ts ~pid ~tid [])
-      | Trace.Recover { replayed } ->
-          push
-            (instant ~name:"recover" ~cat:"crash" ~ts ~pid ~tid
-               [ ("replayed", Json.Int replayed) ])
-      | Trace.Extlog_append { bytes } ->
-          push
-            (instant ~name:"extlog_append" ~cat:"extlog" ~ts ~pid ~tid
-               [ ("bytes", Json.Int bytes) ])
-      | Trace.Extlog_replay { entries } ->
-          push
-            (instant ~name:"extlog_replay" ~cat:"extlog" ~ts ~pid ~tid
-               [ ("entries", Json.Int entries) ])
-      | Trace.Incll_first_touch { leaf } ->
-          push
-            (instant ~name:"incll_first_touch" ~cat:"incll" ~ts ~pid ~tid
-               [ ("leaf", Json.Int leaf) ])
-      | Trace.Incll_fallback { leaf } ->
-          push
-            (instant ~name:"incll_fallback" ~cat:"incll" ~ts ~pid ~tid
-               [ ("leaf", Json.Int leaf) ])
-      | Trace.Custom { kind; arg } ->
-          push (instant ~name:kind ~cat:"custom" ~ts ~pid ~tid
-                  [ ("arg", Json.Int arg) ]))
+      | Trace.Slice { dur_ns; arg; _ } ->
+          push (complete ~name ~cat ~ts ~dur_ns ~pid ~tid args);
+          if name = "checkpoint" then begin
+            close_epoch (ts -. dur_ns);
+            open_epoch := Some (arg, ts -. dur_ns)
+          end
+      | _ -> push (instant ~name ~cat ~ts ~pid ~tid args))
     (Trace.to_list trace);
   (* Close the trailing epoch at the last seen stamp. *)
-  (match !open_epoch with
-  | Some (e0, t0) when !last_ts > t0 ->
-      push
-        (complete ~name:(Printf.sprintf "epoch %d" e0) ~cat:"epoch" ~ts:!last_ts
-           ~dur_ns:(!last_ts -. t0) ~pid ~tid [ ("epoch", Json.Int e0) ])
-  | _ -> ());
+  close_epoch !last_ts;
   List.rev !out
 
 let counter_events ~pid ~name series =

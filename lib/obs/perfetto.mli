@@ -1,17 +1,16 @@
 (** Chrome/Perfetto [trace_event] JSON exporter.
 
-    Renders {!Trace} rings (and optional {!Series}) as a
+    Renders {!Trace} rings, {!Stall} rings (and optional {!Series}) as a
     [{"traceEvents": [...]}] document that loads directly in
     {{:https://ui.perfetto.dev}Perfetto} or [chrome://tracing]:
 
-    - {!Trace.Span_begin}/{!Trace.Span_end} become ["B"]/["E"] nesting
-      slices;
-    - {!Trace.Sfence}/{!Trace.Wbinvd} become complete (["X"]) slices whose
-      width is the simulated cost that was charged for them;
-    - consecutive {!Trace.Epoch_advance} markers are folded into
-      synthesized ["epoch N"] slices, so each epoch's dirty-line buildup
-      and boundary flush burst reads as one box;
-    - everything else becomes an instant event with its payload in
+    - {!Trace.Slice}s (checkpoints, recoveries and their phases, sfences,
+      wbinvds, sweep quanta) become complete (["X"]) slices whose width
+      is their duration on the simulated clock;
+    - consecutive checkpoint starts frame synthesized ["epoch N"] slices,
+      so each epoch's dirty-line buildup and boundary flush burst reads
+      as one box;
+    - every other event becomes an instant event with its payload in
       [args];
     - each series becomes a Perfetto counter track (["C"] events).
 

@@ -72,34 +72,64 @@ let dominant_cause entries ~t0 ~t1 =
 
 let nil_entry = { cause = Epoch_advance; start_ns = 0.0; dur_ns = 0.0; epoch = 0 }
 
+type interval = {
+  name : string;
+  start_ns : float;
+  end_ns : float;
+  wall_ns : float;
+  children : interval list;
+}
+
+(* An open named interval. [scoped]: it opened a stall scope that its
+   end closes. *)
+type frame = {
+  fname : string;
+  t0 : float;
+  wall0 : float;
+  mutable scoped : bool;
+  mutable closed : interval list;  (* closed children, newest first *)
+}
+
+type point = {
+  pname : string;
+  phist : Histogram.t;
+  label : string;
+  pcause : cause;
+}
+
 type t = {
+  clock : unit -> float;
+  wall_clock : (unit -> float) option;
+  registry : Registry.t;
+  trace : Trace.t option;
+  (* The attribution ring. *)
   buf : entry array;
   mutable len : int;
   mutable next : int;  (* ring write cursor *)
   mutable admitted : int;
   mutable min_dur_ns : float;
   mutable epoch : int;
-  (* Outermost-wins scope state. *)
+  (* Outermost-wins stall scope. *)
   mutable scope_depth : int;
   mutable scope_cause : cause;
   mutable scope_start : float;
-  hist : Histogram.t array;  (* per-cause durations, ncauses entries *)
-  counts : int array;
-  totals : float array;
+  hist : Histogram.t array;  (* stall durations per cause *)
+  mutable frames : frame list;  (* open named intervals, innermost first *)
 }
 
-let create ?(capacity = 1024) ?registry () =
+let no_clock () = 0.0
+
+let create ?(capacity = 1024) ?registry ?trace ?wall_clock ?(clock = no_clock)
+    () =
   let capacity = max 1 capacity in
-  let hist =
-    match registry with
-    | Some r ->
-        Array.of_list
-          (List.map
-             (fun c -> Registry.histogram r ("stall." ^ cause_name c ^ "_ns"))
-             all_causes)
-    | None -> Array.init ncauses (fun _ -> Histogram.create ())
+  let registry =
+    match registry with Some r -> r | None -> Registry.create ()
   in
   {
+    clock;
+    wall_clock;
+    registry;
+    trace;
     buf = Array.make capacity nil_entry;
     len = 0;
     next = 0;
@@ -109,19 +139,29 @@ let create ?(capacity = 1024) ?registry () =
     scope_depth = 0;
     scope_cause = Epoch_advance;
     scope_start = 0.0;
-    hist;
-    counts = Array.make ncauses 0;
-    totals = Array.make ncauses 0.0;
+    hist =
+      Array.of_list
+        (List.map
+           (fun c ->
+             Registry.histogram registry ("stall." ^ cause_name c ^ "_ns"))
+           all_causes);
+    frames = [];
   }
 
 let set_epoch t e = t.epoch <- e
 let set_min_dur_ns t ns = t.min_dur_ns <- ns
 
+(* The op-track slice of an interval that ends now. *)
+let slice t ~now ~name ~dur_ns ~label ~arg =
+  match t.trace with
+  | Some tr when Trace.enabled tr ->
+      Trace.record tr ~ts_ns:now (Trace.Slice { name; dur_ns; label; arg })
+  | _ -> ()
+
+(* --- stalls ------------------------------------------------------------- *)
+
 let record t cause ~start_ns ~dur_ns =
-  let i = cause_index cause in
-  t.counts.(i) <- t.counts.(i) + 1;
-  t.totals.(i) <- t.totals.(i) +. dur_ns;
-  Histogram.record t.hist.(i) dur_ns;
+  Histogram.record t.hist.(cause_index cause) dur_ns;
   if dur_ns >= t.min_dur_ns then begin
     t.buf.(t.next) <- { cause; start_ns; dur_ns; epoch = t.epoch };
     t.next <- (t.next + 1) mod Array.length t.buf;
@@ -129,23 +169,111 @@ let record t cause ~start_ns ~dur_ns =
     t.admitted <- t.admitted + 1
   end
 
-let enter t cause ~now =
+let enter t cause =
   if t.scope_depth = 0 then begin
     t.scope_cause <- cause;
-    t.scope_start <- now
+    t.scope_start <- t.clock ()
   end;
   t.scope_depth <- t.scope_depth + 1
 
-let exit t ~now =
+let exit t =
   if t.scope_depth > 0 then begin
     t.scope_depth <- t.scope_depth - 1;
     if t.scope_depth = 0 then
       record t t.scope_cause ~start_ns:t.scope_start
-        ~dur_ns:(Float.max 0.0 (now -. t.scope_start))
+        ~dur_ns:(Float.max 0.0 (t.clock () -. t.scope_start))
   end
 
-let leaf t cause ~start_ns ~dur_ns =
-  if t.scope_depth = 0 then record t cause ~start_ns ~dur_ns
+(* --- points ------------------------------------------------------------- *)
+
+let point t ~name ~histogram ?(label = "") cause =
+  {
+    pname = name;
+    phist = Registry.histogram t.registry histogram;
+    label;
+    pcause = cause;
+  }
+
+let leaf t p ~dur_ns ~arg =
+  Histogram.record p.phist dur_ns;
+  let tracing =
+    match t.trace with Some tr -> Trace.enabled tr | None -> false
+  in
+  if t.scope_depth = 0 || tracing then begin
+    let now = t.clock () in
+    (* Inside a scope the scope owns this time. *)
+    if t.scope_depth = 0 then
+      record t p.pcause ~start_ns:(now -. dur_ns) ~dur_ns;
+    slice t ~now ~name:p.pname ~dur_ns ~label:p.label ~arg
+  end
+
+(* --- named intervals ------------------------------------------------------ *)
+
+let innermost t name what =
+  match t.frames with
+  | [] ->
+      invalid_arg (Printf.sprintf "Stall.%s: no open interval (%S)" what name)
+  | f :: _ when f.fname <> name ->
+      invalid_arg
+        (Printf.sprintf "Stall.%s: unbalanced (%S open, %S given)" what f.fname
+           name)
+  | f :: rest -> (f, rest)
+
+let stall t name cause =
+  let f, _ = innermost t name "stall" in
+  if not f.scoped then begin
+    enter t cause;
+    f.scoped <- true
+  end
+
+let begin_ t ?cause name =
+  let wall0 = match t.wall_clock with Some w -> w () | None -> 0.0 in
+  t.frames <-
+    { fname = name; t0 = t.clock (); wall0; scoped = false; closed = [] }
+    :: t.frames;
+  Option.iter (stall t name) cause
+
+let end_ t ?arg name =
+  let f, rest = innermost t name "end_" in
+  t.frames <- rest;
+  if f.scoped then exit t;
+  let now = t.clock () in
+  let dur_ns = now -. f.t0 in
+  let hist suffix = Registry.histogram t.registry ("span." ^ name ^ suffix) in
+  Histogram.record (hist "_ns") dur_ns;
+  let wall_ns =
+    match t.wall_clock with
+    | Some w ->
+        let d = w () -. f.wall0 in
+        Histogram.record (hist "_wall_ns") d;
+        d
+    | None -> 0.0
+  in
+  let iv =
+    {
+      name;
+      start_ns = f.t0;
+      end_ns = now;
+      wall_ns;
+      children = List.rev f.closed;
+    }
+  in
+  (match rest with p :: _ -> p.closed <- iv :: p.closed | [] -> ());
+  let label, arg = Option.value arg ~default:("", 0) in
+  slice t ~now ~name ~dur_ns ~label ~arg;
+  iv
+
+let with_ t name f =
+  begin_ t name;
+  let r = f () in
+  ignore (end_ t name : interval);
+  r
+
+let abandon t =
+  t.frames <- [];
+  t.scope_depth <- 0
+
+(* --- the attribution ring --------------------------------------------------- *)
 
 let length t = t.len
 let capacity t = Array.length t.buf
@@ -158,7 +286,7 @@ let entries t =
 
 let overlapping t ~t0 ~t1 =
   List.filter
-    (fun e -> e.start_ns < t1 && e.start_ns +. e.dur_ns > t0)
+    (fun (e : entry) -> e.start_ns < t1 && e.start_ns +. e.dur_ns > t0)
     (entries t)
 
 let since t ~admitted =
@@ -167,43 +295,9 @@ let since t ~admitted =
   let n = min t.len fresh in
   List.init n (fun i -> t.buf.((t.next - n + i + cap) mod cap))
 
-let counts t = List.map (fun c -> (c, t.counts.(cause_index c))) all_causes
-
-let totals_ns t =
-  List.map (fun c -> (c, t.totals.(cause_index c))) all_causes
-
 let clear t =
   t.len <- 0;
   t.next <- 0;
   t.admitted <- 0;
   t.scope_depth <- 0;
-  Array.fill t.counts 0 ncauses 0;
-  Array.fill t.totals 0 ncauses 0.0
-
-let to_json t =
-  let cause_obj =
-    List.map
-      (fun c ->
-        let i = cause_index c in
-        ( cause_name c,
-          Json.Obj
-            [
-              ("count", Json.Int t.counts.(i));
-              ("total_ns", Json.Float t.totals.(i));
-            ] ))
-      all_causes
-  in
-  let entry_json e =
-    Json.Obj
-      [
-        ("cause", Json.String (cause_name e.cause));
-        ("start_ns", Json.Float e.start_ns);
-        ("dur_ns", Json.Float e.dur_ns);
-        ("epoch", Json.Int e.epoch);
-      ]
-  in
-  Json.Obj
-    [
-      ("causes", Json.Obj cause_obj);
-      ("entries", Json.List (List.map entry_json (entries t)));
-    ]
+  Option.iter Trace.clear t.trace

@@ -1,25 +1,24 @@
-(** Stall ledger: a bounded per-shard ring of attributed stall intervals.
+(** The interval recorder: one per region (= one shard = one domain; no
+    internal locking). Each timed interval is recorded once, at its
+    site, and every output is a view of that record:
 
-    A "stall" is a window of simulated time during which the shard made no
-    progress on user operations because the runtime was busy with
-    persistence machinery: an epoch flush, an sfence-backed clwb sweep, an
-    external-log append or wrap-forced checkpoint, a limbo merge, the
-    allocator's bump slow path, a transaction fence, or recovery. Each
-    stall is recorded as [{cause; start_ns; dur_ns; epoch}] on the
-    simulated clock, bumped into a per-cause [stall.<cause>_ns] histogram,
-    and kept in a bounded ring so the bench harness can correlate slow
-    operations against the stalls that overlapped them.
-
-    Scoping is outermost-wins: instrumentation sites open a scope with
-    {!enter}/{!exit}; nested scopes (an sfence inside an extlog append
-    inside a txn fence) are swallowed by the outermost one, so each unit
-    of stalled time is attributed to exactly one root cause and never
-    double-counted. {!leaf} records a point stall only when no scope is
-    open (the sfence/wbinvd hooks inside {!Nvm.Region} use it, so they are
-    free-standing stalls between epochs and absorbed during one).
-
-    One ledger belongs to one region (= one shard = one domain); no
-    internal locking. *)
+    - a {e named interval} ({!begin_}/{!end_}: a checkpoint, a recovery
+      and its phases) feeds ["span.<name>_ns"] (and
+      ["span.<name>_wall_ns"] given a wall clock);
+    - a {e point} ({!leaf}: an sfence, a wbinvd, a sweep quantum) is
+      charged in one piece and feeds its own histogram;
+    - both become a {!Trace.Slice} on the shard's op track while the
+      attached trace ring is enabled;
+    - a {e stall} is time in which the shard made no progress on user
+      operations because the runtime was busy with persistence
+      machinery. Stall scopes ({!enter}/{!exit}, or a cause given to a
+      named interval) are outermost-wins: nested scopes (an sfence inside
+      an extlog append inside a txn fence) are swallowed by the outermost
+      one, so each unit of stalled time has exactly one root cause. A
+      point outside every scope is a stall of its own cause. Each stall
+      feeds ["stall.<cause>_ns"] and is kept in a bounded ring: the
+      attribution view the bench runner and the server correlate slow
+      operations against, and the shard's stall track in {!Perfetto}. *)
 
 type cause =
   | Epoch_advance  (** stop-the-world wbinvd flush + durable epoch write *)
@@ -51,7 +50,7 @@ val cause_of_index : int -> cause option
 
 type entry = {
   cause : cause;
-  start_ns : float;  (** simulated-clock start of the stall *)
+  start_ns : float;  (** clock reading at the start of the stall *)
   dur_ns : float;
   epoch : int;  (** shard epoch current when the stall was recorded *)
 }
@@ -64,35 +63,98 @@ val dominant_cause : entry list -> t0:float -> t1:float -> cause option
 
 type t
 
-val create : ?capacity:int -> ?registry:Registry.t -> unit -> t
-(** Ring of at most [capacity] (default 1024) entries. When [registry] is
-    given, per-cause [stall.<cause>_ns] histograms are created in it so
-    stall durations surface through the ordinary metrics pipeline. *)
+val create :
+  ?capacity:int ->
+  ?registry:Registry.t ->
+  ?trace:Trace.t ->
+  ?wall_clock:(unit -> float) ->
+  ?clock:(unit -> float) ->
+  unit ->
+  t
+(** A stall ring of at most [capacity] (default 1024) entries. [clock]
+    (ns; default stuck at 0, for recorders fed only by {!record}) is
+    read as intervals open and close; the region passes its simulated
+    clock. Only named intervals read [wall_clock] (ns). Histograms live
+    in [registry] (default a private one). *)
 
 val set_epoch : t -> int -> unit
 (** Stamp subsequent entries with this epoch (the epoch manager owns the
-    epoch counter; the region that owns the ledger does not). *)
+    epoch counter; the region that owns the recorder does not). *)
 
 val set_min_dur_ns : t -> float -> unit
-(** Ring admission filter: entries shorter than this are still counted in
-    histograms and per-cause totals but not kept in the ring (per-op
-    sfences would otherwise evict the interesting entries). Default 0. *)
+(** Ring admission filter: stalls shorter than this still feed their
+    histogram but are not kept in the ring (per-op sfences would
+    otherwise evict the interesting entries). Default 0. *)
+
+(** {1 Stalls} *)
 
 val record : t -> cause -> start_ns:float -> dur_ns:float -> unit
-(** Record one stall directly (tests / out-of-band sites). *)
+(** Record one stall directly, whatever scope is open (the server's
+    [net_queue] waits, on its own wall-clock recorder; tests). *)
 
-val enter : t -> cause -> now:float -> unit
-(** Open a scope at simulated time [now]. Nested calls only bump a depth
-    counter — the outermost cause wins. *)
+val enter : t -> cause -> unit
+(** Open a stall scope now. Nested calls only bump a depth counter — the
+    outermost cause wins. *)
 
-val exit : t -> now:float -> unit
-(** Close the innermost scope; when the outermost closes, one entry is
-    recorded spanning [enter]'s [now] to this [now]. Unbalanced [exit]
-    (no open scope) is a no-op. *)
+val exit : t -> unit
+(** Close the innermost scope; when the outermost closes, one stall is
+    recorded spanning its {!enter} to now. Unbalanced [exit] (no open
+    scope) is a no-op. *)
 
-val leaf : t -> cause -> start_ns:float -> dur_ns:float -> unit
-(** Record a point stall unless a scope is open (in which case the open
-    scope already accounts for this time). *)
+(** {1 Points} *)
+
+type point
+(** A kind of interval charged in one piece, made once per recorder. *)
+
+val point :
+  t -> name:string -> histogram:string -> ?label:string -> cause -> point
+(** Its slice [name], the [histogram] fed with every duration, the
+    slice's argument [label], and the [cause] it stalls under when no
+    scope is open. *)
+
+val leaf : t -> point -> dur_ns:float -> arg:int -> unit
+(** Record a point that just ended, [dur_ns] long, with argument [arg].
+    Reads no wall clock; with tracing off it allocates only the stall it
+    keeps in the ring, if any. *)
+
+(** {1 Named intervals} *)
+
+type interval = {
+  name : string;
+  start_ns : float;
+  end_ns : float;
+  wall_ns : float;  (** wall-clock duration; 0 without a wall clock *)
+  children : interval list;
+      (** The named intervals that opened and closed inside this one,
+          directly, oldest first. *)
+}
+
+val begin_ : t -> ?cause:cause -> string -> unit
+(** Open the named interval [name] now; with [cause], also a stall scope
+    of that cause until it ends. *)
+
+val stall : t -> string -> cause -> unit
+(** Make the innermost open interval, which must be [name], a stall
+    scope of [cause] from now until it ends: a checkpoint under the
+    incremental sweep opens at its boundary but stalls operations only
+    from its final drain. *)
+
+val end_ : t -> ?arg:string * int -> string -> interval
+(** Close the innermost open interval, which must be [name] (else
+    [Invalid_argument]: unbalanced instrumentation is a bug worth
+    failing loudly on), and its stall scope. [arg] (label, value) rides
+    on its slice. *)
+
+val with_ : t -> string -> (unit -> 'a) -> 'a
+(** [with_ t name f] runs [f] as the named interval [name]. If [f]
+    raises, the interval stays open, unrecorded: what raised (a crash
+    point, say) may have left intervals open inside it too, and the
+    crash that follows abandons them all. *)
+
+val abandon : t -> unit
+(** Drop every open interval and scope unrecorded: a crash ends them. *)
+
+(** {1 The attribution ring} *)
 
 val length : t -> int
 (** Entries currently held in the ring. *)
@@ -100,8 +162,8 @@ val length : t -> int
 val capacity : t -> int
 
 val admitted : t -> int
-(** Lifetime count of entries admitted to the ring (≥ [length]; the
-    difference is what wrapped out). *)
+(** Count of entries admitted to the ring since creation or {!clear}
+    (≥ [length]; the difference is what wrapped out). *)
 
 val entries : t -> entry list
 (** Ring contents, oldest first. *)
@@ -112,30 +174,16 @@ val overlapping : t -> t0:float -> t1:float -> entry list
     per-op path. *)
 
 val since : t -> admitted:int -> entry list
-(** Ring entries admitted after the lifetime count was [admitted] (a
-    prior {!admitted} reading), oldest first; only those still in the
-    ring. Costs the entries returned, not the ring. When entries are
-    recorded in clock order (every region ledger is: a stall is
-    admitted when it ends), every entry admitted before a reading
-    taken at clock [t0] ends at or before [t0], so
-    [dominant_cause (since t ~admitted) ~t0 ~t1] equals
+(** Ring entries admitted after the count was [admitted] (a prior
+    {!admitted} reading), oldest first; only those still in the ring.
+    Costs the entries returned, not the ring. When entries are recorded
+    in clock order (a region's are: a stall is admitted when it ends),
+    every entry admitted before a reading taken at clock [t0] ends at or
+    before [t0], so [dominant_cause (since t ~admitted) ~t0 ~t1] equals
     [dominant_cause (overlapping t ~t0 ~t1) ~t0 ~t1]. A {!clear} in
-    between restarts the count: everything admitted since it is
-    returned. *)
-
-val counts : t -> (cause * int) list
-(** Lifetime per-cause entry counts (unfiltered by [min_dur_ns]), in
-    {!all_causes} order. *)
-
-val totals_ns : t -> (cause * float) list
-(** Lifetime per-cause total stalled nanoseconds (unfiltered), in
-    {!all_causes} order. *)
+    between restarts the count. *)
 
 val clear : t -> unit
-(** Drop ring contents, lifetime counts/totals and any open scope (the
-    registry histograms, if any, are left alone — window measurements
-    already diff those). *)
-
-val to_json : t -> Json.t
-(** [{"causes": {name: {count, total_ns}}, "entries": [...]}] — entries
-    oldest first, each [{cause, start_ns, dur_ns, epoch}]. *)
+(** Start a fresh window: drop the ring, the attached trace ring's events
+    and any open stall scope, so a timeline's op and stall tracks cover
+    the same window. Histograms are left alone — windows diff those. *)

@@ -1,52 +1,33 @@
 type payload =
   | Clwb of { line : int }
-  | Sfence of { drained : int; dur_ns : float }
-  | Wbinvd of { lines : int; dur_ns : float }
-  | Sweep of { lines : int; dur_ns : float }
-  | Epoch_advance of { epoch : int }
   | Crash
-  | Recover of { replayed : int }
   | Extlog_append of { bytes : int }
   | Extlog_replay of { entries : int }
   | Incll_first_touch of { leaf : int }
   | Incll_fallback of { leaf : int }
-  | Span_begin of { name : string }
-  | Span_end of { name : string; dur_ns : float }
   | Custom of { kind : string; arg : int }
+  | Slice of { name : string; dur_ns : float; label : string; arg : int }
 
 type event = { ts_ns : float; payload : payload }
 
 let kind = function
   | Clwb _ -> "clwb"
-  | Sfence _ -> "sfence"
-  | Wbinvd _ -> "wbinvd"
-  | Sweep _ -> "sweep"
-  | Epoch_advance _ -> "epoch_advance"
   | Crash -> "crash"
-  | Recover _ -> "recover"
   | Extlog_append _ -> "extlog_append"
   | Extlog_replay _ -> "extlog_replay"
   | Incll_first_touch _ -> "incll_first_touch"
   | Incll_fallback _ -> "incll_fallback"
-  | Span_begin _ -> "span_begin"
-  | Span_end _ -> "span_end"
   | Custom { kind; _ } -> kind
+  | Slice { name; _ } -> name
 
 let arg = function
   | Clwb { line } -> line
-  | Sfence { drained; _ } -> drained
-  | Wbinvd { lines; _ } -> lines
-  | Sweep { lines; _ } -> lines
-  | Epoch_advance { epoch } -> epoch
   | Crash -> 0
-  | Recover { replayed } -> replayed
   | Extlog_append { bytes } -> bytes
   | Extlog_replay { entries } -> entries
   | Incll_first_touch { leaf } -> leaf
   | Incll_fallback { leaf } -> leaf
-  | Span_begin _ -> 0
-  | Span_end { dur_ns; _ } -> int_of_float dur_ns
-  | Custom { arg; _ } -> arg
+  | Custom { arg; _ } | Slice { arg; _ } -> arg
 
 let dummy = { ts_ns = 0.0; payload = Crash }
 

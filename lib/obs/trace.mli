@@ -1,11 +1,9 @@
 (** Bounded ring of persistence-relevant events, stamped with the
     simulated clock.
 
-    Events carry typed payloads (not [string * int]): the persistence
-    instructions record their cost alongside their argument, so the
-    Perfetto exporter ({!Perfetto}) can render [sfence] / [wbinvd] as
-    duration slices and the span profiler ({!Span}) can round-trip
-    nested scopes through the ring.
+    Events are instants with typed payloads, plus the op-track slices
+    the interval recorder ({!Stall}) writes as its intervals close: the
+    Perfetto exporter ({!Perfetto}) draws those as duration slices.
 
     Disabled by default: a disabled ring costs one branch per call site,
     so the hot paths (clwb, sfence) can record unconditionally. When the
@@ -14,33 +12,26 @@
 
 type payload =
   | Clwb of { line : int }  (** Asynchronous write-back initiation. *)
-  | Sfence of { drained : int; dur_ns : float }
-      (** [drained]: lines committed by this fence; [dur_ns]: its cost. *)
-  | Wbinvd of { lines : int; dur_ns : float }
-      (** [lines]: dirty lines flushed; [dur_ns]: total flush cost. *)
-  | Sweep of { lines : int; dur_ns : float }
-      (** One bounded incremental-sweep quantum ([Region.flush_some]):
-          [lines] committed, [dur_ns] its cost. *)
-  | Epoch_advance of { epoch : int }  (** The epoch being entered. *)
   | Crash
-  | Recover of { replayed : int }  (** External-log entries re-applied. *)
   | Extlog_append of { bytes : int }
   | Extlog_replay of { entries : int }
   | Incll_first_touch of { leaf : int }
   | Incll_fallback of { leaf : int }
-  | Span_begin of { name : string }
-  | Span_end of { name : string; dur_ns : float }
   | Custom of { kind : string; arg : int }
       (** Escape hatch for one-off events; prefer a typed constructor. *)
+  | Slice of { name : string; dur_ns : float; label : string; arg : int }
+      (** An interval that ended at the event's stamp, [dur_ns] long (a
+          checkpoint, an sfence, a recovery phase, ...), with one
+          argument named [label] (none when [""]). *)
 
 type event = { ts_ns : float; payload : payload }
 
 val kind : payload -> string
-(** Stable display name, e.g. ["clwb"], ["sfence"], ["epoch_advance"]. *)
+(** Stable display name, e.g. ["clwb"], ["crash"], or a slice's name. *)
 
 val arg : payload -> int
 (** The payload's primary integer (line id, lines drained, epoch, ...) —
-    the legacy [string * int] view, used by the JSON dump. *)
+    the [string * int] view the JSON dump uses. *)
 
 type t
 

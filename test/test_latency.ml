@@ -12,8 +12,17 @@ module Y = Workload.Ycsb
 
 (* --- stall ledger ------------------------------------------------------- *)
 
+(* The per-cause histogram of a recorder's registry. *)
+let stall_hist reg cause =
+  match
+    Obs.Registry.find_histogram reg ("stall." ^ Obs.Stall.cause_name cause ^ "_ns")
+  with
+  | Some h -> h
+  | None -> Alcotest.fail "missing stall histogram"
+
 let ring_wraps_but_totals_do_not () =
-  let t = Obs.Stall.create ~capacity:8 () in
+  let reg = Obs.Registry.create () in
+  let t = Obs.Stall.create ~capacity:8 ~registry:reg () in
   for i = 0 to 19 do
     Obs.Stall.record t Obs.Stall.Extlog
       ~start_ns:(float_of_int (100 * i))
@@ -21,10 +30,9 @@ let ring_wraps_but_totals_do_not () =
   done;
   check_int "ring holds capacity" 8 (Obs.Stall.length t);
   check_int "all entries admitted" 20 (Obs.Stall.admitted t);
-  check_int "lifetime count survives the wrap" 20
-    (List.assoc Obs.Stall.Extlog (Obs.Stall.counts t));
-  check "lifetime total survives the wrap" true
-    (List.assoc Obs.Stall.Extlog (Obs.Stall.totals_ns t) = 200.0);
+  let h = stall_hist reg Obs.Stall.Extlog in
+  check_int "histogram count survives the wrap" 20 (Obs.Histogram.count h);
+  check "histogram total survives the wrap" true (Obs.Histogram.sum h = 200.0);
   (* The ring keeps the newest entries, oldest first. *)
   match Obs.Stall.entries t with
   | first :: _ ->
@@ -33,33 +41,50 @@ let ring_wraps_but_totals_do_not () =
   | [] -> Alcotest.fail "ring empty after 20 records"
 
 let min_dur_filters_ring_not_totals () =
-  let t = Obs.Stall.create ~capacity:8 () in
+  let reg = Obs.Registry.create () in
+  let t = Obs.Stall.create ~capacity:8 ~registry:reg () in
   Obs.Stall.set_min_dur_ns t 50.0;
   Obs.Stall.record t Obs.Stall.Clwb_sweep ~start_ns:0.0 ~dur_ns:10.0;
   Obs.Stall.record t Obs.Stall.Clwb_sweep ~start_ns:100.0 ~dur_ns:60.0;
   check_int "short entry kept out of the ring" 1 (Obs.Stall.length t);
-  check_int "both counted" 2
-    (List.assoc Obs.Stall.Clwb_sweep (Obs.Stall.counts t));
-  check "both totalled" true
-    (List.assoc Obs.Stall.Clwb_sweep (Obs.Stall.totals_ns t) = 70.0)
+  let h = stall_hist reg Obs.Stall.Clwb_sweep in
+  check_int "both counted" 2 (Obs.Histogram.count h);
+  check "both totalled" true (Obs.Histogram.sum h = 70.0)
 
 let outermost_scope_wins () =
-  let t = Obs.Stall.create () in
-  Obs.Stall.enter t Obs.Stall.Epoch_advance ~now:1000.0;
-  (* Nested scope and a leaf inside it: both swallowed. *)
-  Obs.Stall.enter t Obs.Stall.Extlog ~now:1100.0;
-  Obs.Stall.leaf t Obs.Stall.Clwb_sweep ~start_ns:1150.0 ~dur_ns:10.0;
-  Obs.Stall.exit t ~now:1200.0;
-  Obs.Stall.exit t ~now:1500.0;
+  let now = ref 0.0 in
+  let at ns = now := ns in
+  let t = Obs.Stall.create ~clock:(fun () -> !now) () in
+  let fence =
+    Obs.Stall.point t ~name:"sfence" ~histogram:"nvm.sfence_ns"
+      Obs.Stall.Clwb_sweep
+  in
+  at 1000.0;
+  Obs.Stall.enter t Obs.Stall.Epoch_advance;
+  (* Nested scope and a point inside it: both swallowed. *)
+  at 1100.0;
+  Obs.Stall.enter t Obs.Stall.Extlog;
+  at 1160.0;
+  Obs.Stall.leaf t fence ~dur_ns:10.0 ~arg:1;
+  at 1200.0;
+  Obs.Stall.exit t;
+  at 1500.0;
+  Obs.Stall.exit t;
   (match Obs.Stall.entries t with
   | [ e ] ->
       check "root cause" true (e.Obs.Stall.cause = Obs.Stall.Epoch_advance);
       check "spans the whole scope" true
         (e.Obs.Stall.start_ns = 1000.0 && e.Obs.Stall.dur_ns = 500.0)
   | l -> Alcotest.failf "expected 1 entry, got %d" (List.length l));
-  (* Outside any scope the leaf records normally. *)
-  Obs.Stall.leaf t Obs.Stall.Clwb_sweep ~start_ns:2000.0 ~dur_ns:10.0;
-  check_int "free-standing leaf recorded" 2 (Obs.Stall.length t)
+  (* Outside any scope the point is a stall of its own cause. *)
+  at 2010.0;
+  Obs.Stall.leaf t fence ~dur_ns:10.0 ~arg:1;
+  check_int "free-standing point recorded" 2 (Obs.Stall.length t);
+  match List.rev (Obs.Stall.entries t) with
+  | e :: _ ->
+      check "point cause" true (e.Obs.Stall.cause = Obs.Stall.Clwb_sweep);
+      check "point ends now" true (e.Obs.Stall.start_ns = 2000.0)
+  | [] -> Alcotest.fail "empty ring"
 
 (* Every cause must have a distinct, stable name: the names are the
    stall.<cause>_ns metric suffixes, the Perfetto slice names and the

@@ -310,7 +310,7 @@ let trace_events_through_region () =
     (List.map event_kind events);
   (match events with
   | [ { Obs.Trace.payload = Obs.Trace.Clwb { line }; _ };
-      { Obs.Trace.payload = Obs.Trace.Sfence { drained; dur_ns }; _ } ] ->
+      { Obs.Trace.payload = Obs.Trace.Slice { arg = drained; dur_ns; _ }; _ } ] ->
       check_int "clwb line" (4096 / 64) line;
       check_int "sfence drained the line" 1 drained;
       check "sfence cost recorded" true (dur_ns > 0.0)
@@ -318,64 +318,113 @@ let trace_events_through_region () =
   let ts = List.map (fun e -> e.Obs.Trace.ts_ns) events in
   check "timestamps monotone" true (List.sort compare ts = ts)
 
-(* --- spans -------------------------------------------------------------- *)
+(* --- named intervals -------------------------------------------------------- *)
 
 let span_env () =
   let now = ref 0.0 in
   let reg = Obs.Registry.create () in
   let tr = Obs.Trace.create () in
   Obs.Trace.set_enabled tr true;
-  let sp = Obs.Span.create ~registry:reg ~trace:tr ~clock:(fun () -> !now) () in
+  let sp =
+    Obs.Stall.create ~registry:reg ~trace:tr ~clock:(fun () -> !now) ()
+  in
   (now, reg, tr, sp)
+
+let dur (iv : Obs.Stall.interval) = iv.end_ns -. iv.start_ns
 
 let span_nesting_and_histograms () =
   let now, reg, tr, sp = span_env () in
-  Obs.Span.begin_ sp "outer";
+  Obs.Stall.begin_ sp "outer";
   now := 10.0;
-  check_int "depth" 1 (Obs.Span.depth sp);
-  check "current" true (Obs.Span.current sp = Some "outer");
-  Obs.Span.begin_ sp "inner";
+  Obs.Stall.begin_ sp "inner";
   now := 30.0;
-  let d_inner = Obs.Span.end_ sp "inner" in
+  let inner = Obs.Stall.end_ sp "inner" in
   now := 100.0;
-  let d_outer = Obs.Span.end_ sp "outer" in
-  Alcotest.(check (float 1e-9)) "inner duration" 20.0 d_inner;
-  Alcotest.(check (float 1e-9)) "outer spans the inner one" 100.0 d_outer;
-  check_int "stack empty" 0 (Obs.Span.depth sp);
+  let outer = Obs.Stall.end_ sp "outer" in
+  Alcotest.(check (float 1e-9)) "inner duration" 20.0 (dur inner);
+  Alcotest.(check (float 1e-9)) "outer spans the inner one" 100.0 (dur outer);
+  check "outer's children" true (outer.Obs.Stall.children = [ inner ]);
+  (match Obs.Stall.end_ sp "outer" with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "stack must be empty");
   (* Durations fold into per-name histograms in the registry. *)
   (match Obs.Registry.find_histogram reg "span.inner_ns" with
   | Some h ->
       check_int "inner count" 1 (Obs.Histogram.count h);
       Alcotest.(check (float 1e-9)) "inner sum" 20.0 (Obs.Histogram.sum h)
   | None -> Alcotest.fail "span.inner_ns histogram missing");
-  (* And begin/end round-trip through the trace ring, properly nested. *)
-  Alcotest.(check (list string)) "trace nesting"
-    [ "span_begin"; "span_begin"; "span_end"; "span_end" ]
-    (List.map event_kind (Obs.Trace.to_list tr))
+  (* And each closed interval is one slice in the trace ring. *)
+  Alcotest.(check (list string)) "one slice per interval, as they close"
+    [ "inner"; "outer" ]
+    (List.map event_kind (Obs.Trace.to_list tr));
+  (* None of them was a stall. *)
+  check_int "no stall" 0 (Obs.Stall.admitted sp)
+
+(* A named interval given a cause is also a stall scope of that cause,
+   from the moment the cause is given until the interval ends. *)
+let span_stalls_from_its_cause () =
+  let now, _, _, sp = span_env () in
+  Obs.Stall.begin_ sp ~cause:Obs.Stall.Recovery "recover";
+  now := 50.0;
+  ignore (Obs.Stall.end_ sp "recover" : Obs.Stall.interval);
+  Obs.Stall.begin_ sp "checkpoint";
+  now := 80.0;
+  Obs.Stall.stall sp "checkpoint" Obs.Stall.Epoch_advance;
+  now := 100.0;
+  ignore (Obs.Stall.end_ sp "checkpoint" : Obs.Stall.interval);
+  match Obs.Stall.entries sp with
+  | [ r; c ] ->
+      check "recover stall" true
+        (r.Obs.Stall.cause = Obs.Stall.Recovery
+        && r.Obs.Stall.start_ns = 0.0 && r.Obs.Stall.dur_ns = 50.0);
+      check "checkpoint stalls from its cause" true
+        (c.Obs.Stall.cause = Obs.Stall.Epoch_advance
+        && c.Obs.Stall.start_ns = 80.0 && c.Obs.Stall.dur_ns = 20.0)
+  | l -> Alcotest.failf "expected 2 stalls, got %d" (List.length l)
 
 let span_unbalanced_end_raises () =
   let _, _, _, sp = span_env () in
-  (match Obs.Span.end_ sp "never_opened" with
+  (match Obs.Stall.end_ sp "never_opened" with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "end on empty stack must raise");
-  Obs.Span.begin_ sp "a";
-  (match Obs.Span.end_ sp "b" with
+  Obs.Stall.begin_ sp "a";
+  (match Obs.Stall.end_ sp "b" with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "mismatched name must raise");
   (* The mismatch must not have popped the real frame. *)
-  check "frame intact" true (Obs.Span.current sp = Some "a")
+  check "frame intact" true
+    ((Obs.Stall.end_ sp "a").Obs.Stall.name = "a")
 
-let span_with_closes_on_exception () =
-  let now, reg, _, sp = span_env () in
+(* An exception out of [with_] leaves its interval open and unrecorded,
+   with whatever [f] opened inside it (as a crash point inside a
+   checkpoint inside a recovery phase does); [abandon], which a region
+   crash calls, drops them all, stall scope included. *)
+let span_with_on_exception () =
+  let now, reg, tr, sp = span_env () in
+  Obs.Stall.begin_ sp ~cause:Obs.Stall.Recovery "recover";
   (try
-     Obs.Span.with_ sp "risky" (fun () ->
+     Obs.Stall.with_ sp "risky" (fun () ->
+         Obs.Stall.begin_ sp "inner";
          now := 7.0;
          failwith "boom")
    with Failure _ -> ());
-  check_int "stack unwound" 0 (Obs.Span.depth sp);
-  match Obs.Registry.find_histogram reg "span.risky_ns" with
-  | Some h -> check_int "span still recorded" 1 (Obs.Histogram.count h)
-  | None -> Alcotest.fail "span.risky_ns histogram missing"
+  check "nothing recorded" true
+    (Obs.Registry.find_histogram reg "span.risky_ns" = None
+    && Obs.Trace.length tr = 0
+    && Obs.Stall.admitted sp = 0);
+  Obs.Stall.abandon sp;
+  (match Obs.Stall.end_ sp "recover" with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "abandon must empty the stack");
+  (* The recorder works on, and no stale scope swallows a new stall. *)
+  Obs.Stall.with_ sp "after" (fun () -> now := 9.0);
+  (match Obs.Registry.find_histogram reg "span.after_ns" with
+  | Some h -> Alcotest.(check (float 1e-9)) "after recorded" 2.0 (Obs.Histogram.sum h)
+  | None -> Alcotest.fail "span.after_ns histogram missing");
+  Obs.Stall.enter sp Obs.Stall.Extlog;
+  now := 10.0;
+  Obs.Stall.exit sp;
+  check_int "a fresh scope records" 1 (Obs.Stall.admitted sp)
 
 (* --- series ------------------------------------------------------------- *)
 
@@ -472,13 +521,12 @@ let perfetto_export_well_formed () =
   let tr = Obs.Trace.create () in
   Obs.Trace.set_enabled tr true;
   let ev ts p = Obs.Trace.record tr ~ts_ns:ts p in
-  ev 0.0 (Obs.Trace.Span_begin { name = "checkpoint" });
+  let slice name dur_ns label arg = Obs.Trace.Slice { name; dur_ns; label; arg } in
   ev 10.0 (Obs.Trace.Clwb { line = 3 });
-  ev 60.0 (Obs.Trace.Sfence { drained = 1; dur_ns = 50.0 });
-  ev 200.0 (Obs.Trace.Wbinvd { lines = 4; dur_ns = 120.0 });
-  ev 200.0 (Obs.Trace.Epoch_advance { epoch = 3 });
-  ev 210.0 (Obs.Trace.Span_end { name = "checkpoint"; dur_ns = 210.0 });
-  ev 400.0 (Obs.Trace.Epoch_advance { epoch = 4 });
+  ev 60.0 (slice "sfence" 50.0 "drained" 1);
+  ev 200.0 (slice "wbinvd" 120.0 "lines" 4);
+  ev 210.0 (slice "checkpoint" 210.0 "epoch" 3);
+  ev 400.0 (slice "checkpoint" 10.0 "epoch" 4);
   let series = Obs.Series.create ~capacity:8 ~name:"epoch.dirty_lines" () in
   Obs.Series.sample series ~ts_ns:200.0 ~value:4.0;
   let json =
@@ -506,7 +554,7 @@ let perfetto_export_well_formed () =
   List.iter
     (fun p ->
       check (Printf.sprintf "has a %S event" p) true (List.mem p phases))
-    [ "B"; "E"; "X"; "i"; "C"; "M" ];
+    [ "X"; "i"; "C"; "M" ];
   let names =
     List.filter_map
       (fun e ->
@@ -516,7 +564,7 @@ let perfetto_export_well_formed () =
   List.iter
     (fun n ->
       check (Printf.sprintf "has a %S slice" n) true (List.mem n names))
-    [ "checkpoint"; "sfence"; "wbinvd"; "epoch 3" ];
+    [ "checkpoint"; "sfence"; "wbinvd"; "epoch 3"; "epoch 4" ];
   (* Complete slices carry a duration and start at end - dur. *)
   List.iter
     (fun e ->
@@ -559,8 +607,9 @@ let tests =
       Alcotest.test_case "trace wrap-around ordering" `Quick trace_wraparound_ordering;
       Alcotest.test_case "trace via region" `Quick trace_events_through_region;
       Alcotest.test_case "span nesting/histograms" `Quick span_nesting_and_histograms;
+      Alcotest.test_case "span stalls from its cause" `Quick span_stalls_from_its_cause;
       Alcotest.test_case "span unbalanced end" `Quick span_unbalanced_end_raises;
-      Alcotest.test_case "span with_ on exception" `Quick span_with_closes_on_exception;
+      Alcotest.test_case "span with_ on exception" `Quick span_with_on_exception;
       Alcotest.test_case "series downsampling" `Quick series_bounded_downsampling;
       Alcotest.test_case "series below capacity" `Quick series_small_keeps_everything;
       Alcotest.test_case "stall since = overlapping attribution" `Quick
