@@ -5,7 +5,7 @@ BENCH_THRESHOLD ?= 0.10
 
 .PHONY: all build test check chaos chaos-txn chaos-net bench bench-gate \
   latency latency-throughput latency-latency latency-rto latency-improve \
-  microbench serve perfbench-smoke trace-smoke clean
+  microbench serve perfbench-smoke trace-smoke ab clean
 
 # Chaos-run shape: the four historically-bad seeds (the limbo-chain bug,
 # now fixed and regression-gated here) plus four fresh ones.
@@ -197,6 +197,22 @@ trace-smoke: build
 
 bench:
 	dune exec bench/main.exe -- --scale 0.001 --threads 2 --ops 5000
+
+# Paired wall-clock A/B of the repository benchmark (not part of check):
+# AB_PAIRS alternating perfbench/run.py pairs per workload, the AB_BASE
+# revision (unpacked with git archive) against the working tree, seed
+# AB_SEED+i in pair i. Prints each end-to-end metric's medians,
+# quartiles, change and wins. Takes about 2 x AB_PAIRS x (AB_SECONDS +
+# build and set-up) per workload; leave the tree alone meanwhile.
+AB_BASE ?= HEAD
+AB_PAIRS ?= 10
+AB_SECONDS ?= 20
+AB_SEED ?= 1
+AB_FLAGS ?=
+
+ab:
+	python3 bench/ab.py --base $(AB_BASE) --pairs $(AB_PAIRS) \
+	  --seconds $(AB_SECONDS) --seed $(AB_SEED) $(AB_FLAGS)
 
 clean:
 	dune clean

@@ -75,12 +75,12 @@ let populate c ~nkeys =
 let calibrate c ops =
   let n = Array.length ops in
   let busy = Array.make n false in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Util.Clock.now_ns () in
   pipelined c n
     (fun i -> wire_op ops.(i))
     (fun i r -> if r.P.status = P.Busy then busy.(i) <- true);
-  let wall = Unix.gettimeofday () -. t0 in
-  (float_of_int n /. wall, busy)
+  let wall_ns = Util.Clock.now_ns () -. t0 in
+  (float_of_int n /. wall_ns *. 1e9, busy)
 
 (* ------------------------------------------------- server stall diff *)
 
@@ -195,8 +195,8 @@ let run ~addr ~seed ~n ~mix ~dist ~nkeys ?arrival_rate ?(latency_threshold_ns = 
   let busy = Array.make n false in
   let inflight = Hashtbl.create (min n 65536) in
   let completed = ref 0 in
-  let t0 = Unix.gettimeofday () in
-  let now_ns () = (Unix.gettimeofday () -. t0) *. 1e9 in
+  let t0 = Util.Clock.now_ns () in
+  let now_ns () = Util.Clock.now_ns () -. t0 in
   let record (r : P.reply) tr =
     let i = Hashtbl.find inflight r.P.id in
     Hashtbl.remove inflight r.P.id;
@@ -225,7 +225,7 @@ let run ~addr ~seed ~n ~mix ~dist ~nkeys ?arrival_rate ?(latency_threshold_ns = 
   while !completed < n do
     record (C.recv c) (now_ns ())
   done;
-  let wall_s = Unix.gettimeofday () -. t0 in
+  let wall_s = now_ns () /. 1e9 in
   let after = stall_snapshot c in
   let hist = Obs.Histogram.create () in
   let blamed = ref [] in

@@ -103,7 +103,7 @@ let run_encoded sys ~shard enc ~chunk ~threshold =
   let pos = ref 0 in
   while !pos < n do
     let stop = min n (!pos + chunk) in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Util.Clock.now_ns () in
     for i = !pos to stop - 1 do
       let t_disp = Nvm.Stats.sim_ns stats in
       let t_start =
@@ -119,7 +119,7 @@ let run_encoded sys ~shard enc ~chunk ~threshold =
         end
         else t_disp
       in
-      let w0 = Unix.gettimeofday () in
+      let w0 = Util.Clock.now_ns () in
       (match Bytes.unsafe_get tags i with
       | '\000' ->
           Incll.System.put sys ~key:(Array.unsafe_get keys i)
@@ -134,11 +134,11 @@ let run_encoded sys ~shard enc ~chunk ~threshold =
                ~start:(Array.unsafe_get keys i)
                ~n:(Array.unsafe_get scan_ns i)
               : (string * string) list));
-      let w1 = Unix.gettimeofday () in
+      let w1 = Util.Clock.now_ns () in
       let t_end = Nvm.Stats.sim_ns stats in
       let lat = t_end -. t_start in
       Obs.Histogram.record h_lat lat;
-      Obs.Histogram.record h_wall ((w1 -. w0) *. 1e9);
+      Obs.Histogram.record h_wall (w1 -. w0);
       if lat > threshold then begin
         incr c_over;
         let a0 = if open_loop then Float.min !busy_start t_start else t_start in
@@ -153,17 +153,17 @@ let run_encoded sys ~shard enc ~chunk ~threshold =
               tag = Bytes.unsafe_get tags i;
               start_ns = t_start;
               lat_ns = lat;
-              wall_ns = (w1 -. w0) *. 1e9;
+              wall_ns = w1 -. w0;
               queue_ns = 0.0;
               cause;
               stalls = over;
             }
       end
     done;
-    let dt = Unix.gettimeofday () -. t0 in
+    let dt = Util.Clock.now_ns () -. t0 in
     if dt > 0.0 then
       Obs.Series.sample series ~ts_ns:(Nvm.Stats.sim_ns stats)
-        ~value:(float_of_int (stop - !pos) /. dt /. 1e6);
+        ~value:(float_of_int (stop - !pos) /. dt *. 1e3);
     pos := stop
   done;
   !spikes
@@ -287,7 +287,7 @@ let measure
   in
   let before = Array.init threads (snapshot_shard store) in
   let epochs_before = Array.init threads (epochs_of store) in
-  let wall0 = Unix.gettimeofday () in
+  let wall0 = Util.Clock.now_ns () in
   (* [Gc.minor_words] is per domain: each worker counts its own op loop. *)
   let per_shard =
     in_domains
@@ -303,7 +303,7 @@ let measure
              (spikes, Gc.minor_words () -. w0)))
   in
   let shard_spikes = Array.map fst per_shard in
-  let wall1 = Unix.gettimeofday () in
+  let wall1 = Util.Clock.now_ns () in
   let after = Array.init threads (snapshot_shard store) in
   let diff =
     Array.init threads (fun i ->
@@ -317,7 +317,7 @@ let measure
     Array.fold_left (fun a d -> a +. Nvm.Stats.sim_ns d) 0.0 diff /. 1e9
   in
   let ops = shard_op_count in
-  let wall_s = wall1 -. wall0 in
+  let wall_s = (wall1 -. wall0) /. 1e9 in
   let epochs =
     Array.fold_left ( + ) 0 (Array.init threads (epochs_of store))
     - Array.fold_left ( + ) 0 epochs_before

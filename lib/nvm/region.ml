@@ -130,7 +130,7 @@ let create (cfg : Config.t) =
   let trace = Obs.Trace.create ~capacity:cfg.trace_capacity () in
   let stalls =
     Obs.Stall.create ~registry:metrics ~trace
-      ~wall_clock:(fun () -> Unix.gettimeofday () *. 1e9)
+      ~wall_clock:Util.Clock.now_ns
       ~clock:(fun () -> Stats.sim_ns stats)
       ()
   in

@@ -51,24 +51,29 @@ type entry = { cause : cause; start_ns : float; dur_ns : float; epoch : int }
    runner's slow-op attribution and the server's per-request stall
    reporting. *)
 let dominant_cause entries ~t0 ~t1 =
-  let sums = Array.make ncauses 0.0 in
-  List.iter
-    (fun e ->
-      let o = Float.min t1 (e.start_ns +. e.dur_ns) -. Float.max t0 e.start_ns in
-      if o > 0.0 then
-        let i = cause_index e.cause in
-        sums.(i) <- sums.(i) +. o)
-    entries;
-  List.fold_left
-    (fun best c ->
-      let v = sums.(cause_index c) in
-      if v <= 0.0 then best
-      else
-        match best with
-        | Some (_, b) when b >= v -> best
-        | _ -> Some (c, v))
-    None all_causes
-  |> Option.map fst
+  match entries with
+  | [] -> None (* the per-op case: allocate nothing *)
+  | _ ->
+      let sums = Array.make ncauses 0.0 in
+      List.iter
+        (fun e ->
+          let o =
+            Float.min t1 (e.start_ns +. e.dur_ns) -. Float.max t0 e.start_ns
+          in
+          if o > 0.0 then
+            let i = cause_index e.cause in
+            sums.(i) <- sums.(i) +. o)
+        entries;
+      List.fold_left
+        (fun best c ->
+          let v = sums.(cause_index c) in
+          if v <= 0.0 then best
+          else
+            match best with
+            | Some (_, b) when b >= v -> best
+            | _ -> Some (c, v))
+        None all_causes
+      |> Option.map fst
 
 let nil_entry = { cause = Epoch_advance; start_ns = 0.0; dur_ns = 0.0; epoch = 0 }
 

@@ -17,7 +17,8 @@ val push_unbounded : 'a t -> 'a -> bool
 (** Enqueue past the capacity limit; [false] only when closed. *)
 
 val pop_batch : 'a t -> max:int -> 'a list
-(** Up to [max] elements in FIFO order, [[]] when empty. Never blocks. *)
+(** Up to [max] elements in FIFO order, [[]] when empty. Never blocks;
+    takes no lock when nothing is queued (it reads an atomic flag). *)
 
 val wake_fd : 'a t -> Unix.file_descr
 (** Readable while the queue is non-empty, after {!kick} until the next
@@ -30,6 +31,7 @@ val close : 'a t -> unit
 (** Wake the consumer; later pushes fail, queued elements still pop. *)
 
 val is_closed : 'a t -> bool
+(** Reads an atomic flag; takes no lock. *)
 
 val release : 'a t -> unit
 (** Close the wake pipe once the consumer is gone. *)

@@ -1,14 +1,79 @@
 module P = Wire.Proto
 
+(* Encoded reply frames not yet written: the bytes [pos, len) of [buf].
+   A write consumes a prefix in place, with no copy. *)
+module Out = struct
+  type t = { mutable buf : Bytes.t; mutable pos : int; mutable len : int }
+
+  let create () = { buf = Bytes.create 256; pos = 0; len = 0 }
+  let length o = o.len - o.pos
+
+  let clear o =
+    o.pos <- 0;
+    o.len <- 0
+
+  let add o s =
+    let n = String.length s in
+    if o.len + n > Bytes.length o.buf then begin
+      (* Move the unwritten bytes to the front, into a bigger buffer
+         when they and [s] still do not fit. *)
+      let live = length o in
+      let buf =
+        if live + n <= Bytes.length o.buf then o.buf
+        else Bytes.create (max (2 * Bytes.length o.buf) (live + n))
+      in
+      Bytes.blit o.buf o.pos buf 0 live;
+      o.buf <- buf;
+      o.pos <- 0;
+      o.len <- live
+    end;
+    Bytes.blit_string s 0 o.buf o.len n;
+    o.len <- o.len + n
+
+  let drop o k =
+    o.pos <- o.pos + k;
+    if o.pos = o.len then clear o
+end
+
 (* A connection belongs to one shard domain, its owner, for its whole
    life: only the owner reads or writes its fd or touches its fields. *)
 type conn = {
   fd : Unix.file_descr;  (* non-blocking *)
   owner : int;
   dec : P.Decoder.t;
-  out : Buffer.t;  (* encoded reply frames not yet written *)
+  out : Out.t;
   mutable outstanding : int;  (* requests answered by other domains *)
   mutable reading : bool;  (* false after EOF, an error or the drain sweep *)
+  mutable flushing : bool;  (* on its owner's [to_flush] list *)
+  (* Read-first state (see [read_hot]): on its owner's [read_first]; the
+     requests it still serves through select before it is hot again; the
+     length of its next back-off; read-first hits since its last miss or
+     since that length last halved. *)
+  mutable hot : bool;
+  mutable cold : int;
+  mutable backoff : int;
+  mutable hits : int;
+}
+
+(* Select hands back the very descriptor values it was given, so
+   physical equality matches them (they are ints on Unix). *)
+module Fdtbl = Hashtbl.Make (struct
+  type t = Unix.file_descr
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+(* What shard domain [i] knows of its connections; only it touches this.
+   Each list holds the connections some step of a pass must visit, so a
+   pass visits no connection it has nothing to do for. *)
+type shard = {
+  by_fd : conn Fdtbl.t;  (* every connection it owns *)
+  mutable to_flush : conn list;  (* replies buffered *)
+  mutable read_first : conn list;  (* the hot ones: read before any select *)
+  mutable closing : conn list;  (* stopped reading, not closed yet *)
+  mutable rd : Unix.file_descr list;  (* the reading connections' fds *)
+  mutable rd_stale : bool;  (* [rd] misses an added or halted connection *)
 }
 
 type barrier = {
@@ -50,7 +115,7 @@ type t = {
   sess_clocks : int ref array;
   c_dedup : int ref array;  (* per-shard "server.dedup_hits" counters *)
   sid_counter : int Atomic.t;  (* next fresh session id *)
-  conns : conn list array;  (* entry i owned by shard domain i *)
+  shards : shard array;  (* entry i owned by shard domain i *)
   listen_fd : Unix.file_descr;
   bound : Wire.Client.addr;
   mutable accepted : int;  (* round-robin cursor, domain 0 only *)
@@ -66,11 +131,11 @@ type t = {
   mutable domains : unit Domain.t list;
   batch : int;
   on_dequeue : (shard:int -> unit) option;
-  t0 : float;  (* server start, Unix seconds *)
+  t0 : float;  (* server start, Util.Clock ns *)
   mutable stopped : bool;
 }
 
-let wall_ns t = (Unix.gettimeofday () -. t.t0) *. 1e9
+let wall_ns t = Util.Clock.now_ns () -. t.t0
 
 (* A signal delivered to the process (SIGTERM with a handler installed,
    say) interrupts blocking syscalls on whatever domain is inside one;
@@ -87,18 +152,41 @@ let encode_reply r =
     P.frame_of_reply
       { r with P.status = P.Bad_request; payload = P.Text m }
 
-let simple ?(payload = P.Unit) conn id status =
-  Buffer.add_string conn.out
+(* Buffer a reply frame on its connection, from its owner. *)
+let emit t conn frame =
+  Out.add conn.out frame;
+  if not conn.flushing then begin
+    conn.flushing <- true;
+    let sh = t.shards.(conn.owner) in
+    sh.to_flush <- conn :: sh.to_flush
+  end
+
+let simple t ?(payload = P.Unit) conn id status =
+  emit t conn
     (encode_reply { P.id; status; queue_ns = 0.0; cause = P.no_cause; payload })
 
 (* Hand the reply to a request counted in [outstanding] to its owner,
    from domain [on]: the owner buffers it, anyone else sends it home. *)
 let deliver t ~on conn frame =
   if on = conn.owner then begin
-    Buffer.add_string conn.out frame;
+    emit t conn frame;
     conn.outstanding <- conn.outstanding - 1
   end
   else ignore (Bqueue.push_unbounded t.queues.(conn.owner) (Reply (conn, frame)))
+
+(* The owner stops reading [conn]; it is closed once nothing it owes
+   its peer is left. *)
+let halt t conn =
+  if conn.reading then begin
+    conn.reading <- false;
+    let sh = t.shards.(conn.owner) in
+    sh.closing <- conn :: sh.closing;
+    sh.rd_stale <- true
+  end
+
+let add_conn sh conn =
+  Fdtbl.replace sh.by_fd conn.fd conn;
+  sh.rd_stale <- true
 
 (* --------------------------------------------------------- shard domain *)
 
@@ -169,6 +257,8 @@ let session_op_of = function
 let exec_op t shard ~dec_ns { P.id; op; sess } =
   let sys = Store.Sharded.shard t.store shard in
   let region = Incll.System.region sys in
+  (* The clock field itself: [Nvm.Stats.sim_ns] would box the float. *)
+  let clock = (Nvm.Region.stats region).Nvm.Stats.clock in
   let queue_ns = Float.max 0.0 (wall_ns t -. dec_ns) in
   Obs.Stall.record t.ledgers.(shard) Obs.Stall.Net_queue ~start_ns:dec_ns
     ~dur_ns:queue_ns;
@@ -178,7 +268,7 @@ let exec_op t shard ~dec_ns { P.id; op; sess } =
         { P.id; status; queue_ns; cause = P.no_cause; payload = P.Unit }
     | None ->
         let stalls = Nvm.Region.stalls region in
-        let s0 = Nvm.Stats.sim_ns (Nvm.Region.stats region) in
+        let s0 = clock.Nvm.Stats.ns in
         let a0 = Obs.Stall.admitted stalls in
         let status, payload =
           try exec_single sys op
@@ -193,14 +283,15 @@ let exec_op t shard ~dec_ns { P.id; op; sess } =
               ~status:(P.status_code status) sop;
             touch_session t shard ~sid ~seq ~status_code:(P.status_code status)
         | _ -> ());
-        let s1 =
-          Float.max (Nvm.Stats.sim_ns (Nvm.Region.stats region)) (s0 +. 1.0)
-        in
         (* Stalls admitted before [a0] ended by [s0]: only the ones
-           admitted since can overlap this op. *)
+           admitted since can overlap this op, and most ops admit none. *)
         let cause =
-          Obs.Stall.dominant_cause (Obs.Stall.since stalls ~admitted:a0) ~t0:s0 ~t1:s1
-          |> Option.fold ~none:P.no_cause ~some:Obs.Stall.cause_index
+          if Obs.Stall.admitted stalls = a0 then P.no_cause
+          else
+            let s1 = Float.max clock.Nvm.Stats.ns (s0 +. 1.0) in
+            Obs.Stall.dominant_cause (Obs.Stall.since stalls ~admitted:a0)
+              ~t0:s0 ~t1:s1
+            |> Option.fold ~none:P.no_cause ~some:Obs.Stall.cause_index
         in
         { P.id; status; queue_ns; cause; payload })
 
@@ -230,7 +321,7 @@ let rec run_jobs t i =
               deliver t ~on:i conn (exec_op t i ~dec_ns req)
           | Barrier b -> run_barrier_job ~on:i b
           | Reply (conn, frame) -> deliver t ~on:i conn frame
-          | Adopt conn -> t.conns.(i) <- conn :: t.conns.(i))
+          | Adopt conn -> add_conn t.shards.(i) conn)
         jobs;
       run_jobs t i
 
@@ -318,14 +409,14 @@ let handle_request t i conn ~draining ~dec_ns ({ P.id; op; sess } as req) =
            connection submitted (its TXN_COMMIT, say) completes before
            its later inline ops. *)
         run_jobs t i;
-        Buffer.add_string conn.out (exec_op t i ~dec_ns req)
+        emit t conn (exec_op t i ~dec_ns req)
       end
       else begin
         conn.outstanding <- conn.outstanding + 1;
         if not (Bqueue.try_push t.queues.(shard) (Op (conn, dec_ns, req)))
         then begin
           conn.outstanding <- conn.outstanding - 1;
-          simple conn id P.Busy
+          simple t conn id P.Busy
         end
       end
     in
@@ -339,7 +430,7 @@ let handle_request t i conn ~draining ~dec_ns ({ P.id; op; sess } as req) =
     | P.Hello proposed ->
         (* In-flight work drains to completion, but a drain does not
            start a new session. *)
-        if draining then simple conn id P.Shutting_down
+        if draining then simple t conn id P.Shutting_down
         else begin
           (* Grant the proposed id (resuming after a reconnect) or mint a
              fresh one; either way the counter stays above every granted
@@ -359,7 +450,7 @@ let handle_request t i conn ~draining ~dec_ns ({ P.id; op; sess } as req) =
               proposed
             end
           in
-          simple ~payload:(P.Value (string_of_int sid)) conn id P.Ok
+          simple t ~payload:(P.Value (string_of_int sid)) conn id P.Ok
         end
 
 (* ------------------------------------------------------ connection I/O *)
@@ -368,51 +459,60 @@ let handle_request t i conn ~draining ~dec_ns ({ P.id; op; sess } as req) =
    for its peer: a slow reader cannot grow the server or block a shard. *)
 let out_cap = 1 lsl 20
 
-(* One non-blocking write of the buffered replies; the unwritten tail
-   stays buffered. A dead peer's replies are dropped. *)
-let flush conn =
-  let n = Buffer.length conn.out in
+let readable c = c.reading && Out.length c.out <= out_cap
+
+(* Non-blocking writes of the buffered replies until they are all
+   written or the socket is full (one write takes at most 64 KiB); the
+   unwritten tail stays buffered. A dead peer's replies are dropped. *)
+let rec flush t conn =
+  let o = conn.out in
+  let n = Out.length o in
   if n > 0 then
     match
-      restart_eintr (fun () ->
-          Unix.single_write_substring conn.fd (Buffer.contents conn.out) 0 n)
+      restart_eintr (fun () -> Unix.single_write conn.fd o.Out.buf o.Out.pos n)
     with
     | k ->
-        let rest = Buffer.sub conn.out k (n - k) in
-        Buffer.clear conn.out;
-        Buffer.add_string conn.out rest
+        Out.drop o k;
+        flush t conn
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
     | exception Unix.Unix_error _ ->
-        Buffer.clear conn.out;
-        conn.reading <- false
+        Out.clear o;
+        halt t conn
 
-(* One non-blocking read, serving every complete frame in it; [false]
-   when nothing was there or the peer is gone. Unframeable garbage
-   cannot be resynced mid-stream: stop reading (requests in flight
-   still finish). *)
+(* What [read_conn] returns when the read found nothing (EAGAIN, EOF or
+   an error); otherwise it returns the number of requests it served. *)
+let no_data = -1
+
+(* One non-blocking read, serving every complete frame in it.
+   Unframeable garbage cannot be resynced mid-stream: stop reading
+   (requests in flight still finish). *)
 let read_conn t i buf conn ~draining =
   let dec_ns = wall_ns t in
   match restart_eintr (fun () -> Unix.read conn.fd buf 0 (Bytes.length buf)) with
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> false
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> no_data
   | 0 | (exception Unix.Unix_error _) ->
-      conn.reading <- false;
-      false
+      halt t conn;
+      no_data
   | n ->
       (* A read is the inline batch. *)
       Option.iter (fun f -> f ~shard:i) t.on_dequeue;
       P.Decoder.feed conn.dec buf 0 n;
-      (try
-         let rec go () =
-           match P.Decoder.next conn.dec with
-           | None -> ()
-           | Some payload ->
-               handle_request t i conn ~draining ~dec_ns
-                 (P.request_of_payload payload);
-               go ()
-         in
-         go ()
-       with P.Malformed _ -> conn.reading <- false);
-      true
+      let rec serve k =
+        match P.Decoder.next conn.dec with
+        | None -> k
+        | Some payload -> (
+            match P.request_of_payload payload with
+            | req ->
+                handle_request t i conn ~draining ~dec_ns req;
+                serve (k + 1)
+            | exception P.Malformed _ ->
+                halt t conn;
+                k)
+        | exception P.Malformed _ ->
+            halt t conn;
+            k
+      in
+      serve 0
 
 (* The drain's last pass over a connection: requests the peer had
    already delivered are served, not dropped — that is what makes the
@@ -421,15 +521,74 @@ let read_conn t i buf conn ~draining =
    stop), later ones refuse a HELLO with Shutting_down. *)
 let sweep t i buf conn =
   let draining = ref false in
-  while
-    conn.reading
-    && Buffer.length conn.out <= out_cap
-    && read_conn t i buf conn ~draining:!draining
-  do
+  while readable conn && read_conn t i buf conn ~draining:!draining <> no_data do
     draining := true;
-    flush conn
+    flush t conn
   done;
-  conn.reading <- false
+  halt t conn
+
+(* ------------------------------------------------------------ read-first *)
+
+(* Longest back-off, in requests served through select, and the run of
+   read-first hits that halves the next one. *)
+let max_backoff = 64
+let hits_to_halve = 8
+
+(* Select-free passes before a pass polls with a zero timeout anyway:
+   the listener and the cold connections wait at most this many passes,
+   each of which served a request. (Queued jobs need no poll: every pass
+   runs them.) *)
+let poll_every = 16
+
+let make_hot sh c =
+  if not c.hot then begin
+    c.hot <- true;
+    sh.read_first <- c :: sh.read_first
+  end
+
+(* A select-driven read of [c] returned [n]. Data counts its requests
+   against the back-off; once that is served, [c] is read first again. *)
+let after_select_read sh c n =
+  if n <> no_data then begin
+    c.cold <- max 0 (c.cold - n);
+    if c.cold = 0 then make_hot sh c
+  end
+
+(* One non-blocking read on every hot connection; [true] when any of
+   them served a request. One that finds nothing backs off: the next
+   1, 2, 4 ... [max_backoff] requests it sends go through select (a peer
+   on another CPU is rarely quick enough to have answered the reply just
+   written, and each miss is a wasted syscall). Misses come in runs, so
+   the next back-off halves only after [hits_to_halve] hits in a row. *)
+let read_hot t i sh buf =
+  match sh.read_first with
+  | [] -> false
+  | hot ->
+      sh.read_first <- [];
+      List.fold_left
+        (fun served c ->
+          c.hot <- false;
+          if not (readable c) then served
+          else begin
+            let n = read_conn t i buf c ~draining:false in
+            if n <> no_data then begin
+              c.hits <- c.hits + 1;
+              if c.hits = hits_to_halve then begin
+                c.hits <- 0;
+                c.backoff <- c.backoff / 2
+              end;
+              make_hot sh c
+            end
+            else if c.reading then begin
+              c.hits <- 0;
+              c.backoff <- min max_backoff (max 1 (2 * c.backoff));
+              c.cold <- c.backoff
+            end;
+            served || n > 0
+          end)
+        false hot
+
+(* ------------------------------------------------------- the shard loop *)
 
 let accept_pause_s = 0.05
 
@@ -453,10 +612,11 @@ let accept_one t =
           let owner = t.accepted mod Array.length t.queues in
           t.accepted <- t.accepted + 1;
           let conn =
-            { fd; owner; dec = P.Decoder.create (); out = Buffer.create 256;
-              outstanding = 0; reading = true }
+            { fd; owner; dec = P.Decoder.create (); out = Out.create ();
+              outstanding = 0; reading = true; flushing = false; hot = false;
+              cold = 0; backoff = 0; hits = 0 }
           in
-          if owner = 0 then t.conns.(0) <- conn :: t.conns.(0)
+          if owner = 0 then add_conn t.shards.(0) conn
           else ignore (Bqueue.push_unbounded t.queues.(owner) (Adopt conn))
       | exception Unix.Unix_error _ ->
           incr t.c_refused;
@@ -476,13 +636,61 @@ let listener_wanted t =
     else (false, left)
   end
 
-(* Shard domain [i]: one select over its job queue's wake fd and the
-   connections it owns (on domain 0, also the listener). *)
+(* Flush every connection with replies buffered; those left with a tail
+   stay on the list. *)
+let flush_all t sh =
+  match sh.to_flush with
+  | [] -> ()
+  | pending ->
+      sh.to_flush <- [];
+      List.iter
+        (fun c ->
+          flush t c;
+          if Out.length c.out > 0 then sh.to_flush <- c :: sh.to_flush
+          else c.flushing <- false)
+        pending
+
+(* Close the halted connections that owe their peer nothing more. *)
+let reap sh =
+  match sh.closing with
+  | [] -> ()
+  | closing ->
+      sh.closing <-
+        List.filter
+          (fun c ->
+            let finished = c.outstanding = 0 && Out.length c.out = 0 in
+            if finished then begin
+              Fdtbl.remove sh.by_fd c.fd;
+              try Unix.close c.fd with Unix.Unix_error _ -> ()
+            end;
+            not finished)
+          closing
+
+(* The select read set: every connection that is [readable]. *)
+let read_set sh =
+  if sh.rd_stale then begin
+    sh.rd <- Fdtbl.fold (fun fd c acc -> if c.reading then fd :: acc else acc) sh.by_fd [];
+    sh.rd_stale <- false
+  end;
+  (* Only a connection with replies buffered can be over [out_cap]. *)
+  if List.for_all (fun c -> Out.length c.out <= out_cap) sh.to_flush then sh.rd
+  else Fdtbl.fold (fun fd c acc -> if readable c then fd :: acc else acc) sh.by_fd []
+
+(* Shard domain [i]: its job queue and the connections it owns (on
+   domain 0, also the listener). A pass runs the queued jobs, writes the
+   buffered replies, then reads first: one non-blocking read on each hot
+   connection (one whose last read found data). Only when none of them
+   served a request, or after [poll_every] passes without one, does the
+   pass select over the wake fd, the reading connections and the
+   listener, blocking only in the first case. On one CPU the peer
+   usually has its next request queued by then (the reply's write woke
+   it, and it ran before this domain did again), so a select per
+   request would almost never block. *)
 let shard_loop t i =
-  let q = t.queues.(i) in
+  let q = t.queues.(i) and sh = t.shards.(i) in
   let buf = Bytes.create 65536 in
   let stopping = ref false and reported = ref false in
-  let rec loop () =
+  let rec loop unpolled =
     (* Queues close only once every domain is drained; a close seen
        before this pass's jobs means they were the last. *)
     let closed = Bqueue.is_closed q in
@@ -506,37 +714,40 @@ let shard_loop t i =
       let settled = !stopping && not (Atomic.get t.accepting) in
       if settled then run_jobs t i;
       if !stopping then
-        List.iter (fun c -> if c.reading then sweep t i buf c) t.conns.(i);
-      List.iter flush t.conns.(i);
-      let live, finished =
-        List.partition
-          (fun c -> c.reading || c.outstanding > 0 || Buffer.length c.out > 0)
-          t.conns.(i)
-      in
-      List.iter (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ()) finished;
-      t.conns.(i) <- live;
-      if settled && live = [] && not !reported then begin
+        List.iter
+          (fun c -> if c.reading then sweep t i buf c)
+          (Fdtbl.fold (fun _ c acc -> c :: acc) sh.by_fd []);
+      flush_all t sh;
+      reap sh;
+      if settled && Fdtbl.length sh.by_fd = 0 && not !reported then begin
         reported := true;
         if Atomic.fetch_and_add t.drained 1 + 1 = Array.length t.queues then
           Array.iter Bqueue.close t.queues
       end;
-      let fds keep = List.filter_map (fun c -> if keep c then Some c.fd else None) live in
-      let listening, timeout =
-        if i = 0 && not !stopping then listener_wanted t else (false, -1.0)
-      in
-      let rd = fds (fun c -> c.reading && Buffer.length c.out <= out_cap) in
-      let rd = Bqueue.wake_fd q :: (if listening then t.listen_fd :: rd else rd) in
-      let wr = fds (fun c -> Buffer.length c.out > 0) in
-      let r, _, _ = restart_eintr (fun () -> Unix.select rd wr [] timeout) in
-      if listening && List.mem t.listen_fd r then while accept_one t do () done;
-      List.iter
-        (fun c ->
-          if List.mem c.fd r then ignore (read_conn t i buf c ~draining:false))
-        live;
-      loop ()
+      let served = (not !stopping) && read_hot t i sh buf in
+      if served && unpolled < poll_every then loop (unpolled + 1)
+      else begin
+        let listening, timeout =
+          if i = 0 && not !stopping then listener_wanted t else (false, -1.0)
+        in
+        let rd = Bqueue.wake_fd q :: read_set sh in
+        let rd = if listening then t.listen_fd :: rd else rd in
+        let wr = List.map (fun c -> c.fd) sh.to_flush in
+        let timeout = if served then 0.0 else timeout in
+        let r, _, _ = restart_eintr (fun () -> Unix.select rd wr [] timeout) in
+        List.iter
+          (fun fd ->
+            if listening && fd == t.listen_fd then while accept_one t do () done
+            else
+              match Fdtbl.find_opt sh.by_fd fd with
+              | Some c -> after_select_read sh c (read_conn t i buf c ~draining:false)
+              | None -> () (* the wake fd: its jobs run next pass *))
+          r;
+        loop 0
+      end
     end
   in
-  loop ()
+  loop 0
 
 let start ?config ?(queue_capacity = 1024) ?(batch = 64) ?on_dequeue ?store
     ~variant ~shards addr =
@@ -568,7 +779,10 @@ let start ?config ?(queue_capacity = 1024) ?(batch = 64) ?on_dequeue ?store
               (Incll.System.metrics (Store.Sharded.shard store i))
               "server.dedup_hits");
       sid_counter = Atomic.make 1;
-      conns = Array.make shards [];
+      shards =
+        Array.init shards (fun _ ->
+            { by_fd = Fdtbl.create 16; to_flush = []; read_first = []; closing = [];
+              rd = []; rd_stale = false });
       listen_fd;
       bound;
       accepted = 0;
@@ -584,7 +798,7 @@ let start ?config ?(queue_capacity = 1024) ?(batch = 64) ?on_dequeue ?store
       domains = [];
       batch;
       on_dequeue;
-      t0 = Unix.gettimeofday ();
+      t0 = Util.Clock.now_ns ();
       stopped = false;
     }
   in

@@ -3,9 +3,16 @@
 
     The server runs exactly [1 + nshards] domains whatever the
     connection count: the caller's, plus one domain per shard. Shard
-    domain [i] runs one [select] loop over its job queue's wake fd and
-    the connections it owns; domain 0 also accepts, handing connections
-    out round-robin in accept order. A connection's owner alone reads,
+    domain [i] serves its job queue and the connections it owns; domain
+    0 also accepts, handing connections out round-robin in accept order.
+    Each pass of a shard domain runs its queued jobs, writes its buffered
+    replies and then reads first: one non-blocking read on each
+    connection whose last read found data. It polls with [select] (over
+    the queue's wake fd, its connections and the listener) only when
+    none of those reads served a request, blocking then, or with a zero
+    timeout after 16 passes without a poll. A connection whose read-first
+    attempt finds nothing sends its next 1, 2, 4 ... 64 requests through
+    [select] before it is read first again. A connection's owner alone reads,
     writes and closes it. A descriptor [select] cannot watch
     (>= FD_SETSIZE) is closed at accept and counted in
     [server.conn_refused].

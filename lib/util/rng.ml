@@ -69,9 +69,9 @@ let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   int_loop t bound
 
-let float t =
-  let bits53 = Int64.shift_right_logical (next t) 11 in
-  Int64.to_float bits53 *. (1.0 /. 9007199254740992.0)
+let bits53 t = Int64.to_int (Int64.shift_right_logical (next t) 11)
+
+let float t = float_of_int (bits53 t) *. 0x1p-53
 
 let bool t = Int64.logand (next t) 1L = 1L
 

@@ -26,8 +26,15 @@ val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. [bound] must be positive.
     Allocates nothing, nor does {!bool}. *)
 
+val bits53 : t -> int
+(** 53 uniformly random bits: an int in [\[0, 2{^53})], the top bits of
+    {!next64}. Allocates nothing; draw a uniform float in [\[0, 1)] as
+    [float_of_int (bits53 t) *. 0x1p-53] where a boxed {!float} result
+    would cost 2 words per draw. *)
+
 val float : t -> float
-(** Uniform float in [\[0, 1)]. *)
+(** Uniform float in [\[0, 1)]: exactly [float_of_int (bits53 t) *.
+    0x1p-53]. *)
 
 val bool : t -> bool
 (** Uniform boolean. *)

@@ -30,7 +30,8 @@ let create ~n ~theta =
 let n t = t.n
 
 let next t rng =
-  let u = Rng.float rng in
+  (* [Rng.float]'s value, drawn unboxed. *)
+  let u = float_of_int (Rng.bits53 rng) *. 0x1p-53 in
   let uz = u *. t.zetan in
   if uz < 1.0 then 0
   else if uz < 1.0 +. Float.pow 0.5 t.theta then 1

@@ -134,6 +134,22 @@ let rng_int () =
   ignore (Sys.opaque_identity !acc);
   check_budget "Rng.int per draw" ~got:(per_op w n) ~ceiling:0.01
 
+(* [Util.Zipf.next] is drawn per generated op of every zipfian
+   workload; it draws [Rng.bits53], an int, so nothing is boxed. *)
+let zipf_next () =
+  let z = Util.Zipf.create ~n:nkeys ~theta:0.99 in
+  let r = Util.Rng.create ~seed:6 in
+  let n = 100_000 in
+  let acc = ref 0 in
+  let w =
+    words (fun () ->
+        for _ = 1 to n do
+          acc := !acc + Util.Zipf.next z r
+        done)
+  in
+  ignore (Sys.opaque_identity !acc);
+  Alcotest.(check (float 0.0)) "Zipf.next minor words, 100k draws" 0.0 w
+
 let tests =
   ( "alloc_budget",
     [
@@ -141,4 +157,5 @@ let tests =
       Alcotest.test_case "update PUT allocates almost nothing" `Quick update_put;
       Alcotest.test_case "SCAN allocates only its pairs" `Quick scan;
       Alcotest.test_case "Rng.int allocates nothing" `Quick rng_int;
+      Alcotest.test_case "Zipf.next allocates nothing" `Quick zipf_next;
     ] )

@@ -115,6 +115,57 @@ let rng_golden_streams () =
         golden_seeds digests)
     golden
 
+(* [Rng.float] is [bits53] scaled, drawn through an unboxed int: the
+   first 10,000 floats of seeds 1-3 and 100,000 zipf ranks (which draw
+   [bits53] directly) must be those of the [Int64.to_float]
+   implementation it replaced, recorded here. *)
+let rng_float_via_bits53 () =
+  List.iter
+    (fun (seed, want) ->
+      let r = Util.Rng.create ~seed in
+      let b = Buffer.create 200_000 in
+      for _ = 1 to 10_000 do
+        Printf.bprintf b "%h\n" (Util.Rng.float r)
+      done;
+      Alcotest.(check string)
+        (Printf.sprintf "float seed %d" seed)
+        want
+        (Digest.to_hex (Digest.string (Buffer.contents b))))
+    [
+      (1, "9777bcf321a75d8d5e8d6c61ab1c1f5f");
+      (2, "4f0e77fee676b41afd07cc318fcdf059");
+      (3, "8d6a6f34748071a0f237b481ecde0fd6");
+    ];
+  let a = Util.Rng.create ~seed:4 in
+  let b = Util.Rng.copy a in
+  for _ = 1 to 1_000 do
+    let bits = Util.Rng.bits53 a in
+    check "bits53 in [0, 2^53)" true (bits >= 0 && bits < 1 lsl 53);
+    check "float = bits53 * 2^-53" true
+      (Util.Rng.float b = float_of_int bits *. 0x1p-53)
+  done;
+  let z = Util.Zipf.create ~n:100_000 ~theta:0.99 in
+  let r = Util.Rng.create ~seed:1 in
+  let acc = ref 0 in
+  for _ = 1 to 100_000 do
+    acc := (!acc * 31) + Util.Zipf.next z r
+  done;
+  check_int "zipf ranks unchanged" 2101014190432994126 !acc
+
+(* --- Clock ------------------------------------------------------------- *)
+
+(* The monotonic clock never steps back and resolves well below the
+   238.4 ns that a [Unix.gettimeofday] double resolves today. *)
+let clock_monotonic_fine () =
+  let prev = ref (Util.Clock.now_ns ()) and fine = ref 0 in
+  for _ = 1 to 100_000 do
+    let now = Util.Clock.now_ns () in
+    if now < !prev then Alcotest.failf "clock stepped back by %.0f ns" (!prev -. now);
+    if now -. !prev < 200.0 then incr fine;
+    prev := now
+  done;
+  check "some back-to-back deltas under 200 ns" true (!fine > 0)
+
 (* --- Zipf -------------------------------------------------------------- *)
 
 let zipf_bounds () =
@@ -241,6 +292,8 @@ let tests =
       Alcotest.test_case "rng copy independent" `Quick rng_copy_independent;
       Alcotest.test_case "rng shuffle permutes" `Quick rng_shuffle_permutes;
       Alcotest.test_case "rng golden streams" `Quick rng_golden_streams;
+      Alcotest.test_case "rng float via bits53" `Quick rng_float_via_bits53;
+      Alcotest.test_case "monotonic ns clock" `Quick clock_monotonic_fine;
       Alcotest.test_case "zipf bounds" `Quick zipf_bounds;
       Alcotest.test_case "zipf skew" `Quick zipf_skew;
       Alcotest.test_case "zipf popularity order" `Quick zipf_monotone_popularity;

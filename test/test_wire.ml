@@ -3,9 +3,10 @@
    server — pipelined out-of-order replies, BUSY under a wedged shard,
    graceful drain, STATS plumbing, hundreds of connections on a fixed
    set of domains, refusal of descriptors select cannot watch,
-   read-your-commit on a pipelined connection, and the differential
-   oracle proving a seeded YCSB stream lands the same state over the
-   wire as in process. *)
+   read-your-commit on a pipelined connection, the differential oracle
+   proving a seeded YCSB stream lands the same state over the wire as in
+   process, fairness of the read-first shard loop to connections it does
+   not read first, and the stall cause each reply carries. *)
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -908,6 +909,186 @@ let emfile_does_not_spin () =
         | Some { P.status = P.Not_found; _ } -> true
         | _ -> false))
 
+(* --- read-first fairness ---------------------------------------------------- *)
+
+(* A connection whose next request is always already there is read
+   first on every pass and never needs select. While a writer keeps one
+   connection's socket backlogged with GETs and a reader drains its
+   replies, a second connection's GET (routed through the hot shard's
+   queue at 2 shards) and a new connection's HELLO (accepted by the hot
+   shard's domain) must still be answered: the zero-timeout poll every
+   few passes. Then the writer
+   keeps at most [window] GETs unanswered, and a stop must drain both
+   connections with every request answered. (Unbounded, a backlog's
+   replies could outgrow what the drain buffers for a peer.) *)
+let read_first_fairness shards () =
+  let addr = C.Unix_sock (Filename.temp_file "incll_fair" ".sock") in
+  let srv =
+    E.start
+      ~config:(server_config ~nkeys:2_000 ~shards)
+      ~variant:Incll.System.Incll ~shards addr
+  in
+  (* Accepts go round-robin: [a] is shard 0's, whose domain also
+     accepts, and [b] the last shard's; [a]'s key is shard 0's, so its
+     GETs run inline. *)
+  let a = raw_connect srv in
+  let b = C.connect (E.addr srv) in
+  let hot = List.hd (keys_on srv ~shard:0 1) in
+  C.put b hot "v";
+  let window = 512 in
+  let batch =
+    String.concat ""
+      (List.init 256 (fun _ ->
+           P.frame_of_request { P.id = 1; op = P.Get hot; sess = None }))
+  in
+  let bounded = Atomic.make false and streaming = Atomic.make true in
+  let answered = Atomic.make 0 and sent = Atomic.make 0 in
+  let writer =
+    Domain.spawn (fun () ->
+        try
+          while Atomic.get streaming do
+            if
+              Atomic.get bounded
+              && Atomic.get sent - Atomic.get answered >= window
+            then Unix.sleepf 1e-4
+            else begin
+              C.write_all a batch;
+              ignore (Atomic.fetch_and_add sent 256)
+            end
+          done
+        with Unix.Unix_error _ -> ())
+  in
+  let reader =
+    Domain.spawn (fun () ->
+        let dec = P.Decoder.create () and buf = Bytes.create 65536 in
+        let bad = ref 0 in
+        let rec go () =
+          match Unix.read a buf 0 (Bytes.length buf) with
+          | 0 | (exception Unix.Unix_error _) -> ()
+          | n ->
+              P.Decoder.feed dec buf 0 n;
+              let rec each () =
+                match P.Decoder.next dec with
+                | None -> ()
+                | Some payload ->
+                    (match P.reply_of_payload payload with
+                    | { P.status = P.Ok; payload = P.Value "v"; _ } -> ()
+                    | _ -> incr bad);
+                    Atomic.incr answered;
+                    each ()
+              in
+              each ();
+              go ()
+        in
+        go ();
+        !bad)
+  in
+  let bad = ref None in
+  (* Stop writing, drain the server, collect the stream's replies. *)
+  let finish () =
+    if !bad = None then begin
+      Atomic.set streaming false;
+      Domain.join writer;
+      E.stop srv;
+      bad := Some (Domain.join reader);
+      Unix.close a
+    end
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      finish ();
+      C.close b)
+    (fun () ->
+      let wait_until f =
+        let deadline = Unix.gettimeofday () +. 10.0 in
+        while (not (f ())) && Unix.gettimeofday () < deadline do
+          Unix.sleepf 0.001
+        done;
+        f ()
+      in
+      let deadline () = Unix.gettimeofday () +. 10.0 in
+      check "stream under way" true
+        (wait_until (fun () -> Atomic.get answered > 2_000));
+      check "second connection's GET answered" true
+        (match C.call ~deadline:(deadline ()) b (P.Get hot) with
+        | { P.status = P.Ok; payload = P.Value "v"; _ } -> true
+        | _ -> false);
+      let fresh = C.connect (E.addr srv) in
+      check "new connection's HELLO answered" true
+        (match C.call ~deadline:(deadline ()) fresh (P.Hello 0) with
+        | { P.status = P.Ok; payload = P.Value sid; _ } -> int_of_string sid > 0
+        | _ -> false);
+      C.close fresh;
+      let n = Atomic.get answered in
+      check "stream still flowing" true
+        (wait_until (fun () -> Atomic.get answered > n));
+      Atomic.set bounded true;
+      check "stream within its window" true
+        (wait_until (fun () -> Atomic.get sent - Atomic.get answered <= window));
+      (* Stop with the stream's last GETs and 20 PUTs from the second
+         connection in flight: the drain must answer all of them. *)
+      let extra = 20 in
+      for i = 0 to extra - 1 do
+        ignore (C.send b (P.Put (Printf.sprintf "b%02d" i, "w")))
+      done;
+      finish ();
+      check_int "every streamed GET answered" (Atomic.get sent)
+        (Atomic.get answered);
+      check_int "every streamed GET read its value" 0 (Option.get !bad);
+      let got = ref 0 in
+      (try
+         while !got < extra do
+           check "drained PUT ok" true
+             ((C.recv ~deadline:(deadline ()) b).P.status = P.Ok);
+           incr got
+         done
+       with End_of_file -> ());
+      check_int "every second-connection request answered" extra !got;
+      check_int "every put applied" (1 + extra) (S.cardinal (E.store srv)))
+
+(* --- reply causes -------------------------------------------------------- *)
+
+(* A reply names the dominant stall of its op's execution, and a
+   stall-free op (the ring admitted nothing during it) carries
+   [no_cause]. *)
+let reply_causes () =
+  let cause_of r = Obs.Stall.cause_of_index r.P.cause in
+  let serve ~epoch_len_ns f =
+    let srv =
+      E.start
+        ~config:
+          (R.config_for ~epoch_len_ns ~nkeys_per_shard:100 ())
+        ~variant:Incll.System.Incll ~shards:1
+        (C.Unix_sock (Filename.temp_file "incll_cause" ".sock"))
+    in
+    Fun.protect ~finally:(fun () -> E.stop srv) (fun () ->
+        let c = C.connect (E.addr srv) in
+        Fun.protect ~finally:(fun () -> C.close c) (fun () -> f c))
+  in
+  (* No checkpoint falls inside the test: a GET and a DELETE miss stall
+     on nothing, and the same DELETE stamped fences its dedup record, a
+     txn_fence stall. *)
+  serve ~epoch_len_ns:1e15 (fun c ->
+      C.put c "k" "v1";
+      let get = C.call c (P.Get "k") in
+      check "GET ok" true (get.P.status = P.Ok);
+      check_int "stall-free GET carries no_cause" P.no_cause get.P.cause;
+      check_int "stall-free DELETE miss carries no_cause" P.no_cause
+        (C.call c (P.Delete "absent")).P.cause;
+      let sid =
+        match C.call c (P.Hello 0) with
+        | { P.payload = P.Value sid; _ } -> int_of_string sid
+        | _ -> Alcotest.fail "HELLO refused"
+      in
+      let stamped = C.call ~sess:(sid, 1) c (P.Delete "absent") in
+      check "fenced DELETE blames its dedup record" true
+        (cause_of stamped = Some Obs.Stall.Txn_fence));
+  (* A 1 ns epoch: every op ends in a checkpoint. *)
+  serve ~epoch_len_ns:1.0 (fun c ->
+      C.put c "k" "v";
+      check "GET across a checkpoint blames it" true
+        (cause_of (C.call c (P.Get "k")) = Some Obs.Stall.Epoch_advance))
+
 let tests =
   ( "wire",
     [
@@ -947,4 +1128,9 @@ let tests =
         differential_oracle;
       Alcotest.test_case "50k frames from one feed decode in order" `Quick
         bulk_feed_decodes_in_order;
+      Alcotest.test_case "read-first fairness, 1 shard" `Quick
+        (read_first_fairness 1);
+      Alcotest.test_case "read-first fairness, 2 shards" `Quick
+        (read_first_fairness 2);
+      Alcotest.test_case "reply names its stall cause" `Quick reply_causes;
     ] )
