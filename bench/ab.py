@@ -3,11 +3,12 @@
 the working tree.
 
     python3 bench/ab.py --base HEAD --pairs 10 --seconds 20 --seed 1 \\
-        [--workload W ...] [--trace 0|1] [--base-dir DIR] [--json OUT]
+        [--workload W ...] [--trace 0|1] [--base-dir DIR]
 
 Run from the root of a source checkout. The base revision is unpacked
-with ``git archive`` into ``--base-dir`` (a fresh temporary directory by
-default; nothing under ``.git`` changes). For each workload of
+with ``git archive`` into ``--base-dir``, which must be empty or absent
+(a fresh temporary directory by default; nothing under ``.git``
+changes). For each workload of
 BENCHMARK.json (or each ``--workload``), pair i runs
 ``perfbench/run.py --seed SEED+i`` once in each tree, the base first in
 even pairs and the working tree first in odd ones, so a drift of the
@@ -26,7 +27,6 @@ base's quartiles. Exits non-zero when a run fails or is not correct.
 import argparse
 import json
 import os
-import shutil
 import statistics
 import subprocess
 import sys
@@ -41,27 +41,20 @@ def die(msg):
 
 
 def unpack(rev, dest):
-    """The tree of [rev] in [dest], unless [dest] already holds it."""
+    """The tree of [rev] in the empty or absent directory [dest]."""
     sha = subprocess.run(["git", "rev-parse", "--verify", rev + "^{commit}"],
                          cwd=ROOT, capture_output=True, text=True)
     if sha.returncode != 0:
         die("unknown revision %s" % rev)
     sha = sha.stdout.strip()
-    stamp = os.path.join(dest, ".ab-revision")
-    if os.path.exists(stamp):
-        if open(stamp).read().strip() == sha:
-            return sha
-        shutil.rmtree(dest)  # an earlier base unpacked here
-    elif os.path.isdir(dest) and os.listdir(dest):
-        die("%s is not empty and holds no unpacked base" % dest)
+    if os.path.isdir(dest) and os.listdir(dest):
+        die("%s is not empty" % dest)
     os.makedirs(dest, exist_ok=True)
     archive = subprocess.Popen(["git", "archive", sha], cwd=ROOT, stdout=subprocess.PIPE)
     untar = subprocess.run(["tar", "-x", "-C", dest], stdin=archive.stdout)
     archive.stdout.close()
     if archive.wait() != 0 or untar.returncode != 0:
         die("could not unpack %s into %s" % (rev, dest))
-    with open(stamp, "w") as f:
-        f.write(sha + "\n")
     return sha
 
 
@@ -123,9 +116,7 @@ def main():
     p.add_argument("--workload", action="append",
                    help="repeatable; default every BENCHMARK.json workload")
     p.add_argument("--base-dir",
-                   help="where to unpack the base, outside the working tree "
-                   "(reused when it already holds that revision)")
-    p.add_argument("--json", help="write every run's result here")
+                   help="an empty directory outside the working tree to unpack the base into")
     args = p.parse_args()
     if args.pairs < 1:
         die("--pairs must be positive")
@@ -139,7 +130,7 @@ def main():
     print("base %s (%s) in %s; working tree %s" % (args.base, sha[:12], base_dir, ROOT),
           file=sys.stderr)
 
-    results, rows, failed = {}, [], 0
+    rows, failed = [], 0
     for w in workloads:
         pairs = []
         for i in range(args.pairs):
@@ -159,7 +150,6 @@ def main():
                   file=sys.stderr)
             if got["base"] and got["head"]:
                 pairs.append((got["base"], got["head"]))
-        results[w] = [{"base": b, "head": h} for b, h in pairs]
         if pairs:
             rows += table(w, pairs, better)
 
@@ -167,10 +157,6 @@ def main():
     print("|---|---|---|---|---|---|---|")
     for row in rows:
         print(row)
-    if args.json:
-        with open(args.json, "w") as f:
-            json.dump({"base": sha, "seed": args.seed, "seconds": args.seconds,
-                       "trace": args.trace, "runs": results}, f, indent=1)
     if failed:
         die("%d run(s) failed or were not correct" % failed)
 

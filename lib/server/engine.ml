@@ -72,8 +72,6 @@ type shard = {
   mutable to_flush : conn list;  (* replies buffered *)
   mutable read_first : conn list;  (* the hot ones: read before any select *)
   mutable closing : conn list;  (* stopped reading, not closed yet *)
-  mutable rd : Unix.file_descr list;  (* the reading connections' fds *)
-  mutable rd_stale : bool;  (* [rd] misses an added or halted connection *)
 }
 
 type barrier = {
@@ -180,13 +178,10 @@ let halt t conn =
   if conn.reading then begin
     conn.reading <- false;
     let sh = t.shards.(conn.owner) in
-    sh.closing <- conn :: sh.closing;
-    sh.rd_stale <- true
+    sh.closing <- conn :: sh.closing
   end
 
-let add_conn sh conn =
-  Fdtbl.replace sh.by_fd conn.fd conn;
-  sh.rd_stale <- true
+let add_conn sh conn = Fdtbl.replace sh.by_fd conn.fd conn
 
 (* --------------------------------------------------------- shard domain *)
 
@@ -667,14 +662,7 @@ let reap sh =
           closing
 
 (* The select read set: every connection that is [readable]. *)
-let read_set sh =
-  if sh.rd_stale then begin
-    sh.rd <- Fdtbl.fold (fun fd c acc -> if c.reading then fd :: acc else acc) sh.by_fd [];
-    sh.rd_stale <- false
-  end;
-  (* Only a connection with replies buffered can be over [out_cap]. *)
-  if List.for_all (fun c -> Out.length c.out <= out_cap) sh.to_flush then sh.rd
-  else Fdtbl.fold (fun fd c acc -> if readable c then fd :: acc else acc) sh.by_fd []
+let read_set sh = Fdtbl.fold (fun fd c acc -> if readable c then fd :: acc else acc) sh.by_fd []
 
 (* Shard domain [i]: its job queue and the connections it owns (on
    domain 0, also the listener). A pass runs the queued jobs, writes the
@@ -781,8 +769,7 @@ let start ?config ?(queue_capacity = 1024) ?(batch = 64) ?on_dequeue ?store
       sid_counter = Atomic.make 1;
       shards =
         Array.init shards (fun _ ->
-            { by_fd = Fdtbl.create 16; to_flush = []; read_first = []; closing = [];
-              rd = []; rd_stale = false });
+            { by_fd = Fdtbl.create 16; to_flush = []; read_first = []; closing = [] });
       listen_fd;
       bound;
       accepted = 0;

@@ -73,6 +73,8 @@ let bits53 t = Int64.to_int (Int64.shift_right_logical (next t) 11)
 
 let float t = float_of_int (bits53 t) *. 0x1p-53
 
+let chance t p = float t < p
+
 let bool t = Int64.logand (next t) 1L = 1L
 
 let shuffle t a =

@@ -28,13 +28,15 @@ val int : t -> int -> int
 
 val bits53 : t -> int
 (** 53 uniformly random bits: an int in [\[0, 2{^53})], the top bits of
-    {!next64}. Allocates nothing; draw a uniform float in [\[0, 1)] as
-    [float_of_int (bits53 t) *. 0x1p-53] where a boxed {!float} result
-    would cost 2 words per draw. *)
+    {!next64}. Allocates nothing. *)
 
 val float : t -> float
 (** Uniform float in [\[0, 1)]: exactly [float_of_int (bits53 t) *.
     0x1p-53]. *)
+
+val chance : t -> float -> bool
+(** [chance t p] is [float t < p], true with probability [p]. Allocates
+    nothing, where a {!float} result boxes 2 words per draw. *)
 
 val bool : t -> bool
 (** Uniform boolean. *)

@@ -30,7 +30,7 @@ let create ~n ~theta =
 let n t = t.n
 
 let next t rng =
-  (* [Rng.float]'s value, drawn unboxed. *)
+  (* [Rng.float]'s value, drawn unboxed: the same rule as Rng.float. *)
   let u = float_of_int (Rng.bits53 rng) *. 0x1p-53 in
   let uz = u *. t.zetan in
   if uz < 1.0 then 0

@@ -32,9 +32,6 @@ let load_keys ~nkeys = Array.init nkeys key_of_rank
 
 let write_fraction = function A -> 0.5 | B -> 0.05 | C -> 0.0 | E -> 0.0
 
-(* [Util.Rng.float rng < p], drawn without boxing the float. *)
-let chance rng p = float_of_int (Util.Rng.bits53 rng) *. 0x1p-53 < p
-
 let generate spec rng ~n =
   let zipf =
     match spec.dist with
@@ -53,7 +50,7 @@ let generate spec rng ~n =
   Array.init n (fun _ ->
       match spec.mix with
       | E ->
-          if chance rng insert_fraction_e then begin
+          if Util.Rng.chance rng insert_fraction_e then begin
             let key = key_of_rank !next_fresh in
             incr next_fresh;
             Put (key, value_for key)
@@ -64,5 +61,5 @@ let generate spec rng ~n =
             Scan (key_of_rank (next_rank ()), 1 + Util.Rng.int rng max_scan_length)
       | _ ->
           let key = key_of_rank (next_rank ()) in
-          if wf > 0.0 && chance rng wf then Put (key, value_for key)
+          if wf > 0.0 && Util.Rng.chance rng wf then Put (key, value_for key)
           else Get key)

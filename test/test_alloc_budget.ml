@@ -150,6 +150,22 @@ let zipf_next () =
   ignore (Sys.opaque_identity !acc);
   Alcotest.(check (float 0.0)) "Zipf.next minor words, 100k draws" 0.0 w
 
+(* [Util.Rng.chance] is the YCSB write/insert-fraction draw, one per
+   generated op; its bool result needs no box. *)
+let rng_chance () =
+  let r = Util.Rng.create ~seed:7 in
+  let n = 100_000 in
+  let p = Sys.opaque_identity 0.5 in
+  let hits = ref 0 in
+  let w =
+    words (fun () ->
+        for _ = 1 to n do
+          if Util.Rng.chance r p then incr hits
+        done)
+  in
+  Alcotest.(check bool) "about half true" true (!hits > 49_000 && !hits < 51_000);
+  Alcotest.(check (float 0.0)) "Rng.chance minor words, 100k draws" 0.0 w
+
 let tests =
   ( "alloc_budget",
     [
@@ -158,4 +174,5 @@ let tests =
       Alcotest.test_case "SCAN allocates only its pairs" `Quick scan;
       Alcotest.test_case "Rng.int allocates nothing" `Quick rng_int;
       Alcotest.test_case "Zipf.next allocates nothing" `Quick zipf_next;
+      Alcotest.test_case "Rng.chance allocates nothing" `Quick rng_chance;
     ] )
