@@ -129,7 +129,7 @@ microbench:
 # Serving-layer gate: start a real bin/incll_server.exe process on a
 # unix socket, drive it with the remote open-loop bench, SIGTERM it and
 # require a clean drain — once per shard count: 1 shard
-# runs every single-key op inline on the connection's own domain, 2
+# runs every single-key op on the shard domain that owns the connection, 2
 # shards also cross the bounded queue between domains. --oracle makes
 # the bench (a) replay the same seeded streams through an in-process
 # store and demand the server's complete final state match key for key,

@@ -214,27 +214,14 @@ type seed_report = {
   dedup_hits : int;
 }
 
-(* Pull "server.dedup_hits" out of the STATS JSON counter dump. *)
+(* "server.dedup_hits" from the STATS JSON counter dump. *)
 let dedup_hits_of_stats json =
-  let needle = "\"server.dedup_hits\"" in
-  let nlen = String.length needle in
-  let len = String.length json in
-  let rec find i =
-    if i + nlen > len then 0
-    else if String.sub json i nlen = needle then begin
-      let j = ref (i + nlen) in
-      while !j < len && (json.[!j] = ':' || json.[!j] = ' ') do
-        incr j
-      done;
-      let k = ref !j in
-      while !k < len && json.[!k] >= '0' && json.[!k] <= '9' do
-        incr k
-      done;
-      if !k > !j then int_of_string (String.sub json !j (!k - !j)) else 0
-    end
-    else find (i + 1)
-  in
-  find 0
+  match
+    Obs.Json.find_path (Obs.Json.of_string json)
+      [ "counters"; "server.dedup_hits" ]
+  with
+  | Some (Obs.Json.Int n) -> n
+  | _ -> 0
 
 let rm_rf dir =
   ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)))

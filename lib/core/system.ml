@@ -38,6 +38,26 @@ type recover_stats = {
       (* same phases, wall ns of each body; sums to at most recovery_wall_ns *)
 }
 
+(* Session dedup state (DESIGN.md §17): the newest seq recorded for the
+   session and its status. The stamp is a logical clock driving LRU
+   expiry; entries rebuilt by recovery carry stamp 0, older than any
+   live one. *)
+type sess_entry = {
+  mutable last_seq : int;
+  mutable last_status : int;
+  mutable stamp : int;
+}
+
+(* Bounded retention: sessions idle long enough to be evicted have no
+   in-flight op left to deduplicate (the session layer is one-op-at-a-
+   time), so expiry only forfeits dedup for clients gone for ages. *)
+let sess_cap = 1024
+
+type sessions = {
+  tbl : (int, sess_entry) Hashtbl.t;
+  mutable clock : int;
+}
+
 type t = {
   variant : variant;
   config : config;
@@ -47,10 +67,10 @@ type t = {
   dalloc : Alloc.Durable.t option;
   tree : Masstree.Tree.t;
   last_recover_stats : recover_stats option;
-  (* (sid, last_seq, status of that seq) per session found in the crashed
-     epoch's dedup records; the serving layer reseeds its table from it. *)
-  recovered_sessions : (int * int * int) list;
+  sessions : sessions;  (* volatile: rebuilt from the log by recovery *)
 }
+
+let no_sessions () = { tbl = Hashtbl.create 64; clock = 0 }
 
 let variant t = t.variant
 let region t = t.region
@@ -119,7 +139,7 @@ let create ?(config = default_config) variant =
         dalloc = None;
         tree;
         last_recover_stats = None;
-        recovered_sessions = [];
+        sessions = no_sessions ();
       }
   | Logging | Incll ->
       let em = Epoch.Manager.create ~epoch_len_ns:config.epoch_len_ns region in
@@ -149,7 +169,7 @@ let create ?(config = default_config) variant =
         dalloc = Some dalloc;
         tree;
         last_recover_stats = None;
-        recovered_sessions = [];
+        sessions = no_sessions ();
       }
 
 let after_op t =
@@ -283,16 +303,15 @@ let recover_region ?txn_probe ~variant ~config region =
   in
   (* Per-session newest record wins: the records arrive in log order, so
      a later record of the same session overwrites an earlier one. *)
-  let recovered_sessions =
-    let tbl = Hashtbl.create 16 in
-    List.iter
-      (fun (sid, seq, status) ->
-        match Hashtbl.find_opt tbl sid with
-        | Some (s, _) when s > seq -> ()
-        | _ -> Hashtbl.replace tbl sid (seq, status))
-      session_records;
-    Hashtbl.fold (fun sid (seq, status) acc -> (sid, seq, status) :: acc) tbl []
-  in
+  let sessions = no_sessions () in
+  List.iter
+    (fun (sid, seq, status) ->
+      match Hashtbl.find_opt sessions.tbl sid with
+      | Some e when e.last_seq > seq -> ()
+      | _ ->
+          Hashtbl.replace sessions.tbl sid
+            { last_seq = seq; last_status = status; stamp = 0 })
+    session_records;
   (* Compact the failed-epoch set before it can overflow: recover every
      node eagerly, persist that, then durably drop it. Pressure is slot
      occupancy, not epoch count — consecutive failed epochs share a
@@ -338,14 +357,14 @@ let recover_region ?txn_probe ~variant ~config region =
           quarantined_chains = quarantined () - quarantined0;
           txns_redone;
           txns_aborted;
-          sessions_recovered = List.length recovered_sessions;
+          sessions_recovered = Hashtbl.length sessions.tbl;
           phases;
           wall_phases =
             List.map
               (fun (p : Obs.Stall.interval) -> (p.name, p.wall_ns))
               iv.children;
         };
-    recovered_sessions;
+    sessions;
   }
 
 let recover ?txn_probe old =
@@ -354,11 +373,42 @@ let recover ?txn_probe old =
 let attach ?txn_probe ?(config = default_config) variant region =
   recover_region ?txn_probe ~variant ~config region
 
-let recovered_sessions t = t.recovered_sessions
-
 (* {1 Session dedup records (exactly-once serving)} *)
 
+(* Append and fence the record, then note it in the table, evicting the
+   stalest session once over capacity. *)
 let record_session t ~sid ~seq ~status op =
   match t.ctx with
   | None -> failwith "System.record_session: no logging context"
-  | Some ctx -> Txn.append_session_retry ctx ~sid ~seq ~status op
+  | Some ctx -> (
+      Txn.append_session_retry ctx ~sid ~seq ~status op;
+      let s = t.sessions in
+      s.clock <- s.clock + 1;
+      match Hashtbl.find_opt s.tbl sid with
+      | Some e ->
+          e.last_seq <- seq;
+          e.last_status <- status;
+          e.stamp <- s.clock
+      | None ->
+          if Hashtbl.length s.tbl >= sess_cap then begin
+            let victim =
+              Hashtbl.fold
+                (fun vsid e acc ->
+                  match acc with
+                  | Some (_, st) when st <= e.stamp -> acc
+                  | _ -> Some (vsid, e.stamp))
+                s.tbl None
+            in
+            match victim with
+            | Some (vsid, _) -> Hashtbl.remove s.tbl vsid
+            | None -> ()
+          end;
+          Hashtbl.replace s.tbl sid
+            { last_seq = seq; last_status = status; stamp = s.clock })
+
+let last_session t ~sid =
+  match Hashtbl.find t.sessions.tbl sid with
+  | e -> Some (e.last_seq, e.last_status)
+  | exception Not_found -> None
+
+let max_session_sid t = Hashtbl.fold (fun sid _ m -> max sid m) t.sessions.tbl 0

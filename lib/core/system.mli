@@ -119,7 +119,7 @@ type recover_stats = {
           below their id) and discarded. *)
   sessions_recovered : int;
       (** Distinct serving sessions whose dedup state was rebuilt from
-          surviving session records (see {!recovered_sessions}). *)
+          surviving session records (see {!last_session}). *)
   phases : (string * float) list;
       (** Ordered per-phase breakdown of the recovery, in simulated ns:
           [recover.epoch_open] (failed-set load + marker epoch),
@@ -144,20 +144,31 @@ type recover_stats = {
 val last_recover_stats : t -> recover_stats option
 (** Statistics of the recovery that produced this instance. *)
 
-(** {1 Session dedup records (exactly-once serving, DESIGN.md §17)} *)
+(** {1 Session dedup (exactly-once serving, DESIGN.md §17)}
+
+    Each system keeps a volatile session table: per session id, the
+    newest [(seq, status)] recorded. {!record_session} notes every record
+    it fences; {!recover} rebuilds the table from the crashed epoch's
+    surviving records (newest record per session wins). It holds at most
+    1024 sessions: recording a new one into a full table evicts the one
+    recorded least recently by a logical clock of this system, and the
+    entries recovery rebuilt count as older than any recorded since. Like
+    the rest of the system it belongs to one domain at a time. *)
 
 val record_session : t -> sid:int -> seq:int -> status:int -> Session.op -> unit
-(** Append and fence a session dedup record ({!Session}): called by the
-    serving layer after a mutation applied and before its reply is sent,
-    so every acked op is redoable after a crash and a retried (sid, seq)
-    can be answered without re-applying. Forces a checkpoint and retries
-    if the log is full. Fails on variants without a logging context. *)
+(** Append and fence a session dedup record ({!Session}), then note it
+    in the table: called by the serving layer after a mutation applied
+    and before its reply is sent, so every acked op is redoable after a
+    crash and a retried (sid, seq) can be answered without re-applying.
+    Forces a checkpoint and retries if the log is full. Fails on
+    variants without a logging context. *)
 
-val recovered_sessions : t -> (int * int * int) list
-(** [(sid, last_seq, status)] per session found in the crashed epoch's
-    surviving dedup records during the recovery that produced this
-    instance (newest record per session wins; unordered). Empty for a
-    freshly created system. *)
+val last_session : t -> sid:int -> (int * int) option
+(** [(last_seq, status)] of the session's newest record in the table;
+    [None] for a session it does not hold. *)
+
+val max_session_sid : t -> int
+(** The largest session id the table holds; 0 when it is empty. *)
 
 val nodes_logged : t -> int
 (** External-log node appends over the region's life (Figure 7's metric):

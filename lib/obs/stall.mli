@@ -89,8 +89,7 @@ val set_min_dur_ns : t -> float -> unit
 (** {1 Stalls} *)
 
 val record : t -> cause -> start_ns:float -> dur_ns:float -> unit
-(** Record one stall directly, whatever scope is open (the server's
-    [net_queue] waits, on its own wall-clock recorder; tests). *)
+(** Record one stall directly, whatever scope is open (tests). *)
 
 val enter : t -> cause -> unit
 (** Open a stall scope now. Nested calls only bump a depth counter — the

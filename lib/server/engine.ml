@@ -88,29 +88,10 @@ type job =
   | Reply of conn * string  (* an encoded frame back to the owner *)
   | Adopt of conn  (* a freshly accepted connection *)
 
-(* Per-session dedup state (DESIGN.md Â§17): the highest seqno this shard
-   has applied for the session and the status it was answered with. The
-   stamp is a per-shard logical clock driving LRU expiry. *)
-type sess_entry = {
-  mutable last_seq : int;
-  mutable last_status : int;  (* wire status code *)
-  mutable stamp : int;
-}
-
-(* Bounded retention: sessions idle long enough to be evicted have no
-   in-flight op left to deduplicate (the session layer is one-op-at-a-
-   time), so expiry only forfeits dedup for clients gone for ages. *)
-let sess_cap = 1024
-
 type t = {
   store : Store.Sharded.t;
   queues : job Bqueue.t array;
-  ledgers : Obs.Stall.t array;  (* server-owned net_queue ledgers, wall ns *)
-  (* Session dedup tables, one per shard, owned by the shard domain
-     (key-deterministic routing sends a retry to the same shard; commit
-     dedup runs inside the cross-shard barrier, which is exclusive). *)
-  sessions : (int, sess_entry) Hashtbl.t array;
-  sess_clocks : int ref array;
+  net_queue : Obs.Histogram.t array;  (* per-shard "stall.net_queue_ns", wall ns *)
   c_dedup : int ref array;  (* per-shard "server.dedup_hits" counters *)
   sid_counter : int Atomic.t;  (* next fresh session id *)
   shards : shard array;  (* entry i owned by shard domain i *)
@@ -204,42 +185,15 @@ let exec_single sys (op : P.op) =
 (* Replayed (sid, seq)? Answer without re-applying: the recorded status
    for the newest seq, plain Ok for anything older (the session layer is
    one-op-at-a-time, so an older seq is a duplicated frame whose real
-   reply was already delivered). Must run on the owning shard domain, or
-   inside a barrier. *)
+   reply was already delivered). The table is shard [shard]'s System's
+   (key-deterministic routing sends a retry to the same shard), so this
+   must run on that shard's domain, or inside a barrier. *)
 let dedup_check t shard ~sid ~seq =
-  match Hashtbl.find_opt t.sessions.(shard) sid with
-  | Some e when seq <= e.last_seq ->
+  match Incll.System.last_session (Store.Sharded.shard t.store shard) ~sid with
+  | Some (last, status) when seq <= last ->
       t.c_dedup.(shard) := !(t.c_dedup.(shard)) + 1;
-      Some (if seq = e.last_seq then P.status_of_code e.last_status else P.Ok)
+      Some (if seq = last then P.status_of_code status else P.Ok)
   | _ -> None
-
-(* Record the applied (sid, seq, status) in the shard's table, evicting
-   the stalest session once over capacity. *)
-let touch_session t shard ~sid ~seq ~status_code =
-  let tbl = t.sessions.(shard) in
-  let clock = t.sess_clocks.(shard) in
-  incr clock;
-  match Hashtbl.find_opt tbl sid with
-  | Some e ->
-      e.last_seq <- seq;
-      e.last_status <- status_code;
-      e.stamp <- !clock
-  | None ->
-      if Hashtbl.length tbl >= sess_cap then begin
-        let victim =
-          Hashtbl.fold
-            (fun vsid e acc ->
-              match acc with
-              | Some (_, st) when st <= e.stamp -> acc
-              | _ -> Some (vsid, e.stamp))
-            tbl None
-        in
-        match victim with
-        | Some (vsid, _) -> Hashtbl.remove tbl vsid
-        | None -> ()
-      end;
-      Hashtbl.replace tbl sid
-        { last_seq = seq; last_status = status_code; stamp = !clock }
 
 let session_op_of = function
   | P.Put (k, v) -> Some (Incll.Session.Put { key = k; value = v })
@@ -255,8 +209,7 @@ let exec_op t shard ~dec_ns { P.id; op; sess } =
   (* The clock field itself: [Nvm.Stats.sim_ns] would box the float. *)
   let clock = (Nvm.Region.stats region).Nvm.Stats.clock in
   let queue_ns = Float.max 0.0 (wall_ns t -. dec_ns) in
-  Obs.Stall.record t.ledgers.(shard) Obs.Stall.Net_queue ~start_ns:dec_ns
-    ~dur_ns:queue_ns;
+  Obs.Histogram.record t.net_queue.(shard) queue_ns;
   encode_reply
     (match Option.bind sess (fun (sid, seq) -> dedup_check t shard ~sid ~seq) with
     | Some status ->
@@ -275,8 +228,7 @@ let exec_op t shard ~dec_ns { P.id; op; sess } =
         (match (sess, session_op_of op) with
         | Some (sid, seq), Some sop when Incll.System.ctx sys <> None ->
             Incll.System.record_session sys ~sid ~seq
-              ~status:(P.status_code status) sop;
-            touch_session t shard ~sid ~seq ~status_code:(P.status_code status)
+              ~status:(P.status_code status) sop
         | _ -> ());
         (* Stalls admitted before [a0] ended by [s0]: only the ones
            admitted since can overlap this op, and most ops admit none. *)
@@ -379,8 +331,7 @@ let commit_txn t sess writes () =
           Incll.System.record_session
             (Store.Sharded.shard store (home sid))
             ~sid ~seq ~status:(P.status_code P.Ok)
-            (Incll.Session.Commit { txn_id });
-          touch_session t (home sid) ~sid ~seq ~status_code:(P.status_code P.Ok)
+            (Incll.Session.Commit { txn_id })
       | _ -> ());
       (P.Ok, P.Unit)
 
@@ -754,19 +705,25 @@ let start ?config ?(queue_capacity = 1024) ?(batch = 64) ?on_dequeue ?store
     {
       store;
       queues = Array.init shards (fun _ -> Bqueue.create ~capacity:queue_capacity);
-      ledgers =
+      (* The histogram the region's stall recorder registered. *)
+      net_queue =
         Array.init shards (fun i ->
-            Obs.Stall.create
-              ~registry:(Incll.System.metrics (Store.Sharded.shard store i))
-              ());
-      sessions = Array.init shards (fun _ -> Hashtbl.create 64);
-      sess_clocks = Array.init shards (fun _ -> ref 0);
+            Obs.Registry.histogram
+              (Incll.System.metrics (Store.Sharded.shard store i))
+              ("stall." ^ Obs.Stall.cause_name Obs.Stall.Net_queue ^ "_ns"));
       c_dedup =
         Array.init shards (fun i ->
             Obs.Registry.counter
               (Incll.System.metrics (Store.Sharded.shard store i))
               "server.dedup_hits");
-      sid_counter = Atomic.make 1;
+      (* Above every sid a shard's table holds (recovered ones, over a
+         recovered store). *)
+      sid_counter =
+        Atomic.make
+          (1
+          + List.fold_left max 0
+              (List.init shards (fun i ->
+                   Incll.System.max_session_sid (Store.Sharded.shard store i))));
       shards =
         Array.init shards (fun _ ->
             { by_fd = Fdtbl.create 16; to_flush = []; read_first = []; closing = [] });
@@ -789,18 +746,6 @@ let start ?config ?(queue_capacity = 1024) ?(batch = 64) ?on_dequeue ?store
       stopped = false;
     }
   in
-  (* Reseed the dedup tables from the recovery that produced each shard
-     (no-op for fresh systems), and keep fresh session ids above every
-     recovered one. *)
-  for i = 0 to shards - 1 do
-    List.iter
-      (fun (sid, seq, status) ->
-        Hashtbl.replace t.sessions.(i) sid
-          { last_seq = seq; last_status = status; stamp = 0 };
-        if sid + 1 > Atomic.get t.sid_counter then
-          Atomic.set t.sid_counter (sid + 1))
-      (Incll.System.recovered_sessions (Store.Sharded.shard store i))
-  done;
   Unix.set_nonblock listen_fd;
   t.domains <- List.init shards (fun i -> Domain.spawn (fun () -> shard_loop t i));
   t

@@ -31,24 +31,25 @@
     an unwritten tail stays buffered, and a connection with more than
     1 MiB buffered is not read until its peer catches up.
 
-    Every single-key request records its wait from read to execution as
-    an {!Obs.Stall.Net_queue} stall (wall ns since server start) into a
-    server-owned per-shard ledger sharing the shard's registry, so
-    [stall.net_queue_ns] surfaces through STATS. Replies carry that wait
-    plus the dominant persistence-stall cause of the execution window.
+    Every single-key request records its wait from read to execution
+    (wall ns) into its shard's [stall.net_queue_ns] histogram (the
+    {!Obs.Stall.Net_queue} cause), so it surfaces through STATS. Replies
+    carry that wait plus the dominant persistence-stall cause of the
+    execution window.
     A connection carries no transaction state: a TXN_COMMIT frame holds
     its whole write set and commits it through the store's 2PC under a
     barrier.
 
     {b Exactly-once dedup (DESIGN.md §17)}: HELLO grants a session id;
     a mutation stamped [(session_id, seqno)] is recorded durably (a
-    fenced {!Incll.Session} extlog record) after it applies and before
-    its reply exists, and remembered in a bounded per-shard table. A
-    replayed stamp is answered with the recorded status instead of
-    re-applied ([server.dedup_hits]). Single-key stamps dedup on the
-    key's shard; commit stamps on the session's home shard
-    ([sid mod nshards]) inside the commit barrier. Tables are rebuilt
-    from {!Incll.System.recovered_sessions} over a recovered store.
+    fenced {!Incll.System.record_session} record) after it applies and
+    before its reply exists, which also notes it in that shard System's
+    bounded session table. A replayed stamp is answered from the table
+    ({!Incll.System.last_session}) instead of re-applied
+    ([server.dedup_hits]). Single-key stamps dedup on the key's shard;
+    commit stamps on the session's home shard ([sid mod nshards]) inside
+    the commit barrier. A recovered store's tables come back rebuilt by
+    its recovery.
 
     {!stop} drains gracefully: domain 0 accepts the backlog and closes
     the listener; every domain sweeps its connections once, serves its
@@ -73,8 +74,8 @@ val start :
   ?store:Store.Sharded.t ->
   (* serve this store instead of creating one — e.g. systems reattached
      from NVM mirrors after a crash-restart; [variant]/[shards]/[config]
-     are ignored, and session dedup tables are reseeded from each
-     shard's recovered session records *)
+     are ignored; fresh session ids start above every one its shards'
+     session tables hold *)
   variant:Incll.System.variant ->
   shards:int ->
   Wire.Client.addr ->

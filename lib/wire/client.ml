@@ -113,14 +113,16 @@ let send ?sess t op =
 let pending t = t.in_flight + Hashtbl.length t.stash
 
 (* Wait until [t.fd] is readable or [deadline] (absolute, wall clock)
-   passes; raises [Timeout] on expiry. The decoder keeps any partial
-   frame, so the connection stays usable after a timeout. *)
+   passes; raises [Timeout] on expiry, after one last poll, so a deadline
+   already passed still reads what is in the socket. The decoder keeps
+   any partial frame, so the connection stays usable after a timeout. *)
 let wait_readable t deadline =
   let rec wait () =
     let remaining = deadline -. Unix.gettimeofday () in
-    if remaining <= 0.0 then raise Timeout;
-    match restart_eintr (fun () -> Unix.select [ t.fd ] [] [] remaining) with
-    | [], _, _ -> wait ()
+    match
+      restart_eintr (fun () -> Unix.select [ t.fd ] [] [] (Float.max 0.0 remaining))
+    with
+    | [], _, _ -> if remaining <= 0.0 then raise Timeout else wait ()
     | _ -> ()
   in
   wait ()
@@ -158,25 +160,9 @@ let recv ?deadline t =
       r
 
 let recv_opt t =
-  match pop_stash t with
-  | Some r -> Some r
-  | None -> (
-      match Proto.Decoder.next t.dec with
-      | Some payload ->
-          t.in_flight <- t.in_flight - 1;
-          Some (Proto.reply_of_payload payload)
-      | None -> (
-          match restart_eintr (fun () -> Unix.select [ t.fd ] [] [] 0.0) with
-          | [], _, _ -> None
-          | _ -> (
-              let n = Unix.read t.fd t.rbuf 0 (Bytes.length t.rbuf) in
-              if n = 0 then raise End_of_file;
-              Proto.Decoder.feed t.dec t.rbuf 0 n;
-              match Proto.Decoder.next t.dec with
-              | Some payload ->
-                  t.in_flight <- t.in_flight - 1;
-                  Some (Proto.reply_of_payload payload)
-              | None -> None)))
+  match recv ~deadline:neg_infinity t with
+  | r -> Some r
+  | exception Timeout -> None
 
 let call ?deadline ?sess t op =
   let id = send ?sess t op in

@@ -1,9 +1,10 @@
 (* The fault-tolerance layer (DESIGN.md §17): the session dedup record
    codec, net.* chaos plan points, NVM mirror round trips, client
    deadlines, stamped-replay dedup in the engine (single-key ops and
-   whole TXN frames), session-table rebuild during recovery, the
-   client-side frame limit on a write set, and the retrying session
-   driving ops through a fault-injecting proxy. *)
+   whole TXN frames), the System's bounded session table and its
+   rebuild during recovery, the client-side frame limit on a write set,
+   and the retrying session driving ops through a fault-injecting
+   proxy. *)
 
 module Sys_ = Incll.System
 module P = Wire.Proto
@@ -108,7 +109,7 @@ let mirror_roundtrip () =
 
 (* A session record makes its op redoable: the epoch that held the put
    is rolled back by the crash, but recovery replays the record and
-   rebuilds the (sid, seq, status) table the engine reseeds from. *)
+   rebuilds the (sid, seq, status) table the engine dedups against. *)
 let recovery_rebuilds_sessions () =
   let s = Sys_.create ~config:small_cfg Sys_.Incll in
   Sys_.put s ~key:"sk" ~value:"v1";
@@ -122,13 +123,75 @@ let recovery_rebuilds_sessions () =
   let r = Sys_.recover s in
   check "acked put redone" true (Sys_.get r ~key:"sk" = Some "v1");
   check "second acked put redone" true (Sys_.get r ~key:"other" = Some "x");
-  let sessions =
-    List.sort compare (Sys_.recovered_sessions r)
-  in
-  check "dedup table rebuilt" true (sessions = [ (7, 3, 0); (9, 1, 0) ]);
+  check "dedup table rebuilt" true
+    (Sys_.last_session r ~sid:7 = Some (3, 0)
+    && Sys_.last_session r ~sid:9 = Some (1, 0));
+  check_int "largest sid held" 9 (Sys_.max_session_sid r);
   (match Sys_.last_recover_stats r with
   | Some st -> check_int "sessions_recovered" 2 st.Sys_.sessions_recovered
   | None -> Alcotest.fail "no recover stats")
+
+(* --- the bounded session table ------------------------------------------ *)
+
+let sess_cap = 1024
+
+let record s sid seq =
+  Sys_.record_session s ~sid ~seq ~status:0
+    (Incll.Session.Put { key = "t"; value = string_of_int sid })
+
+let held s sid = Sys_.last_session s ~sid <> None
+
+(* A full table evicts the session recorded least recently, and only
+   that one. *)
+let table_evicts_stalest () =
+  let s = Sys_.create ~config:small_cfg Sys_.Incll in
+  for sid = 1 to sess_cap do
+    record s sid 1
+  done;
+  (* Session 1 records again, so session 2 is now the stalest. *)
+  record s 1 2;
+  record s (sess_cap + 1) 1;
+  check "stalest evicted" false (held s 2);
+  check "refreshed session kept" true (Sys_.last_session s ~sid:1 = Some (2, 0));
+  for sid = 3 to sess_cap + 1 do
+    check "others kept" true (held s sid)
+  done
+
+(* Entries rebuilt by recovery are older than any recorded since, so a
+   full table evicts them first. *)
+let table_evicts_recovered_first () =
+  let s = Sys_.create ~config:small_cfg Sys_.Incll in
+  record s 1 1;
+  record s 2 1;
+  Sys_.crash_with s ~choose:(fun ~line:_ ~nwrites -> nwrites);
+  let r = Sys_.recover s in
+  check "recovered held" true (held r 1 && held r 2);
+  let live = List.init (sess_cap - 2) (fun i -> 1000 + i) in
+  List.iter (fun sid -> record r sid 1) live;
+  record r 5000 1;
+  check "one recovered entry evicted" true (held r 1 <> held r 2);
+  record r 5001 1;
+  check "both recovered entries evicted" false (held r 1 || held r 2);
+  check "live entries kept" true (List.for_all (held r) live);
+  record r 5002 1;
+  check "then the stalest live one" false (held r 1000);
+  check "the rest kept" true (held r 1001 && held r 5000 && held r 5001)
+
+(* Several records of one session in the crashed epoch: recovery keeps
+   the newest. *)
+let recovery_keeps_newest_record () =
+  let s = Sys_.create ~config:small_cfg Sys_.Incll in
+  List.iter
+    (fun (seq, status) ->
+      Sys_.record_session s ~sid:5 ~seq ~status
+        (Incll.Session.Remove { key = "r" }))
+    [ (1, 0); (2, 0); (3, 1) ];
+  record s 6 4;
+  Sys_.crash_with s ~choose:(fun ~line:_ ~nwrites -> nwrites);
+  let r = Sys_.recover s in
+  check "newest record of 5" true (Sys_.last_session r ~sid:5 = Some (3, 1));
+  check "newest record of 6" true (Sys_.last_session r ~sid:6 = Some (4, 0));
+  check "no other session" true (Sys_.last_session r ~sid:7 = None)
 
 (* --- the running engine ------------------------------------------------- *)
 
@@ -190,7 +253,6 @@ let stamped_replay_deduped () =
           let r2 = C.call ~sess:(sid, 1) c (P.Put ("dk", "second")) in
           check "replay ok" true (r2.P.status = P.Ok);
           check "replay did not re-apply" true (C.get c "dk" = Some "first");
-          (* An older stamp is also recognised as already-done. *)
           let sid2 =
             match C.call c (P.Hello 0) with
             | { P.status = P.Ok; payload = P.Value v; _ } -> int_of_string v
@@ -200,8 +262,14 @@ let stamped_replay_deduped () =
           (* A fresh seq under the same session applies normally. *)
           let r3 = C.call ~sess:(sid, 2) c (P.Put ("dk", "third")) in
           check "next seq applies" true (r3.P.status = P.Ok);
-          check "next seq visible" true (C.get c "dk" = Some "third"));
-      check "dedup hits counted" true (dedup_hits srv >= 1))
+          check "next seq visible" true (C.get c "dk" = Some "third");
+          (* An older stamp is also recognised as already-done. *)
+          let hits0 = dedup_hits srv in
+          let r4 = C.call ~sess:(sid, 1) c (P.Put ("dk", "fourth")) in
+          check "older stamp ok" true (r4.P.status = P.Ok);
+          check "older stamp not applied" true (C.get c "dk" = Some "third");
+          check_int "older stamp was a dedup hit" (hits0 + 1) (dedup_hits srv));
+      check "dedup hits counted" true (dedup_hits srv >= 2))
 
 (* A duplicated TXN frame, as a retry or a duplicating network sends it:
    the whole write set travels in one stamped request, so the copy is
@@ -337,6 +405,12 @@ let tests =
       Alcotest.test_case "NVM mirror round trip" `Quick mirror_roundtrip;
       Alcotest.test_case "recovery rebuilds session tables" `Quick
         recovery_rebuilds_sessions;
+      Alcotest.test_case "full session table evicts the stalest" `Quick
+        table_evicts_stalest;
+      Alcotest.test_case "recovered sessions are evicted first" `Quick
+        table_evicts_recovered_first;
+      Alcotest.test_case "recovery keeps each session's newest record"
+        `Quick recovery_keeps_newest_record;
       Alcotest.test_case "client deadline -> Timeout" `Quick
         client_deadline_timeout;
       Alcotest.test_case "stamped replay answered from the record" `Quick

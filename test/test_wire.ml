@@ -1089,6 +1089,40 @@ let reply_causes () =
       check "GET across a checkpoint blames it" true
         (cause_of (C.call c (P.Get "k")) = Some Obs.Stall.Epoch_advance))
 
+(* [recv_opt] never blocks: [None] while the server holds the request
+   (its shard domain is wedged), the reply once it is in the socket. *)
+let recv_opt_polls () =
+  let gate = Atomic.make false in
+  let on_dequeue ~shard:_ =
+    while not (Atomic.get gate) do
+      Unix.sleepf 0.001
+    done
+  in
+  with_server ~shards:1 ~on_dequeue (fun srv ->
+      let c = C.connect (E.addr srv) in
+      Fun.protect
+        ~finally:(fun () ->
+          Atomic.set gate true;
+          C.close c)
+        (fun () ->
+          let id = C.send c (P.Put ("ro", "1")) in
+          check "no reply yet" true (C.recv_opt c = None);
+          check_int "still pending" 1 (C.pending c);
+          Atomic.set gate true;
+          let give_up = Unix.gettimeofday () +. 10.0 in
+          let rec poll () =
+            match C.recv_opt c with
+            | Some r -> r
+            | None ->
+                if Unix.gettimeofday () > give_up then
+                  Alcotest.fail "reply never arrived";
+                Unix.sleepf 0.001;
+                poll ()
+          in
+          let r = poll () in
+          check "the reply" true (r.P.id = id && r.P.status = P.Ok);
+          check_int "nothing pending" 0 (C.pending c)))
+
 let tests =
   ( "wire",
     [
@@ -1133,4 +1167,6 @@ let tests =
       Alcotest.test_case "read-first fairness, 2 shards" `Quick
         (read_first_fairness 2);
       Alcotest.test_case "reply names its stall cause" `Quick reply_causes;
+      Alcotest.test_case "recv_opt polls without blocking" `Quick
+        recv_opt_polls;
     ] )
