@@ -167,7 +167,8 @@ serve: build
 # demands the final server state match the last acked op per key
 # exactly once, and every seed must end in a clean SIGTERM drain.
 # Seed 1 is a targeted reply-loss + crash schedule that must produce a
-# dedup hit from the *recovered* session table.
+# dedup hit from the *recovered* session table; after its drain,
+# incll_fsck must find each final shard image clean.
 CHAOS_NET_SEEDS ?= 8
 
 chaos-net: build

@@ -29,7 +29,9 @@
    and restarts the server, so the op is applied + durably recorded but
    never acked; the session's resend can only reach the restarted
    server and MUST be answered from the recovered dedup table — the
-   seed asserts [server.dedup_hits >= 1].
+   seed asserts [server.dedup_hits >= 1]. After its drain, [incll_fsck]
+   must find both final shard images clean (a dangling PREPARE it reports
+   is informational: it judges a shard alone).
 
    Run with: dune exec bin/chaos_net.exe -- [--seeds 8] [--json FILE] *)
 
@@ -226,6 +228,15 @@ let dedup_hits_of_stats json =
 let rm_rf dir =
   ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)))
 
+(* The offline checker over a drained server's shard image, its report
+   kept beside the image: anything but a clean exit fails the seed. *)
+let fsck_clean dir i =
+  let img = Filename.concat dir (Printf.sprintf "img/shard%d.img" i) in
+  let exe = Filename.concat (Filename.dirname server_exe) "incll_fsck.exe" in
+  let q = Filename.quote in
+  Sys.command (Printf.sprintf "%s %s > %s 2>&1" (q exe) (q img) (q (img ^ ".fsck")))
+  = 0
+
 (* A seeded schedule of faults for one direction: [n] points at strictly
    increasing frame ordinals. Severing faults are kept rare (each costs
    a reconnect round trip). *)
@@ -365,6 +376,11 @@ let run_seed ~seed ~sessions ~nops ~ncrashes =
   if targeted && !dedup_hits < 1 then
     fail "targeted seed: expected a dedup hit after crash-restart recovery";
   (match sigterm_drain sv with Ok () -> () | Error e -> fail "%s" e);
+  if targeted then
+    List.iter
+      (fun i ->
+        if not (fsck_clean dir i) then fail "fsck shard%d.img not clean" i)
+      [ 0; 1 ];
   let faults = Chaos_net.Netproxy.injected_total proxy in
   Chaos_net.Netproxy.stop proxy;
   let ok = !failures = [] in

@@ -312,8 +312,9 @@ let () =
                 Printf.printf "checkpointed and saved image to %s\n" path
               end
           | [ "load"; path ] ->
-              let region = Nvm.Image.load config.Sys_.nvm ~path in
-              store := S.attach ~config !variant [| region |];
+              let size_bytes = Nvm.Image.image_size ~path in
+              let nvm = { config.Sys_.nvm with Nvm.Config.size_bytes } in
+              store := S.attach ~config !variant [| Nvm.Image.load nvm ~path |];
               crashed := false;
               Printf.printf "rebooted from %s (%d entries)\n" path
                 (S.cardinal !store)

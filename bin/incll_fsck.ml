@@ -1,9 +1,9 @@
-(* Offline checker for saved NVM images — an fsck for the durable store.
+(* Offline checker for NVM images — an fsck for the durable store.
 
-   Loads an image (as a reboot would), reports the epoch state, replays
-   recovery, walks and validates every node of every layer, checks the
-   allocator chains, and prints an inventory. Read-only with respect to
-   the file: all recovery work happens on the in-memory copy.
+   Loads a saved or live image as a reboot would, reports the epoch state,
+   replays recovery, walks and validates every node of every layer, checks
+   the allocator chains, and prints an inventory. Read-only with respect
+   to the file: all recovery work happens on the in-memory copy.
 
    Run with: dune exec bin/incll_fsck.exe -- <image-file> [--variant INCLL] *)
 
@@ -43,7 +43,8 @@ let () =
     }
   in
   let region = Nvm.Image.load cfg.Sys_.nvm ~path in
-  Printf.printf "  checksum          : ok\n";
+  Printf.printf "  checksum          : %s\n"
+    (if Nvm.Image.is_live ~path then "live image (not sealed)" else "ok");
   (if not (Nvm.Superblock.is_formatted region) then begin
      Printf.printf "  superblock        : NOT a formatted incll region\n";
      exit 1

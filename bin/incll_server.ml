@@ -20,7 +20,7 @@ let usage =
   --epoch-ms MS         checkpoint cadence                (default 16)
   --queue-capacity N    per-shard request queue bound     (default 1024)
   --image-dir DIR       persist each shard's NVM image to DIR/shard<i>.img;
-                        restarting over an existing DIR recovers the store
+                        restarting over DIR recovers it or refuses a mismatch
   --size-mb MB          per-shard region size             (default 64)
   --log-kb KB           per-shard external-log size       (default 4096)|}
 
@@ -38,37 +38,9 @@ let config_for policy epoch_ms ~size_mb ~log_kb =
     epoch_len_ns = epoch_ms *. 1e6;
   }
 
-let image_path dir i = Filename.concat dir (Printf.sprintf "shard%d.img" i)
-
-(* Attach-or-create over an image directory: when every shard image is
-   present, reload the mirrors and recover the store over them
-   ([Store.Sharded.attach] resolves in-doubt 2PC records against the
-   coordinator shard's watermark); otherwise start fresh and arm a mirror
-   per shard so this process's state survives even a SIGKILL. *)
-let store_for ~image_dir ~config ~variant ~shards =
-  match image_dir with
-  | None -> (Store.Sharded.create ~config variant ~shards, false)
-  | Some dir ->
-      if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-      let regions =
-        List.init shards (fun i ->
-            Nvm.Region.load_mirror config.Sys_.nvm ~path:(image_path dir i))
-      in
-      if List.for_all Option.is_some regions then
-        let regions = Array.of_list (List.map Option.get regions) in
-        (Store.Sharded.attach ~config variant regions, true)
-      else begin
-        let store = Store.Sharded.create ~config variant ~shards in
-        for i = 0 to shards - 1 do
-          Nvm.Region.attach_mirror
-            (Sys_.region (Store.Sharded.shard store i))
-            ~path:(image_path dir i)
-        done;
-        (store, false)
-      end
-
-(* Numeric options: a malformed or non-positive value is refused with one
-   line and exit 2, before anything is created or bound. *)
+(* A malformed or non-positive numeric option, or an image directory
+   another store left, is refused with one line and exit 2 before
+   anything is bound. *)
 let refuse msg =
   prerr_endline msg;
   exit 2
@@ -141,10 +113,7 @@ let () =
   let listen =
     match !listen with
     | Some a -> a
-    | None ->
-        prerr_endline "--listen is required";
-        prerr_endline usage;
-        exit 2
+    | None -> bad "--listen is required"
   in
   let config = config_for !policy !epoch_ms ~size_mb:!size_mb ~log_kb:!log_kb in
   (* A region holds the superblock, then the external log, then the heap;
@@ -157,7 +126,11 @@ let () =
           raise --size-mb or lower --log-kb"
          !size_mb !log_kb);
   let store, recovered =
-    store_for ~image_dir:!image_dir ~config ~variant:!variant ~shards:!shards
+    match !image_dir with
+    | None -> (Store.Sharded.create ~config !variant ~shards:!shards, false)
+    | Some dir -> (
+        try Store.Sharded.open_images ~config !variant ~shards:!shards ~dir
+        with Failure m | Sys_error m -> refuse ("incll_server: " ^ m))
   in
   let srv =
     Server.Engine.start ~queue_capacity:!queue_capacity ~store

@@ -5,6 +5,9 @@ type addr = int
    cache line. *)
 type record = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
+type bigstring =
+  (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
+
 (* Precise mode: the dirty lines' pending stores (see "pending-store
    journal" below). *)
 type journal = {
@@ -54,16 +57,12 @@ type t = {
      Slot [line land llc_mask] holds a 16-bit partial tag (see
      [touch_llc]); 512 KiB, so the tags stay in a host L2. *)
   llc_tags : Bytes.t;
-  (* Optional file-backed shadow of the persisted view (a shared mmap).
-     Because the mapping is MAP_SHARED, bytes written here live in the
-     kernel page cache and survive the process being SIGKILLed — the
-     cross-process analogue of NVM outliving a power failure. Only the
-     persisted view is mirrored, and only at the instants it changes, so
-     the file always holds exactly what a crash would leave behind. *)
   mutable hi32 : int;  (* high half of the word [read_u64] last loaded *)
-  mutable mirror :
-    (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
-    option;
+  (* Optional shadow of the persisted view: the payload of a live image
+     file, mapped shared by [Image.attach]. Only the persisted view is
+     mirrored, and only at the instants it changes, so the file always
+     holds exactly what a crash would leave behind. *)
+  mutable mirror : bigstring option;
 }
 
 (* The line geometry as literals: dune's dev profile compiles every
@@ -393,9 +392,6 @@ let journal_crash t ~choose =
 
 (* --- persisted-view mirror --------------------------------------------- *)
 
-type bigstring =
-  (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
-
 external big_get64u : bigstring -> int -> int64 = "%caml_bigstring_get64u"
 external big_set64u : bigstring -> int -> int64 -> unit
   = "%caml_bigstring_set64u"
@@ -412,20 +408,6 @@ let mirror_line t line =
   | Some m ->
       let pos = line * line_size in
       mirror_words m ~dst:pos t.volatile ~src_pos:pos ~len:line_size
-
-let mirror_all t =
-  match t.mirror with
-  | None -> ()
-  | Some m ->
-      let img =
-        if Util.Ivec.length t.dirty_list = 0 then t.volatile
-        else begin
-          let b = Bytes.copy t.volatile in
-          undo_into t ~dst:b ~addr:0;
-          b
-        end
-      in
-      mirror_words m ~dst:0 img ~src_pos:0 ~len:t.size_bytes
 
 let config t = t.cfg
 let stats t = t.stats
@@ -941,13 +923,14 @@ let crash_persist_all t = crash_with t ~choose:(fun ~line:_ ~nwrites -> nwrites)
 (* Install a reboot image: the image is the region's content, durable
    and volatile alike, cache empty. Used by Image.load; not part of the
    simulated instruction set. *)
-let install_image t image =
+let install_image t (image : bigstring) =
   if not (precise t) then failwith "Region.install_image: Counting mode";
-  let n = Bytes.length image in
-  if n > Bytes.length t.volatile || dirty_line_count t > 0 then
-    invalid_arg "Region.install_image";
-  Bytes.blit image 0 t.volatile 0 n;
-  mirror_all t;
+  if Bigarray.Array1.dim image <> t.size_bytes || dirty_line_count t > 0
+     || Option.is_some t.mirror
+  then invalid_arg "Region.install_image";
+  for w = 0 to (t.size_bytes / 8) - 1 do
+    set64u t.volatile (8 * w) (big_get64u image (8 * w))
+  done;
   Bytes.fill t.llc_tags 0 (Bytes.length t.llc_tags) '\000'
 
 let pending_writes t =
@@ -986,40 +969,10 @@ let read_persisted t addr ~len =
 let read_persisted_i64 t addr =
   Bytes.get_int64_le (read_persisted t addr ~len:8) 0
 
-(* --- cross-process mirror attach/load --------------------------------- *)
-
-let map_mirror_fd fd size =
-  Unix.map_file fd Bigarray.char Bigarray.c_layout true [| size |]
-  |> Bigarray.array1_of_genarray
-
-let attach_mirror t ~path =
-  if not (precise t) then failwith "Region.attach_mirror: Counting mode";
-  let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  let m =
-    Fun.protect
-      ~finally:(fun () -> Unix.close fd)
-      (fun () ->
-        Unix.ftruncate fd t.size_bytes;
-        map_mirror_fd fd t.size_bytes)
-  in
-  t.mirror <- Some m;
-  mirror_all t
-
-let load_mirror (cfg : Config.t) ~path =
-  if (not (Sys.file_exists path)) || (Unix.stat path).Unix.st_size <> cfg.size_bytes
-  then None
-  else begin
-    let fd = Unix.openfile path [ Unix.O_RDWR ] 0o644 in
-    let m =
-      Fun.protect
-        ~finally:(fun () -> Unix.close fd)
-        (fun () -> map_mirror_fd fd cfg.size_bytes)
-    in
-    let t = create cfg in
-    (* Nothing is dirty after a reboot: the mirror is the volatile image. *)
-    for w = 0 to (cfg.size_bytes / 8) - 1 do
-      set64u t.volatile (8 * w) (big_get64u m (8 * w))
-    done;
-    t.mirror <- Some m;
-    Some t
-  end
+let set_mirror t m =
+  if not (precise t) then failwith "Region.set_mirror: Counting mode";
+  if Bigarray.Array1.dim m <> t.size_bytes || dirty_line_count t > 0 then
+    invalid_arg "Region.set_mirror";
+  (* Nothing is dirty: the volatile image is the persisted view. *)
+  mirror_words m ~dst:0 t.volatile ~src_pos:0 ~len:t.size_bytes;
+  t.mirror <- Some m

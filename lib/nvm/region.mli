@@ -24,6 +24,9 @@ type t
 type addr = int
 (** Byte offset into the region. *)
 
+type bigstring =
+  (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
+
 val create : Config.t -> t
 (** Fresh region, zero-filled, nothing dirty. Raises [Invalid_argument]
     if the size is not a positive multiple of 64, exceeds 2{^32}-1 lines,
@@ -231,10 +234,11 @@ val crash_persist_all : t -> unit
 (** Deterministic best case: every pending store persists (equivalent to a
     flush followed by a clean restart). *)
 
-val install_image : t -> Bytes.t -> unit
+val install_image : t -> bigstring -> unit
 (** Used by {!Image.load}: make a reboot image the region's content,
     durable and volatile alike, with a cold cache. Precise mode only, on a
-    region with no dirty line. *)
+    region with no dirty line and no mirror; the image holds exactly the
+    region's size. *)
 
 val pending_writes : t -> (int * int) list
 (** Dirty lines and their pending-store counts, sorted by line id (drives
@@ -256,27 +260,11 @@ val record_bytes : t -> int
     mode, 8 in Counting mode). It lives off the OCaml heap, so
     [Obj.reachable_words] does not count it. *)
 
-(** {1 Cross-process persistence (Precise mode only)}
-
-    A file-backed shared mmap shadowing the persisted view, updated at
-    every instant the persisted view changes (line commit, simulated
-    crash, image install). Because the mapping is [MAP_SHARED], the bytes
-    survive the process being SIGKILLed — the cross-process analogue of
-    NVM outliving a power failure. The file deliberately holds {e only}
-    what a crash would leave behind: a server restarted on the same
-    mirror recovers exactly as if the machine had lost power. *)
-
-val attach_mirror : t -> path:string -> unit
-(** Create (or truncate) [path] at the region's size, mmap it shared,
-    dump the current persisted view into it, and keep it in sync from
-    now on. *)
-
-val load_mirror : Config.t -> path:string -> t option
-(** Rebuild a region from a mirror file left behind by a previous
-    process: the mirrored persisted view becomes the volatile image (cold
-    cache, nothing dirty) and the mapping is re-attached for future
-    updates. [None] if the file does not exist or its size does not
-    match [cfg.size_bytes] — callers fall back to a fresh region. *)
+val set_mirror : t -> bigstring -> unit
+(** Used by {!Image.attach}: write the image into the mapping and keep
+    it in sync from now on, at every instant the persisted view changes
+    (line commit, simulated crash). Precise mode only, on a region with no
+    dirty line; the mapping holds exactly the region's size. *)
 
 val read_persisted : t -> addr -> len:int -> Bytes.t
 (** A copy of [len] bytes of the persisted view at [addr], uncharged: the

@@ -73,7 +73,7 @@ val start :
      and each read's requests — block here to wedge that domain *)
   ?store:Store.Sharded.t ->
   (* serve this store instead of creating one — e.g. systems reattached
-     from NVM mirrors after a crash-restart; [variant]/[shards]/[config]
+     from NVM image files after a crash-restart; [variant]/[shards]/[config]
      are ignored; fresh session ids start above every one its shards'
      session tables hold *)
   variant:Incll.System.variant ->

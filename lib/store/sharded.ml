@@ -40,6 +40,29 @@ let attach ?config variant regions =
     next_txn_id = next_id_above regions ~floor:0;
   }
 
+(* Images [0, shards) and no more, or none. Mirrors are attached before
+   recovery, which then persists through them. *)
+let open_images ?(config = Incll.System.default_config) variant ~shards ~dir =
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  let path i = Filename.concat dir (Printf.sprintf "shard%d.img" i) in
+  let ids = List.init (shards + 1) Fun.id in
+  let mirror i r = Nvm.Image.attach r ~path:(path i) in
+  match List.partition (fun i -> Sys.file_exists (path i)) ids with
+  | [], _ ->
+      let t = create ~config variant ~shards in
+      Array.iteri (fun i s -> mirror i (Incll.System.region s)) t.shards;
+      (t, false)
+  | _, [ n ] when n = shards ->
+      let load i = Nvm.Image.load config.nvm ~path:(path i) in
+      let regions = Array.init shards load in
+      Array.iteri mirror regions;
+      (attach ~config variant regions, true)
+  | found, missing ->
+      let i = if List.mem shards found then shards else List.hd missing in
+      failwith
+        (Printf.sprintf "%s: %s, but the store has %d shard(s)" (path i)
+           (if i = shards then "present" else "missing") shards)
+
 let nshards t = Array.length t.shards
 let shard t i = t.shards.(i)
 

@@ -23,11 +23,20 @@ val create : ?config:Incll.System.config -> Incll.System.variant -> shards:int -
 val attach :
   ?config:Incll.System.config -> Incll.System.variant -> Nvm.Region.t array -> t
 (** Recover a store from per-shard regions obtained elsewhere (e.g. NVM
-    images or mirrors reloaded after a process restart), given in shard
+    image files reloaded after a process restart), given in shard
     order: each shard runs [Incll.System.attach], in-doubt transaction
     records are resolved against the coordinator shard's watermark
     exactly as in {!recover}, and the next transaction id resumes above
     every shard's durable watermark. *)
+
+val open_images :
+  ?config:Incll.System.config -> Incll.System.variant -> shards:int ->
+  dir:string -> t * bool
+(** The store mirrored in [dir/shard<i>.img] ({!Nvm.Image.attach}) and
+    whether it was recovered (as by {!attach}) from those files, or made
+    fresh over an empty [dir]. Raises [Failure] naming a file, before
+    writing any, on a partial [dir] (another shard count) or an image of
+    another size: an image directory is refused, never wiped. *)
 
 val nshards : t -> int
 val shard : t -> int -> Incll.System.t

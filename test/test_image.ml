@@ -111,6 +111,93 @@ let mid_epoch_image_recovers () =
   done;
   Stdlib.Sys.remove path
 
+(* A live file, attached and never saved, tracks the persisted view, so
+   a checkpointed store reloaded from it recovers everything it acked. *)
+let mirror_roundtrip () =
+  let path = Filename.temp_file "incll_mirror" ".img" in
+  Fun.protect ~finally:(fun () -> Stdlib.Sys.remove path) @@ fun () ->
+  let s = Sys_.create ~config:cfg Sys_.Incll in
+  Nvm.Image.attach (Sys_.region s) ~path;
+  for i = 0 to 199 do
+    Sys_.put s ~key:(Printf.sprintf "m%03d" i) ~value:(string_of_int i)
+  done;
+  Sys_.advance_epoch s;
+  check "file is live" true (Nvm.Image.is_live ~path);
+  let region = Nvm.Image.load cfg.Sys_.nvm ~path in
+  let r = Sys_.attach ~config:cfg Sys_.Incll region in
+  for i = 0 to 199 do
+    check "mirrored key survives" true
+      (Sys_.get r ~key:(Printf.sprintf "m%03d" i) = Some (string_of_int i))
+  done
+
+let refused path f =
+  match f () with
+  | _ -> false
+  | exception Failure m ->
+      String.length m > String.length path
+      && String.sub m 0 (String.length path) = path
+
+let live_image_of_another_size_refused () =
+  let path = Filename.temp_file "incll_mirror" ".img" in
+  Fun.protect ~finally:(fun () -> Stdlib.Sys.remove path) @@ fun () ->
+  Nvm.Image.attach (Sys_.region (Sys_.create ~config:cfg Sys_.Incll)) ~path;
+  let bigger = { cfg.Sys_.nvm with Nvm.Config.size_bytes = 8 * 1024 * 1024 } in
+  check "size mismatch refused, naming the file" true
+    (refused path (fun () -> Nvm.Image.load bigger ~path))
+
+let bad_magic_refused () =
+  let s = Sys_.create ~config:cfg Sys_.Incll in
+  let path = tmp "incll_image_test6.img" in
+  Nvm.Image.save (Sys_.region s) ~path;
+  let fd = Unix.openfile path [ Unix.O_RDWR ] 0 in
+  ignore (Unix.write fd (Bytes.make 1 '\x00') 0 1);
+  Unix.close fd;
+  check "bad magic refused, naming the file" true
+    (refused path (fun () -> Nvm.Image.load cfg.Sys_.nvm ~path));
+  Stdlib.Sys.remove path
+
+(* [Store.Sharded.open_images] over a directory another store left:
+   another size or shard count is refused with every file untouched, and
+   the same config recovers the store. *)
+let image_dir_refused_never_wiped () =
+  let dir = Filename.temp_dir "incll_image_dir" "" in
+  let shard i = Filename.concat dir (Printf.sprintf "shard%d.img" i) in
+  let cleanup () =
+    Array.iter (fun f -> Stdlib.Sys.remove (Filename.concat dir f))
+      (Stdlib.Sys.readdir dir);
+    Stdlib.Sys.rmdir dir
+  in
+  Fun.protect ~finally:cleanup @@ fun () ->
+  let open_images ?(config = cfg) shards =
+    Store.Sharded.open_images ~config Sys_.Incll ~shards ~dir
+  in
+  let store, recovered = open_images 2 in
+  check "fresh dir not recovered" false recovered;
+  for i = 0 to 299 do
+    Store.Sharded.put store ~key:(key8 i) ~value:(Printf.sprintf "v%03d" i)
+  done;
+  Store.Sharded.advance_epochs store;
+  let digests () = List.map (fun i -> Digest.file (shard i)) [ 0; 1 ] in
+  let before = digests () in
+  let nvm = { cfg.Sys_.nvm with Nvm.Config.size_bytes = 8 * 1024 * 1024 } in
+  let bigger = { cfg with Sys_.nvm } in
+  List.iter
+    (fun (what, path, reopen) ->
+      check (what ^ " refused, naming the file") true (refused path reopen);
+      check (what ^ ": files unchanged") true (digests () = before))
+    [
+      ("another size", shard 0, fun () -> open_images ~config:bigger 2);
+      ("more shards", shard 2, fun () -> open_images 3);
+      ("fewer shards", shard 1, fun () -> open_images 1);
+    ];
+  check "no file added" false (Stdlib.Sys.file_exists (shard 2));
+  let store, recovered = open_images 2 in
+  check "same config recovers" true recovered;
+  for i = 0 to 299 do
+    check "acked key recovered" true
+      (Store.Sharded.get store ~key:(key8 i) = Some (Printf.sprintf "v%03d" i))
+  done
+
 let tests =
   ( "image",
     [
@@ -119,4 +206,10 @@ let tests =
       Alcotest.test_case "corrupt image rejected" `Quick corrupt_image_rejected;
       Alcotest.test_case "non-image rejected" `Quick non_image_rejected;
       Alcotest.test_case "mid-epoch image recovers" `Quick mid_epoch_image_recovers;
+      Alcotest.test_case "NVM mirror round trip" `Quick mirror_roundtrip;
+      Alcotest.test_case "live image of another size refused" `Quick
+        live_image_of_another_size_refused;
+      Alcotest.test_case "bad magic refused" `Quick bad_magic_refused;
+      Alcotest.test_case "image dir refused, never wiped" `Quick
+        image_dir_refused_never_wiped;
     ] )

@@ -144,22 +144,23 @@ let ref_counts rf =
   |> List.sort compare
 
 
-(* Unbuffered reads: an in_channel would serve a seek back into its
-   buffer from the buffer, not from the file. *)
+(* The window in the mirror's payload, past the image header. Unbuffered
+   reads: an in_channel would serve a seek back into its buffer from the
+   buffer, not from the file. *)
 let mirror_window fd =
   let b = Bytes.create window in
   let rec go pos =
     if pos < window then
       go (pos + Unix.read fd b pos (window - pos))
   in
-  ignore (Unix.lseek fd lo Unix.SEEK_SET);
+  ignore (Unix.lseek fd (Nvm.Image.header_bytes + lo) Unix.SEEK_SET);
   go 0;
   Bytes.to_string b
 
 let run ?(wbinvd = true) ~max_dirty_lines ~max_line_log_bytes ~steps ~seed () =
   let r = Region.create (cfg ~max_dirty_lines ~max_line_log_bytes) in
   let mirror = Filename.temp_file "line_log" ".nvm" in
-  Region.attach_mirror r ~path:mirror;
+  Nvm.Image.attach r ~path:mirror;
   let fd = Unix.openfile mirror [ Unix.O_RDONLY ] 0 in
   Fun.protect ~finally:(fun () -> Unix.close fd; Sys.remove mirror) @@ fun () ->
   let rf =

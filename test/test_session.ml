@@ -1,10 +1,9 @@
 (* The fault-tolerance layer (DESIGN.md §17): the session dedup record
-   codec, net.* chaos plan points, NVM mirror round trips, client
-   deadlines, stamped-replay dedup in the engine (single-key ops and
-   whole TXN frames), the System's bounded session table and its
-   rebuild during recovery, the client-side frame limit on a write set,
-   and the retrying session driving ops through a fault-injecting
-   proxy. *)
+   codec, net.* chaos plan points, client deadlines, stamped-replay
+   dedup in the engine (single-key ops and whole TXN frames), the
+   System's bounded session table and its rebuild during recovery, the
+   client-side frame limit on a write set, and the retrying session
+   driving ops through a fault-injecting proxy. *)
 
 module Sys_ = Incll.System
 module P = Wire.Proto
@@ -79,31 +78,6 @@ let net_points_parse () =
       NP.stop t;
       Alcotest.fail "crash site accepted in a net schedule"
   | exception Invalid_argument _ -> ()
-
-(* --- NVM mirror round trip ---------------------------------------------- *)
-
-(* A mirrored region's image file tracks commit_line, so a checkpointed
-   store reloaded from the file recovers everything it acked. *)
-let mirror_roundtrip () =
-  let path = Filename.temp_file "incll_mirror" ".img" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      let s = Sys_.create ~config:small_cfg Sys_.Incll in
-      Nvm.Region.attach_mirror (Sys_.region s) ~path;
-      for i = 0 to 199 do
-        Sys_.put s ~key:(Printf.sprintf "m%03d" i) ~value:(string_of_int i)
-      done;
-      Sys_.advance_epoch s;
-      match Nvm.Region.load_mirror small_cfg.Sys_.nvm ~path with
-      | None -> Alcotest.fail "mirror file did not reload"
-      | Some region ->
-          let r = Sys_.attach ~config:small_cfg Sys_.Incll region in
-          for i = 0 to 199 do
-            check "mirrored key survives" true
-              (Sys_.get r ~key:(Printf.sprintf "m%03d" i)
-              = Some (string_of_int i))
-          done)
 
 (* --- session-table rebuild during recovery ------------------------------ *)
 
@@ -402,7 +376,6 @@ let tests =
     [
       Alcotest.test_case "dedup record codec round trip" `Quick codec_roundtrip;
       Alcotest.test_case "net.* plan points parse" `Quick net_points_parse;
-      Alcotest.test_case "NVM mirror round trip" `Quick mirror_roundtrip;
       Alcotest.test_case "recovery rebuilds session tables" `Quick
         recovery_rebuilds_sessions;
       Alcotest.test_case "full session table evicts the stalest" `Quick
